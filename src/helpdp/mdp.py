@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -84,13 +83,11 @@ def _dump(obj) -> str:
 class CountTable:
     """Raw transition counts keyed by (state, action, next_state).
 
-    Recording is guarded by a lock so parallel rollout workers may share a
-    table; independent tables can also be combined with :meth:`merge`.
+    Not thread-safe; tables filled separately are combined with :meth:`merge`.
     """
 
     def __init__(self) -> None:
         self._counts: dict[tuple[str, str, str], int] = {}
-        self._lock = threading.Lock()
 
     def record(self, state: str, action: str, next_state: str, count: int = 1) -> None:
         if is_terminal(state):
@@ -99,13 +96,11 @@ class CountTable:
             raise DataError(f"count must be positive, got {count}")
         action = canonical_action(action)
         key = (state, action, next_state)
-        with self._lock:
-            self._counts[key] = self._counts.get(key, 0) + count
+        self._counts[key] = self._counts.get(key, 0) + count
 
     def merge(self, other: "CountTable") -> None:
-        with self._lock:
-            for key, c in other._counts.items():
-                self._counts[key] = self._counts.get(key, 0) + c
+        for key, c in other._counts.items():
+            self._counts[key] = self._counts.get(key, 0) + c
 
     def total(self) -> int:
         return sum(self._counts.values())

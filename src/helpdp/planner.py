@@ -8,13 +8,16 @@ then an exact polish that evaluates the stabilized policy by a sparse
 linear solve and re-derives the policy from the exact values until it stops
 changing.  The polish removes the O(epsilon / (1 - gamma)) iteration tail so
 converged solutions satisfy the value decomposition to ~1e-12.
+
+The model is compiled once into per-action sparse arrays; ``reward_search``
+compiles once per search and runs every probe on those arrays.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +29,6 @@ from .mdp import (
     TransitionModel,
     action_order,
     help_action,
-    is_terminal,
     terminal_outcome,
 )
 
@@ -120,7 +122,8 @@ def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
     n = len(states)
     P: dict[str, sparse.csr_matrix] = {}
     succ: dict[str, np.ndarray] = {}
-    for a in actions:
+    exits = np.zeros((len(actions), n), dtype=int)  # terminal successors per (action, state)
+    for ai, a in enumerate(actions):
         rows, cols, vals = [], [], []
         sv = np.zeros(n)
         for s in states:
@@ -130,48 +133,61 @@ def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
             i = index[s]
             for s2, p in row.items():
                 outcome = terminal_outcome(s2)
-                if outcome == "success":
-                    sv[i] += p
-                elif outcome == "failure":
-                    continue
+                if outcome is not None:
+                    exits[ai, i] += 1
+                    if outcome == "success":
+                        sv[i] += p
                 else:
                     rows.append(i)
                     cols.append(index[s2])
                     vals.append(p)
+        # explicit zeros stay stored, so the sparsity pattern is the row support
         P[a] = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         succ[a] = sv
     comp = _Compiled(states=states, index=index, actions=actions, n_help=n_help, P=P, succ=succ)
     if gamma == 1.0:
-        _check_absorbing(model, comp)
+        _check_absorbing(comp, exits)
     return comp
 
 
-def _check_absorbing(model: TransitionModel, comp: _Compiled) -> None:
+def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
     """Reject gamma=1 when some policy admits a terminal-free recurrent class.
 
     A nonempty set B of non-terminal states is trapping iff every s in B has
-    some action whose whole successor support stays inside B; iterated
-    removal finds the largest such B.
+    some action whose whole successor support stays inside B.  One worklist
+    pass over the edges finds the largest such B: ``out`` counts the
+    successors of each (action, state) outside the live set (terminals
+    always are); a state leaves once no action has ``out == 0``.
     """
-    alive = set(comp.states)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            keeps = False
-            for a in comp.actions:
-                row = model.row(s, a)
-                if row is not None and all(s2 in alive for s2 in row):
-                    keeps = True
-                    break
-            if not keeps:
-                alive.discard(s)
-                changed = True
+    n = len(comp.states)
+    # column j lists the pairs a * n + s with an edge s -a-> j
+    into = sparse.vstack([comp.P[a] for a in comp.actions], format="csc")
+    preds, bounds = into.indices.tolist(), into.indptr.tolist()
+    out = exits.ravel().tolist()
+    keeps = np.count_nonzero(exits == 0, axis=0).tolist()  # actions with out == 0
+    work = [i for i, k in enumerate(keeps) if k == 0]
+    while work:
+        j = work.pop()
+        for pair in preds[bounds[j]:bounds[j + 1]]:
+            out[pair] += 1
+            if out[pair] == 1:
+                i = pair % n
+                keeps[i] -= 1
+                if keeps[i] == 0:
+                    work.append(i)
+    alive = [s for s, k in zip(comp.states, keeps) if k]
     if alive:
-        raise PlannerError(f"improper chain: trapping non-terminal states {sorted(alive)[:5]}")
+        raise PlannerError(f"improper chain: trapping non-terminal states {alive[:5]}")
 
 
-def _success_arrays(comp: _Compiled, success: SuccessModel) -> dict[str, np.ndarray]:
+def _success_arrays(
+    comp: _Compiled, cfg: RewardConfig, success: SuccessModel | None
+) -> dict[str, np.ndarray] | None:
+    """Per-action success estimates; only the paper-literal rule reads them."""
+    if cfg.variant != "paper_literal":
+        return None
+    if success is None:
+        raise PlannerError("paper_literal variant requires a success model")
     out: dict[str, np.ndarray] = {}
     for a in comp.actions:
         vec = np.empty(len(comp.states))
@@ -264,7 +280,6 @@ def _select(
     p: dict[str, np.ndarray] | None,
 ) -> np.ndarray:
     if cfg.variant == "paper_literal":
-        assert p is not None
         return _select_paper_literal(comp, cfg, M_br, p)
     return _select_value_consistent(comp, cfg, S_br, M_br)
 
@@ -309,65 +324,59 @@ def _exact_eval(
     return S, M
 
 
-def _solve(
-    model: TransitionModel, success: SuccessModel | None, cfg: RewardConfig
-) -> Solution:
-    comp = _compile(model, cfg.n_help, cfg.gamma)
-    if cfg.variant == "paper_literal":
-        if success is None:
-            raise PlannerError("paper_literal variant requires a success model")
-        p = _success_arrays(comp, success)
-    else:
-        p = None
+def _polish(comp: _Compiled, cfg: RewardConfig, choice: np.ndarray, reselect: Callable) -> np.ndarray:
+    """Exact polish: evaluate the policy by linear solve, re-derive it from
+    the exact values with ``reselect(S, M)``, repeat until stable (finite,
+    usually 1-2 rounds; a policy seen before also ends it)."""
+    seen: set[bytes] = set()
+    for _ in range(100):
+        new_choice = reselect(*_exact_eval(comp, cfg, choice))
+        if np.array_equal(new_choice, choice):
+            break
+        key = new_choice.tobytes()
+        if key in seen:
+            break
+        seen.add(key)
+        choice = new_choice
+    return choice
+
+
+# (S, M, choice, iterations, converged, deltas) of one fixed point, over comp.states
+_Core = tuple[np.ndarray, np.ndarray, np.ndarray, int, bool, tuple[float, ...]]
+
+
+def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: dict[str, np.ndarray] | None) -> _Core:
+    """Array core of the solver: Jacobi sweeps, then the exact polish."""
     n = len(comp.states)
     idx = np.arange(n)
-
     S = np.zeros(n)
     M = np.zeros((cfg.n_help, n))
-    choice = np.zeros(n, dtype=int)
     deltas: list[float] = []
     converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, cfg.max_iters + 1):  # runs at least once: max_iters >= 1
         S_br, M_br = _branch_values(comp, cfg, S, M)
         choice = _select(comp, cfg, S_br, M_br, p)
-        if n:
-            S_all = np.stack([S_br[a] for a in comp.actions])  # (A, n)
-            M_all = np.stack([M_br[a] for a in comp.actions])  # (A, K, n)
-            new_S = S_all[choice, idx]
-            new_M = M_all[choice, :, idx].T
-        else:
-            new_S, new_M = S, M
-        delta = 0.0
-        if n:
-            delta = max(
-                float(np.max(np.abs(new_M - M))), float(np.max(np.abs(new_S - S)))
-            )
+        new_S = np.stack([S_br[a] for a in comp.actions])[choice, idx]  # from (A, n)
+        new_M = np.stack([M_br[a] for a in comp.actions])[choice, :, idx].T  # from (A, K, n)
+        delta = max(float(np.max(np.abs(new_M - M), initial=0.0)),
+                    float(np.max(np.abs(new_S - S), initial=0.0)))
         deltas.append(delta)
         S, M = new_S, new_M
         if delta < cfg.epsilon:
             converged = True
             break
 
-    if converged and n:
-        # Exact polish: evaluate the policy by linear solve, re-derive it from
-        # the exact values, repeat until stable (finite, usually 1-2 rounds).
-        seen: set[bytes] = set()
-        for _ in range(100):
-            S, M = _exact_eval(comp, cfg, choice)
-            S_br, M_br = _branch_values(comp, cfg, S, M)
-            new_choice = _select(comp, cfg, S_br, M_br, p)
-            if np.array_equal(new_choice, choice):
-                break
-            key = new_choice.tobytes()
-            if key in seen:
-                break
-            seen.add(key)
-            choice = new_choice
-        S, M = _exact_eval(comp, cfg, choice)
-    elif n:
-        S, M = _exact_eval(comp, cfg, choice)
+    if converged:
+        choice = _polish(
+            comp, cfg, choice, lambda S, M: _select(comp, cfg, *_branch_values(comp, cfg, S, M), p)
+        )
+    S, M = _exact_eval(comp, cfg, choice)
+    return S, M, choice, iterations, converged, tuple(deltas)
 
+
+def _to_solution(model: TransitionModel, comp: _Compiled, cfg: RewardConfig, core: _Core) -> Solution:
+    """String-keyed tables of one fixed point, terminal states included."""
+    S, M, choice, iterations, converged, deltas = core
     r = np.asarray(cfg.r)
     usage = {s: tuple(float(M[i, j]) for i in range(cfg.n_help)) for s, j in comp.index.items()}
     succ_tbl = {s: float(S[j]) for s, j in comp.index.items()}
@@ -390,31 +399,15 @@ def _solve(
         variant=cfg.variant,
         iterations_run=iterations,
         converged=converged,
-        iteration_deltas=tuple(deltas),
+        iteration_deltas=deltas,
     )
 
 
-def usage_policy_iteration(
-    model: TransitionModel, success: SuccessModel | None, cfg: RewardConfig
-) -> Solution:
-    """Single-intervention usage/policy fixed point (K must be 1)."""
-    if cfg.n_help != 1:
-        raise PlannerError("usage_policy_iteration handles K=1; use multi_usage_policy_iteration")
-    return _solve(model, success, cfg)
-
-
-def multi_usage_policy_iteration(
-    model: TransitionModel, success: SuccessModel | None, cfg: RewardConfig
-) -> Solution:
-    """K >= 2 extension over per-intervention usage tables."""
-    if cfg.n_help < 2:
-        raise PlannerError("multi_usage_policy_iteration requires K >= 2")
-    return _solve(model, success, cfg)
-
-
 def solve(model: TransitionModel, success: SuccessModel | None, cfg: RewardConfig) -> Solution:
-    """Dispatch to the single- or multi-intervention solver by K."""
-    return _solve(model, success, cfg)
+    """Usage/policy fixed point for any number K >= 1 of interventions."""
+    comp = _compile(model, cfg.n_help, cfg.gamma)
+    p = _success_arrays(comp, cfg, success)
+    return _to_solution(model, comp, cfg, _fixed_point(comp, cfg, p))
 
 
 def value_iteration(
@@ -456,21 +449,10 @@ def value_iteration(
         V = new_V
         if delta < cfg.epsilon:
             break
-    if n:
-        seen: set[bytes] = set()
-        for _ in range(100):
-            S, M = _exact_eval(comp, cfg, choice)
-            V = S - np.asarray(cfg.r) @ M
-            new_choice = _greedy(_branches(V))
-            if np.array_equal(new_choice, choice):
-                break
-            key = new_choice.tobytes()
-            if key in seen:
-                break
-            seen.add(key)
-            choice = new_choice
-        S, M = _exact_eval(comp, cfg, choice)
-        V = S - np.asarray(cfg.r) @ M
+    r = np.asarray(cfg.r)
+    choice = _polish(comp, cfg, choice, lambda S, M: _greedy(_branches(S - r @ M)))
+    S, M = _exact_eval(comp, cfg, choice)
+    V = S - r @ M
 
     values = {s: float(V[i]) for s, i in comp.index.items()}
     policy = {s: comp.actions[choice[i]] for s, i in comp.index.items()}
@@ -542,35 +524,52 @@ def reward_search(
     if base.n_help != 1:
         raise PlannerError("reward_search bisects a single scalar cost (K=1)")
 
+    comp = _compile(model, base.n_help, base.gamma)
+    p = _success_arrays(comp, base, success)
+    if not starts:
+        raise PlannerError("no start states")
+    cols = []  # terminal starts add zero usage, so only non-terminal ones count
+    for s in starts:
+        if s not in model.support:
+            raise PlannerError(f"unknown start state {s!r}")
+        if s in comp.index:
+            cols.append(comp.index[s])
     trace: list[tuple[float, float]] = []
 
-    def probe(r: float) -> tuple[Solution, float]:
-        sol = with_expected_usage(_solve(model, success, replace(base, r=(r,))), starts)
-        eu = sum(sol.expected_usage)
+    def probe(r: float) -> tuple[_Core, float]:
+        core = _fixed_point(comp, replace(base, r=(r,)), p)
+        acc = 0.0  # added in start order, as expected_usage does, so E[U] is bit-equal
+        for j in cols:
+            acc += core[1][0, j]
+        eu = float(acc / len(starts))
         trace.append((r, eu))
-        return sol, eu
+        return core, eu
 
-    sol_hi, eu_hi = probe(r_hi)
+    def result(r: float, core: _Core, eu: float) -> SearchResult:
+        sol = replace(_to_solution(model, comp, replace(base, r=(r,)), core), expected_usage=(eu,))
+        return SearchResult(r=r, solution=sol, expected=eu, trace=tuple(trace))
+
+    core_hi, eu_hi = probe(r_hi)
     if eu_hi > budget:
         raise BudgetInfeasibleError(budget, eu_hi, r_hi)
-    sol_lo, eu_lo = probe(r_lo)
+    core_lo, eu_lo = probe(r_lo)
     if eu_lo <= budget:
-        return SearchResult(r=r_lo, solution=sol_lo, expected=eu_lo, trace=tuple(trace))
+        return result(r_lo, core_lo, eu_lo)
 
     lo, hi = r_lo, r_hi
-    best_r, best_sol, best_eu = r_hi, sol_hi, eu_hi
+    best_r, best_core, best_eu = r_hi, core_hi, eu_hi
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
-        sol, eu = probe(mid)
+        core, eu = probe(mid)
         if eu <= budget:
-            hi, best_r, best_sol, best_eu = mid, mid, sol, eu
+            hi, best_r, best_core, best_eu = mid, mid, core, eu
             if budget - eu <= usage_tol:
                 break
         else:
             lo = mid
         if hi - lo < 1e-12:
             break
-    return SearchResult(r=best_r, solution=best_sol, expected=best_eu, trace=tuple(trace))
+    return result(best_r, best_core, best_eu)
 
 
 def solution_to_dict(sol: Solution) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from helpdp.cli import main
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
 CONFIG = {
     "seed": 5,
@@ -143,3 +146,17 @@ class TestExitCodes:
         proc = self._run("--config", str(cfg), "collect")
         assert proc.returncode == 2
         assert "gen" in proc.stderr
+
+
+def test_reference_search_artifacts_are_golden(tmp_path, monkeypatch):
+    """gen -> collect -> fit -> search on configs/reference.json reproduces the
+    recorded bytes; any refactor of the chain must keep them."""
+    monkeypatch.chdir(tmp_path)  # with out="out" the provenance hash is path-free
+    for cmd in ("gen", "collect", "fit", "search"):
+        main(["--config", str(REFERENCE_CONFIG), "--out", "out", cmd], standalone_mode=False)
+    digest = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+              for name in ("solution.json", "search.json")}
+    assert digest == {
+        "solution.json": "65621cdfc4f34518d765f687ded67ad5dae4f9591d10ba3fac79c6cf8f08a4c9",
+        "search.json": "ae708a56fbdbe64b46b6929c92a92906cb4de8b293ddd7feb0c4b54dcdc020c7",
+    }

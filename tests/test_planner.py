@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +149,67 @@ class TestRewardSearch:
             reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], RewardConfig(r=(0.1, 0.1)))
 
 
+class TestRewardSearchOnCompiledModel:
+    """reward_search compiles once and probes on arrays; its results must
+    equal independent string-keyed solves bit for bit."""
+
+    def test_compiles_once_per_search(self, monkeypatch):
+        calls = []
+        compile_model = planner._compile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compile_model(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "_compile", counting)
+        model, succ = fixtures.mdp_b()
+        res = reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+        assert len(res.trace) > 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("variant", ["value_consistent", "paper_literal"])
+    def test_matches_independent_solves(self, variant):
+        cases = [(fixtures.mdp_b(), ["s0", "s1", "s0"])]
+        for seed in range(4):
+            model, succ = fixtures.random_mdp(seed, 6)
+            states = model.nonterminal_states()
+            # repeated and terminal starts count like any other start
+            cases.append(((model, succ), [states[3], states[0], fixtures.T_SUCC, states[3]]))
+        for (model, succ), starts in cases:
+            # paper_literal can cycle without converging; a short cap keeps that case cheap
+            base = RewardConfig(r=(0.0,), gamma=1.0, variant=variant, max_iters=300)
+            top = sum(expected_usage(solve(model, succ, base), starts))
+            res = reward_search(model, succ, 0.5 * top, (0.0, 2.0), starts, base)
+            assert len(res.trace) >= 2
+            for r, eu in res.trace:
+                want = sum(expected_usage(solve(model, succ, replace(base, r=(r,))), starts))
+                assert eu.hex() == want.hex()
+            sol = with_expected_usage(solve(model, succ, replace(base, r=(res.r,))), starts)
+            assert res.solution == sol
+            assert json.dumps(planner.solution_to_dict(res.solution), sort_keys=True) == json.dumps(
+                planner.solution_to_dict(sol), sort_keys=True
+            )
+
+    def test_unknown_start_raises(self):
+        model, succ = fixtures.mdp_b()
+        with pytest.raises(PlannerError, match="unknown start state 'zz'"):
+            reward_search(model, succ, 1.0, (0.0, 2.0), ["s0", "zz"], cfg1(0.0))
+
+    def test_no_starts_raises(self):
+        model, succ = fixtures.mdp_b()
+        with pytest.raises(PlannerError, match="no start states"):
+            reward_search(model, succ, 1.0, (0.0, 2.0), [], cfg1(0.0))
+
+    def test_improper_chain_at_gamma_one_raises(self):
+        probs = {
+            ("s0", NOHELP): {"s0": 1.0},
+            ("s0", "help1"): {"s0": 1.0},
+        }
+        model = TransitionModel(probs=probs, support=frozenset({"s0"}))
+        with pytest.raises(PlannerError, match=r"improper chain: trapping non-terminal states \['s0'\]"):
+            reward_search(model, None, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+
+
 def _with_clone_help2(model: TransitionModel, source_action: str) -> TransitionModel:
     probs = dict(model.probs)
     for (s, a), row in model.probs.items():
@@ -282,6 +345,30 @@ class TestErrors:
         }
         model = TransitionModel(probs=probs, support=frozenset({"s0"}))
         with pytest.raises(PlannerError, match="improper chain"):
+            solve(model, None, cfg1(0.5))
+
+    def test_trap_found_behind_removable_states(self):
+        # s2, then s1, then s0 leave the candidate set only one after another;
+        # s3 <-> s4 under nohelp is a terminal-free class whatever help does
+        probs = {
+            ("s0", NOHELP): {"s1": 1.0},
+            ("s0", "help1"): {"s1": 0.5, fixtures.T_SUCC: 0.5},
+            ("s1", NOHELP): {"s2": 1.0},
+            ("s1", "help1"): {"s0": 0.5, fixtures.T_FAIL: 0.5},
+            ("s2", NOHELP): {fixtures.T_SUCC: 1.0},
+            ("s2", "help1"): {fixtures.T_SUCC: 1.0},
+        }
+        support = frozenset({"s0", "s1", "s2", fixtures.T_SUCC, fixtures.T_FAIL})
+        sol = solve(TransitionModel(probs=probs, support=support), None, cfg1(0.5))
+        assert sol.success["s0"] == pytest.approx(1.0, abs=1e-12)
+        probs.update({
+            ("s3", NOHELP): {"s4": 1.0},
+            ("s3", "help1"): {fixtures.T_SUCC: 1.0},
+            ("s4", NOHELP): {"s3": 1.0},
+            ("s4", "help1"): {"s0": 1.0},
+        })
+        model = TransitionModel(probs=probs, support=support | {"s3", "s4"})
+        with pytest.raises(PlannerError, match=r"trapping non-terminal states \['s3', 's4'\]$"):
             solve(model, None, cfg1(0.5))
 
     def test_loop_allowed_when_discounted(self):
