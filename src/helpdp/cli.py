@@ -101,24 +101,26 @@ class Run:
             return [strong, mcts] if kind == "both" else [mcts]
         raise click.UsageError(f"unknown intervention kind {kind!r}")
 
-    def load_tasks(self) -> envmod.TaskSet:
-        p = self.path("tasks.jsonl")
+    def require(self, name: str, producer: str) -> Path:
+        """Path of an upstream artifact; a missing one is a usage error."""
+        p = self.path(name)
         if not p.exists():
-            raise click.UsageError(f"{p} missing; run `gen` first")
-        return envmod.TaskSet.load(p)
+            raise click.UsageError(f"{p} missing; run {producer} first")
+        return p
+
+    def load_tasks(self) -> envmod.TaskSet:
+        return envmod.TaskSet.load(self.require("tasks.jsonl", "`gen`"))
+
+    def load_log(self) -> RolloutLog:
+        return RolloutLog.load(self.require("phase1.jsonl", "`collect`"))
 
     def load_models(self):
-        cp, sp = self.path("counts.jsonl"), self.path("success.jsonl")
-        if not cp.exists() or not sp.exists():
-            raise click.UsageError("counts/success missing; run `fit` first")
+        cp, sp = self.require("counts.jsonl", "`fit`"), self.require("success.jsonl", "`fit`")
         model = pipeline.restrict_to_solvable(normalize(CountTable.load(cp)))
         return model, SuccessModel.load(sp)
 
     def load_solution(self) -> planner.Solution:
-        p = self.path("solution.json")
-        if not p.exists():
-            raise click.UsageError(f"{p} missing; run `solve` or `search` first")
-        return planner.load_solution(p)
+        return planner.load_solution(self.require("solution.json", "`solve` or `search`"))
 
     def start_keys(self, tasks) -> list[str]:
         return [envmod.initial_state(t).key() for t in tasks]
@@ -191,7 +193,7 @@ def collect(run: Run) -> None:
 @pass_run
 def fit(run: Run) -> None:
     """Estimate transition counts and success probabilities from the log."""
-    log = RolloutLog.load(run.path("phase1.jsonl"))
+    log = run.load_log()
     table = log.to_count_table()
     success = estimate_success(log)
     cp, sp = run.path("counts.jsonl"), run.path("success.jsonl")
@@ -256,9 +258,11 @@ def search(run: Run, budget: float | None, variant: str | None) -> None:
 def annotate(run: Run) -> None:
     """Distill the solved policy into a helper lookup table."""
     sol = run.load_solution()
-    model, _ = run.load_models()
-    log = RolloutLog.load(run.path("phase1.jsonl"))
     mode = run.config.get("helper_mode", "all_states")
+    log = model = None
+    if mode == "trajectory_only":  # the only mode that walks the model from the logged starts
+        log = run.load_log()
+        model, _ = run.load_models()
     helper = pipeline.build_helper(sol, log, model, mode=mode)
     run.write_json(
         "helper.json",
@@ -277,17 +281,17 @@ def eval_cmd(run: Run) -> None:
     for."""
     taskset = run.load_tasks()
     ec = run.env_config()
-    doc = json.loads(run.path("helper.json").read_text(encoding="utf-8"))
+    doc = json.loads(run.require("helper.json", "`annotate`").read_text(encoding="utf-8"))
     helper = pipeline.HelperPolicy(
         table=doc["table"], training_mode=doc["mode"], fallback=doc["fallback"]
     )
     sol = run.load_solution()
-    model, _ = run.load_models()
     interventions = run.interventions()
     n_seeds = int(run.config.get("eval_seeds", 3))
     tasks = {t.task_id: t for t in taskset.train}
     starts = {t.task_id: envmod.initial_state(t).key() for t in taskset.train}
-    seen_ids, unseen_ids = pipeline.split_seen_unseen(starts, sol, model)
+    # a restricted model's policy closure leaves support iff its start has no policy entry
+    seen_ids, unseen_ids = pipeline.split_by_solution(starts, sol)
     report = {}
     headline = None
     for name, ids in (("all", list(starts)), ("seen", seen_ids), ("unseen", unseen_ids)):

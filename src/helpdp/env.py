@@ -128,8 +128,8 @@ def legal_actions(state: EnvState) -> list[str]:
     return acts
 
 
-def env_step(state: EnvState, action: str, rng: random.Random | None = None) -> EnvState:
-    """Deterministic transition; ``rng`` is accepted for interface symmetry."""
+def env_step(state: EnvState, action: str) -> EnvState:
+    """Deterministic transition."""
     if state.terminal:
         raise EnvError("cannot step a terminal state")
     if action not in legal_actions(state):

@@ -160,11 +160,6 @@ class TransitionModel:
                     raise DataError(f"next state {s2!r} missing from support")
 
     @property
-    def actions(self) -> list[str]:
-        seen = {a for (_, a) in self.probs}
-        return [a for a in action_order(self.n_help) if a in seen]
-
-    @property
     def n_help(self) -> int:
         indices = {help_index(a) for (_, a) in self.probs if is_help(a)}
         if not indices:
@@ -182,12 +177,6 @@ class TransitionModel:
 
     def nonterminal_states(self) -> list[str]:
         return sorted(s for s in self.support if not is_terminal(s))
-
-    def terminal_states(self) -> dict[str, str]:
-        return {s: terminal_outcome(s) for s in sorted(self.support) if is_terminal(s)}
-
-    def sources(self) -> list[str]:
-        return sorted({s for (s, _) in self.probs})
 
 
 def normalize(table: CountTable, alpha: float = 0.0) -> TransitionModel:

@@ -34,8 +34,6 @@ from .mdp import (
     help_action,
     help_index,
     is_terminal,
-    normalize,
-    estimate_success,
 )
 from .planner import Solution
 from .rollouts import Episode, RolloutLog, Step
@@ -218,10 +216,6 @@ def collect_phase1(
     return log
 
 
-def fit_models(log: RolloutLog, alpha: float = 0.0) -> tuple[TransitionModel, SuccessModel]:
-    return normalize(log.to_count_table(), alpha), estimate_success(log)
-
-
 def truncate_counts(
     table: CountTable, fraction: float, seed: int, keep: str = "random"
 ) -> CountTable:
@@ -285,19 +279,9 @@ class HelperPolicy:
     table: dict[str, str]
     training_mode: str  # "all_states" | "trajectory_only"
     fallback: str = NOHELP
-    score_fn: Callable[[str], float] | None = None
-    score_threshold: float | None = None
 
     def decide(self, state_key: str) -> str:
-        if state_key in self.table:
-            return self.table[state_key]
-        if self.score_fn is not None and self.score_threshold is not None:
-            try:
-                if self.score_fn(state_key) > self.score_threshold:
-                    return help_action(1)
-            except Exception:
-                pass
-        return self.fallback
+        return self.table.get(state_key, self.fallback)
 
     def as_decider(self) -> Decider:
         def decide(state: EnvState, rng: random.Random, t: int) -> str:
@@ -330,11 +314,13 @@ def pi_star_closure(sol: Solution, model: TransitionModel, start: str) -> tuple[
 
 def build_helper(
     sol: Solution,
-    log: RolloutLog,
-    model: TransitionModel,
+    log: RolloutLog | None,
+    model: TransitionModel | None,
     mode: str = "all_states",
     fallback: str = NOHELP,
 ) -> HelperPolicy:
+    """Lookup table of the solved policy; only ``trajectory_only`` reads the
+    log and the model, so ``all_states`` accepts None for both."""
     if not sol.converged:
         raise PipelineError("refusing to distill an unconverged solution")
     if mode == "all_states":
@@ -360,6 +346,19 @@ def split_seen_unseen(
     for task_id in sorted(starts):
         _, ok = pi_star_closure(sol, model, starts[task_id])
         (seen_ids if ok else unseen_ids).append(task_id)
+    return seen_ids, unseen_ids
+
+
+def split_by_solution(starts: dict[str, str], sol: Solution) -> tuple[list[str], list[str]]:
+    """Partition task ids by whether the start is terminal or has a policy
+    entry.  Equal to :func:`split_seen_unseen` when the solution was solved
+    on a ``restrict_to_solvable`` model: there every policy state has every
+    action row and every successor is terminal or another policy state."""
+    seen_ids: list[str] = []
+    unseen_ids: list[str] = []
+    for task_id in sorted(starts):
+        s = starts[task_id]
+        (seen_ids if is_terminal(s) or s in sol.policy else unseen_ids).append(task_id)
     return seen_ids, unseen_ids
 
 
@@ -481,16 +480,6 @@ def statewise_threshold_policy(
         for s in states
         if not is_terminal(s)
     }
-
-
-def statewise_decider(success: SuccessModel, threshold: float) -> Decider:
-    def decide(state: EnvState, rng: random.Random, t: int) -> str:
-        key = state.key()
-        if not success.has(key, NOHELP):
-            return NOHELP
-        return help_action(1) if state_score(success, key) > threshold else NOHELP
-
-    return decide
 
 
 def _episode_triggered(ep: Episode, success: SuccessModel, threshold: float, limit: int | None = None) -> bool:

@@ -10,18 +10,21 @@ changing.  The polish removes the O(epsilon / (1 - gamma)) iteration tail so
 converged solutions satisfy the value decomposition to ~1e-12.
 
 The model is compiled once into per-action sparse arrays; ``reward_search``
-compiles once per search and runs every probe on those arrays.
+compiles once per search and runs every probe on those arrays.  scipy is
+imported by the functions that build or factor those arrays, so importing
+this module does not load it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 from .mdp import (
     NOHELP,
@@ -116,6 +119,8 @@ class _Compiled:
 
 
 def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
+    from scipy import sparse
+
     states = model.nonterminal_states()
     index = {s: i for i, s in enumerate(states)}
     actions = action_order(n_help)
@@ -159,6 +164,8 @@ def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
     successors of each (action, state) outside the live set (terminals
     always are); a state leaves once no action has ``out == 0``.
     """
+    from scipy import sparse
+
     n = len(comp.states)
     # column j lists the pairs a * n + s with an edge s -a-> j
     into = sparse.vstack([comp.P[a] for a in comp.actions], format="csc")
@@ -286,6 +293,8 @@ def _select(
 
 def _policy_rows(comp: _Compiled, choice: np.ndarray) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Row-select each state's chosen-action transition row."""
+    from scipy import sparse
+
     n = len(comp.states)
     parts, order = [], []
     succ_pi = np.zeros(n)
@@ -307,6 +316,9 @@ def _exact_eval(
     comp: _Compiled, cfg: RewardConfig, choice: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact (S, M) for a fixed policy via one sparse LU factorization."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     n = len(comp.states)
     if n == 0:
         return np.zeros(0), np.zeros((cfg.n_help, 0))

@@ -61,12 +61,6 @@ class RolloutLog:
     def __len__(self) -> int:
         return len(self.episodes)
 
-    def task_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for ep in self.episodes:
-            seen.setdefault(ep.task_id)
-        return list(seen)
-
     def start_states(self) -> dict[str, str]:
         """First recorded state per task; consistent across its episodes."""
         starts: dict[str, str] = {}

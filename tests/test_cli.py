@@ -8,6 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from helpdp.cli import main
+from helpdp.mdp import CountTable, normalize
+from helpdp.pipeline import build_helper, restrict_to_solvable
+from helpdp.planner import load_solution
+from helpdp.rollouts import RolloutLog
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
@@ -50,7 +54,10 @@ def run_cmd(config: Path, *args) -> str:
     return result.output
 
 
-def run_chain(config: Path, commands=("gen", "collect", "fit", "search", "annotate", "eval")):
+COMMANDS = ("gen", "collect", "fit", "search", "annotate", "eval")
+
+
+def run_chain(config: Path, commands=COMMANDS):
     outputs = [run_cmd(config, cmd) for cmd in commands]
     return outputs
 
@@ -147,16 +154,90 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "gen" in proc.stderr
 
+    def test_fit_without_log_is_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path, "j")
+        run_cmd(cfg, "gen")
+        proc = self._run("--config", str(cfg), "fit")
+        assert proc.returncode == 2
+        assert "phase1.jsonl missing" in proc.stderr and "`collect`" in proc.stderr
+
+    def test_eval_without_helper_is_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path, "k")
+        for cmd in ("gen", "collect", "fit", "search"):
+            run_cmd(cfg, cmd)
+        proc = self._run("--config", str(cfg), "eval")
+        assert proc.returncode == 2
+        assert "helper.json missing" in proc.stderr and "`annotate`" in proc.stderr
+
+    def test_trajectory_annotate_without_log_is_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path, "l", helper_mode="trajectory_only")
+        for cmd in ("gen", "collect", "fit", "search"):
+            run_cmd(cfg, cmd)
+        (tmp_path / "l" / "phase1.jsonl").unlink()
+        proc = self._run("--config", str(cfg), "annotate")
+        assert proc.returncode == 2
+        assert "phase1.jsonl missing" in proc.stderr and "`collect`" in proc.stderr
+
+
+class TestDeploy:
+    def test_all_states_deploy_skips_fit_artifacts(self, tmp_path):
+        cfg = write_config(tmp_path, "m")
+        run_chain(cfg)
+        out = tmp_path / "m"
+        before = {name: (out / name).read_bytes() for name in ("helper.json", "metrics.json")}
+        for name in ("counts.jsonl", "success.jsonl", "phase1.jsonl"):
+            (out / name).unlink()
+        run_cmd(cfg, "annotate")
+        run_cmd(cfg, "eval")
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_trajectory_only_chain(self, tmp_path):
+        cfg = write_config(tmp_path, "n", helper_mode="trajectory_only")
+        outputs = run_chain(cfg)
+        assert "helper mode=trajectory_only" in outputs[4]
+        out = tmp_path / "n"
+        helper = json.loads((out / "helper.json").read_text())
+        policy = json.loads((out / "solution.json").read_text())["policy"]
+        assert helper["mode"] == "trajectory_only"
+        assert helper["table"] and helper["table"].items() <= policy.items()
+        model = restrict_to_solvable(normalize(CountTable.load(out / "counts.jsonl")))
+        direct = build_helper(load_solution(out / "solution.json"),
+                              RolloutLog.load(out / "phase1.jsonl"), model, "trajectory_only")
+        assert helper["table"] == direct.table
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["all"]["episodes"] == CONFIG["env"]["n_train"] * CONFIG["eval_seeds"]
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, helpdp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def _reference_digests(tmp_path, monkeypatch, commands, names) -> dict[str, str]:
+    monkeypatch.chdir(tmp_path)  # with out="out" the provenance hash is path-free
+    for cmd in commands:
+        main(["--config", str(REFERENCE_CONFIG), "--out", "out", cmd], standalone_mode=False)
+    return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in names}
+
 
 def test_reference_search_artifacts_are_golden(tmp_path, monkeypatch):
     """gen -> collect -> fit -> search on configs/reference.json reproduces the
     recorded bytes; any refactor of the chain must keep them."""
-    monkeypatch.chdir(tmp_path)  # with out="out" the provenance hash is path-free
-    for cmd in ("gen", "collect", "fit", "search"):
-        main(["--config", str(REFERENCE_CONFIG), "--out", "out", cmd], standalone_mode=False)
-    digest = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-              for name in ("solution.json", "search.json")}
+    digest = _reference_digests(tmp_path, monkeypatch, ("gen", "collect", "fit", "search"),
+                                ("solution.json", "search.json"))
     assert digest == {
         "solution.json": "65621cdfc4f34518d765f687ded67ad5dae4f9591d10ba3fac79c6cf8f08a4c9",
         "search.json": "ae708a56fbdbe64b46b6929c92a92906cb4de8b293ddd7feb0c4b54dcdc020c7",
+    }
+
+
+def test_reference_deploy_artifacts_are_golden(tmp_path, monkeypatch):
+    """The whole chain on configs/reference.json, through annotate and eval,
+    reproduces the recorded helper and metrics bytes."""
+    digest = _reference_digests(tmp_path, monkeypatch, COMMANDS, ("helper.json", "metrics.json"))
+    assert digest == {
+        "helper.json": "9bfc0258cc362d20e2060bf524c07251a166a8c1112d3fcccb62d2b5c39778b5",
+        "metrics.json": "17f5498d904b4c15936f36582a5ae146f6ed7f71d38f137bb023496bbb8c0128",
     }

@@ -21,6 +21,7 @@ from helpdp.pipeline import (
     phase1_schedule,
     restrict_to_solvable,
     self_regulation_eval,
+    split_by_solution,
     split_seen_unseen,
     state_score,
     statewise_threshold_policy,
@@ -249,6 +250,17 @@ class TestSeenUnseenSplit:
         for tid, s0 in starts.items():
             assert (tid in seen) == reachable_ok(s0)
         assert sorted(seen + unseen) == sorted(starts)
+
+    @pytest.mark.parametrize("fraction,seed", [(0.3, 1), (0.55, 5), (0.8, 9)])
+    def test_solution_domain_split_matches_closure_on_restricted_models(self, fraction, seed):
+        log = collect_phase1(list(TASKS.train), STRONG, seed, n_seeds=1)
+        model = restrict_to_solvable(normalize(truncate_counts(log.to_count_table(), fraction, seed=seed)))
+        sol = solve(model, estimate_success(log), RewardConfig(r=(0.2,), gamma=1.0))
+        starts = dict(log.start_states(), terminal=fixtures.T_SUCC)
+        split = split_by_solution(starts, sol)
+        assert split == split_seen_unseen(starts, sol, model)
+        assert split[1], "truncation produced no unseen start"
+        assert "terminal" in split[0]
 
 
 class TestExpectedUsageHelpers:
