@@ -62,11 +62,6 @@ class Run:
         p.write_text(_dump(doc) + "\n", encoding="utf-8")
         return p
 
-    def write_jsonl_header(self, path: Path) -> None:
-        """Prepend the provenance record; loaders skip it by schema."""
-        body = path.read_text(encoding="utf-8")
-        path.write_text(_dump({"provenance": self.provenance}) + "\n" + body, encoding="utf-8")
-
     def env_config(self) -> envmod.EnvConfig:
         try:
             return envmod.EnvConfig.from_dict(self.config.get("env", {}))
@@ -157,9 +152,7 @@ def main(ctx: click.Context, config_path: str, seed: int | None, out: str | None
 def gen(run: Run) -> None:
     """Generate the train/val/test taskset."""
     taskset = envmod.generate_tasks(run.env_config(), run.seed)
-    p = run.path("tasks.jsonl")
-    taskset.save(p)
-    run.write_jsonl_header(p)
+    taskset.save(run.path("tasks.jsonl"), header=run.provenance)
     click.echo(
         f"tasks train={len(taskset.train)} val={len(taskset.val)} test={len(taskset.test)}"
     )
@@ -183,9 +176,7 @@ def collect(run: Run) -> None:
         n_seeds=int(run.config.get("phase1_seeds", 3)),
         eta=ec.eta,
     )
-    p = run.path("phase1.jsonl")
-    log.save(p)
-    run.write_jsonl_header(p)
+    log.save(run.path("phase1.jsonl"), header=run.provenance)
     click.echo(f"collected {len(log)} episodes")
 
 
@@ -196,11 +187,8 @@ def fit(run: Run) -> None:
     log = run.load_log()
     table = log.to_count_table()
     success = estimate_success(log)
-    cp, sp = run.path("counts.jsonl"), run.path("success.jsonl")
-    table.save(cp)
-    success.save(sp)
-    run.write_jsonl_header(cp)
-    run.write_jsonl_header(sp)
+    table.save(run.path("counts.jsonl"), header=run.provenance)
+    success.save(run.path("success.jsonl"), header=run.provenance)
     click.echo(f"fit {len(table)} transition rows, {len(success.p)} success entries")
 
 

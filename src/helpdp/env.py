@@ -10,13 +10,12 @@ matter of marginalizing actor noise.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .mdp import NOHELP, SuccessModel, TransitionModel, help_action
+from .mdp import NOHELP, SuccessModel, TransitionModel, help_action, read_jsonl, write_jsonl
 
 EXPLORE = "explore"
 
@@ -254,24 +253,15 @@ class TaskSet:
     def split(self, name: str) -> tuple[Task, ...]:
         return getattr(self, name)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for task in self.all():
-                fh.write(json.dumps(task.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    def save(self, path: str | Path, header: dict | None = None) -> None:
+        write_jsonl(path, (task.to_dict() for task in self.all()), header)
 
     @classmethod
     def load(cls, path: str | Path) -> "TaskSet":
         splits: dict[str, list[Task]] = {"train": [], "val": [], "test": []}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if "task_id" not in rec:
-                    continue
-                task = Task.from_dict(rec)
-                splits[task.split].append(task)
+        for rec in read_jsonl(path, "task_id"):
+            task = Task.from_dict(rec)
+            splits[task.split].append(task)
         return cls(
             train=tuple(splits["train"]), val=tuple(splits["val"]), test=tuple(splits["test"])
         )

@@ -80,6 +80,27 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
+    """Write one compact, key-sorted JSON record per line in a single pass;
+    ``header`` (the run provenance) goes first as ``{"provenance": header}``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(_dump({"provenance": header}) + "\n")
+        for rec in records:
+            fh.write(_dump(rec) + "\n")
+
+
+def read_jsonl(path: str | Path, key: str) -> Iterator[dict]:
+    """Records of a JSONL file that carry ``key``; blank lines and records
+    of another schema (the provenance header) are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                rec = json.loads(line)
+                if key in rec:
+                    yield rec
+
+
 class CountTable:
     """Raw transition counts keyed by (state, action, next_state).
 
@@ -114,23 +135,18 @@ class CountTable:
     def __len__(self) -> int:
         return len(self._counts)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for (s, a, s2), c in self.items():
-                fh.write(_dump({"state": s, "action": a, "next": s2, "count": c}) + "\n")
+    def save(self, path: str | Path, header: dict | None = None) -> None:
+        write_jsonl(
+            path,
+            ({"state": s, "action": a, "next": s2, "count": c} for (s, a, s2), c in self.items()),
+            header,
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "CountTable":
         table = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if "state" not in rec:
-                    continue  # provenance header
-                table.record(rec["state"], rec["action"], rec["next"], rec["count"])
+        for rec in read_jsonl(path, "state"):
+            table.record(rec["state"], rec["action"], rec["next"], rec["count"])
         return table
 
 
@@ -236,35 +252,24 @@ class SuccessModel:
             raise DataError(f"no success estimate for {key}")
         return self.p[key]
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for (s, a), v in sorted(self.p.items()):
-                rec = {
-                    "state": s,
-                    "action": a,
-                    "p": v,
-                    "n": self.n.get((s, a), 0),
-                    "provenance": self.provenance,
-                }
-                fh.write(_dump(rec) + "\n")
+    def save(self, path: str | Path, header: dict | None = None) -> None:
+        write_jsonl(
+            path,
+            ({"state": s, "action": a, "p": v, "n": self.n.get((s, a), 0),
+              "provenance": self.provenance} for (s, a), v in sorted(self.p.items())),
+            header,
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "SuccessModel":
         p: dict[tuple[str, str], float] = {}
         n: dict[tuple[str, str], int] = {}
         provenance = "empirical"
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if "state" not in rec:
-                    continue
-                key = (rec["state"], canonical_action(rec["action"]))
-                p[key] = rec["p"]
-                n[key] = rec["n"]
-                provenance = rec["provenance"]
+        for rec in read_jsonl(path, "state"):
+            key = (rec["state"], canonical_action(rec["action"]))
+            p[key] = rec["p"]
+            n[key] = rec["n"]
+            provenance = rec["provenance"]
         return cls(p=p, n=n, provenance=provenance)
 
 

@@ -1,5 +1,6 @@
 """Independent verification engines: exhaustive policy enumeration, exact
-linear policy evaluation, and seeded Monte Carlo estimators.
+linear policy evaluation, a value-iteration reference solver, and seeded
+Monte Carlo estimators.
 
 Kept deliberately separate from the planner: matrices are rebuilt densely
 from the model dictionaries and solved by partial-pivot elimination, so a
@@ -14,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mdp import NOHELP, TransitionModel, action_order, help_action, terminal_outcome
-from .planner import PlannerError, RewardConfig
+from .mdp import NOHELP, TransitionModel, action_order, terminal_outcome
+from .planner import TIE_TOL, PlannerError, RewardConfig
 
 ENUMERATION_CAP = 12
 
@@ -90,6 +91,60 @@ def exact_policy_eval(
             usage[s] = tuple(0.0 for _ in range(cfg.n_help))
             value[s] = win
     return PolicyEvaluation(success=success, usage=usage, value=value)
+
+
+def value_iteration(
+    model: TransitionModel, cfg: RewardConfig
+) -> tuple[dict[str, float], dict[str, str]]:
+    """Bellman-optimality reference solver under the planner's reward regime.
+
+    Rewards: +1 at terminal success, 0 at failure, -r_i per help_i; an action
+    must beat the earlier ones by more than ``TIE_TOL`` (nohelp wins ties).
+    Dense value iteration to ``cfg.epsilon``, then policy iteration on exact
+    dense solves until the greedy policy is stable.
+    """
+    actions = action_order(cfg.n_help)
+    states, index, P, succ = _dense_arrays(model, actions)
+    n = len(states)
+    idx = np.arange(n)
+    rew = np.array([0.0] + [-ri for ri in cfg.r])
+    P_all = np.stack([P[a] for a in actions])  # (A, n, n)
+    succ_all = np.stack([succ[a] for a in actions])  # (A, n)
+
+    def greedy(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        Q = rew[:, None] + cfg.gamma * (P_all @ V + succ_all)
+        choice = np.zeros(n, dtype=int)
+        for ai in range(1, len(actions)):
+            choice[Q[ai] > Q[choice, idx] + TIE_TOL] = ai
+        return choice, Q[choice, idx]
+
+    V = np.zeros(n)
+    for _ in range(cfg.max_iters):
+        choice, new_V = greedy(V)
+        delta = float(np.max(np.abs(new_V - V), initial=0.0))
+        V = new_V
+        if delta < cfg.epsilon:
+            break
+    seen: set[bytes] = set()
+    while True:
+        A = np.eye(n) - cfg.gamma * P_all[choice, idx]
+        try:
+            V = np.linalg.solve(A, rew[choice] + cfg.gamma * succ_all[choice, idx])
+        except np.linalg.LinAlgError as exc:
+            raise OracleError(f"singular policy-evaluation system: {exc}") from exc
+        seen.add(choice.tobytes())
+        new_choice, _ = greedy(V)
+        if new_choice.tobytes() in seen:
+            break
+        choice = new_choice
+
+    values = {s: float(V[index[s]]) for s in states}
+    policy = {s: actions[choice[index[s]]] for s in states}
+    for s in sorted(model.support):
+        outcome = terminal_outcome(s)
+        if outcome is not None:
+            values[s] = 1.0 if outcome == "success" else 0.0
+    return values, policy
 
 
 @dataclass(frozen=True)

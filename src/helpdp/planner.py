@@ -1,6 +1,5 @@
-"""Offline DP core: usage/policy fixed-point iteration, a value-iteration
-reference solver, the V = S - r.M decomposition, and binary reward search
-against a usage budget.
+"""Offline DP core: usage/policy fixed-point iteration, the V = S - r.M
+decomposition, and binary reward search against a usage budget.
 
 The fixed point is computed in two stages: synchronous (Jacobi) sweeps of
 the usage/policy recursion until the max-norm change drops below epsilon,
@@ -422,59 +421,6 @@ def solve(model: TransitionModel, success: SuccessModel | None, cfg: RewardConfi
     return _to_solution(model, comp, cfg, _fixed_point(comp, cfg, p))
 
 
-def value_iteration(
-    model: TransitionModel, cfg: RewardConfig
-) -> tuple[dict[str, float], dict[str, str]]:
-    """Bellman-optimality reference solver under the same reward regime.
-
-    Rewards: +1 at terminal success, 0 at failure, -r_i per help_i.  Used
-    for equivalence testing against the usage/policy iteration.
-    """
-    comp = _compile(model, cfg.n_help, cfg.gamma)
-    n = len(comp.states)
-    rew = {a: 0.0 for a in comp.actions}
-    for i in range(1, cfg.n_help + 1):
-        rew[help_action(i)] = -cfg.r[i - 1]
-
-    def _branches(V: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            a: rew[a] + cfg.gamma * (comp.P[a] @ V + comp.succ[a]) for a in comp.actions
-        }
-
-    def _greedy(V_br: dict[str, np.ndarray]) -> np.ndarray:
-        best = np.zeros(n, dtype=int)
-        best_v = V_br[NOHELP].copy()
-        for ai, a in enumerate(comp.actions[1:], start=1):
-            mask = V_br[a] > best_v + TIE_TOL
-            best[mask] = ai
-            best_v = np.where(mask, V_br[a], best_v)
-        return best
-
-    V = np.zeros(n)
-    idx = np.arange(n)
-    choice = np.zeros(n, dtype=int)
-    for _ in range(cfg.max_iters):
-        V_br = _branches(V)
-        choice = _greedy(V_br)
-        new_V = np.stack([V_br[a] for a in comp.actions])[choice, idx] if n else V
-        delta = float(np.max(np.abs(new_V - V))) if n else 0.0
-        V = new_V
-        if delta < cfg.epsilon:
-            break
-    r = np.asarray(cfg.r)
-    choice = _polish(comp, cfg, choice, lambda S, M: _greedy(_branches(S - r @ M)))
-    S, M = _exact_eval(comp, cfg, choice)
-    V = S - r @ M
-
-    values = {s: float(V[i]) for s, i in comp.index.items()}
-    policy = {s: comp.actions[choice[i]] for s, i in comp.index.items()}
-    for s in sorted(model.support):
-        outcome = terminal_outcome(s)
-        if outcome is not None:
-            values[s] = 1.0 if outcome == "success" else 0.0
-    return values, policy
-
-
 def expected_usage(sol: Solution, starts: Sequence[str]) -> tuple[float, ...]:
     """Mean per-intervention usage over the given start states."""
     if not starts:
@@ -597,15 +543,6 @@ def solution_to_dict(sol: Solution) -> dict:
         "success": dict(sorted(sol.success.items())),
         "value": dict(sorted(sol.value.items())),
     }
-
-
-def save_solution(sol: Solution, path: str | Path, extra: dict | None = None) -> None:
-    doc = solution_to_dict(sol)
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
 
 
 def load_solution(path: str | Path) -> Solution:

@@ -1,12 +1,11 @@
 """Recorded episode logs shared by collection, estimation, and evaluation."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .mdp import CountTable, DataError, is_terminal
+from .mdp import CountTable, DataError, is_terminal, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -83,38 +82,26 @@ class RolloutLog:
                 table.record(step.state, step.action, states[i + 1])
         return table
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for ep in self.episodes:
-                rec = {
-                    "task_id": ep.task_id,
-                    "seed": ep.seed,
-                    "steps": [[s.state, s.action, s.env_action] for s in ep.steps],
-                    "final_state": ep.final_state,
-                    "outcome": ep.outcome,
-                    "length": ep.length,
-                }
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    def save(self, path: str | Path, header: dict | None = None) -> None:
+        write_jsonl(
+            path,
+            ({"task_id": ep.task_id, "seed": ep.seed,
+              "steps": [[s.state, s.action, s.env_action] for s in ep.steps],
+              "final_state": ep.final_state, "outcome": ep.outcome, "length": ep.length}
+             for ep in self.episodes),
+            header,
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "RolloutLog":
-        log = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if "task_id" not in rec:
-                    continue
-                log.append(
-                    Episode(
-                        task_id=rec["task_id"],
-                        seed=rec["seed"],
-                        steps=tuple(Step(*s) for s in rec["steps"]),
-                        final_state=rec["final_state"],
-                        outcome=rec["outcome"],
-                        length=rec["length"],
-                    )
-                )
-        return log
+        return cls([
+            Episode(
+                task_id=rec["task_id"],
+                seed=rec["seed"],
+                steps=tuple(Step(*s) for s in rec["steps"]),
+                final_state=rec["final_state"],
+                outcome=rec["outcome"],
+                length=rec["length"],
+            )
+            for rec in read_jsonl(path, "task_id")
+        ])

@@ -69,7 +69,7 @@ def test_02_usage_iteration_equals_value_iteration():
         model, succ = fixtures.random_mdp(seed, rng.randint(5, 50))
         cfg = RewardConfig(r=(rng.uniform(0.05, 1.0),), gamma=0.99)
         sol = planner.solve(model, succ, cfg)
-        values, policy = planner.value_iteration(model, cfg)
+        values, policy = oracle.value_iteration(model, cfg)
         for s in model.nonterminal_states():
             worst_value = max(worst_value, abs(sol.value[s] - values[s]))
             if sol.policy[s] != policy[s]:

@@ -1,5 +1,8 @@
+import builtins
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +211,32 @@ class TestDeploy:
         assert metrics["all"]["episodes"] == CONFIG["env"]["n_train"] * CONFIG["eval_seeds"]
 
 
+def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
+    """gen, collect and fit write each artifact in one pass, provenance header
+    included: one open for writing, and no read-back by the writing command."""
+    cfg = write_config(tmp_path, "w")
+    out = (tmp_path / "w").resolve()
+    opens = []  # (command, file name, writes)
+    real_open = io.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve().parent == out:
+            opens.append((command, Path(file).name, bool(set(mode) & set("wax+"))))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)  # pathlib opens through io.open
+    for command in ("gen", "collect", "fit"):
+        main(["--config", str(cfg), command], standalone_mode=False)
+    writer = {"tasks.jsonl": "gen", "phase1.jsonl": "collect",
+              "counts.jsonl": "fit", "success.jsonl": "fit"}
+    assert sorted((name, cmd) for cmd, name, w in opens if w) == sorted(
+        (name, cmd) for name, cmd in writer.items())
+    assert {p.name for p in out.iterdir()} == set(writer)
+    read_back = [(cmd, name) for cmd, name, w in opens if not w and writer[name] == cmd]
+    assert read_back == []
+
+
 def test_import_leaves_scipy_unloaded():
     code = "import sys, helpdp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -226,8 +255,13 @@ def test_reference_search_artifacts_are_golden(tmp_path, monkeypatch):
     """gen -> collect -> fit -> search on configs/reference.json reproduces the
     recorded bytes; any refactor of the chain must keep them."""
     digest = _reference_digests(tmp_path, monkeypatch, ("gen", "collect", "fit", "search"),
-                                ("solution.json", "search.json"))
+                                ("tasks.jsonl", "phase1.jsonl", "counts.jsonl", "success.jsonl",
+                                 "solution.json", "search.json"))
     assert digest == {
+        "tasks.jsonl": "e478250249ab26a19980830d843fd5f88f11ceeb05f0036ab8eff04728f13d9f",
+        "phase1.jsonl": "c7a944457cc922cb367c6ea082bbc84bf1db3323d72a5ddfd6541c3cec269b6e",
+        "counts.jsonl": "cdc05fcf732ed4b3ae11ee5ae2935efa9a49c46e8d52e1b4c5b9ef1a0f7b397e",
+        "success.jsonl": "2da3f94404ca134865608b175bff9a1442388b6a9ee2c82f50a23d58de14ecc4",
         "solution.json": "65621cdfc4f34518d765f687ded67ad5dae4f9591d10ba3fac79c6cf8f08a4c9",
         "search.json": "ae708a56fbdbe64b46b6929c92a92906cb4de8b293ddd7feb0c4b54dcdc020c7",
     }

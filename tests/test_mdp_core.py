@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpdp import fixtures
+from helpdp import fixtures, pipeline
+from helpdp.env import EnvConfig, TaskSet, generate_tasks
 from helpdp.mdp import (
     NOHELP,
     CountTable,
@@ -20,6 +22,7 @@ from helpdp.mdp import (
     normalize,
     terminal_key,
 )
+from helpdp.rollouts import RolloutLog
 from conftest import always_branch, rollout_log, sample_next
 
 T_SUCC = fixtures.T_SUCC
@@ -227,3 +230,32 @@ def test_normalized_rows_sum_to_one(data):
     for (s, a), row in model.probs.items():
         assert abs(sum(row.values()) - 1.0) <= 1e-12
         assert all(0.0 <= p <= 1.0 for p in row.values())
+
+
+def _saved_artifacts():
+    """One of each JSONL artifact, from a small real collection."""
+    cfg = EnvConfig(room_count=4, max_steps=5, hint_sizes=((2, 1.0),), move_prob=0.5,
+                    n_train=6, n_val=2, n_test=2)
+    tasks = generate_tasks(cfg, 3)
+    log = pipeline.collect_phase1(list(tasks.train), [pipeline.StrongActorIntervention(0.05)], 3,
+                                  n_seeds=2, eta=cfg.eta)
+    return {
+        "tasks": (tasks, TaskSet.load, lambda t: t),
+        "rollouts": (log, RolloutLog.load, lambda log: log.episodes),
+        "counts": (log.to_count_table(), CountTable.load, lambda table: list(table.items())),
+        "success": (estimate_success(log), SuccessModel.load, lambda sm: sm),
+    }
+
+
+@pytest.mark.parametrize("kind", ["tasks", "rollouts", "counts", "success"])
+def test_save_with_header_roundtrip(tmp_path, kind):
+    obj, load, view = _saved_artifacts()[kind]
+    header = {"config_hash": "0123456789abcdef", "seed": 7}
+    path = tmp_path / f"{kind}.jsonl"
+    obj.save(path, header=header)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == {"provenance": header}
+    assert view(load(path)) == view(obj)
+    plain = tmp_path / f"{kind}-plain.jsonl"
+    obj.save(plain)
+    assert lines[1:] == plain.read_text(encoding="utf-8").splitlines()
