@@ -21,12 +21,8 @@ import click
 
 from . import env as envmod
 from . import fixtures, oracle, pipeline, planner
-from .mdp import NOHELP, CountTable, SuccessModel, normalize, estimate_success
+from .mdp import NOHELP, CountTable, SuccessModel, _dump, normalize, estimate_success
 from .rollouts import RolloutLog
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class Run:
@@ -192,10 +188,21 @@ def fit(run: Run) -> None:
     click.echo(f"fit {len(table)} transition rows, {len(success.p)} success entries")
 
 
+def _r_label(sol: planner.Solution) -> float | list[float]:
+    return sol.r[0] if len(sol.r) == 1 else list(sol.r)
+
+
+def _require_converged(sol: planner.Solution) -> None:
+    """``annotate`` refuses an unconverged solution, so no command writes one."""
+    if not sol.converged:
+        raise planner.PlannerError(
+            f"solution at r={_r_label(sol)} did not converge in {sol.iterations_run} sweeps"
+        )
+
+
 def _summary(sol: planner.Solution) -> str:
     eu = sum(sol.expected_usage) if sol.expected_usage else 0.0
-    r = sol.r[0] if len(sol.r) == 1 else list(sol.r)
-    return f"r={r} E[U]={eu:.6f} converged={sol.converged} iters={sol.iterations_run}"
+    return f"r={_r_label(sol)} E[U]={eu:.6f} converged={sol.converged} iters={sol.iterations_run}"
 
 
 @main.command()
@@ -207,6 +214,7 @@ def solve(run: Run, r_value: float | None, variant: str | None) -> None:
     model, success = run.load_models()
     cfg = run.planner_config(r_value, variant)
     sol = planner.solve(model, success, cfg)
+    _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
     eu = pipeline.expected_usage_for_tasks(sol, starts)
     sol = dataclasses.replace(sol, expected_usage=eu)
@@ -231,6 +239,7 @@ def search(run: Run, budget: float | None, variant: str | None) -> None:
     starts = run.start_keys(run.load_tasks().train)
     starts = [s for s in starts if s in model.support]
     result = planner.reward_search(model, success, float(budget), bounds, starts, cfg)
+    _require_converged(result.solution)
     run.write_json("solution.json", planner.solution_to_dict(result.solution))
     run.write_json(
         "search.json",

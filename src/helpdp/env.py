@@ -10,6 +10,7 @@ matter of marginalizing actor noise.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -355,8 +356,6 @@ def mcts_intervene(
     UCT = Q(s,a) + c * sqrt(ln N(s) / N(s,a)); unvisited pairs count as 1,
     ties break on proposal order, and the chosen pair's counts increment.
     """
-    import math
-
     candidates: list[str] = []
     for _ in range(k):
         a = base_actor(state, rng, proposal_eta)
@@ -387,14 +386,13 @@ def exact_models(
     tasks: Iterable[Task],
     eta: float = 0.35,
     eta_strong: float = 0.05,
-    help_prob: float = 0.0,
     cap: int = 200_000,
 ) -> tuple[TransitionModel, SuccessModel]:
     """Exact transition and success models for the base/strong actor pair.
 
     Marginalizes each actor's noise over the deterministic step function and
-    runs backward induction for p(s, a); ``help_prob`` sets the chance of a
-    help branch at future steps (0 = base-actor continuation).
+    runs backward induction for p(s, a): the first step takes branch a, and
+    every later step continues with the base actor (nohelp).
     """
     probs: dict[tuple[str, str], dict[str, float]] = {}
     support: set[str] = set()
@@ -436,11 +434,7 @@ def exact_models(
         if state.terminal:
             val = 1.0 if state.outcome == "success" else 0.0
         else:
-            val = 0.0
-            for tag, w in ((NOHELP, 1.0 - help_prob), (h1, help_prob)):
-                if w == 0.0:
-                    continue
-                val += w * sum(p * p_star(nk) for nk, p in probs[(key, tag)].items())
+            val = sum(p * p_star(nk) for nk, p in probs[(key, NOHELP)].items())
         memo[key] = val
         return val
 

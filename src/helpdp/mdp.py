@@ -273,7 +273,7 @@ class SuccessModel:
         return cls(p=p, n=n, provenance=provenance)
 
 
-def estimate_success(log: Iterable, alpha: float = 0.0) -> SuccessModel:
+def estimate_success(log: Iterable) -> SuccessModel:
     """Empirical success probability per (state, action-branch).
 
     A visit to state s counts toward branch a if a was the branch taken at
@@ -297,8 +297,5 @@ def estimate_success(log: Iterable, alpha: float = 0.0) -> SuccessModel:
                 successes[key] = successes.get(key, 0) + 1
     if empty:
         raise DataError("no data")
-    p = {
-        key: (successes.get(key, 0) + alpha) / (v + 2 * alpha)
-        for key, v in visits.items()
-    }
+    p = {key: successes.get(key, 0) / v for key, v in visits.items()}
     return SuccessModel(p=p, n=dict(visits), provenance="empirical")

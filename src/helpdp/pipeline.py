@@ -82,31 +82,18 @@ class MctsIntervention:
     policies feed back through :func:`mcts_observe`.
     """
 
-    def __init__(
-        self,
-        q_fn: Callable[[EnvState, str], float],
-        c: float = 0.25,
-        k: int = 5,
-        proposal_eta: float = 1.0,
-        observe_factor: int = 5,
-    ) -> None:
+    def __init__(self, q_fn: Callable[[EnvState, str], float]) -> None:
         self.q_fn = q_fn
-        self.c = c
-        self.k = k
-        self.proposal_eta = proposal_eta
-        self.observe_factor = observe_factor
         self.counts = UctCounts()
 
     def reset(self) -> None:
         self.counts = UctCounts()
 
     def act(self, state: EnvState, rng: random.Random) -> str:
-        return mcts_intervene(
-            state, self.q_fn, self.counts, rng, c=self.c, k=self.k, proposal_eta=self.proposal_eta
-        )
+        return mcts_intervene(state, self.q_fn, self.counts, rng)
 
     def observe(self, state_key: str, env_action: str) -> None:
-        mcts_observe(self.counts, state_key, env_action, self.observe_factor)
+        mcts_observe(self.counts, state_key, env_action)
 
 
 def run_episode(

@@ -8,10 +8,15 @@ linear solve and re-derives the policy from the exact values until it stops
 changing.  The polish removes the O(epsilon / (1 - gamma)) iteration tail so
 converged solutions satisfy the value decomposition to ~1e-12.
 
-The model is compiled once into per-action sparse arrays; ``reward_search``
-compiles once per search and runs every probe on those arrays.  scipy is
-imported by the functions that build or factor those arrays, so importing
-this module does not load it.
+The model is compiled once into action-indexed arrays over the A = K + 1
+actions (nohelp, help1..helpK) and the n non-terminal states: one sparse
+(A*n, n) matrix whose row a*n + s holds the non-terminal successors of s
+under action a, and an (A, n) array of the mass that reaches terminal
+success.  Branch values are (A, n) for S and (A, K, n) for M, so a policy
+is a choice vector indexing them directly.  ``reward_search`` compiles once
+per search and runs every probe on those arrays; string keys appear only in
+the ``Solution`` tables.  scipy is imported by the functions that build or
+factor those arrays, so importing this module does not load it.
 """
 from __future__ import annotations
 
@@ -25,14 +30,7 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy import sparse
 
-from .mdp import (
-    NOHELP,
-    SuccessModel,
-    TransitionModel,
-    action_order,
-    help_action,
-    terminal_outcome,
-)
+from .mdp import SuccessModel, TransitionModel, action_order, terminal_outcome
 
 DM_ZERO_TOL = 1e-9  # |dM| below this defaults the paper-literal rule to nohelp
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
@@ -113,8 +111,8 @@ class _Compiled:
     index: dict[str, int]
     actions: list[str]
     n_help: int
-    P: dict[str, sparse.csr_matrix]  # non-terminal -> non-terminal mass
-    succ: dict[str, np.ndarray]  # mass reaching terminal success
+    P: sparse.csr_matrix  # (A*n, n); row a*n + s: non-terminal -> non-terminal mass of s under a
+    succ: np.ndarray  # (A, n); mass reaching terminal success
 
 
 def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
@@ -124,12 +122,10 @@ def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
     index = {s: i for i, s in enumerate(states)}
     actions = action_order(n_help)
     n = len(states)
-    P: dict[str, sparse.csr_matrix] = {}
-    succ: dict[str, np.ndarray] = {}
+    rows, cols, vals = [], [], []
+    succ = np.zeros((len(actions), n))
     exits = np.zeros((len(actions), n), dtype=int)  # terminal successors per (action, state)
     for ai, a in enumerate(actions):
-        rows, cols, vals = [], [], []
-        sv = np.zeros(n)
         for s in states:
             row = model.row(s, a)
             if row is None:
@@ -140,14 +136,13 @@ def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
                 if outcome is not None:
                     exits[ai, i] += 1
                     if outcome == "success":
-                        sv[i] += p
+                        succ[ai, i] += p
                 else:
-                    rows.append(i)
+                    rows.append(ai * n + i)
                     cols.append(index[s2])
                     vals.append(p)
-        # explicit zeros stay stored, so the sparsity pattern is the row support
-        P[a] = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        succ[a] = sv
+    # explicit zeros stay stored, so the sparsity pattern is the row support
+    P = sparse.csr_matrix((vals, (rows, cols)), shape=(len(actions) * n, n))
     comp = _Compiled(states=states, index=index, actions=actions, n_help=n_help, P=P, succ=succ)
     if gamma == 1.0:
         _check_absorbing(comp, exits)
@@ -163,11 +158,9 @@ def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
     successors of each (action, state) outside the live set (terminals
     always are); a state leaves once no action has ``out == 0``.
     """
-    from scipy import sparse
-
     n = len(comp.states)
     # column j lists the pairs a * n + s with an edge s -a-> j
-    into = sparse.vstack([comp.P[a] for a in comp.actions], format="csc")
+    into = comp.P.tocsc()
     preds, bounds = into.indices.tolist(), into.indptr.tolist()
     out = exits.ravel().tolist()
     keeps = np.count_nonzero(exits == 0, axis=0).tolist()  # actions with out == 0
@@ -188,127 +181,72 @@ def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
 
 def _success_arrays(
     comp: _Compiled, cfg: RewardConfig, success: SuccessModel | None
-) -> dict[str, np.ndarray] | None:
-    """Per-action success estimates; only the paper-literal rule reads them."""
+) -> np.ndarray | None:
+    """(A, n) success estimates; only the paper-literal rule reads them."""
     if cfg.variant != "paper_literal":
         return None
     if success is None:
         raise PlannerError("paper_literal variant requires a success model")
-    out: dict[str, np.ndarray] = {}
-    for a in comp.actions:
-        vec = np.empty(len(comp.states))
+    out = np.empty((len(comp.actions), len(comp.states)))
+    for ai, a in enumerate(comp.actions):
         for s, i in comp.index.items():
             if not success.has(s, a):
                 raise PlannerError(f"no success estimate for ({s!r}, {a!r})")
-            vec[i] = success.get(s, a)
-        out[a] = vec
+            out[ai, i] = success.get(s, a)
     return out
 
 
 def _branch_values(
     comp: _Compiled, cfg: RewardConfig, S: np.ndarray, M: np.ndarray
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous application of the piecewise recursions per branch.
 
-    Returns S_br[a] and M_br[a] (shape (K, n)); the help_i branch of M adds
-    the immediate unit of usage for intervention i.
+    Returns S_br (shape (A, n)) and M_br (shape (A, K, n)); the help_i
+    branch of M adds the immediate unit of usage for intervention i.
     """
-    S_br: dict[str, np.ndarray] = {}
-    M_br: dict[str, np.ndarray] = {}
-    for ai, a in enumerate(comp.actions):
-        S_br[a] = cfg.gamma * (comp.P[a] @ S + comp.succ[a])
-        mb = cfg.gamma * (comp.P[a] @ M.T).T
-        if ai > 0:
-            mb[ai - 1] += 1.0
-        M_br[a] = mb
+    A, n, K = len(comp.actions), len(comp.states), comp.n_help
+    S_br = cfg.gamma * ((comp.P @ S).reshape(A, n) + comp.succ)
+    M_br = cfg.gamma * (comp.P @ M.T).reshape(A, n, K).transpose(0, 2, 1)
+    M_br[np.arange(1, K + 1), np.arange(K)] += 1.0
     return S_br, M_br
 
 
-def _select_value_consistent(
-    comp: _Compiled,
-    cfg: RewardConfig,
-    S_br: dict[str, np.ndarray],
-    M_br: dict[str, np.ndarray],
-) -> np.ndarray:
+def _select_value_consistent(cfg: RewardConfig, S_br: np.ndarray, M_br: np.ndarray) -> np.ndarray:
     # help iff dS > r.dM, handled as a branch-value comparison so all sign
     # cases of (dS, dM) resolve without division; ties (within rounding
     # noise) keep nohelp, ties among helps keep the lowest index.
     r = np.asarray(cfg.r)
-    best = np.zeros(len(comp.states), dtype=int)
-    best_q = S_br[NOHELP] - r @ M_br[NOHELP]
-    for ai, a in enumerate(comp.actions[1:], start=1):
-        q = S_br[a] - r @ M_br[a]
+    best = np.zeros(S_br.shape[1], dtype=int)
+    best_q = S_br[0] - r @ M_br[0]
+    for ai in range(1, len(S_br)):
+        q = S_br[ai] - r @ M_br[ai]
         mask = q > best_q + TIE_TOL
         best[mask] = ai
         best_q = np.where(mask, q, best_q)
     return best
 
 
-def _select_paper_literal(
-    comp: _Compiled,
-    cfg: RewardConfig,
-    M_br: dict[str, np.ndarray],
-    p: dict[str, np.ndarray],
-) -> np.ndarray:
-    if comp.n_help == 1:
-        h = help_action(1)
-        dp = p[h] - p[NOHELP]
-        dM = p[h] * M_br[h][0] - p[NOHELP] * M_br[NOHELP][0]
-        usable = np.abs(dM) >= DM_ZERO_TOL
-        ratio = np.where(usable, dp / np.where(usable, dM, 1.0), 0.0)
-        return np.where(usable & (cfg.r[0] < ratio), 1, 0)
-    n = len(comp.states)
-    choice = np.zeros(n, dtype=int)
-    for si in range(n):
-        passing = []
-        for i in range(1, comp.n_help + 1):
-            a = help_action(i)
-            dp = p[a][si] - p[NOHELP][si]
-            dM = p[a][si] * M_br[a][i - 1, si] - p[NOHELP][si] * M_br[NOHELP][i - 1, si]
-            if abs(dM) >= DM_ZERO_TOL and cfg.r[i - 1] < dp / dM:
-                passing.append(i)
-        if not passing:
-            continue
-        # among passing helps, minimize the combined discounted cost
-        costs = []
-        for i in passing:
-            a = help_action(i)
-            costs.append(sum(cfg.r[j] * M_br[a][j, si] for j in range(comp.n_help)))
-        choice[si] = passing[int(np.argmin(costs))]
-    return choice
+def _select_paper_literal(cfg: RewardConfig, M_br: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # help_i passes iff r_i < dp_i / dM_i with dM_i = p_i M_i^i - p_0 M_0^i;
+    # among passing helps the lowest combined discounted cost wins (ties
+    # keep the lowest index), and with none passing nohelp stays
+    K = cfg.n_help
+    helps = np.arange(K)
+    dp = p[1:] - p[0]
+    dM = p[1:] * M_br[helps + 1, helps] - p[0] * M_br[0]
+    usable = np.abs(dM) >= DM_ZERO_TOL
+    passing = usable & (np.asarray(cfg.r)[:, None] < dp / np.where(usable, dM, 1.0))
+    cost = sum(cfg.r[j] * M_br[1:, j] for j in range(K))
+    best = np.argmin(np.where(passing, cost, np.inf), axis=0)
+    return np.where(passing.any(axis=0), best + 1, 0)
 
 
 def _select(
-    comp: _Compiled,
-    cfg: RewardConfig,
-    S_br: dict[str, np.ndarray],
-    M_br: dict[str, np.ndarray],
-    p: dict[str, np.ndarray] | None,
+    cfg: RewardConfig, S_br: np.ndarray, M_br: np.ndarray, p: np.ndarray | None
 ) -> np.ndarray:
     if cfg.variant == "paper_literal":
-        return _select_paper_literal(comp, cfg, M_br, p)
-    return _select_value_consistent(comp, cfg, S_br, M_br)
-
-
-def _policy_rows(comp: _Compiled, choice: np.ndarray) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Row-select each state's chosen-action transition row."""
-    from scipy import sparse
-
-    n = len(comp.states)
-    parts, order = [], []
-    succ_pi = np.zeros(n)
-    for ai, a in enumerate(comp.actions):
-        idx = np.where(choice == ai)[0]
-        if idx.size == 0:
-            continue
-        parts.append(comp.P[a][idx])
-        order.append(idx)
-        succ_pi[idx] = comp.succ[a][idx]
-    order_arr = np.concatenate(order)
-    inv = np.empty(n, dtype=int)
-    inv[order_arr] = np.arange(n)
-    P_pi = sparse.vstack(parts, format="csr")[inv]
-    return P_pi, succ_pi
+        return _select_paper_literal(cfg, M_br, p)
+    return _select_value_consistent(cfg, S_br, M_br)
 
 
 def _exact_eval(
@@ -321,13 +259,14 @@ def _exact_eval(
     n = len(comp.states)
     if n == 0:
         return np.zeros(0), np.zeros((cfg.n_help, 0))
-    P_pi, succ_pi = _policy_rows(comp, choice)
+    idx = np.arange(n)
+    P_pi = comp.P[choice * n + idx]  # each state's chosen-action row
     A = (sparse.identity(n, format="csc") - cfg.gamma * P_pi).tocsc()
     try:
         lu = splu(A)
     except RuntimeError as exc:  # singular factor
         raise PlannerError(f"singular policy-evaluation system: {exc}") from exc
-    S = lu.solve(cfg.gamma * succ_pi)
+    S = lu.solve(cfg.gamma * comp.succ[choice, idx])
     M = np.zeros((cfg.n_help, n))
     for i in range(cfg.n_help):
         ind = (choice == i + 1).astype(float)
@@ -356,7 +295,7 @@ def _polish(comp: _Compiled, cfg: RewardConfig, choice: np.ndarray, reselect: Ca
 _Core = tuple[np.ndarray, np.ndarray, np.ndarray, int, bool, tuple[float, ...]]
 
 
-def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: dict[str, np.ndarray] | None) -> _Core:
+def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: np.ndarray | None) -> _Core:
     """Array core of the solver: Jacobi sweeps, then the exact polish."""
     n = len(comp.states)
     idx = np.arange(n)
@@ -366,9 +305,9 @@ def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: dict[str, np.ndarray] | 
     converged = False
     for iterations in range(1, cfg.max_iters + 1):  # runs at least once: max_iters >= 1
         S_br, M_br = _branch_values(comp, cfg, S, M)
-        choice = _select(comp, cfg, S_br, M_br, p)
-        new_S = np.stack([S_br[a] for a in comp.actions])[choice, idx]  # from (A, n)
-        new_M = np.stack([M_br[a] for a in comp.actions])[choice, :, idx].T  # from (A, K, n)
+        choice = _select(cfg, S_br, M_br, p)
+        new_S = S_br[choice, idx]
+        new_M = M_br[choice, :, idx].T
         delta = max(float(np.max(np.abs(new_M - M), initial=0.0)),
                     float(np.max(np.abs(new_S - S), initial=0.0)))
         deltas.append(delta)
@@ -379,7 +318,7 @@ def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: dict[str, np.ndarray] | 
 
     if converged:
         choice = _polish(
-            comp, cfg, choice, lambda S, M: _select(comp, cfg, *_branch_values(comp, cfg, S, M), p)
+            comp, cfg, choice, lambda S, M: _select(cfg, *_branch_values(comp, cfg, S, M), p)
         )
     S, M = _exact_eval(comp, cfg, choice)
     return S, M, choice, iterations, converged, tuple(deltas)
@@ -462,8 +401,6 @@ def reward_search(
     bounds: tuple[float, float],
     starts: Sequence[str],
     cfg: RewardConfig | None = None,
-    usage_tol: float = 0.0,
-    max_steps: int = 60,
 ) -> SearchResult:
     """Bisect the help cost r until expected usage from the starts fits the
     budget.
@@ -516,12 +453,12 @@ def reward_search(
 
     lo, hi = r_lo, r_hi
     best_r, best_core, best_eu = r_hi, core_hi, eu_hi
-    for _ in range(max_steps):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         core, eu = probe(mid)
         if eu <= budget:
             hi, best_r, best_core, best_eu = mid, mid, core, eu
-            if budget - eu <= usage_tol:
+            if eu == budget:
                 break
         else:
             lo = mid

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .mdp import CountTable, DataError, is_terminal, read_jsonl, write_jsonl
+from .mdp import NOHELP, CountTable, DataError, help_index, is_terminal, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ class Episode:
     def intervention_count(self, n_help: int) -> tuple[int, ...]:
         counts = [0] * n_help
         for step in self.steps:
-            if step.action != "nohelp":
-                from .mdp import help_index
-
+            if step.action != NOHELP:
                 counts[help_index(step.action) - 1] += 1
         return tuple(counts)
 

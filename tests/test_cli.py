@@ -151,6 +151,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "infeasible" in proc.stderr.lower()
 
+    def test_unconverged_solution_is_not_written(self, tmp_path):
+        cfg = write_config(tmp_path, "u", planner={"max_iters": 1})
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(cfg, cmd)
+        for cmd in ("solve", "search"):
+            proc = self._run("--config", str(cfg), cmd)
+            assert proc.returncode == 1
+            assert "did not converge" in proc.stderr
+            assert not (tmp_path / "u" / "solution.json").exists()
+            assert not (tmp_path / "u" / "search.json").exists()
+
     def test_out_of_order_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "i")
         proc = self._run("--config", str(cfg), "collect")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -251,6 +252,75 @@ class TestMultiIntervention:
         )
         for s in model2.nonterminal_states():
             assert sol.value[s] == pytest.approx(enum.best_value[s], abs=1e-9)
+
+
+# sha256 of the canonical solution_to_dict JSON; later helps are cheaper, so
+# the policies use help2 and help3 and every K >= 2 selection path runs
+MULTI_HELP_GOLDEN = {
+    (2, 0, "value_consistent"): "8d010e3d394cd2a601c43bcfc08e8c9d0e342cfaef5286bb1c3524d14d713a53",
+    (2, 0, "paper_literal"): "0b3cf8f32cf6bde27cd5d24dee7a023fe50dda27f8a2686e25797f2387175f80",
+    (2, 1, "value_consistent"): "3a73e6a3559bb6bee4237d1b6feeb8f07b609d77c4e26e4cebc2d74130f7cf4f",
+    (2, 1, "paper_literal"): "5dd1927202be0b9c1d54b214c48a31b3e4357236be7756859993dbd45d84f325",
+    (2, 2, "value_consistent"): "ff6b7ff156ef87752d1c9f7f939cd056c9021fb7247d054d78caff458c3e13d7",
+    (2, 2, "paper_literal"): "41bf41e5e17f5d315bc484a220c2c1755058892ac381efce6bbf5323ca3d27c9",
+    (2, 3, "value_consistent"): "e6087e9d75b364e8eca9c5ae8adde0b7cf4065bf20f97be3f3309cade8d8e8e9",
+    (2, 3, "paper_literal"): "dbaf547c53a6ea694fc62cff89782825872e7e9cdb7fc111ecae0440384528f7",
+    (3, 0, "value_consistent"): "e2fe265dbe4cf1ec0d3176b6ea3aea86de7cb4069745cf69ec77f4934251c84f",
+    (3, 0, "paper_literal"): "051210526167502e690aff8fea672424a925625370f57ae31954c8359c1eb006",
+    (3, 1, "value_consistent"): "47896725b11f6913df001ecbe1f09a3c386b1169ef91ae91ed5ac2df3d7c83c2",
+    (3, 1, "paper_literal"): "b3b7d9a27fcfc15dbe0e1f58bef2be83dc8522a3f743fb2006c3bf20c909d3a7",
+    (3, 2, "value_consistent"): "2c42b6e39c14790a783b829dcb3e53091e0b653ad7164fc0e15e7893266a59a0",
+    (3, 2, "paper_literal"): "a35635568a203f618e271904ac980f4e38fd5b8a1e95c4a4b74917ce239462e8",
+    (3, 3, "value_consistent"): "75134c03115a2c8904aa2db5bb48759fda2f1fdc64aebe94bdda7f188fbead5b",
+    (3, 3, "paper_literal"): "e579531bfdc120adbffb6297d46c2037d65dafb0c584ccd2d17ef70f8d04484c",
+}
+MULTI_HELP_COSTS = {2: (0.2, 0.05), 3: (0.2, 0.1, 0.05)}
+
+
+@pytest.mark.parametrize("n_help,seed,variant", sorted(MULTI_HELP_GOLDEN))
+def test_multi_help_solutions_are_golden(n_help, seed, variant):
+    model, succ = fixtures.random_mdp(seed, 6, n_help=n_help)
+    cfg = RewardConfig(r=MULTI_HELP_COSTS[n_help], gamma=1.0, max_iters=300, variant=variant)
+    sol = solve(model, succ, cfg)
+    assert sol.converged
+    doc = json.dumps(planner.solution_to_dict(sol), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == MULTI_HELP_GOLDEN[(n_help, seed, variant)]
+
+
+
+def _paper_literal_by_state(r, M_br, p):
+    """Per-state reference of the paper-literal rule: help_i passes iff
+    |dM_i| >= DM_ZERO_TOL and r_i < dp_i / dM_i; the cheapest passing help wins."""
+    K, n = len(r), M_br.shape[2]
+    choice = np.zeros(n, dtype=int)
+    for si in range(n):
+        passing = []
+        for i in range(1, K + 1):
+            dp = p[i, si] - p[0, si]
+            dM = p[i, si] * M_br[i, i - 1, si] - p[0, si] * M_br[0, i - 1, si]
+            if abs(dM) >= planner.DM_ZERO_TOL and r[i - 1] < dp / dM:
+                passing.append(i)
+        if passing:
+            costs = [sum(r[j] * M_br[i, j, si] for j in range(K)) for i in passing]
+            choice[si] = passing[int(np.argmin(costs))]
+    return choice
+
+
+@pytest.mark.parametrize("n_help", [1, 2, 3])
+def test_paper_literal_rule_matches_per_state_reference(n_help):
+    rng = np.random.default_rng(n_help)
+    n = 400
+    r = tuple(float(x) for x in rng.uniform(0.0, 0.5, n_help))
+    p = rng.uniform(0.0, 1.0, (n_help + 1, n))
+    M_br = rng.uniform(0.0, 2.0, (n_help + 1, n_help, n))
+    p[1:, :40] = p[0, :40]  # dM = 0 wherever M_br agrees too
+    M_br[1:, :, :40] = M_br[0, :, :40]
+    M_br[2:, :, 40:80] = M_br[1, :, 40:80]  # equal costs: the lowest help index wins
+    p[2:, 40:80] = p[1, 40:80]
+    cfg = RewardConfig(r=r, gamma=1.0, variant="paper_literal")
+    got = planner._select_paper_literal(cfg, M_br, p)
+    assert got.tolist() == _paper_literal_by_state(r, M_br, p).tolist()
+    assert set(got.tolist()) >= {0, 1}
 
 
 class TestDecomposition:
