@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid usage or config, 3 infeasible budget,
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -55,6 +56,7 @@ class Run:
         doc = dict(doc)
         doc["provenance"] = self.provenance
         p = self.path(name)
+        p.unlink(missing_ok=True)  # replace rather than truncate an earlier run's file
         p.write_text(_dump(doc) + "\n", encoding="utf-8")
         return p
 
@@ -289,23 +291,22 @@ def eval_cmd(run: Run) -> None:
     starts = {t.task_id: envmod.initial_state(t).key() for t in taskset.train}
     # a restricted model's policy closure leaves support iff its start has no policy entry
     seen_ids, unseen_ids = pipeline.split_by_solution(starts, sol)
-    report = {}
-    headline = None
-    for name, ids in (("all", list(starts)), ("seen", seen_ids), ("unseen", unseen_ids)):
+    headline, log = pipeline.evaluate(
+        helper.as_decider(), list(taskset.train), interventions, run.seed, n_seeds=n_seeds,
+        eta=ec.eta, expected=pipeline.expected_usage_for_tasks(sol, starts.values()),
+        seed_salt="eval-all",
+    )
+    report = {"all": headline.to_dict()}
+    for name, ids in (("seen", seen_ids), ("unseen", unseen_ids)):
         if not ids:
             report[name] = None
             continue
-        subset = [tasks[i] for i in ids]
+        chosen = set(ids)
+        subset = RolloutLog([ep for ep in log if ep.task_id in chosen])
         eu = pipeline.expected_usage_for_tasks(sol, (starts[i] for i in ids))
-        metrics, _ = pipeline.evaluate(
-            helper.as_decider(), subset, interventions, run.seed,
-            n_seeds=n_seeds, eta=ec.eta, expected=eu, seed_salt=f"eval-{name}",
-        )
-        report[name] = metrics.to_dict()
-        if name == "all":
-            headline = metrics
+        report[name] = pipeline.metrics_from_log(
+            subset, [tasks[i] for i in ids], len(headline.usage), eu).to_dict()
     run.write_json("metrics.json", report)
-    assert headline is not None
     eu = headline.expected_usage or ()
     click.echo(
         f"SR={headline.sr:.4f} SPL={headline.spl:.4f} L={headline.length:.3f} "
@@ -402,6 +403,10 @@ def selfreg(run: Run) -> None:
 
 
 def cli() -> None:
+    """Process entry point.  A command builds hundreds of thousands of acyclic
+    containers and then exits, so the cyclic GC only re-traverses them; it is
+    switched off here, and ``main`` (called in-process by tests) keeps it."""
+    gc.disable()
     try:
         main(standalone_mode=False)
     except click.UsageError as exc:

@@ -10,6 +10,7 @@ matter of marginalizing actor noise.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -43,6 +44,18 @@ class Task:
     max_steps: int
     optimal_length: int
     split: str = "train"
+
+    # Computed once per task; not fields, so equality, hashing and to_dict
+    # ignore them.
+    @functools.cached_property
+    def key_prefix(self) -> str:
+        """The constant leading segments of every state key of this task."""
+        return f"task={self.task_id}|hint=" + ",".join(str(r) for r in self.hint)
+
+    @functools.cached_property
+    def first_move(self) -> int | None:
+        """Step at which the object first moves, None if it never does."""
+        return min((when for when, _ in self.move_schedule), default=None)
 
     def object_room(self, t: int) -> int:
         room = self.object_location
@@ -87,7 +100,8 @@ class EnvState:
 
     @property
     def moved(self) -> bool:
-        return any(when <= self.t for when, _ in self.task.move_schedule)
+        first = self.task.first_move
+        return first is not None and first <= self.t
 
     @property
     def outcome(self) -> str | None:
@@ -102,17 +116,12 @@ class EnvState:
         return self.outcome is not None
 
     def key(self) -> str:
-        parts = [
-            f"task={self.task.task_id}",
-            "hint=" + ",".join(str(r) for r in self.task.hint),
-            f"t={self.t}",
-            f"room={self.room}",
-            "explored=" + ",".join(str(r) for r in sorted(self.explored)),
-            f"moved={int(self.moved)}",
-        ]
-        if self.outcome is not None:
-            parts.append(f"outcome={self.outcome}")
-        return "|".join(parts)
+        outcome = self.outcome
+        return (
+            f"{self.task.key_prefix}|t={self.t}|room={self.room}"
+            f"|explored={','.join(map(str, sorted(self.explored)))}"
+            f"|moved={int(self.moved)}" + (f"|outcome={outcome}" if outcome is not None else "")
+        )
 
 
 def initial_state(task: Task) -> EnvState:
@@ -250,9 +259,6 @@ class TaskSet:
 
     def all(self) -> list[Task]:
         return list(self.train) + list(self.val) + list(self.test)
-
-    def split(self, name: str) -> tuple[Task, ...]:
-        return getattr(self, name)
 
     def save(self, path: str | Path, header: dict | None = None) -> None:
         write_jsonl(path, (task.to_dict() for task in self.all()), header)

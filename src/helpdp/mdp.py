@@ -7,6 +7,7 @@ segment, so every component can classify a key without a side table.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ def help_index(action: str) -> int:
     return int(m.group(1) or "1")
 
 
+@functools.lru_cache(maxsize=None)  # a handful of distinct names; errors are not cached
 def canonical_action(action: str) -> str:
     if action == NOHELP:
         return action
@@ -58,6 +60,8 @@ def action_order(n_help: int) -> list[str]:
 
 def terminal_outcome(key: str) -> str | None:
     """'success' / 'failure' for terminal keys, None for non-terminal."""
+    if "outcome=" not in key:  # no segment can be an outcome marker
+        return None
     for seg in key.split("|"):
         if seg == _OUTCOME_SUCCESS:
             return "success"
@@ -76,13 +80,16 @@ def terminal_key(name: str, outcome: str) -> str:
     return f"{name}|outcome={outcome}"
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every record: json.dumps with these arguments builds an
+# equal one per call, so the bytes are the same.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
     """Write one compact, key-sorted JSON record per line in a single pass;
-    ``header`` (the run provenance) goes first as ``{"provenance": header}``."""
+    ``header`` (the run provenance) goes first as ``{"provenance": header}``.
+    An existing file is unlinked first and replaced, never truncated."""
+    Path(path).unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(_dump({"provenance": header}) + "\n")

@@ -110,6 +110,10 @@ def run_episode(
         reset = getattr(iv, "reset", None)
         if reset is not None:
             reset()
+    observers = [
+        (iv, observe) for iv in interventions
+        if (observe := getattr(iv, "observe", None)) is not None
+    ]
     state = initial_state(task)
     steps: list[Step] = []
     t = 0
@@ -125,11 +129,11 @@ def run_episode(
             executor = interventions[idx - 1]
             env_action = executor.act(state, rng_act)
             branch = help_action(idx)
-        for iv in interventions:
-            observe = getattr(iv, "observe", None)
-            if observe is not None and iv is not executor:
-                observe(state.key(), env_action)
-        steps.append(Step(state=state.key(), action=branch, env_action=env_action))
+        key = state.key()
+        for iv, observe in observers:
+            if iv is not executor:
+                observe(key, env_action)
+        steps.append(Step(key, branch, env_action))
         state = env_step(state, env_action)
         t += 1
     return Episode(

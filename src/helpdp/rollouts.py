@@ -3,13 +3,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .mdp import NOHELP, CountTable, DataError, help_index, is_terminal, read_jsonl, write_jsonl
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
+    """One recorded step; a named tuple, cheap to build for every step and
+    every loaded record."""
+
     state: str
     action: str  # "nohelp" or "help<i>" (the branch, not the env command)
     env_action: str = ""

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import io
 import json
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from helpdp.cli import main
+from helpdp import pipeline
+from helpdp.cli import Run, cli, main
+from helpdp.env import TaskSet, initial_state
 from helpdp.mdp import CountTable, normalize
 from helpdp.pipeline import build_helper, restrict_to_solvable
 from helpdp.planner import load_solution
@@ -221,6 +224,34 @@ class TestDeploy:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["all"]["episodes"] == CONFIG["env"]["n_train"] * CONFIG["eval_seeds"]
 
+    def test_eval_splits_one_deployment_by_seen_and_unseen(self, tmp_path):
+        """With a truncated model some starts are unseen; the seen and unseen
+        rows are the metrics of one deployment's episodes on each subset."""
+        cfg = write_config(tmp_path, "u", env={"n_train": 16})
+        out = tmp_path / "u"
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(cfg, cmd)
+        counts = out / "counts.jsonl"
+        pipeline.truncate_counts(CountTable.load(counts), 0.7, seed=2).save(counts)
+        for cmd in ("solve", "annotate", "eval"):
+            run_cmd(cfg, cmd)
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["seen"] and report["unseen"]
+        assert report["seen"]["episodes"] + report["unseen"]["episodes"] == report["all"]["episodes"]
+
+        train = TaskSet.load(out / "tasks.jsonl").train
+        sol = load_solution(out / "solution.json")
+        doc = json.loads((out / "helper.json").read_text())
+        helper = pipeline.HelperPolicy(doc["table"], doc["mode"], doc["fallback"])
+        starts = {t.task_id: initial_state(t).key() for t in train}
+        _, log = pipeline.evaluate(helper.as_decider(), train, [pipeline.StrongActorIntervention()],
+                                   CONFIG["seed"], n_seeds=CONFIG["eval_seeds"], seed_salt="eval-all")
+        for name, ids in zip(("seen", "unseen"), pipeline.split_by_solution(starts, sol)):
+            subset = RolloutLog([ep for ep in log if ep.task_id in ids])
+            eu = pipeline.expected_usage_for_tasks(sol, (starts[i] for i in ids))
+            want = pipeline.metrics_from_log(subset, [t for t in train if t.task_id in ids], 1, eu)
+            assert report[name] == json.loads(json.dumps(want.to_dict()))
+
 
 def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
     """gen, collect and fit write each artifact in one pass, provenance header
@@ -246,6 +277,33 @@ def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
     assert {p.name for p in out.iterdir()} == set(writer)
     read_back = [(cmd, name) for cmd, name, w in opens if not w and writer[name] == cmd]
     assert read_back == []
+
+
+def test_rewritten_json_artifact_replaces_the_file(tmp_path):
+    run = Run(str(write_config(tmp_path, "r")), None, None)
+    path = run.write_json("doc.json", {"k": "x" * 200})
+    old = path.read_bytes()
+    link = tmp_path / "old.json"
+    link.hardlink_to(path)
+    run.write_json("doc.json", {"k": 1})
+    assert json.loads(path.read_bytes()) == {"k": 1, "provenance": run.provenance}
+    assert link.read_bytes() == old  # a new file, not the old one edited in place
+
+
+@pytest.fixture
+def restore_gc():
+    yield
+    gc.enable()
+
+
+def test_gc_is_switched_off_only_at_the_process_entry(tmp_path, monkeypatch, capsys, restore_gc):
+    assert gc.isenabled()
+    main(["--config", str(write_config(tmp_path, "gc")), "gen"], standalone_mode=False)
+    assert gc.isenabled()
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--help"])
+    cli()
+    assert "Usage" in capsys.readouterr().out
+    assert not gc.isenabled()
 
 
 def test_import_leaves_scipy_unloaded():
@@ -284,5 +342,5 @@ def test_reference_deploy_artifacts_are_golden(tmp_path, monkeypatch):
     digest = _reference_digests(tmp_path, monkeypatch, COMMANDS, ("helper.json", "metrics.json"))
     assert digest == {
         "helper.json": "9bfc0258cc362d20e2060bf524c07251a166a8c1112d3fcccb62d2b5c39778b5",
-        "metrics.json": "17f5498d904b4c15936f36582a5ae146f6ed7f71d38f137bb023496bbb8c0128",
+        "metrics.json": "bba5d325251a1089783742ee063e749e8b78aeae86d03c6dfd0d7c7f0c1789d8",
     }

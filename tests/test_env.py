@@ -304,6 +304,60 @@ class TestExactModels:
             exact_models([task], cap=10)
 
 
+def _reference_key(state) -> str:
+    """The state key spelled out from the state's fields, segment by segment."""
+    parts = [
+        f"task={state.task.task_id}",
+        "hint=" + ",".join(str(r) for r in state.task.hint),
+        f"t={state.t}",
+        f"room={state.room}",
+        "explored=" + ",".join(str(r) for r in sorted(state.explored)),
+        f"moved={int(any(when <= state.t for when, _ in state.task.move_schedule))}",
+    ]
+    if state.outcome is not None:
+        parts.append(f"outcome={state.outcome}")
+    return "|".join(parts)
+
+
+def _reachable_states(task):
+    states, stack = [], [initial_state(task)]
+    while stack:
+        state = stack.pop()
+        states.append(state)
+        if not state.terminal:
+            stack.extend(env_step(state, a) for a in legal_actions(state))
+    return states
+
+
+def test_state_keys_match_reference_on_every_exact_model_state():
+    tasks = [
+        make_task(rooms=4, obj=3, hint=(1, 3), schedule=((2, 0),), steps=5, opt=4, task_id="mv"),
+        make_task(rooms=4, obj=3, hint=(1, 3), steps=5, opt=4, task_id="still"),
+        *generate_tasks(SMALL, 4).train[:6],
+    ]
+    assert any(t.move_schedule for t in tasks) and any(not t.move_schedule for t in tasks)
+    moved_seen = set()
+    for task in tasks:
+        model, _ = exact_models([task])
+        states = _reachable_states(task)
+        for state in states:
+            assert state.key() == _reference_key(state)
+            assert state.moved == any(when <= state.t for when, _ in task.move_schedule)
+        assert {s.key() for s in states} == set(model.support)
+        if task.move_schedule:
+            moved_seen |= {s.moved for s in states}
+    assert moved_seen == {False, True}  # keys before and after a move are covered
+
+
+def test_cached_key_parts_leave_task_identity_alone():
+    a = make_task(schedule=((2, 0),), task_id="same")
+    b = make_task(schedule=((2, 0),), task_id="same")
+    a.key_prefix, a.first_move  # populate the caches of one of two equal tasks
+    assert a == b and hash(a) == hash(b)
+    assert a.to_dict() == b.to_dict()
+    assert a.first_move == 2 and make_task().first_move is None
+
+
 def test_shortest_success_length_with_move():
     # object starts far away but moves next to the start before it is reachable
     opt = shortest_success_length(6, 5, ((2, 1),), 8)

@@ -18,11 +18,14 @@ from helpdp.mdp import (
     estimate_success,
     help_action,
     help_index,
+    _dump,
     is_terminal,
     normalize,
     terminal_key,
+    terminal_outcome,
+    write_jsonl,
 )
-from helpdp.rollouts import RolloutLog
+from helpdp.rollouts import RolloutLog, Step
 from conftest import always_branch, rollout_log, sample_next
 
 T_SUCC = fixtures.T_SUCC
@@ -142,8 +145,9 @@ class TestActions:
         assert help_index("help12") == 12
 
     def test_unknown_action(self):
-        with pytest.raises(DataError):
-            canonical_action("shout")
+        for _ in range(3):  # raised on every call, never cached
+            with pytest.raises(DataError):
+                canonical_action("shout")
 
     @given(st.integers(min_value=1, max_value=50))
     def test_help_roundtrip(self, i):
@@ -159,6 +163,68 @@ class TestStateKeys:
     def test_terminal_key_validation(self):
         with pytest.raises(DataError):
             terminal_key("end", "draw")
+
+    @pytest.mark.parametrize("key", [
+        "x|outcome=successful", "outcome=failure", "outcome=success", "a|outcome=success|b",
+        "a|outcome=failure|outcome=success", "xoutcome=success", "outcome=success|",
+        "outcome=", "a|outcome=|b", "room=3|outcome_pending=1", "unknown|outcome=failure",
+        "task=t|hint=1,2|t=3|room=1|explored=1|moved=0", "s0", "", "|",
+    ])
+    def test_terminal_outcome_matches_segment_split(self, key):
+        assert terminal_outcome(key) == _segment_outcome(key)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["outcome=success", "outcome=failure", "outcome=",
+                                     "outcome=successful", "xoutcome=failure", "t=1", ""]),
+                    max_size=4))
+    def test_terminal_outcome_matches_segment_split_on_joined_segments(self, segments):
+        key = "|".join(segments)
+        assert terminal_outcome(key) == _segment_outcome(key)
+
+
+def _segment_outcome(key: str) -> str | None:
+    """Reference definition: the first segment equal to an outcome marker."""
+    for seg in key.split("|"):
+        if seg == "outcome=success":
+            return "success"
+        if seg == "outcome=failure":
+            return "failure"
+    return None
+
+
+class TestJsonWriting:
+    RECORDS = [
+        {"b": 1.0, "a": [0.1, 1e-300, 2.5e17, -0.0, None], "z": {"y": "ä→😀", "x": None}},
+        {"state": "task=t|hint=1,2|t=0", "p": 1 / 3, "n": 7, "nested": [{"k": [1, {"j": 2}]}]},
+        {"inf": float("inf"), "nan": float("nan"), "tuple": (1, "two"), "empty": {}},
+    ]
+
+    @pytest.mark.parametrize("rec", RECORDS)
+    def test_dump_matches_json_dumps(self, rec):
+        assert _dump(rec) == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{"k": "x" * 100}] * 5, {"seed": 1})
+        old = path.read_bytes()
+        link = tmp_path / "old.jsonl"
+        link.hardlink_to(path)
+        write_jsonl(path, [{"k": 1}])
+        assert path.read_bytes() == b'{"k":1}\n'  # no stale tail of the longer file
+        assert link.read_bytes() == old  # a new file, not the old one edited in place
+
+
+class TestStep:
+    def test_construction_forms_agree(self):
+        pos = Step("s0", "help1", "explore")
+        kw = Step(state="s0", action="help1", env_action="explore")
+        assert pos == kw == Step(*["s0", "help1", "explore"])
+        assert (pos.state, pos.action, pos.env_action) == ("s0", "help1", "explore")
+
+    def test_env_action_defaults_to_empty(self):
+        assert Step("s0", NOHELP).env_action == ""
+        assert Step(state="s0", action=NOHELP) == Step("s0", NOHELP, "")
+        assert Step(*["s0", NOHELP]).env_action == ""
 
 
 class TestEstimateSuccess:
