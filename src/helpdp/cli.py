@@ -21,7 +21,7 @@ from pathlib import Path
 import click
 
 from . import env as envmod
-from . import fixtures, oracle, pipeline, planner
+from . import pipeline, planner
 from .mdp import NOHELP, CountTable, SuccessModel, _dump, normalize, estimate_success
 from .rollouts import RolloutLog
 
@@ -80,16 +80,15 @@ class Run:
         except planner.PlannerError as exc:
             raise click.UsageError(f"bad planner config: {exc}")
 
-    def interventions(self, success: SuccessModel | None = None) -> list:
+    def interventions(self) -> list:
         kind = self.config.get("intervention", "strong")
         ec = self.env_config()
         strong = pipeline.StrongActorIntervention(ec.eta_strong)
         if kind == "strong":
             return [strong]
         if kind in ("mcts", "both"):
-            if success is None:
-                tasks = self.load_tasks().all()
-                _, success = envmod.exact_models(tasks, eta=ec.eta, eta_strong=ec.eta_strong)
+            tasks = self.load_tasks().all()
+            _, success = envmod.exact_models(tasks, eta=ec.eta, eta_strong=ec.eta_strong)
             mcts = pipeline.MctsIntervention(_q_from_success(success, self.seed))
             return [strong, mcts] if kind == "both" else [mcts]
         raise click.UsageError(f"unknown intervention kind {kind!r}")
@@ -248,8 +247,7 @@ def search(run: Run, budget: float | None, variant: str | None) -> None:
         {"budget": budget, "r": result.r, "expected_usage": result.expected,
          "trace": [[r, eu] for r, eu in result.trace]},
     )
-    sol = result.solution
-    click.echo(f"r={result.r} E[U]={result.expected:.6f} converged={sol.converged} iters={sol.iterations_run}")
+    click.echo(_summary(result.solution))
 
 
 @main.command()
@@ -320,6 +318,8 @@ def eval_cmd(run: Run) -> None:
 @pass_run
 def oracle_cmd(run: Run, r_value: float) -> None:
     """Cross-check the planner against exhaustive enumeration on fixtures."""
+    from . import fixtures, oracle  # only this command uses them
+
     report: dict = {}
     for name, (model, success) in (("two_state_chain", fixtures.mdp_b()), ("one_state", fixtures.mdp_a())):
         cfg = planner.RewardConfig(r=(r_value,), gamma=1.0)

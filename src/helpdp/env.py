@@ -58,11 +58,7 @@ class Task:
         return min((when for when, _ in self.move_schedule), default=None)
 
     def object_room(self, t: int) -> int:
-        room = self.object_location
-        for when, where in self.move_schedule:
-            if when <= t:
-                room = where
-        return room
+        return _object_room(self.object_location, self.move_schedule, t)
 
     def to_dict(self) -> dict:
         return {
@@ -122,6 +118,15 @@ class EnvState:
             f"|explored={','.join(map(str, sorted(self.explored)))}"
             f"|moved={int(self.moved)}" + (f"|outcome={outcome}" if outcome is not None else "")
         )
+
+
+def _object_room(location: int, move_schedule: Sequence[tuple[int, int]], t: int) -> int:
+    """Room holding the object at step t under a move schedule."""
+    room = location
+    for when, where in move_schedule:
+        if when <= t:
+            room = where
+    return room
 
 
 def initial_state(task: Task) -> EnvState:
@@ -228,19 +233,6 @@ class EnvConfig:
         if not 0.0 <= self.move_prob <= 1.0:
             raise EnvError("move_prob must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "room_count": self.room_count,
-            "max_steps": self.max_steps,
-            "hint_sizes": {str(s): w for s, w in self.hint_sizes},
-            "move_prob": self.move_prob,
-            "eta": self.eta,
-            "eta_strong": self.eta_strong,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-        }
-
     @classmethod
     def from_dict(cls, rec: dict) -> "EnvConfig":
         kwargs = dict(rec)
@@ -281,17 +273,9 @@ def shortest_success_length(
     max_steps: int,
 ) -> int | None:
     """Minimum steps for an omniscient agent; BFS over (time, room)."""
-
-    def obj_room(t: int) -> int:
-        room = object_location
-        for when, where in move_schedule:
-            if when <= t:
-                room = where
-        return room
-
     positions = {0}
     for t in range(max_steps):
-        if obj_room(t) in positions:
+        if _object_room(object_location, move_schedule, t) in positions:
             return t + 1
         nxt = set()
         for p in positions:
@@ -342,6 +326,11 @@ def generate_tasks(config: EnvConfig, seed: int) -> TaskSet:
     )
 
 
+UCT_C = 0.25  # exploration weight
+UCT_PROPOSALS = 5  # base-actor proposals per pick
+UCT_OBSERVE_WEIGHT = 5  # count weight of a step another policy executed
+
+
 @dataclass
 class UctCounts:
     n_state: dict[str, int] = field(default_factory=dict)
@@ -353,28 +342,24 @@ def mcts_intervene(
     q_fn: Callable[[EnvState, str], float],
     counts: UctCounts,
     rng: random.Random,
-    c: float = 0.25,
-    k: int = 5,
-    proposal_eta: float = 1.0,
 ) -> str:
-    """Depth-1 UCT pick over k base-actor proposals.
+    """Depth-1 UCT pick over UCT_PROPOSALS base-actor proposals.
 
-    UCT = Q(s,a) + c * sqrt(ln N(s) / N(s,a)); unvisited pairs count as 1,
+    UCT = Q(s,a) + UCT_C * sqrt(ln N(s) / N(s,a)); unvisited pairs count as 1,
     ties break on proposal order, and the chosen pair's counts increment.
     """
     candidates: list[str] = []
-    for _ in range(k):
-        a = base_actor(state, rng, proposal_eta)
+    for _ in range(UCT_PROPOSALS):
+        # noise 1.0: every proposal is a uniform draw over the legal actions
+        a = base_actor(state, rng, 1.0)
         if a not in candidates:
             candidates.append(a)
-    if not candidates:
-        raise EnvError("no legal candidate actions")
     key = state.key()
     ns = max(1, counts.n_state.get(key, 0))
     best, best_score = candidates[0], -float("inf")
     for a in candidates:
         nsa = max(1, counts.n_sa.get((key, a), 0))
-        score = q_fn(state, a) + c * math.sqrt(math.log(ns) / nsa)
+        score = q_fn(state, a) + UCT_C * math.sqrt(math.log(ns) / nsa)
         if score > best_score:
             best, best_score = a, score
     counts.n_state[key] = counts.n_state.get(key, 0) + 1
@@ -382,10 +367,10 @@ def mcts_intervene(
     return best
 
 
-def mcts_observe(counts: UctCounts, state_key: str, action: str, factor: int = 5) -> None:
-    """Non-MCTS steps weight the executed action's counts by ``factor``."""
-    counts.n_state[state_key] = counts.n_state.get(state_key, 0) + factor
-    counts.n_sa[(state_key, action)] = counts.n_sa.get((state_key, action), 0) + factor
+def mcts_observe(counts: UctCounts, state_key: str, action: str) -> None:
+    """Non-MCTS steps weight the executed action's counts by UCT_OBSERVE_WEIGHT."""
+    counts.n_state[state_key] = counts.n_state.get(state_key, 0) + UCT_OBSERVE_WEIGHT
+    counts.n_sa[(state_key, action)] = counts.n_sa.get((state_key, action), 0) + UCT_OBSERVE_WEIGHT
 
 
 def exact_models(

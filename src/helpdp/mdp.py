@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 NOHELP = "nohelp"
 
-_HELP_RE = re.compile(r"^help(\d*)$")
+_HELP_RE = re.compile(r"^help([1-9]\d*)$")
 
 _OUTCOME_SUCCESS = "outcome=success"
 _OUTCOME_FAILURE = "outcome=failure"
@@ -37,19 +37,21 @@ def is_help(action: str) -> bool:
 
 
 def help_index(action: str) -> int:
-    """1-based intervention index of a help action ('help' aliases 'help1')."""
+    """1-based intervention index of a help action."""
     m = _HELP_RE.match(action)
     if m is None:
         raise DataError(f"not a help action: {action!r}")
-    return int(m.group(1) or "1")
+    return int(m.group(1))
 
 
 @functools.lru_cache(maxsize=None)  # a handful of distinct names; errors are not cached
 def canonical_action(action: str) -> str:
-    if action == NOHELP:
+    """``action`` unchanged if it is ``nohelp`` or ``help<i>`` (i >= 1, no
+    leading zero); any other name raises DataError.  Names are checked where
+    they enter: ``CountTable.record``, ``SuccessModel.load`` and
+    ``estimate_success``."""
+    if action == NOHELP or is_help(action):
         return action
-    if is_help(action):
-        return help_action(help_index(action))
     raise DataError(f"unknown action {action!r}")
 
 
@@ -109,10 +111,7 @@ def read_jsonl(path: str | Path, key: str) -> Iterator[dict]:
 
 
 class CountTable:
-    """Raw transition counts keyed by (state, action, next_state).
-
-    Not thread-safe; tables filled separately are combined with :meth:`merge`.
-    """
+    """Raw transition counts keyed by (state, action, next_state)."""
 
     def __init__(self) -> None:
         self._counts: dict[tuple[str, str, str], int] = {}
@@ -126,15 +125,11 @@ class CountTable:
         key = (state, action, next_state)
         self._counts[key] = self._counts.get(key, 0) + count
 
-    def merge(self, other: "CountTable") -> None:
-        for key, c in other._counts.items():
-            self._counts[key] = self._counts.get(key, 0) + c
-
     def total(self) -> int:
         return sum(self._counts.values())
 
     def get(self, state: str, action: str, next_state: str) -> int:
-        return self._counts.get((state, canonical_action(action), next_state), 0)
+        return self._counts.get((state, action, next_state), 0)
 
     def items(self) -> Iterator[tuple[tuple[str, str, str], int]]:
         return iter(sorted(self._counts.items()))
@@ -193,25 +188,16 @@ class TransitionModel:
         return k
 
     def row(self, state: str, action: str) -> dict[str, float] | None:
-        return self.probs.get((state, canonical_action(action)))
-
-    def has_row(self, state: str, action: str) -> bool:
-        return self.row(state, action) is not None
+        return self.probs.get((state, action))
 
     def nonterminal_states(self) -> list[str]:
         return sorted(s for s in self.support if not is_terminal(s))
 
 
-def normalize(table: CountTable, alpha: float = 0.0) -> TransitionModel:
-    """Estimate transition probabilities as counts over row sums.
-
-    ``alpha`` applies optional Laplace smoothing within each row's observed
-    successor set (default off); smoothing never invents unseen successors.
-    """
+def normalize(table: CountTable) -> TransitionModel:
+    """Estimate transition probabilities as counts over row sums."""
     if len(table) == 0:
         raise DataError("no data")
-    if alpha < 0:
-        raise DataError(f"alpha must be >= 0, got {alpha}")
     rows: dict[tuple[str, str], dict[str, int]] = {}
     support: set[str] = set()
     for (s, a, s2), c in table.items():
@@ -220,8 +206,8 @@ def normalize(table: CountTable, alpha: float = 0.0) -> TransitionModel:
         support.add(s2)
     probs: dict[tuple[str, str], dict[str, float]] = {}
     for key, counts in rows.items():
-        denom = sum(counts.values()) + alpha * len(counts)
-        probs[key] = {s2: (c + alpha) / denom for s2, c in counts.items()}
+        denom = sum(counts.values())
+        probs[key] = {s2: c / denom for s2, c in counts.items()}
     return TransitionModel(probs=probs, support=frozenset(support))
 
 
@@ -248,13 +234,13 @@ class SuccessModel:
     def has(self, state: str, action: str) -> bool:
         if is_terminal(state):
             return True
-        return (state, canonical_action(action)) in self.p
+        return (state, action) in self.p
 
     def get(self, state: str, action: str) -> float:
         outcome = terminal_outcome(state)
         if outcome is not None:
             return 1.0 if outcome == "success" else 0.0
-        key = (state, canonical_action(action))
+        key = (state, action)
         if key not in self.p:
             raise DataError(f"no success estimate for {key}")
         return self.p[key]

@@ -55,7 +55,8 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "big") >> 1
 
 
-Decider = Callable[[EnvState, random.Random, int], str]
+# (state key, decision stream, step index) -> branch
+Decider = Callable[[str, random.Random, int], str]
 
 
 class Intervention(Protocol):
@@ -67,9 +68,6 @@ class StrongActorIntervention:
 
     def __init__(self, eta: float = 0.05) -> None:
         self.eta = eta
-
-    def reset(self) -> None:
-        pass
 
     def act(self, state: EnvState, rng: random.Random) -> str:
         return strong_actor(state, rng, self.eta)
@@ -103,7 +101,8 @@ def run_episode(
     seed: int,
     eta: float = 0.35,
 ) -> Episode:
-    """Roll one episode; the decider picks a branch at every step."""
+    """Roll one episode; the decider picks a branch at every step from the
+    step's state key, which is computed once and also recorded."""
     rng_decide = random.Random(derive_seed(seed, "decide"))
     rng_act = random.Random(derive_seed(seed, "act"))
     for iv in interventions:
@@ -118,7 +117,8 @@ def run_episode(
     steps: list[Step] = []
     t = 0
     while not state.terminal:
-        branch = decide(state, rng_decide, t)
+        key = state.key()
+        branch = decide(key, rng_decide, t)
         if branch == NOHELP:
             env_action = base_actor(state, rng_act, eta)
             executor = None
@@ -128,8 +128,6 @@ def run_episode(
                 raise PipelineError(f"unknown intervention index {idx}")
             executor = interventions[idx - 1]
             env_action = executor.act(state, rng_act)
-            branch = help_action(idx)
-        key = state.key()
         for iv, observe in observers:
             if iv is not executor:
                 observe(key, env_action)
@@ -147,7 +145,7 @@ def run_episode(
 
 
 def always(branch: str) -> Decider:
-    def decide(state: EnvState, rng: random.Random, t: int) -> str:
+    def decide(key: str, rng: random.Random, t: int) -> str:
         return branch
 
     return decide
@@ -159,7 +157,7 @@ def baseline_random(p: Sequence[float]) -> Decider:
     if any(x < 0 for x in p) or sum(p) > 1.0 + 1e-12:
         raise PipelineError(f"bad intervention probabilities {p}")
 
-    def decide(state: EnvState, rng: random.Random, t: int) -> str:
+    def decide(key: str, rng: random.Random, t: int) -> str:
         u = rng.random()
         acc = 0.0
         for i, pi in enumerate(p, start=1):
@@ -244,7 +242,8 @@ def restrict_to_solvable(model: TransitionModel) -> TransitionModel:
     """
     actions = action_order(max(1, model.n_help))
     solvable = {
-        s for s in model.nonterminal_states() if all(model.has_row(s, a) for a in actions)
+        s for s in model.nonterminal_states()
+        if all(model.row(s, a) is not None for a in actions)
     }
     if not solvable:
         raise PipelineError("no state has full action coverage")
@@ -275,8 +274,8 @@ class HelperPolicy:
         return self.table.get(state_key, self.fallback)
 
     def as_decider(self) -> Decider:
-        def decide(state: EnvState, rng: random.Random, t: int) -> str:
-            return self.decide(state.key())
+        def decide(key: str, rng: random.Random, t: int) -> str:
+            return self.decide(key)
 
         return decide
 
@@ -308,14 +307,13 @@ def build_helper(
     log: RolloutLog | None,
     model: TransitionModel | None,
     mode: str = "all_states",
-    fallback: str = NOHELP,
 ) -> HelperPolicy:
     """Lookup table of the solved policy; only ``trajectory_only`` reads the
     log and the model, so ``all_states`` accepts None for both."""
     if not sol.converged:
         raise PipelineError("refusing to distill an unconverged solution")
     if mode == "all_states":
-        return HelperPolicy(table=dict(sol.policy), training_mode=mode, fallback=fallback)
+        return HelperPolicy(table=dict(sol.policy), training_mode=mode)
     if mode != "trajectory_only":
         raise PipelineError(f"unknown helper mode {mode!r}")
     table: dict[str, str] = {}
@@ -325,7 +323,7 @@ def build_helper(
             continue
         for s in reached:
             table[s] = sol.policy[s]
-    return HelperPolicy(table=table, training_mode=mode, fallback=fallback)
+    return HelperPolicy(table=table, training_mode=mode)
 
 
 def split_seen_unseen(
@@ -353,18 +351,16 @@ def split_by_solution(starts: dict[str, str], sol: Solution) -> tuple[list[str],
     return seen_ids, unseen_ids
 
 
-def expected_usage_for_tasks(
-    sol: Solution, starts: Iterable[str], default: float = 0.0
-) -> tuple[float, ...]:
-    """Mean planner usage over starts; off-support starts contribute the
-    default (the nohelp fallback spends nothing there)."""
+def expected_usage_for_tasks(sol: Solution, starts: Iterable[str]) -> tuple[float, ...]:
+    """Mean planner usage over starts; off-support starts contribute 0 (the
+    nohelp fallback spends nothing there)."""
     total = [0.0] * sol.n_help
     n = 0
     for s in starts:
         n += 1
         u = sol.usage.get(s)
         for i in range(sol.n_help):
-            total[i] += u[i] if u is not None else default
+            total[i] += u[i] if u is not None else 0.0
     if n == 0:
         raise PipelineError("no start states")
     return tuple(x / n for x in total)
@@ -526,11 +522,10 @@ def taskwise_first_window_decider(
     of them scored above threshold."""
     fired = {"value": False}
 
-    def decide(state: EnvState, rng: random.Random, t: int) -> str:
+    def decide(key: str, rng: random.Random, t: int) -> str:
         if t == 0:
             fired["value"] = False
         if t < window:
-            key = state.key()
             if success.has(key, NOHELP) and state_score(success, key) > threshold:
                 fired["value"] = True
             return NOHELP

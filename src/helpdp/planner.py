@@ -400,7 +400,7 @@ def reward_search(
     budget: float,
     bounds: tuple[float, float],
     starts: Sequence[str],
-    cfg: RewardConfig | None = None,
+    cfg: RewardConfig,
 ) -> SearchResult:
     """Bisect the help cost r until expected usage from the starts fits the
     budget.
@@ -415,12 +415,11 @@ def reward_search(
         raise PlannerError(f"bad bounds {bounds}")
     if budget < 0 or not np.isfinite(budget):
         raise PlannerError(f"budget must be finite and >= 0, got {budget}")
-    base = cfg or RewardConfig(r=(0.0,))
-    if base.n_help != 1:
+    if cfg.n_help != 1:
         raise PlannerError("reward_search bisects a single scalar cost (K=1)")
 
-    comp = _compile(model, base.n_help, base.gamma)
-    p = _success_arrays(comp, base, success)
+    comp = _compile(model, cfg.n_help, cfg.gamma)
+    p = _success_arrays(comp, cfg, success)
     if not starts:
         raise PlannerError("no start states")
     cols = []  # terminal starts add zero usage, so only non-terminal ones count
@@ -432,7 +431,7 @@ def reward_search(
     trace: list[tuple[float, float]] = []
 
     def probe(r: float) -> tuple[_Core, float]:
-        core = _fixed_point(comp, replace(base, r=(r,)), p)
+        core = _fixed_point(comp, replace(cfg, r=(r,)), p)
         acc = 0.0  # added in start order, as expected_usage does, so E[U] is bit-equal
         for j in cols:
             acc += core[1][0, j]
@@ -441,7 +440,7 @@ def reward_search(
         return core, eu
 
     def result(r: float, core: _Core, eu: float) -> SearchResult:
-        sol = replace(_to_solution(model, comp, replace(base, r=(r,)), core), expected_usage=(eu,))
+        sol = replace(_to_solution(model, comp, replace(cfg, r=(r,)), core), expected_usage=(eu,))
         return SearchResult(r=r, solution=sol, expected=eu, trace=tuple(trace))
 
     core_hi, eu_hi = probe(r_hi)

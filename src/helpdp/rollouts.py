@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .mdp import NOHELP, CountTable, DataError, help_index, is_terminal, read_jsonl, write_jsonl
+from .mdp import NOHELP, CountTable, DataError, help_index, read_jsonl, write_jsonl
 
 
 class Step(NamedTuple):
@@ -51,9 +51,6 @@ class RolloutLog:
     def append(self, episode: Episode) -> None:
         self.episodes.append(episode)
 
-    def extend(self, episodes: Sequence[Episode]) -> None:
-        self.episodes.extend(episodes)
-
     def __iter__(self) -> Iterator[Episode]:
         return iter(self.episodes)
 
@@ -73,12 +70,12 @@ class RolloutLog:
         return starts
 
     def to_count_table(self) -> CountTable:
+        """Transition counts of every step; ``CountTable.record`` rejects a
+        step whose state is terminal."""
         table = CountTable()
         for ep in self.episodes:
             states = ep.states
             for i, step in enumerate(ep.steps):
-                if is_terminal(step.state):
-                    raise DataError(f"terminal source in episode {ep.episode_id}")
                 table.record(step.state, step.action, states[i + 1])
         return table
 

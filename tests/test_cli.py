@@ -307,9 +307,23 @@ def test_gc_is_switched_off_only_at_the_process_entry(tmp_path, monkeypatch, cap
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, helpdp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # fixtures and oracle serve the `oracle` command alone, which imports them
+    code = ("import sys, helpdp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+            "'helpdp.fixtures' in sys.modules, 'helpdp.oracle' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False False"
+
+
+def test_benchmark_wrap_targets_exist():
+    """bench/worker.py wraps helpdp functions by name for its traced run; a
+    deleted or renamed target must fail here, not in the benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import worker; "
+            "worker.instrument(worker.Tracer('t')); print('wrapped')")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(root / "bench")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "wrapped"
 
 
 def _reference_digests(tmp_path, monkeypatch, commands, names) -> dict[str, str]:

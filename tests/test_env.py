@@ -9,6 +9,7 @@ from helpdp.env import (
     EnumerationTooLarge,
     EnvConfig,
     EnvError,
+    EnvState,
     Task,
     TaskSet,
     UctCounts,
@@ -116,6 +117,17 @@ class TestEnvStep:
             ep = pipeline.run_episode(task, pipeline.baseline_random((0.4,)), iv, 77)
             assert ep.length <= task.max_steps
             assert (ep.outcome == "success") == ep.final_state.endswith("outcome=success")
+
+    def test_episode_builds_each_state_key_once(self, monkeypatch):
+        # the decider, the observers and the recorded step share one key per
+        # step; the final state adds one more
+        calls = []
+        key = EnvState.key
+        monkeypatch.setattr(EnvState, "key", lambda self: calls.append(self) or key(self))
+        helper = pipeline.HelperPolicy(table={}, training_mode="all_states")
+        task = generate_tasks(SMALL, 5).train[0]
+        ep = pipeline.run_episode(task, helper.as_decider(), [pipeline.StrongActorIntervention()], 3)
+        assert len(calls) == ep.length + 1
 
 
 class TestActors:

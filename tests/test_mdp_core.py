@@ -25,7 +25,7 @@ from helpdp.mdp import (
     terminal_outcome,
     write_jsonl,
 )
-from helpdp.rollouts import RolloutLog, Step
+from helpdp.rollouts import Episode, RolloutLog, Step
 from conftest import always_branch, rollout_log, sample_next
 
 T_SUCC = fixtures.T_SUCC
@@ -51,14 +51,10 @@ class TestCountTable:
         with pytest.raises(DataError, match="terminal source"):
             table.record(T_SUCC, "help1", "s0")
 
-    def test_merge(self):
-        a, b = CountTable(), CountTable()
-        a.record("s0", NOHELP, "s1")
-        b.record("s0", NOHELP, "s1", count=2)
-        b.record("s1", "help1", T_FAIL)
-        a.merge(b)
-        assert a.get("s0", NOHELP, "s1") == 3
-        assert a.total() == 4
+    def test_log_with_terminal_step_rejected(self):
+        ep = Episode("t0", 0, (Step("s0", NOHELP), Step(T_FAIL, NOHELP)), T_FAIL, "failure", 2)
+        with pytest.raises(DataError, match="terminal source"):
+            RolloutLog([ep]).to_count_table()
 
     def test_save_load_roundtrip(self, tmp_path):
         table = CountTable()
@@ -126,23 +122,32 @@ class TestNormalize:
         model = normalize(table)
         assert model.row("s0", "help1") is None
 
-    def test_laplace_smoothing_stays_in_row(self):
-        table = CountTable()
-        table.record("s0", NOHELP, "a", 9)
-        table.record("s0", NOHELP, "b", 1)
-        table.record("a", NOHELP, T_SUCC)
-        table.record("b", NOHELP, T_SUCC)
-        model = normalize(table, alpha=1.0)
-        row = model.row("s0", NOHELP)
-        assert row["a"] == pytest.approx(10 / 12)
-        assert row["b"] == pytest.approx(2 / 12)
-        assert set(row) == {"a", "b"}
-
 
 class TestActions:
     def test_help_alias(self):
-        assert canonical_action("help") == "help1"
+        # one spelling per action: no bare "help", no zero index, no leading zero
+        for alias in ("help", "help0", "help01"):
+            with pytest.raises(DataError):
+                canonical_action(alias)
+            with pytest.raises(DataError):
+                help_index(alias)
+        assert canonical_action("help12") == "help12"
+        assert canonical_action(NOHELP) == NOHELP
         assert help_index("help12") == 12
+
+    def test_alias_rejected_where_names_enter(self, tmp_path):
+        counts = tmp_path / "counts.jsonl"
+        write_jsonl(counts, [{"state": "s0", "action": "help", "next": T_SUCC, "count": 1}])
+        with pytest.raises(DataError, match="unknown action"):
+            CountTable.load(counts)
+        success = tmp_path / "success.jsonl"
+        write_jsonl(success, [{"state": "s0", "action": "help", "p": 1.0, "n": 1,
+                               "provenance": "empirical"}])
+        with pytest.raises(DataError, match="unknown action"):
+            SuccessModel.load(success)
+        ep = Episode("t0", 0, (Step("s0", "help"),), T_SUCC, "success", 1)
+        with pytest.raises(DataError, match="unknown action"):
+            estimate_success(RolloutLog([ep]))
 
     def test_unknown_action(self):
         for _ in range(3):  # raised on every call, never cached
