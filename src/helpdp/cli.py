@@ -22,7 +22,7 @@ import click
 
 from . import env as envmod
 from . import pipeline, planner
-from .mdp import NOHELP, CountTable, SuccessModel, _dump, normalize, estimate_success
+from .mdp import NOHELP, CountTable, SuccessModel, TransitionModel, _dump, normalize, estimate_success
 from .rollouts import RolloutLog
 
 
@@ -80,14 +80,15 @@ class Run:
         except planner.PlannerError as exc:
             raise click.UsageError(f"bad planner config: {exc}")
 
-    def interventions(self) -> list:
+    def interventions(self, tasks: tuple[envmod.Task, ...]) -> list:
+        """The configured executors for episodes on ``tasks``; the MCTS scorer
+        enumerates only those tasks, since every state key carries its task."""
         kind = self.config.get("intervention", "strong")
         ec = self.env_config()
         strong = pipeline.StrongActorIntervention(ec.eta_strong)
         if kind == "strong":
             return [strong]
         if kind in ("mcts", "both"):
-            tasks = self.load_tasks().all()
             _, success = envmod.exact_models(tasks, eta=ec.eta, eta_strong=ec.eta_strong)
             mcts = pipeline.MctsIntervention(_q_from_success(success, self.seed))
             return [strong, mcts] if kind == "both" else [mcts]
@@ -106,10 +107,15 @@ class Run:
     def load_log(self) -> RolloutLog:
         return RolloutLog.load(self.require("phase1.jsonl", "`collect`"))
 
-    def load_models(self):
-        cp, sp = self.require("counts.jsonl", "`fit`"), self.require("success.jsonl", "`fit`")
-        model = pipeline.restrict_to_solvable(normalize(CountTable.load(cp)))
-        return model, SuccessModel.load(sp)
+    def load_model(self) -> TransitionModel:
+        cp = self.require("counts.jsonl", "`fit`")
+        return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)))
+
+    def load_success(self, cfg: planner.RewardConfig) -> SuccessModel | None:
+        """The fitted success model if the policy rule of ``cfg`` reads it."""
+        if not cfg.reads_success:
+            return None
+        return SuccessModel.load(self.require("success.jsonl", "`fit`"))
 
     def load_solution(self) -> planner.Solution:
         return planner.load_solution(self.require("solution.json", "`solve` or `search`"))
@@ -161,7 +167,7 @@ def collect(run: Run) -> None:
     """Randomized-intervention collection over the train split."""
     taskset = run.load_tasks()
     ec = run.env_config()
-    interventions = run.interventions()
+    interventions = run.interventions(taskset.train)
     schedule = run.config.get("schedule")
     if schedule is not None:
         schedule = [tuple(p) for p in schedule]
@@ -212,8 +218,8 @@ def _summary(sol: planner.Solution) -> str:
 @pass_run
 def solve(run: Run, r_value: float | None, variant: str | None) -> None:
     """Solve the fixed-cost planning problem on the fitted model."""
-    model, success = run.load_models()
     cfg = run.planner_config(r_value, variant)
+    model, success = run.load_model(), run.load_success(cfg)
     sol = planner.solve(model, success, cfg)
     _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
@@ -229,7 +235,6 @@ def solve(run: Run, r_value: float | None, variant: str | None) -> None:
 @pass_run
 def search(run: Run, budget: float | None, variant: str | None) -> None:
     """Bisect the help cost until expected usage fits the budget."""
-    model, success = run.load_models()
     p = run.config.get("planner", {})
     if budget is None:
         budget = p.get("budget")
@@ -237,6 +242,7 @@ def search(run: Run, budget: float | None, variant: str | None) -> None:
         raise click.UsageError("search needs a budget (config planner.budget or --budget)")
     bounds = tuple(p.get("bounds", (0.0, 10.0)))
     cfg = run.planner_config(0.0, variant)
+    model, success = run.load_model(), run.load_success(cfg)
     starts = run.start_keys(run.load_tasks().train)
     starts = [s for s in starts if s in model.support]
     result = planner.reward_search(model, success, float(budget), bounds, starts, cfg)
@@ -259,7 +265,7 @@ def annotate(run: Run) -> None:
     log = model = None
     if mode == "trajectory_only":  # the only mode that walks the model from the logged starts
         log = run.load_log()
-        model, _ = run.load_models()
+        model = run.load_model()
     helper = pipeline.build_helper(sol, log, model, mode=mode)
     run.write_json(
         "helper.json",
@@ -283,7 +289,7 @@ def eval_cmd(run: Run) -> None:
         table=doc["table"], training_mode=doc["mode"], fallback=doc["fallback"]
     )
     sol = run.load_solution()
-    interventions = run.interventions()
+    interventions = run.interventions(taskset.train)
     n_seeds = int(run.config.get("eval_seeds", 3))
     tasks = {t.task_id: t for t in taskset.train}
     starts = {t.task_id: envmod.initial_state(t).key() for t in taskset.train}
@@ -348,7 +354,7 @@ def baseline(run: Run, probs: tuple[float, ...]) -> None:
     """Random-trigger baselines on the test split."""
     taskset = run.load_tasks()
     ec = run.env_config()
-    interventions = run.interventions()
+    interventions = run.interventions(taskset.test)
     if not probs:
         probs = tuple(run.config.get("baseline_probs", [0.0, 0.3, 1.0]))
     report = {}

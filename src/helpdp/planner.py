@@ -14,7 +14,9 @@ actions (nohelp, help1..helpK) and the n non-terminal states: one sparse
 under action a, and an (A, n) array of the mass that reaches terminal
 success.  Branch values are (A, n) for S and (A, K, n) for M, so a policy
 is a choice vector indexing them directly.  ``reward_search`` compiles once
-per search and runs every probe on those arrays; string keys appear only in
+per search and runs every probe on those arrays, and the compiled model
+keeps the exact evaluation of each policy it has factorized, so a policy is
+factorized once however many probes reach it; string keys appear only in
 the ``Solution`` tables.  scipy is imported by the functions that build or
 factor those arrays, so importing this module does not load it.
 """
@@ -83,6 +85,11 @@ class RewardConfig:
     def n_help(self) -> int:
         return len(self.r)
 
+    @property
+    def reads_success(self) -> bool:
+        """Only the paper-literal rule reads a success model."""
+        return self.variant == "paper_literal"
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -113,6 +120,8 @@ class _Compiled:
     n_help: int
     P: sparse.csr_matrix  # (A*n, n); row a*n + s: non-terminal -> non-terminal mass of s under a
     succ: np.ndarray  # (A, n); mass reaching terminal success
+    # (gamma, choice bytes) -> read-only exact (S, M) of that policy; see _exact_eval
+    evals: dict[tuple[float, bytes], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
@@ -182,8 +191,8 @@ def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
 def _success_arrays(
     comp: _Compiled, cfg: RewardConfig, success: SuccessModel | None
 ) -> np.ndarray | None:
-    """(A, n) success estimates; only the paper-literal rule reads them."""
-    if cfg.variant != "paper_literal":
+    """(A, n) success estimates, for the rules that read them."""
+    if not cfg.reads_success:
         return None
     if success is None:
         raise PlannerError("paper_literal variant requires a success model")
@@ -252,13 +261,24 @@ def _select(
 def _exact_eval(
     comp: _Compiled, cfg: RewardConfig, choice: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (S, M) for a fixed policy via one sparse LU factorization."""
+    """Exact (S, M) for a fixed policy via one sparse LU factorization.
+
+    (S, M) depend on the policy and gamma only, not on the costs r, so each
+    distinct policy is factorized once per compiled model: a repeat (a probe
+    of ``reward_search`` that lands on a policy seen before, or the final
+    evaluation of the policy ``_polish`` has just evaluated) returns the
+    stored arrays, which are read-only so that no caller can alter them.
+    """
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
     n = len(comp.states)
     if n == 0:
         return np.zeros(0), np.zeros((cfg.n_help, 0))
+    key = (cfg.gamma, choice.tobytes())
+    hit = comp.evals.get(key)
+    if hit is not None:
+        return hit
     idx = np.arange(n)
     P_pi = comp.P[choice * n + idx]  # each state's chosen-action row
     A = (sparse.identity(n, format="csc") - cfg.gamma * P_pi).tocsc()
@@ -271,13 +291,17 @@ def _exact_eval(
     for i in range(cfg.n_help):
         ind = (choice == i + 1).astype(float)
         M[i] = lu.solve(ind)
+    S.flags.writeable = M.flags.writeable = False
+    comp.evals[key] = S, M
     return S, M
 
 
 def _polish(comp: _Compiled, cfg: RewardConfig, choice: np.ndarray, reselect: Callable) -> np.ndarray:
     """Exact polish: evaluate the policy by linear solve, re-derive it from
     the exact values with ``reselect(S, M)``, repeat until stable (finite,
-    usually 1-2 rounds; a policy seen before also ends it)."""
+    usually 1-2 rounds; a policy seen before also ends it).  The returned
+    policy is, unless the 100 rounds ran out, the last one evaluated, so
+    the caller's own ``_exact_eval`` of it is a lookup."""
     seen: set[bytes] = set()
     for _ in range(100):
         new_choice = reselect(*_exact_eval(comp, cfg, choice))

@@ -165,6 +165,21 @@ class TestExitCodes:
             assert not (tmp_path / "u" / "solution.json").exists()
             assert not (tmp_path / "u" / "search.json").exists()
 
+    def test_search_without_success_model(self, tmp_path):
+        """Deleting success.jsonl leaves a value_consistent search
+        byte-identical; the paper_literal rule still requires the file."""
+        cfg = write_config(tmp_path, "sv")
+        out = tmp_path / "sv"
+        for cmd in ("gen", "collect", "fit", "search"):
+            run_cmd(cfg, cmd)
+        before = {name: (out / name).read_bytes() for name in ("solution.json", "search.json")}
+        (out / "success.jsonl").unlink()
+        run_cmd(cfg, "search")
+        assert {name: (out / name).read_bytes() for name in before} == before
+        proc = self._run("--config", str(cfg), "search", "--variant", "paper_literal")
+        assert proc.returncode == 2
+        assert "success.jsonl missing" in proc.stderr and "`fit`" in proc.stderr
+
     def test_out_of_order_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "i")
         proc = self._run("--config", str(cfg), "collect")
@@ -253,12 +268,11 @@ class TestDeploy:
             assert report[name] == json.loads(json.dumps(want.to_dict()))
 
 
-def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
-    """gen, collect and fit write each artifact in one pass, provenance header
-    included: one open for writing, and no read-back by the writing command."""
-    cfg = write_config(tmp_path, "w")
-    out = (tmp_path / "w").resolve()
-    opens = []  # (command, file name, writes)
+def command_opens(monkeypatch, cfg: Path, out: Path, commands) -> list[tuple[str, str, bool]]:
+    """Run each command (a space-separated argument string) in-process and
+    record (command, file name, writes) for every open of a file in ``out``."""
+    out = out.resolve()
+    opens = []
     real_open = io.open
 
     def spy(file, mode="r", *args, **kwargs):
@@ -266,10 +280,20 @@ def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
             opens.append((command, Path(file).name, bool(set(mode) & set("wax+"))))
         return real_open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "open", spy)
-    monkeypatch.setattr(io, "open", spy)  # pathlib opens through io.open
-    for command in ("gen", "collect", "fit"):
-        main(["--config", str(cfg), command], standalone_mode=False)
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", spy)
+        m.setattr(io, "open", spy)  # pathlib opens through io.open
+        for command in commands:
+            main(["--config", str(cfg), *command.split()], standalone_mode=False)
+    return opens
+
+
+def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
+    """gen, collect and fit write each artifact in one pass, provenance header
+    included: one open for writing, and no read-back by the writing command."""
+    cfg = write_config(tmp_path, "w")
+    out = tmp_path / "w"
+    opens = command_opens(monkeypatch, cfg, out, ("gen", "collect", "fit"))
     writer = {"tasks.jsonl": "gen", "phase1.jsonl": "collect",
               "counts.jsonl": "fit", "success.jsonl": "fit"}
     assert sorted((name, cmd) for cmd, name, w in opens if w) == sorted(
@@ -277,6 +301,44 @@ def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
     assert {p.name for p in out.iterdir()} == set(writer)
     read_back = [(cmd, name) for cmd, name, w in opens if not w and writer[name] == cmd]
     assert read_back == []
+
+
+def test_only_the_paper_literal_rule_reads_the_success_model(tmp_path, monkeypatch):
+    """solve and search open success.jsonl only with variant paper_literal;
+    a trajectory_only annotate walks the fitted transitions alone."""
+    cfg = write_config(tmp_path, "sm", helper_mode="trajectory_only")
+    out = tmp_path / "sm"
+    for cmd in ("gen", "collect", "fit"):
+        run_cmd(cfg, cmd)
+    commands = ("solve", "search", "annotate",
+                "solve --variant paper_literal", "search --variant paper_literal")
+    opens = command_opens(monkeypatch, cfg, out, commands)
+    assert {cmd for cmd, _, _ in opens} == set(commands)
+    readers = {cmd for cmd, name, w in opens if name == "success.jsonl"}
+    assert readers == {"solve --variant paper_literal", "search --variant paper_literal"}
+
+
+def test_mcts_scorer_enumerates_only_the_played_tasks(tmp_path, monkeypatch):
+    """collect and eval play the train tasks and baseline the test tasks, so
+    each enumerates the exact model of that split alone."""
+    from helpdp import env
+
+    cfg = write_config(tmp_path, "mc", intervention="both", planner={"r": [0.3, 0.3]})
+    run_cmd(cfg, "gen")
+    enumerated = []
+    real = env.exact_models
+
+    def recording(tasks, **kwargs):
+        enumerated.append((command, tuple(t.task_id for t in tasks)))
+        return real(tasks, **kwargs)
+
+    monkeypatch.setattr(env, "exact_models", recording)
+    for command in ("collect", "fit", "solve", "annotate", "eval", "baseline --p 0.3"):
+        run_cmd(cfg, *command.split())
+    taskset = TaskSet.load(tmp_path / "mc" / "tasks.jsonl")
+    train = tuple(t.task_id for t in taskset.train)
+    test = tuple(t.task_id for t in taskset.test)
+    assert enumerated == [("collect", train), ("eval", train), ("baseline --p 0.3", test)]
 
 
 def test_rewritten_json_artifact_replaces_the_file(tmp_path):
@@ -324,6 +386,37 @@ def test_benchmark_wrap_targets_exist():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "wrapped"
+
+
+def test_reference_search_factorizes_each_distinct_policy_once(tmp_path, monkeypatch):
+    """search on configs/reference.json asks for 90 exact policy evaluations
+    (probes plus polish rounds) of 10 distinct policies; each distinct
+    policy costs one sparse LU factorization, and the rest are lookups."""
+    from scipy.sparse import linalg
+
+    from helpdp import planner
+
+    monkeypatch.chdir(tmp_path)
+    for cmd in ("gen", "collect", "fit"):
+        main(["--config", str(REFERENCE_CONFIG), "--out", "out", cmd], standalone_mode=False)
+    factorizations = 0
+    policies = []
+    real_splu, real_eval = linalg.splu, planner._exact_eval
+
+    def counting_splu(*args, **kwargs):
+        nonlocal factorizations
+        factorizations += 1
+        return real_splu(*args, **kwargs)
+
+    def recording_eval(comp, cfg, choice):
+        policies.append(choice.tobytes())
+        return real_eval(comp, cfg, choice)
+
+    monkeypatch.setattr(linalg, "splu", counting_splu)
+    monkeypatch.setattr(planner, "_exact_eval", recording_eval)
+    main(["--config", str(REFERENCE_CONFIG), "--out", "out", "search"], standalone_mode=False)
+    assert len(policies) == 90
+    assert factorizations == len(set(policies)) == 10
 
 
 def _reference_digests(tmp_path, monkeypatch, commands, names) -> dict[str, str]:

@@ -168,6 +168,18 @@ class TestRewardSearchOnCompiledModel:
         assert len(res.trace) > 2
         assert len(calls) == 1
 
+    def test_evaluation_is_cached_read_only(self):
+        model, _ = fixtures.random_mdp(0, 6)
+        cfg = cfg1(0.1)
+        comp = planner._compile(model, cfg.n_help, cfg.gamma)
+        choice = np.ones(len(comp.states), dtype=int)
+        S, M = planner._exact_eval(comp, cfg, choice)
+        again = planner._exact_eval(comp, replace(cfg, r=(0.7,)), choice.copy())
+        assert again[0] is S and again[1] is M  # r does not enter (S, M)
+        for arr in (S, M):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     @pytest.mark.parametrize("variant", ["value_consistent", "paper_literal"])
     def test_matches_independent_solves(self, variant):
         cases = [(fixtures.mdp_b(), ["s0", "s1", "s0"])]
