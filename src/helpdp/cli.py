@@ -121,6 +121,8 @@ class Run:
         return planner.load_solution(self.require("solution.json", "`solve` or `search`"))
 
     def start_keys(self, tasks) -> list[str]:
+        """Start state keys of ``tasks`` in order; every command that averages
+        usage or walks the policy takes its starts from here."""
         return [envmod.initial_state(t).key() for t in tasks]
 
 
@@ -223,8 +225,7 @@ def solve(run: Run, r_value: float | None, variant: str | None) -> None:
     sol = planner.solve(model, success, cfg)
     _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
-    eu = pipeline.expected_usage_for_tasks(sol, starts)
-    sol = dataclasses.replace(sol, expected_usage=eu)
+    sol = dataclasses.replace(sol, expected_usage=planner.expected_usage(sol, starts))
     run.write_json("solution.json", planner.solution_to_dict(sol))
     click.echo(_summary(sol))
 
@@ -244,13 +245,12 @@ def search(run: Run, budget: float | None, variant: str | None) -> None:
     cfg = run.planner_config(0.0, variant)
     model, success = run.load_model(), run.load_success(cfg)
     starts = run.start_keys(run.load_tasks().train)
-    starts = [s for s in starts if s in model.support]
     result = planner.reward_search(model, success, float(budget), bounds, starts, cfg)
     _require_converged(result.solution)
     run.write_json("solution.json", planner.solution_to_dict(result.solution))
     run.write_json(
         "search.json",
-        {"budget": budget, "r": result.r, "expected_usage": result.expected,
+        {"budget": budget, "r": result.r, "expected_usage": result.solution.expected_usage[0],
          "trace": [[r, eu] for r, eu in result.trace]},
     )
     click.echo(_summary(result.solution))
@@ -262,15 +262,14 @@ def annotate(run: Run) -> None:
     """Distill the solved policy into a helper lookup table."""
     sol = run.load_solution()
     mode = run.config.get("helper_mode", "all_states")
-    log = model = None
-    if mode == "trajectory_only":  # the only mode that walks the model from the logged starts
-        log = run.load_log()
+    starts = model = None
+    if mode == "trajectory_only":  # the only mode that walks the model from the train starts
+        starts = run.start_keys(run.load_tasks().train)
         model = run.load_model()
-    helper = pipeline.build_helper(sol, log, model, mode=mode)
+    helper = pipeline.build_helper(sol, starts, model, mode=mode)
     run.write_json(
         "helper.json",
-        {"mode": helper.training_mode, "fallback": helper.fallback,
-         "table": dict(sorted(helper.table.items()))},
+        {"mode": helper.training_mode, "fallback": helper.fallback, "table": helper.table},
     )
     click.echo(f"helper mode={mode} states={len(helper.table)}")
 
@@ -292,12 +291,12 @@ def eval_cmd(run: Run) -> None:
     interventions = run.interventions(taskset.train)
     n_seeds = int(run.config.get("eval_seeds", 3))
     tasks = {t.task_id: t for t in taskset.train}
-    starts = {t.task_id: envmod.initial_state(t).key() for t in taskset.train}
+    starts = dict(zip(tasks, run.start_keys(taskset.train)))
     # a restricted model's policy closure leaves support iff its start has no policy entry
     seen_ids, unseen_ids = pipeline.split_by_solution(starts, sol)
     headline, log = pipeline.evaluate(
         helper.as_decider(), list(taskset.train), interventions, run.seed, n_seeds=n_seeds,
-        eta=ec.eta, expected=pipeline.expected_usage_for_tasks(sol, starts.values()),
+        eta=ec.eta, expected=planner.expected_usage(sol, list(starts.values())),
         seed_salt="eval-all",
     )
     report = {"all": headline.to_dict()}
@@ -307,7 +306,7 @@ def eval_cmd(run: Run) -> None:
             continue
         chosen = set(ids)
         subset = RolloutLog([ep for ep in log if ep.task_id in chosen])
-        eu = pipeline.expected_usage_for_tasks(sol, (starts[i] for i in ids))
+        eu = planner.expected_usage(sol, [starts[i] for i in ids])
         report[name] = pipeline.metrics_from_log(
             subset, [tasks[i] for i in ids], len(headline.usage), eu).to_dict()
     run.write_json("metrics.json", report)

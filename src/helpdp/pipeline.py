@@ -304,12 +304,12 @@ def pi_star_closure(sol: Solution, model: TransitionModel, start: str) -> tuple[
 
 def build_helper(
     sol: Solution,
-    log: RolloutLog | None,
+    starts: Iterable[str] | None,
     model: TransitionModel | None,
     mode: str = "all_states",
 ) -> HelperPolicy:
-    """Lookup table of the solved policy; only ``trajectory_only`` reads the
-    log and the model, so ``all_states`` accepts None for both."""
+    """Lookup table of the solved policy; only ``trajectory_only`` walks the
+    model from the start keys, so ``all_states`` accepts None for both."""
     if not sol.converged:
         raise PipelineError("refusing to distill an unconverged solution")
     if mode == "all_states":
@@ -317,7 +317,7 @@ def build_helper(
     if mode != "trajectory_only":
         raise PipelineError(f"unknown helper mode {mode!r}")
     table: dict[str, str] = {}
-    for task_id, start in log.start_states().items():
+    for start in starts:
         reached, ok = pi_star_closure(sol, model, start)
         if not ok:
             continue
@@ -349,21 +349,6 @@ def split_by_solution(starts: dict[str, str], sol: Solution) -> tuple[list[str],
         s = starts[task_id]
         (seen_ids if is_terminal(s) or s in sol.policy else unseen_ids).append(task_id)
     return seen_ids, unseen_ids
-
-
-def expected_usage_for_tasks(sol: Solution, starts: Iterable[str]) -> tuple[float, ...]:
-    """Mean planner usage over starts; off-support starts contribute 0 (the
-    nohelp fallback spends nothing there)."""
-    total = [0.0] * sol.n_help
-    n = 0
-    for s in starts:
-        n += 1
-        u = sol.usage.get(s)
-        for i in range(sol.n_help):
-            total[i] += u[i] if u is not None else 0.0
-    if n == 0:
-        raise PipelineError("no start states")
-    return tuple(x / n for x in total)
 
 
 @dataclass(frozen=True)

@@ -385,19 +385,17 @@ def solve(model: TransitionModel, success: SuccessModel | None, cfg: RewardConfi
 
 
 def expected_usage(sol: Solution, starts: Sequence[str]) -> tuple[float, ...]:
-    """Mean per-intervention usage over the given start states."""
+    """Mean per-intervention usage over every given start: the budget's one
+    definition.  A start with no usage entry (off the model) adds 0, since
+    the helper's nohelp fallback spends nothing there."""
     if not starts:
         raise PlannerError("no start states")
     acc = np.zeros(sol.n_help)
     for s in starts:
-        if s not in sol.usage:
-            raise PlannerError(f"unknown start state {s!r}")
-        acc += np.asarray(sol.usage[s])
+        u = sol.usage.get(s)
+        if u is not None:
+            acc += np.asarray(u)
     return tuple(float(x) for x in acc / len(starts))
-
-
-def with_expected_usage(sol: Solution, starts: Sequence[str]) -> Solution:
-    return replace(sol, expected_usage=expected_usage(sol, starts))
 
 
 def decomposition_residual(sol: Solution) -> float:
@@ -413,8 +411,7 @@ def decomposition_residual(sol: Solution) -> float:
 @dataclass(frozen=True)
 class SearchResult:
     r: float
-    solution: Solution
-    expected: float
+    solution: Solution  # its expected_usage is the E[U] at r
     trace: tuple[tuple[float, float], ...]  # probed (r, E[U]) pairs
 
 
@@ -426,8 +423,8 @@ def reward_search(
     starts: Sequence[str],
     cfg: RewardConfig,
 ) -> SearchResult:
-    """Bisect the help cost r until expected usage from the starts fits the
-    budget.
+    """Bisect the help cost r until expected usage from the starts, as
+    :func:`expected_usage` defines it, fits the budget.
 
     E[U](r) is a nonincreasing step function, so exact attainment of the
     budget is generally impossible; the result is the smallest probed
@@ -446,12 +443,8 @@ def reward_search(
     p = _success_arrays(comp, cfg, success)
     if not starts:
         raise PlannerError("no start states")
-    cols = []  # terminal starts add zero usage, so only non-terminal ones count
-    for s in starts:
-        if s not in model.support:
-            raise PlannerError(f"unknown start state {s!r}")
-        if s in comp.index:
-            cols.append(comp.index[s])
+    # terminal and off-model starts add zero usage but stay in the mean
+    cols = [comp.index[s] for s in starts if s in comp.index]
     trace: list[tuple[float, float]] = []
 
     def probe(r: float) -> tuple[_Core, float]:
@@ -465,7 +458,7 @@ def reward_search(
 
     def result(r: float, core: _Core, eu: float) -> SearchResult:
         sol = replace(_to_solution(model, comp, replace(cfg, r=(r,)), core), expected_usage=(eu,))
-        return SearchResult(r=r, solution=sol, expected=eu, trace=tuple(trace))
+        return SearchResult(r=r, solution=sol, trace=tuple(trace))
 
     core_hi, eu_hi = probe(r_hi)
     if eu_hi > budget:
@@ -498,10 +491,10 @@ def solution_to_dict(sol: Solution) -> dict:
         "converged": sol.converged,
         "iterations": sol.iterations_run,
         "expected_usage": list(sol.expected_usage) if sol.expected_usage else None,
-        "policy": dict(sorted(sol.policy.items())),
-        "usage": {s: list(u) for s, u in sorted(sol.usage.items())},
-        "success": dict(sorted(sol.success.items())),
-        "value": dict(sorted(sol.value.items())),
+        "policy": sol.policy,
+        "usage": {s: list(u) for s, u in sol.usage.items()},
+        "success": sol.success,
+        "value": sol.value,
     }
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .mdp import NOHELP, CountTable, DataError, help_index, read_jsonl, write_jsonl
+from .mdp import NOHELP, CountTable, help_index, read_jsonl, write_jsonl
 
 
 class Step(NamedTuple):
@@ -56,18 +56,6 @@ class RolloutLog:
 
     def __len__(self) -> int:
         return len(self.episodes)
-
-    def start_states(self) -> dict[str, str]:
-        """First recorded state per task; consistent across its episodes."""
-        starts: dict[str, str] = {}
-        for ep in self.episodes:
-            if not ep.steps:
-                continue
-            s0 = ep.steps[0].state
-            prev = starts.setdefault(ep.task_id, s0)
-            if prev != s0:
-                raise DataError(f"inconsistent start state for task {ep.task_id}")
-        return starts
 
     def to_count_table(self) -> CountTable:
         """Transition counts of every step; ``CountTable.record`` rejects a

@@ -164,7 +164,7 @@ def test_05_budget_calibration():
     details = []
     for r in (0.02, 0.25, 0.9):  # high / mid / low usage regimes
         sol = planner.solve(model, succ, cfg1(r))
-        eu = pipeline.expected_usage_for_tasks(sol, starts)[0]
+        eu = planner.expected_usage(sol, starts)[0]
         s_pred = sum(sol.success[s] for s in starts) / len(starts)
         helper = pipeline.HelperPolicy(table=dict(sol.policy), training_mode="all_states")
 
@@ -203,8 +203,8 @@ def test_06_monotonicity_and_reward_search():
     got = {}
     for budget, eu_want in expect.items():
         res = planner.reward_search(model, succ, budget, (0.0, 2.0), ["s0"], cfg1(0.0))
-        got[budget] = res.expected
-        search_ok = search_ok and abs(res.expected - eu_want) < 1e-9 and res.expected <= budget + 1e-12
+        eu = got[budget] = res.solution.expected_usage[0]
+        search_ok = search_ok and abs(eu - eu_want) < 1e-9 and eu <= budget + 1e-12
     # the step function itself: 1.5 / 1.0 / 0 with breakpoints 0.2 and 0.7
     steps_ok = True
     for r, eu_want in ((0.15, 1.5), (0.25, 1.0), (0.65, 1.0), (0.75, 0.0)):
@@ -280,13 +280,13 @@ def test_09_robustness_direction():
         raw = normalize(table)
         solvable = pipeline.restrict_to_solvable(raw)
         sol = planner.solve(solvable, estimate_success(log), cfg1(0.1))
-        starts = log.start_states()
+        starts = {i: env.initial_state(t).key() for i, t in tasks.items()}
         seen, unseen = pipeline.split_seen_unseen(starts, sol, raw)
         assert unseen, "truncation produced no unseen tasks"
-        helper_a = pipeline.build_helper(sol, log, raw, "all_states")
-        helper_t = pipeline.build_helper(sol, log, raw, "trajectory_only")
+        helper_a = pipeline.build_helper(sol, None, None, "all_states")
+        helper_t = pipeline.build_helper(sol, starts.values(), raw, "trajectory_only")
         subset = [tasks[i] for i in unseen]
-        eu = pipeline.expected_usage_for_tasks(sol, (starts[i] for i in unseen))[0]
+        eu = planner.expected_usage(sol, [starts[i] for i in unseen])[0]
         ma, _ = pipeline.evaluate(helper_a.as_decider(), subset, iv, 200 + seed, n_seeds=5, eta=cfg.eta)
         mt, _ = pipeline.evaluate(helper_t.as_decider(), subset, iv, 200 + seed, n_seeds=5, eta=cfg.eta)
         gap_a, gap_t = abs(ma.usage[0] - eu), abs(mt.usage[0] - eu)

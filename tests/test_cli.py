@@ -16,7 +16,7 @@ from helpdp.cli import Run, cli, main
 from helpdp.env import TaskSet, initial_state
 from helpdp.mdp import CountTable, normalize
 from helpdp.pipeline import build_helper, restrict_to_solvable
-from helpdp.planner import load_solution
+from helpdp.planner import expected_usage, load_solution
 from helpdp.rollouts import RolloutLog
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
@@ -201,14 +201,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "helper.json missing" in proc.stderr and "`annotate`" in proc.stderr
 
-    def test_trajectory_annotate_without_log_is_usage_error(self, tmp_path):
+    def test_trajectory_annotate_without_tasks_is_usage_error(self, tmp_path):
+        """A trajectory_only annotate walks from the train starts of
+        tasks.jsonl; the rollout log is not needed."""
         cfg = write_config(tmp_path, "l", helper_mode="trajectory_only")
         for cmd in ("gen", "collect", "fit", "search"):
             run_cmd(cfg, cmd)
         (tmp_path / "l" / "phase1.jsonl").unlink()
+        run_cmd(cfg, "annotate")
+        (tmp_path / "l" / "tasks.jsonl").unlink()
         proc = self._run("--config", str(cfg), "annotate")
         assert proc.returncode == 2
-        assert "phase1.jsonl missing" in proc.stderr and "`collect`" in proc.stderr
+        assert "tasks.jsonl missing" in proc.stderr and "`gen`" in proc.stderr
 
 
 class TestDeploy:
@@ -233,8 +237,8 @@ class TestDeploy:
         assert helper["mode"] == "trajectory_only"
         assert helper["table"] and helper["table"].items() <= policy.items()
         model = restrict_to_solvable(normalize(CountTable.load(out / "counts.jsonl")))
-        direct = build_helper(load_solution(out / "solution.json"),
-                              RolloutLog.load(out / "phase1.jsonl"), model, "trajectory_only")
+        starts = [initial_state(t).key() for t in TaskSet.load(out / "tasks.jsonl").train]
+        direct = build_helper(load_solution(out / "solution.json"), starts, model, "trajectory_only")
         assert helper["table"] == direct.table
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["all"]["episodes"] == CONFIG["env"]["n_train"] * CONFIG["eval_seeds"]
@@ -263,9 +267,34 @@ class TestDeploy:
                                    CONFIG["seed"], n_seeds=CONFIG["eval_seeds"], seed_salt="eval-all")
         for name, ids in zip(("seen", "unseen"), pipeline.split_by_solution(starts, sol)):
             subset = RolloutLog([ep for ep in log if ep.task_id in ids])
-            eu = pipeline.expected_usage_for_tasks(sol, (starts[i] for i in ids))
+            eu = expected_usage(sol, [starts[i] for i in ids])
             want = pipeline.metrics_from_log(subset, [t for t in train if t.task_id in ids], 1, eu)
             assert report[name] == json.loads(json.dumps(want.to_dict()))
+
+
+def test_search_annotate_eval_share_one_budget_definition(tmp_path, monkeypatch):
+    """With 18 of the 40 reference train starts off a truncated model, search
+    fits the budget to the same E[U] that solution.json records and eval
+    predicts: the mean over every train start, an off-model start adding 0."""
+    monkeypatch.chdir(tmp_path)
+
+    def cli_run(*args):
+        main(["--config", str(REFERENCE_CONFIG), "--out", "out", *args], standalone_mode=False)
+
+    for cmd in ("gen", "collect", "fit"):
+        cli_run(cmd)
+    counts = tmp_path / "out" / "counts.jsonl"
+    pipeline.truncate_counts(CountTable.load(counts), 0.7, seed=2).save(counts)
+    cli_run("search", "--budget", "0.3")
+    cli_run("annotate")
+    cli_run("eval")
+    search = json.loads((tmp_path / "out" / "search.json").read_text())
+    solution = json.loads((tmp_path / "out" / "solution.json").read_text())
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["unseen"]["episodes"] == 18 * 3
+    eu = search["expected_usage"]
+    assert solution["expected_usage"] == metrics["all"]["EU"] == [eu]
+    assert eu <= 0.3
 
 
 def command_opens(monkeypatch, cfg: Path, out: Path, commands) -> list[tuple[str, str, bool]]:
@@ -305,7 +334,8 @@ def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
 
 def test_only_the_paper_literal_rule_reads_the_success_model(tmp_path, monkeypatch):
     """solve and search open success.jsonl only with variant paper_literal;
-    a trajectory_only annotate walks the fitted transitions alone."""
+    a trajectory_only annotate walks the fitted transitions from the train
+    starts of tasks.jsonl and never opens the rollout log."""
     cfg = write_config(tmp_path, "sm", helper_mode="trajectory_only")
     out = tmp_path / "sm"
     for cmd in ("gen", "collect", "fit"):
@@ -316,6 +346,8 @@ def test_only_the_paper_literal_rule_reads_the_success_model(tmp_path, monkeypat
     assert {cmd for cmd, _, _ in opens} == set(commands)
     readers = {cmd for cmd, name, w in opens if name == "success.jsonl"}
     assert readers == {"solve --variant paper_literal", "search --variant paper_literal"}
+    assert {name for cmd, name, _ in opens if cmd == "annotate"} == {
+        "solution.json", "tasks.jsonl", "counts.jsonl", "helper.json"}
 
 
 def test_mcts_scorer_enumerates_only_the_played_tasks(tmp_path, monkeypatch):
@@ -388,6 +420,26 @@ def test_benchmark_wrap_targets_exist():
     assert proc.stdout.strip() == "wrapped"
 
 
+def test_benchmark_exact_step_keeps_its_fingerprint():
+    """bench/worker.py's exact step calls planner.solve, expected_usage and
+    decomposition_residual directly on the reference env's exact model; its
+    fingerprint must not move under a refactor of those functions."""
+    root = Path(__file__).resolve().parents[1]
+    env_cfg = json.loads(REFERENCE_CONFIG.read_text())["env"]
+    spec = {"env": env_cfg, "seed": 11, "r": 0.2, "residual_tol": 1e-9}
+    code = ("import json, sys; sys.path[:0] = sys.argv[2:]; import worker; "
+            "res = worker.run_exact(json.loads(sys.argv[1]), None); "
+            "print(json.dumps({'failures': res['failures'], 'fingerprint': res['fingerprint']}))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(spec), str(root / "src"),
+                           str(root / "bench")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)
+    assert res["failures"] == []
+    assert res["fingerprint"]["expected_usage"] == 0.8289813255931714
+    assert res["fingerprint"]["solution_sha256"] == (
+        "550dbd25481fc69311bcfe22ecfec4b549f81520ca2eda3423a055bde3105ef3")
+
+
 def test_reference_search_factorizes_each_distinct_policy_once(tmp_path, monkeypatch):
     """search on configs/reference.json asks for 90 exact policy evaluations
     (probes plus polish rounds) of 10 distinct policies; each distinct
@@ -451,3 +503,19 @@ def test_reference_deploy_artifacts_are_golden(tmp_path, monkeypatch):
         "helper.json": "9bfc0258cc362d20e2060bf524c07251a166a8c1112d3fcccb62d2b5c39778b5",
         "metrics.json": "bba5d325251a1089783742ee063e749e8b78aeae86d03c6dfd0d7c7f0c1789d8",
     }
+
+
+def test_reference_trajectory_helper_is_golden(tmp_path, monkeypatch):
+    """A trajectory_only annotate on configs/reference.json keeps the policy
+    on the closure of each train start: 142 recorded entries."""
+    config = json.loads(REFERENCE_CONFIG.read_text())
+    config["helper_mode"] = "trajectory_only"
+    path = tmp_path / "trajectory.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    for cmd in ("gen", "collect", "fit", "search", "annotate"):
+        main(["--config", str(path), "--out", "out", cmd], standalone_mode=False)
+    blob = (tmp_path / "out" / "helper.json").read_bytes()
+    assert len(json.loads(blob)["table"]) == 142
+    assert hashlib.sha256(blob).hexdigest() == (
+        "67293cd0ab68de84c36e3c651aae73943b53d38a05253db36a6a3f275815f46b")

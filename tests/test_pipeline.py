@@ -17,7 +17,6 @@ from helpdp.pipeline import (
     derive_seed,
     evaluate,
     evaluate_taskwise_all_steps,
-    expected_usage_for_tasks,
     phase1_schedule,
     restrict_to_solvable,
     self_regulation_eval,
@@ -28,7 +27,7 @@ from helpdp.pipeline import (
     taskwise_first_window_decider,
     truncate_counts,
 )
-from helpdp.planner import RewardConfig, solve, with_expected_usage
+from helpdp.planner import RewardConfig, expected_usage, solve
 from helpdp.rollouts import Episode, RolloutLog, Step
 from conftest import rollout_log, always_branch
 
@@ -170,14 +169,14 @@ class TestHelperConstruction:
     def test_all_states_covers_every_solved_state(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        helper = build_helper(sol, _chain_log(), model, "all_states")
+        helper = build_helper(sol, ["s0"], model, "all_states")
         assert set(helper.table) == set(model.nonterminal_states())
 
     def test_degenerate_chain_modes_agree(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        a = build_helper(sol, _chain_log(), model, "all_states")
-        t = build_helper(sol, _chain_log(), model, "trajectory_only")
+        a = build_helper(sol, ["s0"], model, "all_states")
+        t = build_helper(sol, ["s0"], model, "trajectory_only")
         assert a.table == t.table
 
     def test_trajectory_only_drops_offending_tasks(self):
@@ -190,10 +189,10 @@ class TestHelperConstruction:
         solvable = restrict_to_solvable(raw2)
         succ = estimate_success(_chain_log(20))
         sol = solve(solvable, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        helper = build_helper(sol, _chain_log(), raw2, "trajectory_only")
+        helper = build_helper(sol, ["s0"], raw2, "trajectory_only")
         assert "s1" not in sol.policy
         assert helper.table == {}
-        full = build_helper(sol, _chain_log(), solvable, "all_states")
+        full = build_helper(sol, ["s0"], solvable, "all_states")
         assert set(full.table) == set(sol.policy)
 
     def test_unconverged_solution_rejected(self):
@@ -203,7 +202,7 @@ class TestHelperConstruction:
 
         bad = dataclasses.replace(sol, converged=False)
         with pytest.raises(PipelineError, match="unconverged"):
-            build_helper(bad, _chain_log(), model, "all_states")
+            build_helper(bad, ["s0"], model, "all_states")
 
     def test_fallback_used_off_table(self):
         helper = HelperPolicy(table={"a": "help1"}, training_mode="all_states")
@@ -231,7 +230,7 @@ class TestSeenUnseenSplit:
         solvable = restrict_to_solvable(raw)
         succ = estimate_success(log)
         sol = solve(solvable, succ, RewardConfig(r=(0.2,), gamma=1.0))
-        starts = log.start_states()
+        starts = {t.task_id: initial_state(t).key() for t in TASKS.train}
         seen, unseen = split_seen_unseen(starts, sol, raw)
 
         def reachable_ok(s0):  # independent trajectory-tree reachability walk
@@ -256,7 +255,8 @@ class TestSeenUnseenSplit:
         log = collect_phase1(list(TASKS.train), STRONG, seed, n_seeds=1)
         model = restrict_to_solvable(normalize(truncate_counts(log.to_count_table(), fraction, seed=seed)))
         sol = solve(model, estimate_success(log), RewardConfig(r=(0.2,), gamma=1.0))
-        starts = dict(log.start_states(), terminal=fixtures.T_SUCC)
+        starts = {t.task_id: initial_state(t).key() for t in TASKS.train}
+        starts["terminal"] = fixtures.T_SUCC
         split = split_by_solution(starts, sol)
         assert split == split_seen_unseen(starts, sol, model)
         assert split[1], "truncation produced no unseen start"
@@ -267,7 +267,7 @@ class TestExpectedUsageHelpers:
     def test_off_support_defaults(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        eu = expected_usage_for_tasks(sol, ["s0", "nowhere"])
+        eu = expected_usage(sol, ["s0", "nowhere"])
         assert eu[0] == pytest.approx(0.5 * (1.0 + 0.0))
 
 

@@ -16,7 +16,6 @@ from helpdp.planner import (
     expected_usage,
     reward_search,
     solve,
-    with_expected_usage,
 )
 from helpdp.oracle import value_iteration
 
@@ -45,9 +44,9 @@ class TestSingleInterventionFixedPoint:
 
     def test_two_state_chain(self):
         model, succ = fixtures.mdp_b()
-        sol = with_expected_usage(solve(model, succ, cfg1(0.3)), ["s0"])
+        sol = solve(model, succ, cfg1(0.3))
         assert sol.policy == {"s0": NOHELP, "s1": "help1"}
-        assert sol.expected_usage[0] == pytest.approx(1.0, abs=1e-12)
+        assert expected_usage(sol, ["s0"])[0] == pytest.approx(1.0, abs=1e-12)
         assert sol.value["s0"] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_cost_helps_wherever_gain(self):
@@ -107,11 +106,13 @@ class TestExpectedUsage:
         )
         assert expected_usage(sol, ["a", "b"])[0] == pytest.approx(0.8)
 
-    def test_unknown_start_error(self):
+    def test_off_model_start_adds_zero(self):
+        # the nohelp fallback spends nothing off the model; the start still counts
         model, succ = fixtures.mdp_a()
         sol = solve(model, succ, cfg1(0.5))
-        with pytest.raises(PlannerError, match="zz"):
-            expected_usage(sol, ["zz"])
+        assert expected_usage(sol, ["s0"]) == (1.0,)
+        assert expected_usage(sol, ["s0", "zz"]) == (0.5,)
+        assert expected_usage(sol, ["zz"]) == (0.0,)
 
 
 class TestRewardSearch:
@@ -119,18 +120,18 @@ class TestRewardSearch:
         model, succ = fixtures.mdp_b()
         res = reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert 0.2 < res.r < 0.7
-        assert res.expected == pytest.approx(1.0, abs=1e-9)
+        assert res.solution.expected_usage[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_loose_budget_returns_lower_bound(self):
         model, succ = fixtures.mdp_b()
         res = reward_search(model, succ, 2.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert res.r == 0.0
-        assert res.expected == pytest.approx(1.5, abs=1e-9)
+        assert res.solution.expected_usage[0] == pytest.approx(1.5, abs=1e-9)
 
     def test_zero_budget(self):
         model, succ = fixtures.mdp_b()
         res = reward_search(model, succ, 0.0, (0.0, 2.0), ["s0"], cfg1(0.0))
-        assert res.expected == 0.0
+        assert res.solution.expected_usage[0] == 0.0
         assert all(a == NOHELP for a in res.solution.policy.values())
 
     def test_infeasible_bounds(self):
@@ -197,16 +198,23 @@ class TestRewardSearchOnCompiledModel:
             for r, eu in res.trace:
                 want = sum(expected_usage(solve(model, succ, replace(base, r=(r,))), starts))
                 assert eu.hex() == want.hex()
-            sol = with_expected_usage(solve(model, succ, replace(base, r=(res.r,))), starts)
+            sol = solve(model, succ, replace(base, r=(res.r,)))
+            sol = replace(sol, expected_usage=expected_usage(sol, starts))
             assert res.solution == sol
             assert json.dumps(planner.solution_to_dict(res.solution), sort_keys=True) == json.dumps(
                 planner.solution_to_dict(sol), sort_keys=True
             )
 
-    def test_unknown_start_raises(self):
+    def test_off_model_start_stays_in_denominator(self):
+        # "zz" is off the model: it adds 0 usage but still counts, so budget
+        # 0.5 admits s0's one help (usage 1.0), which s0 alone would not fit
         model, succ = fixtures.mdp_b()
-        with pytest.raises(PlannerError, match="unknown start state 'zz'"):
-            reward_search(model, succ, 1.0, (0.0, 2.0), ["s0", "zz"], cfg1(0.0))
+        res = reward_search(model, succ, 0.5, (0.0, 2.0), ["s0", "zz"], cfg1(0.0))
+        assert 0.2 < res.r < 0.7
+        assert res.solution.expected_usage == (res.solution.usage["s0"][0] / 2,)
+        assert res.solution.expected_usage[0] == pytest.approx(0.5, abs=1e-9)
+        for r, eu in res.trace:
+            assert eu == expected_usage(solve(model, succ, cfg1(r)), ["s0", "zz"])[0]
 
     def test_no_starts_raises(self):
         model, succ = fixtures.mdp_b()
@@ -465,7 +473,8 @@ class TestErrors:
 
 def test_solution_file_roundtrip(tmp_path):
     model, succ = fixtures.mdp_b()
-    sol = with_expected_usage(solve(model, succ, cfg1(0.3)), ["s0"])
+    sol = solve(model, succ, cfg1(0.3))
+    sol = replace(sol, expected_usage=expected_usage(sol, ["s0"]))
     path = tmp_path / "solution.json"
     path.write_text(json.dumps(planner.solution_to_dict(sol)) + "\n")
     back = planner.load_solution(path)
