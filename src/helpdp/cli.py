@@ -25,6 +25,8 @@ from . import pipeline, planner
 from .mdp import NOHELP, CountTable, SuccessModel, TransitionModel, _dump, normalize, estimate_success
 from .rollouts import RolloutLog
 
+HELP_TYPES = {"strong": 1, "mcts": 1, "both": 2}  # K, the help types of each intervention kind
+
 
 class Run:
     """Loaded config plus the paths and provenance shared by commands."""
@@ -41,6 +43,15 @@ class Run:
         if "seed" not in self.config:
             raise click.UsageError("config must provide a seed")
         self.seed = int(self.config["seed"])
+        p = self.config.get("planner", {})
+        # the planner's own settings; gamma is 1 because the budget counts calls
+        for key, value in (("gamma", 1.0), ("epsilon", planner.EPSILON), ("max_iters", planner.MAX_SWEEPS)):
+            if p.get(key, value) != value:
+                raise click.UsageError(f"planner.{key} is fixed at {value}, got {p[key]!r}")
+        self.intervention = self.config.get("intervention", "strong")
+        if self.intervention not in HELP_TYPES:
+            raise click.UsageError(f"unknown intervention kind {self.intervention!r}")
+        self.n_help = HELP_TYPES[self.intervention]  # K comes from `intervention` alone
         self.out = Path(self.config.get("out", "out"))
         self.out.mkdir(parents=True, exist_ok=True)
         self.config_hash = hashlib.sha256(_dump(self.config).encode()).hexdigest()[:16]
@@ -67,32 +78,27 @@ class Run:
             raise click.UsageError(f"bad env config: {exc}")
 
     def planner_config(self, r_override: float | None, variant: str | None) -> planner.RewardConfig:
-        p = dict(self.config.get("planner", {}))
+        p = self.config.get("planner", {})
         r = r_override if r_override is not None else p.get("r", 0.5)
+        r = tuple(r) if isinstance(r, (list, tuple)) else (float(r),)
+        if len(r) != self.n_help:
+            raise click.UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
+                                   f"{self.intervention!r} has {self.n_help} help type(s)")
         try:
-            return planner.RewardConfig(
-                r=tuple(r) if isinstance(r, (list, tuple)) else (float(r),),
-                gamma=float(p.get("gamma", 1.0)),
-                epsilon=float(p.get("epsilon", 1e-8)),
-                max_iters=int(p.get("max_iters", 10_000)),
-                variant=variant or p.get("variant", "value_consistent"),
-            )
+            return planner.RewardConfig(r=r, variant=variant or p.get("variant", "value_consistent"))
         except planner.PlannerError as exc:
             raise click.UsageError(f"bad planner config: {exc}")
 
     def interventions(self, tasks: tuple[envmod.Task, ...]) -> list:
         """The configured executors for episodes on ``tasks``; the MCTS scorer
         enumerates only those tasks, since every state key carries its task."""
-        kind = self.config.get("intervention", "strong")
         ec = self.env_config()
         strong = pipeline.StrongActorIntervention(ec.eta_strong)
-        if kind == "strong":
+        if self.intervention == "strong":
             return [strong]
-        if kind in ("mcts", "both"):
-            _, success = envmod.exact_models(tasks, eta=ec.eta, eta_strong=ec.eta_strong)
-            mcts = pipeline.MctsIntervention(_q_from_success(success, self.seed))
-            return [strong, mcts] if kind == "both" else [mcts]
-        raise click.UsageError(f"unknown intervention kind {kind!r}")
+        _, success = envmod.exact_models(tasks, eta=ec.eta, eta_strong=ec.eta_strong)
+        mcts = pipeline.MctsIntervention(_q_from_success(success, self.seed))
+        return [strong, mcts] if self.intervention == "both" else [mcts]
 
     def require(self, name: str, producer: str) -> Path:
         """Path of an upstream artifact; a missing one is a usage error."""
@@ -236,6 +242,9 @@ def solve(run: Run, r_value: float | None, variant: str | None) -> None:
 @pass_run
 def search(run: Run, budget: float | None, variant: str | None) -> None:
     """Bisect the help cost until expected usage fits the budget."""
+    if run.n_help != 1:
+        raise click.UsageError(f"search bisects one help cost, but intervention {run.intervention!r} "
+                               f"has {run.n_help} help types; use `solve` with planner.r")
     p = run.config.get("planner", {})
     if budget is None:
         budget = p.get("budget")
@@ -359,7 +368,7 @@ def baseline(run: Run, probs: tuple[float, ...]) -> None:
     report = {}
     for p in probs:
         metrics, _ = pipeline.evaluate(
-            pipeline.baseline_random((p,) * len(interventions) if len(interventions) == 1 else (p, 0.0)),
+            pipeline.baseline_random((p,) + (0.0,) * (len(interventions) - 1)),
             list(taskset.test),
             interventions,
             run.seed,

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .mdp import NOHELP, SuccessModel, TransitionModel, help_action, read_jsonl, write_jsonl
+from .mdp import (NOHELP, SuccessModel, TransitionModel, help_action, read_jsonl,
+                  terminal_outcome, write_jsonl)
 
 EXPLORE = "explore"
 
@@ -159,55 +160,6 @@ def env_step(state: EnvState, action: str) -> EnvState:
     return EnvState(task=state.task, t=state.t + 1, room=room, explored=explored, found=found)
 
 
-def _greedy_base(state: EnvState) -> str:
-    """Move toward (then explore) the nearest unexplored hint room.
-
-    Falls back to unexplored rooms once the hint is exhausted, then to
-    re-exploring in place; ties break on the lower room index.
-    """
-    candidates = [r for r in state.task.hint if r not in state.explored]
-    if not candidates:
-        candidates = [r for r in range(state.task.room_count) if r not in state.explored]
-    if not candidates:
-        return EXPLORE
-    target = min(candidates, key=lambda r: (abs(r - state.room), r))
-    if target == state.room:
-        return EXPLORE
-    return goto(state.room + (1 if target > state.room else -1))
-
-
-def _greedy_strong(state: EnvState) -> str:
-    target = state.task.object_room(state.t)
-    if target == state.room:
-        return EXPLORE
-    return goto(state.room + (1 if target > state.room else -1))
-
-
-def _noisy(greedy: Callable[[EnvState], str], state: EnvState, rng: random.Random, eta: float) -> str:
-    if eta > 0 and rng.random() < eta:
-        return rng.choice(legal_actions(state))
-    return greedy(state)
-
-
-def base_actor(state: EnvState, rng: random.Random, eta: float = 0.35) -> str:
-    return _noisy(_greedy_base, state, rng, eta)
-
-
-def strong_actor(state: EnvState, rng: random.Random, eta: float = 0.05) -> str:
-    return _noisy(_greedy_strong, state, rng, eta)
-
-
-def action_distribution(
-    greedy: Callable[[EnvState], str], state: EnvState, eta: float
-) -> dict[str, float]:
-    """Exact action law of a noisy-greedy actor."""
-    legal = legal_actions(state)
-    dist = {a: eta / len(legal) for a in legal}
-    g = greedy(state)
-    dist[g] = dist.get(g, 0.0) + (1.0 - eta)
-    return dist
-
-
 @dataclass(frozen=True)
 class EnvConfig:
     room_count: int = 10
@@ -241,6 +193,55 @@ class EnvConfig:
                 sorted((int(s), float(w)) for s, w in rec["hint_sizes"].items())
             )
         return cls(**kwargs)
+
+
+def _greedy_base(state: EnvState) -> str:
+    """Move toward (then explore) the nearest unexplored hint room.
+
+    Falls back to unexplored rooms once the hint is exhausted, then to
+    re-exploring in place; ties break on the lower room index.
+    """
+    candidates = [r for r in state.task.hint if r not in state.explored]
+    if not candidates:
+        candidates = [r for r in range(state.task.room_count) if r not in state.explored]
+    if not candidates:
+        return EXPLORE
+    target = min(candidates, key=lambda r: (abs(r - state.room), r))
+    if target == state.room:
+        return EXPLORE
+    return goto(state.room + (1 if target > state.room else -1))
+
+
+def _greedy_strong(state: EnvState) -> str:
+    target = state.task.object_room(state.t)
+    if target == state.room:
+        return EXPLORE
+    return goto(state.room + (1 if target > state.room else -1))
+
+
+def _noisy(greedy: Callable[[EnvState], str], state: EnvState, rng: random.Random, eta: float) -> str:
+    if eta > 0 and rng.random() < eta:
+        return rng.choice(legal_actions(state))
+    return greedy(state)
+
+
+def base_actor(state: EnvState, rng: random.Random, eta: float = EnvConfig.eta) -> str:
+    return _noisy(_greedy_base, state, rng, eta)
+
+
+def strong_actor(state: EnvState, rng: random.Random, eta: float = EnvConfig.eta_strong) -> str:
+    return _noisy(_greedy_strong, state, rng, eta)
+
+
+def action_distribution(
+    greedy: Callable[[EnvState], str], state: EnvState, eta: float
+) -> dict[str, float]:
+    """Exact action law of a noisy-greedy actor."""
+    legal = legal_actions(state)
+    dist = {a: eta / len(legal) for a in legal}
+    g = greedy(state)
+    dist[g] = dist.get(g, 0.0) + (1.0 - eta)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -375,8 +376,8 @@ def mcts_observe(counts: UctCounts, state_key: str, action: str) -> None:
 
 def exact_models(
     tasks: Iterable[Task],
-    eta: float = 0.35,
-    eta_strong: float = 0.05,
+    eta: float = EnvConfig.eta,
+    eta_strong: float = EnvConfig.eta_strong,
     cap: int = 200_000,
 ) -> tuple[TransitionModel, SuccessModel]:
     """Exact transition and success models for the base/strong actor pair.
@@ -386,8 +387,7 @@ def exact_models(
     every later step continues with the base actor (nohelp).
     """
     probs: dict[tuple[str, str], dict[str, float]] = {}
-    support: set[str] = set()
-    states: dict[str, EnvState] = {}
+    seen: set[str] = set()  # every successor is visited, so this is the support
     h1 = help_action(1)
 
     for task in tasks:
@@ -395,11 +395,10 @@ def exact_models(
         while stack:
             state = stack.pop()
             key = state.key()
-            if key in states:
+            if key in seen:
                 continue
-            states[key] = state
-            support.add(key)
-            if len(states) > cap:
+            seen.add(key)
+            if len(seen) > cap:
                 raise EnumerationTooLarge(f"enumeration too large (> {cap} states)")
             if state.terminal:
                 continue
@@ -413,7 +412,6 @@ def exact_models(
                     nk = nxt.key()
                     row[nk] = row.get(nk, 0.0) + prob
                     stack.append(nxt)
-                    support.add(nk)
                 probs[(key, action_tag)] = row
 
     memo: dict[str, float] = {}
@@ -421,9 +419,9 @@ def exact_models(
     def p_star(key: str) -> float:
         if key in memo:
             return memo[key]
-        state = states[key]
-        if state.terminal:
-            val = 1.0 if state.outcome == "success" else 0.0
+        outcome = terminal_outcome(key)
+        if outcome is not None:
+            val = 1.0 if outcome == "success" else 0.0
         else:
             val = sum(p * p_star(nk) for nk, p in probs[(key, NOHELP)].items())
         memo[key] = val
@@ -433,5 +431,5 @@ def exact_models(
     for (key, tag), row in probs.items():
         p[(key, tag)] = sum(prob * p_star(nk) for nk, prob in row.items())
 
-    model = TransitionModel(probs=probs, support=frozenset(support))
+    model = TransitionModel(probs=probs, support=frozenset(seen))
     return model, SuccessModel(p=p, provenance="exact")

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from .mdp import NOHELP, SuccessModel, TransitionModel, help_action, terminal_key
+from .mdp import NOHELP, SuccessModel, TransitionModel, help_action, terminal_key, terminal_outcome
 
 T_SUCC = terminal_key("terminal", "success")
 T_FAIL = terminal_key("terminal", "failure")
@@ -39,7 +39,7 @@ def _exact_success(model: TransitionModel, n_help: int) -> SuccessModel:
     b = np.zeros(n)
     for s in states:
         for s2, prob in model.row(s, NOHELP).items():
-            if s2 == T_SUCC or s2.endswith("outcome=success"):
+            if terminal_outcome(s2) == "success":
                 b[index[s]] += prob
             elif s2 in index:
                 P[index[s], index[s2]] += prob
@@ -54,7 +54,7 @@ def _exact_success(model: TransitionModel, n_help: int) -> SuccessModel:
                 continue
             val = 0.0
             for s2, prob in row.items():
-                if s2.endswith("outcome=success"):
+                if terminal_outcome(s2) == "success":
                     val += prob
                 elif s2 in index:
                     val += prob * p_star[index[s2]]

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mdp import NOHELP, TransitionModel, action_order, terminal_outcome
-from .planner import TIE_TOL, PlannerError, RewardConfig
+from .planner import EPSILON, MAX_SWEEPS, TIE_TOL, PlannerError, RewardConfig
 
 ENUMERATION_CAP = 12
 
@@ -100,8 +100,8 @@ def value_iteration(
 
     Rewards: +1 at terminal success, 0 at failure, -r_i per help_i; an action
     must beat the earlier ones by more than ``TIE_TOL`` (nohelp wins ties).
-    Dense value iteration to ``cfg.epsilon``, then policy iteration on exact
-    dense solves until the greedy policy is stable.
+    Dense value iteration to the planner's ``EPSILON``, then policy iteration
+    on exact dense solves until the greedy policy is stable.
     """
     actions = action_order(cfg.n_help)
     states, index, P, succ = _dense_arrays(model, actions)
@@ -119,11 +119,11 @@ def value_iteration(
         return choice, Q[choice, idx]
 
     V = np.zeros(n)
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_SWEEPS):
         choice, new_V = greedy(V)
         delta = float(np.max(np.abs(new_V - V), initial=0.0))
         V = new_V
-        if delta < cfg.epsilon:
+        if delta < EPSILON:
             break
     seen: set[bytes] = set()
     while True:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .env import (
+    EnvConfig,
     EnvState,
     Task,
     UctCounts,
@@ -66,7 +67,7 @@ class Intervention(Protocol):
 class StrongActorIntervention:
     """Help executed by the low-noise actor that tracks the object."""
 
-    def __init__(self, eta: float = 0.05) -> None:
+    def __init__(self, eta: float = EnvConfig.eta_strong) -> None:
         self.eta = eta
 
     def act(self, state: EnvState, rng: random.Random) -> str:
@@ -99,7 +100,7 @@ def run_episode(
     decide: Decider,
     interventions: Sequence[Intervention],
     seed: int,
-    eta: float = 0.35,
+    eta: float = EnvConfig.eta,
 ) -> Episode:
     """Roll one episode; the decider picks a branch at every step from the
     step's state key, which is computed once and also recorded."""
@@ -188,7 +189,7 @@ def collect_phase1(
     master_seed: int,
     schedule: Sequence[tuple[float, ...]] | None = None,
     n_seeds: int = 3,
-    eta: float = 0.35,
+    eta: float = EnvConfig.eta,
 ) -> RolloutLog:
     """One episode per task x schedule entry x seed, everything recorded."""
     if not tasks:
@@ -407,7 +408,7 @@ def evaluate(
     interventions: Sequence[Intervention],
     master_seed: int,
     n_seeds: int = 1,
-    eta: float = 0.35,
+    eta: float = EnvConfig.eta,
     expected: tuple[float, ...] | None = None,
     seed_salt: str = "eval",
 ) -> tuple[Metrics, RolloutLog]:
@@ -418,8 +419,7 @@ def evaluate(
         for rep in range(n_seeds):
             seed = derive_seed(master_seed, seed_salt, task.task_id, rep)
             log.append(run_episode(task, decide, interventions, seed, eta=eta))
-    n_help = max(1, len(interventions))
-    return metrics_from_log(log, tasks, n_help, expected), log
+    return metrics_from_log(log, tasks, len(interventions), expected), log
 
 
 def state_score(success: SuccessModel, state_key: str) -> float:
@@ -454,12 +454,9 @@ def statewise_threshold_policy(
     }
 
 
-def _episode_triggered(ep: Episode, success: SuccessModel, threshold: float, limit: int | None = None) -> bool:
-    states = [s.state for s in ep.steps]
-    if limit is not None:
-        states = states[:limit]
+def _episode_triggered(ep: Episode, success: SuccessModel, threshold: float) -> bool:
     return any(
-        success.has(s, NOHELP) and state_score(success, s) > threshold for s in states
+        success.has(s.state, NOHELP) and state_score(success, s.state) > threshold for s in ep.steps
     )
 
 
@@ -470,7 +467,7 @@ def evaluate_taskwise_all_steps(
     interventions: Sequence[Intervention],
     master_seed: int,
     n_seeds: int = 1,
-    eta: float = 0.35,
+    eta: float = EnvConfig.eta,
 ) -> tuple[Metrics, RolloutLog]:
     """Full base run first; a triggered task restarts fully assisted.
 
@@ -492,8 +489,7 @@ def evaluate_taskwise_all_steps(
                 log.append(final)
             else:
                 log.append(probe)
-    n_help = max(1, len(interventions))
-    metrics = metrics_from_log(log, tasks, n_help)
+    metrics = metrics_from_log(log, tasks, len(interventions))
     if extra_len:
         bonus = sum(extra_len.values()) / len(log)
         metrics = replace(metrics, length=metrics.length + bonus)

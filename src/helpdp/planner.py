@@ -2,11 +2,12 @@
 decomposition, and binary reward search against a usage budget.
 
 The fixed point is computed in two stages: synchronous (Jacobi) sweeps of
-the usage/policy recursion until the max-norm change drops below epsilon,
-then an exact polish that evaluates the stabilized policy by a sparse
-linear solve and re-derives the policy from the exact values until it stops
-changing.  The polish removes the O(epsilon / (1 - gamma)) iteration tail so
-converged solutions satisfy the value decomposition to ~1e-12.
+the usage/policy recursion until the max-norm change drops below
+``EPSILON``, then an exact polish that evaluates the stabilized policy by a
+sparse linear solve and re-derives the policy from the exact values until
+it stops changing.  The polish removes the iteration tail, so converged
+solutions satisfy the value decomposition to ~1e-12.  A solve that has not
+converged after ``MAX_SWEEPS`` sweeps is returned with ``converged`` False.
 
 The model is compiled once into action-indexed arrays over the A = K + 1
 actions (nohelp, help1..helpK) and the n non-terminal states: one sparse
@@ -36,6 +37,8 @@ from .mdp import SuccessModel, TransitionModel, action_order, terminal_outcome
 
 DM_ZERO_TOL = 1e-9  # |dM| below this defaults the paper-literal rule to nohelp
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
+EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
+MAX_SWEEPS = 10_000  # a fixed point still moving after this many sweeps is unconverged
 
 
 class PlannerError(ValueError):
@@ -54,17 +57,16 @@ class BudgetInfeasibleError(PlannerError):
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Per-help costs and solver settings.
+    """Per-help costs, discount and policy rule.
 
     ``r`` holds one nonnegative cost per intervention type; ``variant``
     selects the policy rule ('value_consistent' default, 'paper_literal'
     for the published threshold with success-weighted usage differences).
+    M counts interventions only at ``gamma`` 1, the value every run uses.
     """
 
     r: tuple[float, ...]
-    gamma: float = 0.99
-    epsilon: float = 1e-8
-    max_iters: int = 10_000
+    gamma: float = 1.0
     variant: str = "value_consistent"
 
     def __post_init__(self) -> None:
@@ -74,10 +76,6 @@ class RewardConfig:
             raise PlannerError(f"help costs must be >= 0, got {self.r}")
         if not 0.0 < self.gamma <= 1.0:
             raise PlannerError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.epsilon <= 0:
-            raise PlannerError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise PlannerError("max_iters must be positive")
         if self.variant not in ("value_consistent", "paper_literal"):
             raise PlannerError(f"unknown variant {self.variant!r}")
 
@@ -105,7 +103,6 @@ class Solution:
     iterations_run: int
     converged: bool
     expected_usage: tuple[float, ...] | None = None
-    iteration_deltas: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def n_help(self) -> int:
@@ -315,8 +312,8 @@ def _polish(comp: _Compiled, cfg: RewardConfig, choice: np.ndarray, reselect: Ca
     return choice
 
 
-# (S, M, choice, iterations, converged, deltas) of one fixed point, over comp.states
-_Core = tuple[np.ndarray, np.ndarray, np.ndarray, int, bool, tuple[float, ...]]
+# (S, M, choice, iterations, converged) of one fixed point, over comp.states
+_Core = tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]
 
 
 def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: np.ndarray | None) -> _Core:
@@ -325,18 +322,16 @@ def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: np.ndarray | None) -> _C
     idx = np.arange(n)
     S = np.zeros(n)
     M = np.zeros((cfg.n_help, n))
-    deltas: list[float] = []
     converged = False
-    for iterations in range(1, cfg.max_iters + 1):  # runs at least once: max_iters >= 1
+    for iterations in range(1, MAX_SWEEPS + 1):
         S_br, M_br = _branch_values(comp, cfg, S, M)
         choice = _select(cfg, S_br, M_br, p)
         new_S = S_br[choice, idx]
         new_M = M_br[choice, :, idx].T
         delta = max(float(np.max(np.abs(new_M - M), initial=0.0)),
                     float(np.max(np.abs(new_S - S), initial=0.0)))
-        deltas.append(delta)
         S, M = new_S, new_M
-        if delta < cfg.epsilon:
+        if delta < EPSILON:
             converged = True
             break
 
@@ -345,12 +340,12 @@ def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: np.ndarray | None) -> _C
             comp, cfg, choice, lambda S, M: _select(cfg, *_branch_values(comp, cfg, S, M), p)
         )
     S, M = _exact_eval(comp, cfg, choice)
-    return S, M, choice, iterations, converged, tuple(deltas)
+    return S, M, choice, iterations, converged
 
 
 def _to_solution(model: TransitionModel, comp: _Compiled, cfg: RewardConfig, core: _Core) -> Solution:
     """String-keyed tables of one fixed point, terminal states included."""
-    S, M, choice, iterations, converged, deltas = core
+    S, M, choice, iterations, converged = core
     r = np.asarray(cfg.r)
     usage = {s: tuple(float(M[i, j]) for i in range(cfg.n_help)) for s, j in comp.index.items()}
     succ_tbl = {s: float(S[j]) for s, j in comp.index.items()}
@@ -373,7 +368,6 @@ def _to_solution(model: TransitionModel, comp: _Compiled, cfg: RewardConfig, cor
         variant=cfg.variant,
         iterations_run=iterations,
         converged=converged,
-        iteration_deltas=deltas,
     )
 
 

@@ -155,15 +155,63 @@ class TestExitCodes:
         assert "infeasible" in proc.stderr.lower()
 
     def test_unconverged_solution_is_not_written(self, tmp_path):
-        cfg = write_config(tmp_path, "u", planner={"max_iters": 1})
+        cfg = write_config(tmp_path, "u")
         for cmd in ("gen", "collect", "fit"):
             run_cmd(cfg, cmd)
+        # the sweep cap is the planner's constant, so the child lowers it
+        capped = "from helpdp import cli, planner; planner.MAX_SWEEPS = 1; cli.cli()"
         for cmd in ("solve", "search"):
-            proc = self._run("--config", str(cfg), cmd)
+            proc = subprocess.run([sys.executable, "-c", capped, "--config", str(cfg), cmd],
+                                  capture_output=True, text=True)
             assert proc.returncode == 1
             assert "did not converge" in proc.stderr
             assert not (tmp_path / "u" / "solution.json").exists()
             assert not (tmp_path / "u" / "search.json").exists()
+
+    @pytest.mark.parametrize("key,value", [("gamma", 0.9), ("epsilon", 1e-6), ("max_iters", 5)])
+    def test_planner_setting_other_than_its_fixed_value_is_usage_error(self, tmp_path, key, value):
+        """gamma, epsilon and the sweep cap belong to the planner; a config
+        that changes one is refused before any command writes."""
+        cfg = write_config(tmp_path, "fx")
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(cfg, cmd)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "fx").iterdir()}
+        bad = write_config(tmp_path, "fx", planner={key: value})
+        for cmd in ("gen", "solve", "search"):
+            proc = self._run("--config", str(bad), cmd)
+            assert proc.returncode == 2
+            assert f"planner.{key} is fixed at" in proc.stderr
+        assert {p.name: p.read_bytes() for p in (tmp_path / "fx").iterdir()} == before
+        fresh = write_config(tmp_path, "fresh", planner={key: value})
+        assert self._run("--config", str(fresh), "gen").returncode == 2
+        assert not (tmp_path / "fresh").exists()
+
+    def test_config_may_repeat_the_fixed_planner_settings(self, tmp_path):
+        cfg = write_config(tmp_path, "rp", planner={"gamma": 1.0, "epsilon": 1e-8, "max_iters": 10_000})
+        for cmd in ("gen", "collect", "fit", "solve"):
+            run_cmd(cfg, cmd)
+        assert json.loads((tmp_path / "rp" / "solution.json").read_text())["converged"]
+
+    def test_help_costs_must_match_the_intervention_kind(self, tmp_path):
+        """K comes from `intervention` alone: a scalar r on a 'both' run and
+        two costs on a 'strong' run are usage errors, and search (one cost)
+        refuses a K = 2 run."""
+        both = write_config(tmp_path, "k2", intervention="both")
+        strong = write_config(tmp_path, "k1", planner={"r": [0.3, 0.3]})
+        for cfg in (both, strong):
+            for cmd in ("gen", "collect", "fit"):
+                run_cmd(cfg, cmd)
+        for cfg, cmd, message in (
+            (both, "solve", "planner.r gives 1 help cost(s), but intervention 'both' has 2"),
+            (both, "search", "use `solve`"),
+            (strong, "solve", "planner.r gives 2 help cost(s), but intervention 'strong' has 1"),
+        ):
+            proc = self._run("--config", str(cfg), cmd)
+            assert proc.returncode == 2, (cmd, proc.stderr)
+            assert message in proc.stderr
+        for out in ("k1", "k2"):
+            assert not (tmp_path / out / "solution.json").exists()
+            assert not (tmp_path / out / "search.json").exists()
 
     def test_search_without_success_model(self, tmp_path):
         """Deleting success.jsonl leaves a value_consistent search
