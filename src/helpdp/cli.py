@@ -3,7 +3,8 @@
 Every command reads a JSON run config, derives all randomness from its
 single seed, and writes artifacts under the output directory.  Outputs
 embed the config hash and seed; reruns with unchanged inputs are
-byte-identical.
+byte-identical.  Every run setting comes from the config: ``--seed`` and
+``--out`` are folded into it before it is hashed, so the hash names the run.
 
 Exit codes: 0 success, 2 invalid usage or config, 3 infeasible budget,
 1 any other error.
@@ -14,6 +15,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -52,8 +54,8 @@ class Run:
         if self.intervention not in HELP_TYPES:
             raise click.UsageError(f"unknown intervention kind {self.intervention!r}")
         self.n_help = HELP_TYPES[self.intervention]  # K comes from `intervention` alone
+        # made by `gen` or `write_json`, so a command refused for a bad flag leaves no directory
         self.out = Path(self.config.get("out", "out"))
-        self.out.mkdir(parents=True, exist_ok=True)
         self.config_hash = hashlib.sha256(_dump(self.config).encode()).hexdigest()[:16]
 
     @property
@@ -66,6 +68,7 @@ class Run:
     def write_json(self, name: str, doc: dict) -> Path:
         doc = dict(doc)
         doc["provenance"] = self.provenance
+        self.out.mkdir(parents=True, exist_ok=True)
         p = self.path(name)
         p.unlink(missing_ok=True)  # replace rather than truncate an earlier run's file
         p.write_text(_dump(doc) + "\n", encoding="utf-8")
@@ -77,17 +80,32 @@ class Run:
         except (envmod.EnvError, TypeError) as exc:
             raise click.UsageError(f"bad env config: {exc}")
 
-    def planner_config(self, r_override: float | None, variant: str | None) -> planner.RewardConfig:
+    def planner_config(self) -> planner.RewardConfig:
         p = self.config.get("planner", {})
-        r = r_override if r_override is not None else p.get("r", 0.5)
+        r = p.get("r", 0.5)
         r = tuple(r) if isinstance(r, (list, tuple)) else (float(r),)
         if len(r) != self.n_help:
             raise click.UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
                                    f"{self.intervention!r} has {self.n_help} help type(s)")
         try:
-            return planner.RewardConfig(r=r, variant=variant or p.get("variant", "value_consistent"))
+            return planner.RewardConfig(r=r, variant=p.get("variant", "value_consistent"))
         except planner.PlannerError as exc:
             raise click.UsageError(f"bad planner config: {exc}")
+
+    def search_settings(self) -> tuple[float, tuple[float, float]]:
+        """``planner.budget`` and ``planner.bounds``, checked here as
+        ``planner.r`` is, so a bad value exits 2 before anything is read."""
+        p = self.config.get("planner", {})
+        if "budget" not in p:
+            raise click.UsageError("search needs planner.budget")
+        budget = p["budget"]
+        if not (_is_number(budget) and budget >= 0):
+            raise click.UsageError(f"planner.budget must be a number >= 0, got {budget!r}")
+        bounds = p.get("bounds", [0.0, 10.0])
+        if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))
+                and 0 <= bounds[0] < bounds[1]):
+            raise click.UsageError(f"planner.bounds must be [lo, hi] with 0 <= lo < hi, got {bounds!r}")
+        return budget, tuple(bounds)
 
     def interventions(self, tasks: tuple[envmod.Task, ...]) -> list:
         """The configured executors for episodes on ``tasks``; the MCTS scorer
@@ -132,6 +150,11 @@ class Run:
         return [envmod.initial_state(t).key() for t in tasks]
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _q_from_success(success: SuccessModel, seed: int):
     """Noisy post-action success score used by the MCTS intervention."""
 
@@ -163,6 +186,7 @@ def main(ctx: click.Context, config_path: str, seed: int | None, out: str | None
 def gen(run: Run) -> None:
     """Generate the train/val/test taskset."""
     taskset = envmod.generate_tasks(run.env_config(), run.seed)
+    run.out.mkdir(parents=True, exist_ok=True)
     taskset.save(run.path("tasks.jsonl"), header=run.provenance)
     click.echo(
         f"tasks train={len(taskset.train)} val={len(taskset.val)} test={len(taskset.test)}"
@@ -221,12 +245,10 @@ def _summary(sol: planner.Solution) -> str:
 
 
 @main.command()
-@click.option("--r", "r_value", type=float, default=None, help="Override the help cost.")
-@click.option("--variant", type=click.Choice(["value_consistent", "paper_literal"]), default=None)
 @pass_run
-def solve(run: Run, r_value: float | None, variant: str | None) -> None:
+def solve(run: Run) -> None:
     """Solve the fixed-cost planning problem on the fitted model."""
-    cfg = run.planner_config(r_value, variant)
+    cfg = run.planner_config()
     model, success = run.load_model(), run.load_success(cfg)
     sol = planner.solve(model, success, cfg)
     _require_converged(sol)
@@ -237,21 +259,14 @@ def solve(run: Run, r_value: float | None, variant: str | None) -> None:
 
 
 @main.command()
-@click.option("--budget", type=float, default=None, help="Override the usage budget.")
-@click.option("--variant", type=click.Choice(["value_consistent", "paper_literal"]), default=None)
 @pass_run
-def search(run: Run, budget: float | None, variant: str | None) -> None:
+def search(run: Run) -> None:
     """Bisect the help cost until expected usage fits the budget."""
     if run.n_help != 1:
         raise click.UsageError(f"search bisects one help cost, but intervention {run.intervention!r} "
                                f"has {run.n_help} help types; use `solve` with planner.r")
-    p = run.config.get("planner", {})
-    if budget is None:
-        budget = p.get("budget")
-    if budget is None:
-        raise click.UsageError("search needs a budget (config planner.budget or --budget)")
-    bounds = tuple(p.get("bounds", (0.0, 10.0)))
-    cfg = run.planner_config(0.0, variant)
+    budget, bounds = run.search_settings()
+    cfg = run.planner_config()  # reward_search sets r at every probe
     model, success = run.load_model(), run.load_success(cfg)
     starts = run.start_keys(run.load_tasks().train)
     result = planner.reward_search(model, success, float(budget), bounds, starts, cfg)
@@ -336,7 +351,7 @@ def oracle_cmd(run: Run, r_value: float) -> None:
 
     report: dict = {}
     for name, (model, success) in (("two_state_chain", fixtures.mdp_b()), ("one_state", fixtures.mdp_a())):
-        cfg = planner.RewardConfig(r=(r_value,), gamma=1.0)
+        cfg = planner.RewardConfig(r=(r_value,))
         sol = planner.solve(model, success, cfg)
         starts = model.nonterminal_states()
         enum = oracle.brute_force_optimal(model, cfg, starts)
@@ -356,17 +371,14 @@ def oracle_cmd(run: Run, r_value: float) -> None:
 
 
 @main.command()
-@click.option("--p", "probs", type=float, multiple=True, help="Per-step help probability.")
 @pass_run
-def baseline(run: Run, probs: tuple[float, ...]) -> None:
+def baseline(run: Run) -> None:
     """Random-trigger baselines on the test split."""
     taskset = run.load_tasks()
     ec = run.env_config()
     interventions = run.interventions(taskset.test)
-    if not probs:
-        probs = tuple(run.config.get("baseline_probs", [0.0, 0.3, 1.0]))
     report = {}
-    for p in probs:
+    for p in run.config.get("baseline_probs", [0.0, 0.3, 1.0]):
         metrics, _ = pipeline.evaluate(
             pipeline.baseline_random((p,) + (0.0,) * (len(interventions) - 1)),
             list(taskset.test),

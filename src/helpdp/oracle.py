@@ -71,9 +71,9 @@ def exact_policy_eval(
         succ_pi[i] = succ[a][i]
         if a != NOHELP:
             help_ind[actions.index(a) - 1, i] = 1.0
-    A = np.eye(n) - cfg.gamma * P_pi
+    A = np.eye(n) - P_pi
     try:
-        rhs = np.column_stack([cfg.gamma * succ_pi] + [help_ind[i] for i in range(cfg.n_help)])
+        rhs = np.column_stack([succ_pi] + [help_ind[i] for i in range(cfg.n_help)])
         sol = np.linalg.solve(A, rhs) if n else np.zeros((0, 1 + cfg.n_help))
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular policy-evaluation system: {exc}") from exc
@@ -112,7 +112,7 @@ def value_iteration(
     succ_all = np.stack([succ[a] for a in actions])  # (A, n)
 
     def greedy(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        Q = rew[:, None] + cfg.gamma * (P_all @ V + succ_all)
+        Q = rew[:, None] + (P_all @ V + succ_all)
         choice = np.zeros(n, dtype=int)
         for ai in range(1, len(actions)):
             choice[Q[ai] > Q[choice, idx] + TIE_TOL] = ai
@@ -127,9 +127,9 @@ def value_iteration(
             break
     seen: set[bytes] = set()
     while True:
-        A = np.eye(n) - cfg.gamma * P_all[choice, idx]
+        A = np.eye(n) - P_all[choice, idx]
         try:
-            V = np.linalg.solve(A, rew[choice] + cfg.gamma * succ_all[choice, idx])
+            V = np.linalg.solve(A, rew[choice] + succ_all[choice, idx])
         except np.linalg.LinAlgError as exc:
             raise OracleError(f"singular policy-evaluation system: {exc}") from exc
         seen.add(choice.tobytes())

@@ -57,12 +57,14 @@ class BudgetInfeasibleError(PlannerError):
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Per-help costs, discount and policy rule.
+    """Per-help costs and policy rule.
 
     ``r`` holds one nonnegative cost per intervention type; ``variant``
     selects the policy rule ('value_consistent' default, 'paper_literal'
     for the published threshold with success-weighted usage differences).
-    M counts interventions only at ``gamma`` 1, the value every run uses.
+    Nothing is discounted, since the budget counts intervention calls and M
+    is that count only undiscounted: ``gamma`` accepts 1.0 alone, so callers
+    that spell the discount out keep working.
     """
 
     r: tuple[float, ...]
@@ -74,8 +76,8 @@ class RewardConfig:
             raise PlannerError("at least one help cost is required")
         if any(ri < 0 for ri in self.r):
             raise PlannerError(f"help costs must be >= 0, got {self.r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise PlannerError(f"gamma must be in (0, 1], got {self.gamma}")
+        if self.gamma != 1.0:
+            raise PlannerError(f"gamma is fixed at 1.0, got {self.gamma}")
         if self.variant not in ("value_consistent", "paper_literal"):
             raise PlannerError(f"unknown variant {self.variant!r}")
 
@@ -98,7 +100,6 @@ class Solution:
     policy: dict[str, str]
     value: dict[str, float]
     r: tuple[float, ...]
-    gamma: float
     variant: str
     iterations_run: int
     converged: bool
@@ -117,11 +118,11 @@ class _Compiled:
     n_help: int
     P: sparse.csr_matrix  # (A*n, n); row a*n + s: non-terminal -> non-terminal mass of s under a
     succ: np.ndarray  # (A, n); mass reaching terminal success
-    # (gamma, choice bytes) -> read-only exact (S, M) of that policy; see _exact_eval
-    evals: dict[tuple[float, bytes], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    # choice bytes -> read-only exact (S, M) of that policy; see _exact_eval
+    evals: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
+def _compile(model: TransitionModel, n_help: int) -> _Compiled:
     from scipy import sparse
 
     states = model.nonterminal_states()
@@ -150,13 +151,14 @@ def _compile(model: TransitionModel, n_help: int, gamma: float) -> _Compiled:
     # explicit zeros stay stored, so the sparsity pattern is the row support
     P = sparse.csr_matrix((vals, (rows, cols)), shape=(len(actions) * n, n))
     comp = _Compiled(states=states, index=index, actions=actions, n_help=n_help, P=P, succ=succ)
-    if gamma == 1.0:
-        _check_absorbing(comp, exits)
+    _check_absorbing(comp, exits)
     return comp
 
 
 def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
-    """Reject gamma=1 when some policy admits a terminal-free recurrent class.
+    """Reject a model on which some policy admits a terminal-free recurrent
+    class: undiscounted S and M are undefined there, and the policy's
+    evaluation system is singular.
 
     A nonempty set B of non-terminal states is trapping iff every s in B has
     some action whose whole successor support stays inside B.  One worklist
@@ -202,17 +204,15 @@ def _success_arrays(
     return out
 
 
-def _branch_values(
-    comp: _Compiled, cfg: RewardConfig, S: np.ndarray, M: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _branch_values(comp: _Compiled, S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous application of the piecewise recursions per branch.
 
     Returns S_br (shape (A, n)) and M_br (shape (A, K, n)); the help_i
     branch of M adds the immediate unit of usage for intervention i.
     """
     A, n, K = len(comp.actions), len(comp.states), comp.n_help
-    S_br = cfg.gamma * ((comp.P @ S).reshape(A, n) + comp.succ)
-    M_br = cfg.gamma * (comp.P @ M.T).reshape(A, n, K).transpose(0, 2, 1)
+    S_br = (comp.P @ S).reshape(A, n) + comp.succ
+    M_br = (comp.P @ M.T).reshape(A, n, K).transpose(0, 2, 1)
     M_br[np.arange(1, K + 1), np.arange(K)] += 1.0
     return S_br, M_br
 
@@ -234,7 +234,7 @@ def _select_value_consistent(cfg: RewardConfig, S_br: np.ndarray, M_br: np.ndarr
 
 def _select_paper_literal(cfg: RewardConfig, M_br: np.ndarray, p: np.ndarray) -> np.ndarray:
     # help_i passes iff r_i < dp_i / dM_i with dM_i = p_i M_i^i - p_0 M_0^i;
-    # among passing helps the lowest combined discounted cost wins (ties
+    # among passing helps the lowest combined cost r.M wins (ties
     # keep the lowest index), and with none passing nohelp stays
     K = cfg.n_help
     helps = np.arange(K)
@@ -260,8 +260,8 @@ def _exact_eval(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact (S, M) for a fixed policy via one sparse LU factorization.
 
-    (S, M) depend on the policy and gamma only, not on the costs r, so each
-    distinct policy is factorized once per compiled model: a repeat (a probe
+    (S, M) depend on the policy alone, not on the costs r, so each distinct
+    policy is factorized once per compiled model: a repeat (a probe
     of ``reward_search`` that lands on a policy seen before, or the final
     evaluation of the policy ``_polish`` has just evaluated) returns the
     stored arrays, which are read-only so that no caller can alter them.
@@ -272,18 +272,18 @@ def _exact_eval(
     n = len(comp.states)
     if n == 0:
         return np.zeros(0), np.zeros((cfg.n_help, 0))
-    key = (cfg.gamma, choice.tobytes())
+    key = choice.tobytes()
     hit = comp.evals.get(key)
     if hit is not None:
         return hit
     idx = np.arange(n)
     P_pi = comp.P[choice * n + idx]  # each state's chosen-action row
-    A = (sparse.identity(n, format="csc") - cfg.gamma * P_pi).tocsc()
+    A = (sparse.identity(n, format="csc") - P_pi).tocsc()
     try:
         lu = splu(A)
     except RuntimeError as exc:  # singular factor
         raise PlannerError(f"singular policy-evaluation system: {exc}") from exc
-    S = lu.solve(cfg.gamma * comp.succ[choice, idx])
+    S = lu.solve(comp.succ[choice, idx])
     M = np.zeros((cfg.n_help, n))
     for i in range(cfg.n_help):
         ind = (choice == i + 1).astype(float)
@@ -324,7 +324,7 @@ def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: np.ndarray | None) -> _C
     M = np.zeros((cfg.n_help, n))
     converged = False
     for iterations in range(1, MAX_SWEEPS + 1):
-        S_br, M_br = _branch_values(comp, cfg, S, M)
+        S_br, M_br = _branch_values(comp, S, M)
         choice = _select(cfg, S_br, M_br, p)
         new_S = S_br[choice, idx]
         new_M = M_br[choice, :, idx].T
@@ -337,7 +337,7 @@ def _fixed_point(comp: _Compiled, cfg: RewardConfig, p: np.ndarray | None) -> _C
 
     if converged:
         choice = _polish(
-            comp, cfg, choice, lambda S, M: _select(cfg, *_branch_values(comp, cfg, S, M), p)
+            comp, cfg, choice, lambda S, M: _select(cfg, *_branch_values(comp, S, M), p)
         )
     S, M = _exact_eval(comp, cfg, choice)
     return S, M, choice, iterations, converged
@@ -364,7 +364,6 @@ def _to_solution(model: TransitionModel, comp: _Compiled, cfg: RewardConfig, cor
         policy=policy,
         value=value,
         r=tuple(cfg.r),
-        gamma=cfg.gamma,
         variant=cfg.variant,
         iterations_run=iterations,
         converged=converged,
@@ -373,7 +372,7 @@ def _to_solution(model: TransitionModel, comp: _Compiled, cfg: RewardConfig, cor
 
 def solve(model: TransitionModel, success: SuccessModel | None, cfg: RewardConfig) -> Solution:
     """Usage/policy fixed point for any number K >= 1 of interventions."""
-    comp = _compile(model, cfg.n_help, cfg.gamma)
+    comp = _compile(model, cfg.n_help)
     p = _success_arrays(comp, cfg, success)
     return _to_solution(model, comp, cfg, _fixed_point(comp, cfg, p))
 
@@ -433,7 +432,7 @@ def reward_search(
     if cfg.n_help != 1:
         raise PlannerError("reward_search bisects a single scalar cost (K=1)")
 
-    comp = _compile(model, cfg.n_help, cfg.gamma)
+    comp = _compile(model, cfg.n_help)
     p = _success_arrays(comp, cfg, success)
     if not starts:
         raise PlannerError("no start states")
@@ -480,7 +479,7 @@ def reward_search(
 def solution_to_dict(sol: Solution) -> dict:
     return {
         "r": list(sol.r),
-        "gamma": sol.gamma,
+        "gamma": 1.0,  # undiscounted; kept so solution.json keeps its bytes
         "variant": sol.variant,
         "converged": sol.converged,
         "iterations": sol.iterations_run,
@@ -500,7 +499,6 @@ def load_solution(path: str | Path) -> Solution:
         policy=doc["policy"],
         value=doc["value"],
         r=tuple(doc["r"]),
-        gamma=doc["gamma"],
         variant=doc["variant"],
         iterations_run=doc["iterations"],
         converged=doc["converged"],

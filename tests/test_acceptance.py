@@ -67,7 +67,7 @@ def test_02_usage_iteration_equals_value_iteration():
     for seed in range(100):
         rng = random.Random(200 + seed)
         model, succ = fixtures.random_mdp(seed, rng.randint(5, 50))
-        cfg = RewardConfig(r=(rng.uniform(0.05, 1.0),), gamma=0.99)
+        cfg = cfg1(rng.uniform(0.05, 1.0))
         sol = planner.solve(model, succ, cfg)
         values, policy = oracle.value_iteration(model, cfg)
         for s in model.nonterminal_states():
@@ -83,7 +83,7 @@ def test_02_usage_iteration_equals_value_iteration():
 
                         out = terminal_outcome(s2)
                         v2 = 1.0 if out == "success" else 0.0 if out else values[s2]
-                        acc += cfg.gamma * p * v2
+                        acc += p * v2
                     q[a] = acc
                 if abs(q[NOHELP] - q["help1"]) > 1e-7:
                     policy_mismatches += 1
@@ -108,7 +108,7 @@ def test_03_decomposition_residual():
                     count += 1
     for seed in range(30):
         model, succ = fixtures.random_mdp(seed, 12)
-        sol = planner.solve(model, succ, RewardConfig(r=(0.3,), gamma=0.99))
+        sol = planner.solve(model, succ, cfg1(0.3))
         if sol.converged:
             worst = max(worst, planner.decomposition_residual(sol))
             count += 1

@@ -95,10 +95,10 @@ class TestChain:
         assert "r=" in out and "E[U]=" in out and "converged=" in out and "iters=" in out
 
     def test_prohibitive_cost_solve(self, tmp_path):
-        cfg = write_config(tmp_path, "d")
+        cfg = write_config(tmp_path, "d", planner={"r": 10.0})
         for cmd in ("gen", "collect", "fit"):
             run_cmd(cfg, cmd)
-        out = run_cmd(cfg, "solve", "--r", "10")
+        out = run_cmd(cfg, "solve")
         assert "E[U]=0.000000" in out
         doc = json.loads((tmp_path / "d" / "solution.json").read_text())
         assert all(a == "nohelp" for a in doc["policy"].values())
@@ -118,10 +118,10 @@ class TestChain:
         assert doc["two_state_chain"]["max_gap"] <= 1e-8
 
     def test_baseline_and_selfreg(self, tmp_path):
-        cfg = write_config(tmp_path, "g")
+        cfg = write_config(tmp_path, "g", baseline_probs=[0.0, 1.0])
         for cmd in ("gen", "collect", "fit"):
             run_cmd(cfg, cmd)
-        out = run_cmd(cfg, "baseline", "--p", "0.0", "--p", "1.0")
+        out = run_cmd(cfg, "baseline")
         assert "p=0.0" in out and "p=1.0" in out
         out = run_cmd(cfg, "selfreg")
         assert "threshold=" in out
@@ -186,6 +186,36 @@ class TestExitCodes:
         assert self._run("--config", str(fresh), "gen").returncode == 2
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("argv", [("solve", "--r", "10"), ("solve", "--variant", "paper_literal"),
+                                      ("search", "--budget", "0.3"),
+                                      ("search", "--variant", "paper_literal"), ("baseline", "--p", "0.3")])
+    def test_no_flag_overrides_a_hashed_setting(self, tmp_path, argv):
+        """planner.r, planner.variant, planner.budget and baseline_probs come
+        from the config alone, so the provenance hash names what a run did."""
+        cfg = write_config(tmp_path, "fl")
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(cfg, cmd)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "fl").iterdir()}
+        proc = self._run("--config", str(cfg), *argv)
+        assert proc.returncode == 2
+        assert "No such option" in proc.stderr and argv[1] in proc.stderr
+        assert {p.name: p.read_bytes() for p in (tmp_path / "fl").iterdir()} == before
+        fresh = write_config(tmp_path, "fresh")
+        assert self._run("--config", str(fresh), *argv).returncode == 2
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("key,value", [("bounds", [5, 0]), ("bounds", [0, 5, 9]),
+                                           ("budget", -1), ("budget", "lots")])
+    def test_bad_search_setting_is_usage_error(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, "bs", planner={key: value})
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(cfg, cmd)
+        proc = self._run("--config", str(cfg), "search")
+        assert proc.returncode == 2, proc.stderr
+        assert f"planner.{key} must be" in proc.stderr
+        assert not (tmp_path / "bs" / "solution.json").exists()
+        assert not (tmp_path / "bs" / "search.json").exists()
+
     def test_config_may_repeat_the_fixed_planner_settings(self, tmp_path):
         cfg = write_config(tmp_path, "rp", planner={"gamma": 1.0, "epsilon": 1e-8, "max_iters": 10_000})
         for cmd in ("gen", "collect", "fit", "solve"):
@@ -224,7 +254,8 @@ class TestExitCodes:
         (out / "success.jsonl").unlink()
         run_cmd(cfg, "search")
         assert {name: (out / name).read_bytes() for name in before} == before
-        proc = self._run("--config", str(cfg), "search", "--variant", "paper_literal")
+        literal = write_config(tmp_path, "sv", planner={"variant": "paper_literal"})
+        proc = self._run("--config", str(literal), "search")
         assert proc.returncode == 2
         assert "success.jsonl missing" in proc.stderr and "`fit`" in proc.stderr
 
@@ -325,17 +356,17 @@ def test_search_annotate_eval_share_one_budget_definition(tmp_path, monkeypatch)
     fits the budget to the same E[U] that solution.json records and eval
     predicts: the mean over every train start, an off-model start adding 0."""
     monkeypatch.chdir(tmp_path)
-
-    def cli_run(*args):
-        main(["--config", str(REFERENCE_CONFIG), "--out", "out", *args], standalone_mode=False)
+    config = json.loads(REFERENCE_CONFIG.read_text())
+    config["planner"]["budget"] = 0.3
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(config))
 
     for cmd in ("gen", "collect", "fit"):
-        cli_run(cmd)
+        main(["--config", str(path), "--out", "out", cmd], standalone_mode=False)
     counts = tmp_path / "out" / "counts.jsonl"
     pipeline.truncate_counts(CountTable.load(counts), 0.7, seed=2).save(counts)
-    cli_run("search", "--budget", "0.3")
-    cli_run("annotate")
-    cli_run("eval")
+    for cmd in ("search", "annotate", "eval"):
+        main(["--config", str(path), "--out", "out", cmd], standalone_mode=False)
     search = json.loads((tmp_path / "out" / "search.json").read_text())
     solution = json.loads((tmp_path / "out" / "solution.json").read_text())
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
@@ -388,12 +419,15 @@ def test_only_the_paper_literal_rule_reads_the_success_model(tmp_path, monkeypat
     out = tmp_path / "sm"
     for cmd in ("gen", "collect", "fit"):
         run_cmd(cfg, cmd)
-    commands = ("solve", "search", "annotate",
-                "solve --variant paper_literal", "search --variant paper_literal")
+    commands = ("solve", "search", "annotate")
     opens = command_opens(monkeypatch, cfg, out, commands)
+    literal = write_config(tmp_path, "sm", helper_mode="trajectory_only",
+                           planner={"variant": "paper_literal"})
+    literal_opens = command_opens(monkeypatch, literal, out, ("solve", "search"))
     assert {cmd for cmd, _, _ in opens} == set(commands)
-    readers = {cmd for cmd, name, w in opens if name == "success.jsonl"}
-    assert readers == {"solve --variant paper_literal", "search --variant paper_literal"}
+    assert not [cmd for cmd, name, w in opens if name == "success.jsonl"]
+    readers = {cmd for cmd, name, w in literal_opens if name == "success.jsonl"}
+    assert readers == {"solve", "search"}
     assert {name for cmd, name, _ in opens if cmd == "annotate"} == {
         "solution.json", "tasks.jsonl", "counts.jsonl", "helper.json"}
 
@@ -403,7 +437,8 @@ def test_mcts_scorer_enumerates_only_the_played_tasks(tmp_path, monkeypatch):
     each enumerates the exact model of that split alone."""
     from helpdp import env
 
-    cfg = write_config(tmp_path, "mc", intervention="both", planner={"r": [0.3, 0.3]})
+    cfg = write_config(tmp_path, "mc", intervention="both", planner={"r": [0.3, 0.3]},
+                       baseline_probs=[0.3])
     run_cmd(cfg, "gen")
     enumerated = []
     real = env.exact_models
@@ -413,12 +448,12 @@ def test_mcts_scorer_enumerates_only_the_played_tasks(tmp_path, monkeypatch):
         return real(tasks, **kwargs)
 
     monkeypatch.setattr(env, "exact_models", recording)
-    for command in ("collect", "fit", "solve", "annotate", "eval", "baseline --p 0.3"):
-        run_cmd(cfg, *command.split())
+    for command in ("collect", "fit", "solve", "annotate", "eval", "baseline"):
+        run_cmd(cfg, command)
     taskset = TaskSet.load(tmp_path / "mc" / "tasks.jsonl")
     train = tuple(t.task_id for t in taskset.train)
     test = tuple(t.task_id for t in taskset.test)
-    assert enumerated == [("collect", train), ("eval", train), ("baseline --p 0.3", test)]
+    assert enumerated == [("collect", train), ("eval", train), ("baseline", test)]
 
 
 def test_rewritten_json_artifact_replaces_the_file(tmp_path):

@@ -101,7 +101,7 @@ class TestExpectedUsage:
         sol = solve(model, succ, cfg1(0.3))
         sol = planner.Solution(
             usage={"a": (0.4,), "b": (1.2,)},
-            success={}, policy={}, value={}, r=(0.3,), gamma=1.0,
+            success={}, policy={}, value={}, r=(0.3,),
             variant="value_consistent", iterations_run=1, converged=True,
         )
         assert expected_usage(sol, ["a", "b"])[0] == pytest.approx(0.8)
@@ -172,7 +172,7 @@ class TestRewardSearchOnCompiledModel:
     def test_evaluation_is_cached_read_only(self):
         model, _ = fixtures.random_mdp(0, 6)
         cfg = cfg1(0.1)
-        comp = planner._compile(model, cfg.n_help, cfg.gamma)
+        comp = planner._compile(model, cfg.n_help)
         choice = np.ones(len(comp.states), dtype=int)
         S, M = planner._exact_eval(comp, cfg, choice)
         again = planner._exact_eval(comp, replace(cfg, r=(0.7,)), choice.copy())
@@ -390,7 +390,7 @@ class TestProperties:
         for seed in range(20):
             rng = random.Random(seed)
             model, succ = fixtures.random_mdp(seed, rng.randint(3, 12))
-            cfg = RewardConfig(r=(rng.uniform(0.05, 0.9),), gamma=0.99)
+            cfg = cfg1(rng.uniform(0.05, 0.9))
             sol = solve(model, succ, cfg)
             values, policy = value_iteration(model, cfg)
             for s in model.nonterminal_states():
@@ -409,7 +409,7 @@ class TestProperties:
 
     def test_convergence_flags(self):
         model, succ = fixtures.random_mdp(7, 20)
-        sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=0.99))
+        sol = solve(model, succ, cfg1(0.3))
         assert sol.converged
         assert sol.iterations_run <= planner.MAX_SWEEPS
 
@@ -454,14 +454,11 @@ class TestErrors:
         with pytest.raises(PlannerError, match=r"trapping non-terminal states \['s3', 's4'\]$"):
             solve(model, None, cfg1(0.5))
 
-    def test_loop_allowed_when_discounted(self):
-        probs = {
-            ("s0", NOHELP): {"s0": 1.0},
-            ("s0", "help1"): {fixtures.T_SUCC: 1.0},
-        }
-        model = TransitionModel(probs=probs, support=frozenset({"s0", fixtures.T_SUCC}))
-        values, policy = value_iteration(model, RewardConfig(r=(0.1,), gamma=0.9))
-        assert policy["s0"] == "help1"
+    def test_gamma_other_than_one_is_refused(self):
+        # the budget counts calls, and M is that count only undiscounted
+        assert RewardConfig(r=(0.3,), gamma=1.0) == RewardConfig(r=(0.3,))
+        with pytest.raises(PlannerError, match="gamma is fixed at 1.0"):
+            RewardConfig(r=(0.3,), gamma=0.9)
 
 
 def test_solution_file_roundtrip(tmp_path):
