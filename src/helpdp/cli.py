@@ -83,7 +83,9 @@ class Run:
     def planner_config(self) -> planner.RewardConfig:
         p = self.config.get("planner", {})
         r = p.get("r", 0.5)
-        r = tuple(r) if isinstance(r, (list, tuple)) else (float(r),)
+        if not all(_is_number(ri) and ri >= 0 for ri in (r if isinstance(r, list) else [r])):
+            raise click.UsageError(f"planner.r must be a number >= 0 or a list of them, got {r!r}")
+        r = tuple(r) if isinstance(r, list) else (float(r),)
         if len(r) != self.n_help:
             raise click.UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
                                    f"{self.intervention!r} has {self.n_help} help type(s)")
@@ -106,6 +108,25 @@ class Run:
                 and 0 <= bounds[0] < bounds[1]):
             raise click.UsageError(f"planner.bounds must be [lo, hi] with 0 <= lo < hi, got {bounds!r}")
         return budget, tuple(bounds)
+
+    def episodes_per_task(self, key: str) -> int:
+        """``phase1_seeds`` or ``eval_seeds``: a whole number >= 1."""
+        n = self.config.get(key, 3)
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+            raise click.UsageError(f"{key} must be an integer >= 1, got {n!r}")
+        return n
+
+    def baseline_probs(self) -> list:
+        probs = self.config.get("baseline_probs", [0.0, 0.3, 1.0])
+        if not (isinstance(probs, list) and all(_is_number(p) and 0 <= p <= 1 for p in probs)):
+            raise click.UsageError(f"baseline_probs must be a list of numbers in [0, 1], got {probs!r}")
+        return probs
+
+    def helper_mode(self) -> str:
+        mode = self.config.get("helper_mode", "all_states")
+        if mode not in pipeline.HELPER_MODES:
+            raise click.UsageError(f"helper_mode must be one of {list(pipeline.HELPER_MODES)}, got {mode!r}")
+        return mode
 
     def interventions(self, tasks: tuple[envmod.Task, ...]) -> list:
         """The configured executors for episodes on ``tasks``; the MCTS scorer
@@ -133,7 +154,7 @@ class Run:
 
     def load_model(self) -> TransitionModel:
         cp = self.require("counts.jsonl", "`fit`")
-        return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)))
+        return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)), self.n_help)
 
     def load_success(self, cfg: planner.RewardConfig) -> SuccessModel | None:
         """The fitted success model if the policy rule of ``cfg`` reads it."""
@@ -197,6 +218,7 @@ def gen(run: Run) -> None:
 @pass_run
 def collect(run: Run) -> None:
     """Randomized-intervention collection over the train split."""
+    n_seeds = run.episodes_per_task("phase1_seeds")
     taskset = run.load_tasks()
     ec = run.env_config()
     interventions = run.interventions(taskset.train)
@@ -208,7 +230,7 @@ def collect(run: Run) -> None:
         interventions,
         run.seed,
         schedule=schedule,
-        n_seeds=int(run.config.get("phase1_seeds", 3)),
+        n_seeds=n_seeds,
         eta=ec.eta,
     )
     log.save(run.path("phase1.jsonl"), header=run.provenance)
@@ -284,8 +306,8 @@ def search(run: Run) -> None:
 @pass_run
 def annotate(run: Run) -> None:
     """Distill the solved policy into a helper lookup table."""
+    mode = run.helper_mode()
     sol = run.load_solution()
-    mode = run.config.get("helper_mode", "all_states")
     starts = model = None
     if mode == "trajectory_only":  # the only mode that walks the model from the train starts
         starts = run.start_keys(run.load_tasks().train)
@@ -305,6 +327,7 @@ def eval_cmd(run: Run) -> None:
     seen/unseen breakdown; the lookup table cannot generalize across task
     identities, so the deployment split is the one the policy was solved
     for."""
+    n_seeds = run.episodes_per_task("eval_seeds")
     taskset = run.load_tasks()
     ec = run.env_config()
     doc = json.loads(run.require("helper.json", "`annotate`").read_text(encoding="utf-8"))
@@ -313,11 +336,9 @@ def eval_cmd(run: Run) -> None:
     )
     sol = run.load_solution()
     interventions = run.interventions(taskset.train)
-    n_seeds = int(run.config.get("eval_seeds", 3))
     tasks = {t.task_id: t for t in taskset.train}
     starts = dict(zip(tasks, run.start_keys(taskset.train)))
-    # a restricted model's policy closure leaves support iff its start has no policy entry
-    seen_ids, unseen_ids = pipeline.split_by_solution(starts, sol)
+    seen_ids, unseen_ids = pipeline.split_seen_unseen(starts, sol)
     headline, log = pipeline.evaluate(
         helper.as_decider(), list(taskset.train), interventions, run.seed, n_seeds=n_seeds,
         eta=ec.eta, expected=planner.expected_usage(sol, list(starts.values())),
@@ -342,49 +363,22 @@ def eval_cmd(run: Run) -> None:
     )
 
 
-@main.command("oracle")
-@click.option("--r", "r_value", type=float, default=0.3, show_default=True)
-@pass_run
-def oracle_cmd(run: Run, r_value: float) -> None:
-    """Cross-check the planner against exhaustive enumeration on fixtures."""
-    from . import fixtures, oracle  # only this command uses them
-
-    report: dict = {}
-    for name, (model, success) in (("two_state_chain", fixtures.mdp_b()), ("one_state", fixtures.mdp_a())):
-        cfg = planner.RewardConfig(r=(r_value,))
-        sol = planner.solve(model, success, cfg)
-        starts = model.nonterminal_states()
-        enum = oracle.brute_force_optimal(model, cfg, starts)
-        gap = max(abs(enum.best_value[s] - sol.value[s]) for s in starts)
-        report[name] = {
-            "r": r_value,
-            "planner_value": {s: sol.value[s] for s in starts},
-            "enumeration_best": enum.best_value,
-            "policies_examined": enum.policy_count,
-            "max_gap": gap,
-        }
-    run.write_json("oracle.json", report)
-    worst = max(v["max_gap"] for v in report.values())
-    click.echo(f"oracle max gap {worst:.3e}")
-    if worst > 1e-8:
-        raise planner.PlannerError(f"planner disagrees with enumeration by {worst:.3e}")
-
-
 @main.command()
 @pass_run
 def baseline(run: Run) -> None:
     """Random-trigger baselines on the test split."""
+    probs, n_seeds = run.baseline_probs(), run.episodes_per_task("eval_seeds")
     taskset = run.load_tasks()
     ec = run.env_config()
     interventions = run.interventions(taskset.test)
     report = {}
-    for p in run.config.get("baseline_probs", [0.0, 0.3, 1.0]):
+    for p in probs:
         metrics, _ = pipeline.evaluate(
             pipeline.baseline_random((p,) + (0.0,) * (len(interventions) - 1)),
             list(taskset.test),
             interventions,
             run.seed,
-            n_seeds=int(run.config.get("eval_seeds", 3)),
+            n_seeds=n_seeds,
             eta=ec.eta,
             seed_salt=f"baseline-{p}",
         )

@@ -11,9 +11,8 @@ matter of marginalizing actor noise.
 from __future__ import annotations
 
 import functools
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -325,53 +324,6 @@ def generate_tasks(config: EnvConfig, seed: int) -> TaskSet:
         val=tuple(one("val", i) for i in range(config.n_val)),
         test=tuple(one("test", i) for i in range(config.n_test)),
     )
-
-
-UCT_C = 0.25  # exploration weight
-UCT_PROPOSALS = 5  # base-actor proposals per pick
-UCT_OBSERVE_WEIGHT = 5  # count weight of a step another policy executed
-
-
-@dataclass
-class UctCounts:
-    n_state: dict[str, int] = field(default_factory=dict)
-    n_sa: dict[tuple[str, str], int] = field(default_factory=dict)
-
-
-def mcts_intervene(
-    state: EnvState,
-    q_fn: Callable[[EnvState, str], float],
-    counts: UctCounts,
-    rng: random.Random,
-) -> str:
-    """Depth-1 UCT pick over UCT_PROPOSALS base-actor proposals.
-
-    UCT = Q(s,a) + UCT_C * sqrt(ln N(s) / N(s,a)); unvisited pairs count as 1,
-    ties break on proposal order, and the chosen pair's counts increment.
-    """
-    candidates: list[str] = []
-    for _ in range(UCT_PROPOSALS):
-        # noise 1.0: every proposal is a uniform draw over the legal actions
-        a = base_actor(state, rng, 1.0)
-        if a not in candidates:
-            candidates.append(a)
-    key = state.key()
-    ns = max(1, counts.n_state.get(key, 0))
-    best, best_score = candidates[0], -float("inf")
-    for a in candidates:
-        nsa = max(1, counts.n_sa.get((key, a), 0))
-        score = q_fn(state, a) + UCT_C * math.sqrt(math.log(ns) / nsa)
-        if score > best_score:
-            best, best_score = a, score
-    counts.n_state[key] = counts.n_state.get(key, 0) + 1
-    counts.n_sa[(key, best)] = counts.n_sa.get((key, best), 0) + 1
-    return best
-
-
-def mcts_observe(counts: UctCounts, state_key: str, action: str) -> None:
-    """Non-MCTS steps weight the executed action's counts by UCT_OBSERVE_WEIGHT."""
-    counts.n_state[state_key] = counts.n_state.get(state_key, 0) + UCT_OBSERVE_WEIGHT
-    counts.n_sa[(state_key, action)] = counts.n_sa.get((state_key, action), 0) + UCT_OBSERVE_WEIGHT
 
 
 def exact_models(

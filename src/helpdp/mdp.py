@@ -177,16 +177,6 @@ class TransitionModel:
                 if s2 not in self.support:
                     raise DataError(f"next state {s2!r} missing from support")
 
-    @property
-    def n_help(self) -> int:
-        indices = {help_index(a) for (_, a) in self.probs if is_help(a)}
-        if not indices:
-            return 0
-        k = max(indices)
-        if indices != set(range(1, k + 1)):
-            raise DataError(f"help indices not dense: {sorted(indices)}")
-        return k
-
     def row(self, state: str, action: str) -> dict[str, float] | None:
         return self.probs.get((state, action))
 

@@ -10,22 +10,12 @@ draws each consumes.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .env import (
-    EnvConfig,
-    EnvState,
-    Task,
-    UctCounts,
-    base_actor,
-    env_step,
-    initial_state,
-    mcts_intervene,
-    mcts_observe,
-    strong_actor,
-)
+from .env import EnvConfig, EnvState, Task, base_actor, env_step, initial_state, strong_actor
 from .mdp import (
     NOHELP,
     CountTable,
@@ -77,22 +67,48 @@ class StrongActorIntervention:
 class MctsIntervention:
     """Help executed by a depth-1 UCT pick over base-actor proposals.
 
-    Visit counts persist within an episode and steps executed by other
-    policies feed back through :func:`mcts_observe`.
+    UCT = Q(s,a) + UCT_C * sqrt(ln N(s) / N(s,a)); unvisited pairs count as 1,
+    ties break on proposal order, and the chosen pair's counts increment.
+    Visit counts persist within an episode; a step executed by another
+    policy adds UCT_OBSERVE_WEIGHT to its counts through :meth:`observe`.
     """
+
+    UCT_C = 0.25  # exploration weight
+    UCT_PROPOSALS = 5  # base-actor proposals per pick
+    UCT_OBSERVE_WEIGHT = 5  # count weight of a step another policy executed
 
     def __init__(self, q_fn: Callable[[EnvState, str], float]) -> None:
         self.q_fn = q_fn
-        self.counts = UctCounts()
+        self.reset()
 
     def reset(self) -> None:
-        self.counts = UctCounts()
+        self.n_state: dict[str, int] = {}
+        self.n_sa: dict[tuple[str, str], int] = {}
 
     def act(self, state: EnvState, rng: random.Random) -> str:
-        return mcts_intervene(state, self.q_fn, self.counts, rng)
+        candidates: list[str] = []
+        for _ in range(self.UCT_PROPOSALS):
+            # noise 1.0: every proposal is a uniform draw over the legal actions
+            a = base_actor(state, rng, 1.0)
+            if a not in candidates:
+                candidates.append(a)
+        key = state.key()
+        ns = max(1, self.n_state.get(key, 0))
+        best, best_score = candidates[0], -math.inf
+        for a in candidates:
+            nsa = max(1, self.n_sa.get((key, a), 0))
+            score = self.q_fn(state, a) + self.UCT_C * math.sqrt(math.log(ns) / nsa)
+            if score > best_score:
+                best, best_score = a, score
+        self._count(key, best, 1)
+        return best
 
     def observe(self, state_key: str, env_action: str) -> None:
-        mcts_observe(self.counts, state_key, env_action)
+        self._count(state_key, env_action, self.UCT_OBSERVE_WEIGHT)
+
+    def _count(self, key: str, action: str, weight: int) -> None:
+        self.n_state[key] = self.n_state.get(key, 0) + weight
+        self.n_sa[(key, action)] = self.n_sa.get((key, action), 0) + weight
 
 
 def run_episode(
@@ -235,13 +251,15 @@ def truncate_counts(
     return out
 
 
-def restrict_to_solvable(model: TransitionModel) -> TransitionModel:
-    """Close the model over states that carry every action row.
+def restrict_to_solvable(model: TransitionModel, n_help: int) -> TransitionModel:
+    """Close the model over states that carry the nohelp row and one row per
+    help type 1..``n_help``; the run's intervention kind sets ``n_help``,
+    so rows of other help types neither keep nor drop a state.
 
     Successors outside that set are pessimistically remapped to a shared
     failure terminal, so the planner sees a complete absorbing chain.
     """
-    actions = action_order(max(1, model.n_help))
+    actions = action_order(n_help)
     solvable = {
         s for s in model.nonterminal_states()
         if all(model.row(s, a) is not None for a in actions)
@@ -261,6 +279,9 @@ def restrict_to_solvable(model: TransitionModel) -> TransitionModel:
             support.add(s2)
         probs[(s, a)] = out
     return TransitionModel(probs=probs, support=frozenset(support))
+
+
+HELPER_MODES = ("all_states", "trajectory_only")
 
 
 @dataclass(frozen=True)
@@ -313,10 +334,10 @@ def build_helper(
     model from the start keys, so ``all_states`` accepts None for both."""
     if not sol.converged:
         raise PipelineError("refusing to distill an unconverged solution")
+    if mode not in HELPER_MODES:
+        raise PipelineError(f"unknown helper mode {mode!r}")
     if mode == "all_states":
         return HelperPolicy(table=dict(sol.policy), training_mode=mode)
-    if mode != "trajectory_only":
-        raise PipelineError(f"unknown helper mode {mode!r}")
     table: dict[str, str] = {}
     for start in starts:
         reached, ok = pi_star_closure(sol, model, start)
@@ -327,23 +348,13 @@ def build_helper(
     return HelperPolicy(table=table, training_mode=mode)
 
 
-def split_seen_unseen(
-    starts: dict[str, str], sol: Solution, model: TransitionModel
-) -> tuple[list[str], list[str]]:
-    """Partition task ids by whether the policy expansion stays in support."""
-    seen_ids: list[str] = []
-    unseen_ids: list[str] = []
-    for task_id in sorted(starts):
-        _, ok = pi_star_closure(sol, model, starts[task_id])
-        (seen_ids if ok else unseen_ids).append(task_id)
-    return seen_ids, unseen_ids
-
-
-def split_by_solution(starts: dict[str, str], sol: Solution) -> tuple[list[str], list[str]]:
-    """Partition task ids by whether the start is terminal or has a policy
-    entry.  Equal to :func:`split_seen_unseen` when the solution was solved
-    on a ``restrict_to_solvable`` model: there every policy state has every
-    action row and every successor is terminal or another policy state."""
+def split_seen_unseen(starts: dict[str, str], sol: Solution) -> tuple[list[str], list[str]]:
+    """Partition task ids into seen (the start is terminal or has a policy
+    entry) and unseen.  On a ``restrict_to_solvable`` model this is exactly
+    the flag of :func:`pi_star_closure`: every policy state there has every
+    action row and every successor is terminal or another policy state, so
+    a closure from an entry never leaves the model, and one from a start
+    off the policy leaves it at once."""
     seen_ids: list[str] = []
     unseen_ids: list[str] = []
     for task_id in sorted(starts):

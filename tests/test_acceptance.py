@@ -278,10 +278,10 @@ def test_09_robustness_direction():
         log = pipeline.collect_phase1(list(ts.train), iv, 100 + seed, n_seeds=2, eta=cfg.eta)
         table = pipeline.truncate_counts(log.to_count_table(), 0.6, seed=seed, keep="frequent")
         raw = normalize(table)
-        solvable = pipeline.restrict_to_solvable(raw)
+        solvable = pipeline.restrict_to_solvable(raw, 1)
         sol = planner.solve(solvable, estimate_success(log), cfg1(0.1))
         starts = {i: env.initial_state(t).key() for i, t in tasks.items()}
-        seen, unseen = pipeline.split_seen_unseen(starts, sol, raw)
+        unseen = [i for i in sorted(starts) if not pipeline.pi_star_closure(sol, raw, starts[i])[1]]
         assert unseen, "truncation produced no unseen tasks"
         helper_a = pipeline.build_helper(sol, None, None, "all_states")
         helper_t = pipeline.build_helper(sol, starts.values(), raw, "trajectory_only")

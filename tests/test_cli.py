@@ -110,13 +110,6 @@ class TestChain:
         assert set(header["provenance"]) == {"config_hash", "seed"}
         assert header["provenance"]["seed"] == 5
 
-    def test_oracle_command(self, tmp_path):
-        cfg = write_config(tmp_path, "f")
-        out = run_cmd(cfg, "oracle")
-        assert "max gap" in out
-        doc = json.loads((tmp_path / "f" / "oracle.json").read_text())
-        assert doc["two_state_chain"]["max_gap"] <= 1e-8
-
     def test_baseline_and_selfreg(self, tmp_path):
         cfg = write_config(tmp_path, "g", baseline_probs=[0.0, 1.0])
         for cmd in ("gen", "collect", "fit"):
@@ -203,6 +196,40 @@ class TestExitCodes:
         fresh = write_config(tmp_path, "fresh")
         assert self._run("--config", str(fresh), *argv).returncode == 2
         assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("command,override,key", [
+        ("solve", {"planner": {"r": "lots"}}, "planner.r"),
+        ("search", {"planner": {"r": [-1]}}, "planner.r"),
+        ("baseline", {"baseline_probs": [2.0]}, "baseline_probs"),
+        ("baseline", {"baseline_probs": "x"}, "baseline_probs"),
+        ("baseline", {"baseline_probs": ["a"]}, "baseline_probs"),
+        ("baseline", {"eval_seeds": "x"}, "eval_seeds"),
+        ("eval", {"eval_seeds": "x"}, "eval_seeds"),
+        ("eval", {"eval_seeds": 0}, "eval_seeds"),
+        ("collect", {"phase1_seeds": "x"}, "phase1_seeds"),
+        ("annotate", {"helper_mode": "foo"}, "helper_mode"),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, command, override, key):
+        """A bad value exits 2 naming its key, checked where it is read and
+        before any artifact, so the out dir keeps its bytes."""
+        cfg = write_config(tmp_path, "bv")
+        for cmd in ("gen", "collect", "fit", "search", "annotate", "eval"):
+            run_cmd(cfg, cmd)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "bv").iterdir()}
+        bad = write_config(tmp_path, "bv", **override)
+        proc = self._run("--config", str(bad), command)
+        assert proc.returncode == 2, proc.stderr
+        assert f"{key} must be" in proc.stderr
+        assert {p.name: p.read_bytes() for p in (tmp_path / "bv").iterdir()} == before
+        fresh = write_config(tmp_path, "fresh", **override)
+        assert self._run("--config", str(fresh), command).returncode == 2
+        assert not (tmp_path / "fresh").exists()
+
+    def test_no_command_declares_an_option(self):
+        """--config, --seed and --out belong to the group; no command has a
+        flag of its own that could bypass the hashed config."""
+        assert [p.name for p in main.params] == ["config_path", "seed", "out"]
+        assert {name: cmd.params for name, cmd in main.commands.items()} == {name: [] for name in main.commands}
 
     @pytest.mark.parametrize("key,value", [("bounds", [5, 0]), ("bounds", [0, 5, 9]),
                                            ("budget", -1), ("budget", "lots")])
@@ -315,7 +342,7 @@ class TestDeploy:
         policy = json.loads((out / "solution.json").read_text())["policy"]
         assert helper["mode"] == "trajectory_only"
         assert helper["table"] and helper["table"].items() <= policy.items()
-        model = restrict_to_solvable(normalize(CountTable.load(out / "counts.jsonl")))
+        model = restrict_to_solvable(normalize(CountTable.load(out / "counts.jsonl")), 1)
         starts = [initial_state(t).key() for t in TaskSet.load(out / "tasks.jsonl").train]
         direct = build_helper(load_solution(out / "solution.json"), starts, model, "trajectory_only")
         assert helper["table"] == direct.table
@@ -344,7 +371,7 @@ class TestDeploy:
         starts = {t.task_id: initial_state(t).key() for t in train}
         _, log = pipeline.evaluate(helper.as_decider(), train, [pipeline.StrongActorIntervention()],
                                    CONFIG["seed"], n_seeds=CONFIG["eval_seeds"], seed_salt="eval-all")
-        for name, ids in zip(("seen", "unseen"), pipeline.split_by_solution(starts, sol)):
+        for name, ids in zip(("seen", "unseen"), pipeline.split_seen_unseen(starts, sol)):
             subset = RolloutLog([ep for ep in log if ep.task_id in ids])
             eu = expected_usage(sol, [starts[i] for i in ids])
             want = pipeline.metrics_from_log(subset, [t for t in train if t.task_id in ids], 1, eu)
@@ -484,7 +511,7 @@ def test_gc_is_switched_off_only_at_the_process_entry(tmp_path, monkeypatch, cap
 
 
 def test_import_leaves_scipy_unloaded():
-    # fixtures and oracle serve the `oracle` command alone, which imports them
+    # fixtures and oracle are test aids that no command imports
     code = ("import sys, helpdp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
             "'helpdp.fixtures' in sys.modules, 'helpdp.oracle' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -554,10 +581,10 @@ def test_reference_search_factorizes_each_distinct_policy_once(tmp_path, monkeyp
     assert factorizations == len(set(policies)) == 10
 
 
-def _reference_digests(tmp_path, monkeypatch, commands, names) -> dict[str, str]:
+def _reference_digests(tmp_path, monkeypatch, commands, names, config=REFERENCE_CONFIG) -> dict[str, str]:
     monkeypatch.chdir(tmp_path)  # with out="out" the provenance hash is path-free
     for cmd in commands:
-        main(["--config", str(REFERENCE_CONFIG), "--out", "out", cmd], standalone_mode=False)
+        main(["--config", str(config), "--out", "out", cmd], standalone_mode=False)
     return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in names}
 
@@ -602,3 +629,32 @@ def test_reference_trajectory_helper_is_golden(tmp_path, monkeypatch):
     assert len(json.loads(blob)["table"]) == 142
     assert hashlib.sha256(blob).hexdigest() == (
         "67293cd0ab68de84c36e3c651aae73943b53d38a05253db36a6a3f275815f46b")
+
+
+@pytest.mark.parametrize("kind,plan,golden", [
+    ("both", "solve", {
+        "phase1.jsonl": "d81f6e198130aea7df8e27ebae1b13a8454dfe47efe2a2367a79ddb60cfe1960",
+        "helper.json": "f5499477d1abdf6f638499fd6d16c646ebac8be5c9d667a9e08593774666b7f6",
+        "metrics.json": "37f0e9005f37dadf7fb965b4645b1f8176ddb04ea232bf3447f24643eea93410",
+        "baseline.json": "5c3971be11f903aa53806446bf39076d25141d226187eacdcf305698feb52780",
+    }),
+    ("mcts", "search", {
+        "phase1.jsonl": "40270560350851846a533a266315d8bb318995444e44bc10cb2583da430c5f9a",
+        "helper.json": "5f9ce8a44a2b55a5c8549e3c9b22c5851d10e251d6d9714f5fde3286832306a1",
+        "metrics.json": "20a7b871458d808ca4aaf212e6e6a550cb85ea2763759b85bbd6a1ba9db4e9f0",
+        "baseline.json": "4b3edf54ee184cebbf67925c9944fd388b3e7ac153dded57f726e8c5655df448",
+    }),
+])
+def test_reference_mcts_rollouts_are_golden(tmp_path, monkeypatch, kind, plan, golden):
+    """The UCT picker's proposals, visit counts and random draws decide every
+    MCTS step of collect, eval and baseline; with intervention 'both' (two
+    costs, solved) and 'mcts' (searched) on configs/reference.json those
+    rollouts reproduce the recorded bytes."""
+    config = json.loads(REFERENCE_CONFIG.read_text())
+    config["intervention"] = kind
+    if kind == "both":
+        config["planner"]["r"] = [0.3, 0.3]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(config))
+    commands = ("gen", "collect", "fit", plan, "annotate", "eval", "baseline")
+    assert _reference_digests(tmp_path, monkeypatch, commands, tuple(golden), path) == golden

@@ -12,7 +12,6 @@ from helpdp.env import (
     EnvState,
     Task,
     TaskSet,
-    UctCounts,
     action_distribution,
     base_actor,
     env_step,
@@ -21,8 +20,6 @@ from helpdp.env import (
     goto,
     initial_state,
     legal_actions,
-    mcts_intervene,
-    mcts_observe,
     shortest_success_length,
     strong_actor,
 )
@@ -212,11 +209,11 @@ class TestMcts:
     def test_tie_break_is_first_proposal(self):
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
         state = initial_state(task)
-        counts = UctCounts()
-        pick = mcts_intervene(state, lambda s, a: 0.5, counts, random.Random(13))
+        mcts = pipeline.MctsIntervention(lambda s, a: 0.5)
+        pick = mcts.act(state, random.Random(13))
         assert pick == _proposals(state, 13)[0]
-        assert counts.n_state[state.key()] == 1
-        assert counts.n_sa[(state.key(), pick)] == 1
+        assert mcts.n_state[state.key()] == 1
+        assert mcts.n_sa[(state.key(), pick)] == 1
 
     def test_ground_truth_q_picks_argmax(self):
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
@@ -228,25 +225,25 @@ class TestMcts:
             key = nxt.key()
             return success.get(key, NOHELP) if success.has(key, NOHELP) else 0.0
 
-        pick = mcts_intervene(state, q, UctCounts(), random.Random(3))
+        pick = pipeline.MctsIntervention(q).act(state, random.Random(3))
         cands = _proposals(state, 3)
         assert q(state, pick) == max(q(state, a) for a in cands)
 
     def test_observe_weighs_by_factor(self):
-        counts = UctCounts()
-        mcts_observe(counts, "k", EXPLORE)
-        assert counts.n_state["k"] == 5
-        assert counts.n_sa[("k", EXPLORE)] == 5
+        mcts = pipeline.MctsIntervention(lambda s, a: 0.5)
+        mcts.observe("k", EXPLORE)
+        assert mcts.n_state["k"] == 5
+        assert mcts.n_sa[("k", EXPLORE)] == 5
 
     def test_visited_pairs_get_discounted_exploration(self):
         # a heavily visited candidate loses its exploration bonus
         task = make_task(rooms=2, obj=1, hint=(1,), steps=4, opt=2)
         state = initial_state(task)
-        counts = UctCounts()
-        counts.n_state[state.key()] = 100
-        counts.n_sa[(state.key(), EXPLORE)] = 99
-        counts.n_sa[(state.key(), goto(1))] = 1
-        pick = mcts_intervene(state, lambda s, a: 0.5, counts, random.Random(1))
+        mcts = pipeline.MctsIntervention(lambda s, a: 0.5)
+        mcts.n_state[state.key()] = 100
+        mcts.n_sa[(state.key(), EXPLORE)] = 99
+        mcts.n_sa[(state.key(), goto(1))] = 1
+        pick = mcts.act(state, random.Random(1))
         assert pick == goto(1)
 
 

@@ -118,6 +118,16 @@ class TestPlannerConsistency:
             gap = check_against_planner(report, sol.value)
             assert gap <= 1e-8
 
+    @pytest.mark.parametrize("fixture", [fixtures.mdp_a, fixtures.mdp_b], ids=["mdp_a", "mdp_b"])
+    def test_fixtures_match_enumeration(self, fixture):
+        """The hand-built fixtures at r = 0.3: the planner's value at every
+        state is the enumerated optimum."""
+        model, succ = fixture()
+        cfg = cfg1(0.3)
+        sol = planner.solve(model, succ, cfg)
+        report = brute_force_optimal(model, cfg, model.nonterminal_states())
+        assert check_against_planner(report, sol.value) <= 1e-8
+
     def test_policy_eval_reproduces_planner_tables(self):
         for seed in range(5):
             model, succ = fixtures.random_mdp(seed + 30, 6)

@@ -18,9 +18,9 @@ from helpdp.pipeline import (
     evaluate,
     evaluate_taskwise_all_steps,
     phase1_schedule,
+    pi_star_closure,
     restrict_to_solvable,
     self_regulation_eval,
-    split_by_solution,
     split_seen_unseen,
     state_score,
     statewise_threshold_policy,
@@ -136,7 +136,7 @@ class TestModelPreparation:
     def test_restrict_remaps_dangling_states(self):
         log = collect_phase1(list(TASKS.train), STRONG, 2, n_seeds=3)
         table = truncate_counts(log.to_count_table(), 0.5, seed=1)
-        model = restrict_to_solvable(normalize(table))
+        model = restrict_to_solvable(normalize(table), 1)
         for (s, a), row in model.probs.items():
             for s2 in row:
                 assert s2 in model.support
@@ -156,7 +156,24 @@ class TestModelPreparation:
         table = CountTable()
         table.record("s0", NOHELP, fixtures.T_SUCC)  # no help row anywhere
         with pytest.raises(PipelineError):
-            restrict_to_solvable(normalize(table))
+            restrict_to_solvable(normalize(table), 1)
+
+    def test_k_comes_from_the_caller_not_the_rows(self):
+        """Counts logged with two help types also hold help2 rows; a K = 1
+        restriction keeps every state that has its nohelp and help1 rows."""
+        two = [pipeline.StrongActorIntervention(CFG.eta_strong)] * 2
+        raw = normalize(collect_phase1(list(TASKS.train), two, 4, n_seeds=1).to_count_table())
+        assert any(a == "help2" for _, a in raw.probs)
+
+        def covered(actions):
+            return sorted(s for s in raw.nonterminal_states()
+                          if all(raw.row(s, a) is not None for a in actions))
+
+        k1 = restrict_to_solvable(raw, 1).nonterminal_states()
+        k2 = restrict_to_solvable(raw, 2).nonterminal_states()
+        assert k1 == covered((NOHELP, "help1"))
+        assert k2 == covered((NOHELP, "help1", "help2"))
+        assert len(k2) < len(k1)
 
 
 def _chain_log(n=4):
@@ -186,7 +203,7 @@ class TestHelperConstruction:
         # s1's help row was never observed in this raw model
         probs = {k: dict(v) for k, v in raw.probs.items() if k != ("s1", "help1")}
         raw2 = TransitionModel(probs=probs, support=raw.support)
-        solvable = restrict_to_solvable(raw2)
+        solvable = restrict_to_solvable(raw2, 1)
         succ = estimate_success(_chain_log(20))
         sol = solve(solvable, succ, RewardConfig(r=(0.3,), gamma=1.0))
         helper = build_helper(sol, ["s0"], raw2, "trajectory_only")
@@ -214,24 +231,25 @@ class TestSeenUnseenSplit:
     def test_full_support_all_seen(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        seen, unseen = split_seen_unseen({"t0": "s0", "t1": "s1"}, sol, model)
+        seen, unseen = split_seen_unseen({"t0": "s0", "t1": "s1"}, sol)
         assert seen == ["t0", "t1"] and unseen == []
 
     def test_uncovered_start_is_unseen(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        seen, unseen = split_seen_unseen({"t0": "s0", "tx": "elsewhere"}, sol, model)
+        seen, unseen = split_seen_unseen({"t0": "s0", "tx": "elsewhere"}, sol)
         assert unseen == ["tx"]
 
     def test_partition_matches_reachability_oracle(self):
+        """pi_star_closure's flag on the raw model, which trajectory_only
+        helpers walk, agrees with an independent reachability walk."""
         log = collect_phase1(list(TASKS.train), STRONG, 6, n_seeds=1)
         table = truncate_counts(log.to_count_table(), 0.55, seed=5)
         raw = normalize(table)
-        solvable = restrict_to_solvable(raw)
+        solvable = restrict_to_solvable(raw, 1)
         succ = estimate_success(log)
         sol = solve(solvable, succ, RewardConfig(r=(0.2,), gamma=1.0))
         starts = {t.task_id: initial_state(t).key() for t in TASKS.train}
-        seen, unseen = split_seen_unseen(starts, sol, raw)
 
         def reachable_ok(s0):  # independent trajectory-tree reachability walk
             frontier, visited = [s0], set()
@@ -246,19 +264,20 @@ class TestSeenUnseenSplit:
                 frontier.extend(raw.row(s, a))
             return True
 
-        for tid, s0 in starts.items():
-            assert (tid in seen) == reachable_ok(s0)
-        assert sorted(seen + unseen) == sorted(starts)
+        flags = {tid: pi_star_closure(sol, raw, s0)[1] for tid, s0 in starts.items()}
+        assert flags == {tid: reachable_ok(s0) for tid, s0 in starts.items()}
+        assert set(flags.values()) == {True, False}
 
     @pytest.mark.parametrize("fraction,seed", [(0.3, 1), (0.55, 5), (0.8, 9)])
     def test_solution_domain_split_matches_closure_on_restricted_models(self, fraction, seed):
         log = collect_phase1(list(TASKS.train), STRONG, seed, n_seeds=1)
-        model = restrict_to_solvable(normalize(truncate_counts(log.to_count_table(), fraction, seed=seed)))
+        model = restrict_to_solvable(normalize(truncate_counts(log.to_count_table(), fraction, seed=seed)), 1)
         sol = solve(model, estimate_success(log), RewardConfig(r=(0.2,), gamma=1.0))
         starts = {t.task_id: initial_state(t).key() for t in TASKS.train}
         starts["terminal"] = fixtures.T_SUCC
-        split = split_by_solution(starts, sol)
-        assert split == split_seen_unseen(starts, sol, model)
+        split = split_seen_unseen(starts, sol)
+        closed = [tid for tid in sorted(starts) if pi_star_closure(sol, model, starts[tid])[1]]
+        assert split == (closed, [tid for tid in sorted(starts) if tid not in closed])
         assert split[1], "truncation produced no unseen start"
         assert "terminal" in split[0]
 
