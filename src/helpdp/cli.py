@@ -15,7 +15,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -24,39 +23,103 @@ import click
 
 from . import env as envmod
 from . import pipeline, planner
-from .mdp import NOHELP, CountTable, SuccessModel, TransitionModel, _dump, normalize, estimate_success
+from .mdp import (NOHELP, CountTable, SuccessModel, TransitionModel, _dump, estimate_success, is_number,
+                  is_whole, normalize)
 from .rollouts import RolloutLog
 
 HELP_TYPES = {"strong": 1, "mcts": 1, "both": 2}  # K, the help types of each intervention kind
 
 
+def _fixed(value) -> tuple:
+    return value, f"is fixed at {_dump(value)}", lambda got: got == value
+
+
+_SEEDS = (3, "must be an integer >= 1", lambda got: is_whole(got) and got >= 1)
+
+# Every config key: its default, what a given value must be, and the check of a
+# given value (defaults are not checked).  `seed` must be given; `planner.r` and
+# `planner.budget` may be left out, and the one command that needs them refuses.
+KEYS = {
+    "seed": (None, "must be an integer", is_whole),
+    "out": ("out", "must be a string", lambda got: isinstance(got, str)),
+    "env": ({}, "must be an object", lambda got: isinstance(got, dict)),
+    "phase1_seeds": _SEEDS,
+    "schedule": _fixed(None),  # collect plays pipeline.phase1_schedule(K)
+    "planner": ({}, "must be an object", lambda got: isinstance(got, dict)),
+    "intervention": ("strong", f"must be one of {list(HELP_TYPES)}",
+                     lambda got: isinstance(got, str) and got in HELP_TYPES),
+    "helper_mode": ("all_states", f"must be one of {list(pipeline.HELPER_MODES)}",
+                    lambda got: got in pipeline.HELPER_MODES),
+    "eval_seeds": _SEEDS,
+    "baseline_probs": ([0.0, 0.3, 1.0], "must be a list of numbers in [0, 1]",
+                       lambda got: isinstance(got, list) and all(is_number(p) and 0 <= p <= 1 for p in got)),
+}
+PLANNER_KEYS = {  # gamma is 1 because the budget counts calls
+    "gamma": _fixed(1.0),
+    "epsilon": _fixed(planner.EPSILON),
+    "max_iters": _fixed(planner.MAX_SWEEPS),
+    "variant": ("value_consistent", "must be 'value_consistent' or 'paper_literal'",
+                lambda got: got in ("value_consistent", "paper_literal")),
+    "r": (None, "must be a number >= 0 or a list of them",  # K = 1 defaults to 0.5
+          lambda got: all(is_number(ri) and ri >= 0 for ri in (got if isinstance(got, list) else [got]))),
+    "budget": (None, "must be a number >= 0", lambda got: is_number(got) and got >= 0),
+    "bounds": ([0.0, 10.0], "must be [lo, hi] with 0 <= lo < hi",
+               lambda got: isinstance(got, list) and len(got) == 2 and all(map(is_number, got))
+               and 0 <= got[0] < got[1]),
+}
+
+
+def _read(section: dict, keys: dict, prefix: str = "") -> dict:
+    """The value of every key of ``keys``; an unknown or bad key is a usage error."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise click.UsageError(f"{prefix}{unknown[0]} is unknown; the keys are {sorted(keys)}")
+    for key, (_, rule, ok) in keys.items():
+        if key in section and not ok(section[key]):
+            raise click.UsageError(f"{prefix}{key} {rule}, got {section[key]!r}")
+    return {key: section.get(key, default) for key, (default, _, _) in keys.items()}
+
+
 class Run:
-    """Loaded config plus the paths and provenance shared by commands."""
+    """The config, read and checked once, plus the paths and provenance shared
+    by commands; a bad config exits 2 before any command body runs."""
 
     def __init__(self, config_path: str, seed: int | None, out: str | None) -> None:
         try:
-            self.config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot read config {config_path}: {exc}")
+        if not isinstance(config, dict):
+            raise click.UsageError(f"config {config_path} must be an object")
         if seed is not None:
-            self.config["seed"] = seed
+            config["seed"] = seed
         if out is not None:
-            self.config["out"] = out
-        if "seed" not in self.config:
+            config["out"] = out
+        if "seed" not in config:
             raise click.UsageError("config must provide a seed")
-        self.seed = int(self.config["seed"])
-        p = self.config.get("planner", {})
-        # the planner's own settings; gamma is 1 because the budget counts calls
-        for key, value in (("gamma", 1.0), ("epsilon", planner.EPSILON), ("max_iters", planner.MAX_SWEEPS)):
-            if p.get(key, value) != value:
-                raise click.UsageError(f"planner.{key} is fixed at {value}, got {p[key]!r}")
-        self.intervention = self.config.get("intervention", "strong")
-        if self.intervention not in HELP_TYPES:
-            raise click.UsageError(f"unknown intervention kind {self.intervention!r}")
+        top = _read(config, KEYS)
+        self.seed, self.intervention = top["seed"], top["intervention"]
         self.n_help = HELP_TYPES[self.intervention]  # K comes from `intervention` alone
-        # made by `gen` or `write_json`, so a command refused for a bad flag leaves no directory
-        self.out = Path(self.config.get("out", "out"))
-        self.config_hash = hashlib.sha256(_dump(self.config).encode()).hexdigest()[:16]
+        self.phase1_seeds, self.eval_seeds = top["phase1_seeds"], top["eval_seeds"]
+        self.baseline_probs, self.helper_mode = top["baseline_probs"], top["helper_mode"]
+        try:
+            self.env = envmod.EnvConfig.from_dict(top["env"])
+        except envmod.EnvError as exc:
+            raise click.UsageError(f"env.{exc}")
+        p = _read(top["planner"], PLANNER_KEYS, "planner.")
+        r, self.reward = p["r"], None  # a K = 2 run without r can do all but `solve`
+        if r is None and self.n_help == 1:
+            r = 0.5
+        if r is not None:
+            r = tuple(r) if isinstance(r, list) else (float(r),)
+            if len(r) != self.n_help:
+                raise click.UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
+                                       f"{self.intervention!r} has {self.n_help} help type(s)")
+            self.reward = planner.RewardConfig(r=r, variant=p["variant"])
+        self.budget, self.bounds = p["budget"], tuple(p["bounds"])
+        # made by `gen` or `write_json`, so a refused command leaves no directory
+        self.out = Path(top["out"])
+        self.config_hash = hashlib.sha256(_dump(config).encode()).hexdigest()[:16]
 
     @property
     def provenance(self) -> dict:
@@ -74,68 +137,13 @@ class Run:
         p.write_text(_dump(doc) + "\n", encoding="utf-8")
         return p
 
-    def env_config(self) -> envmod.EnvConfig:
-        try:
-            return envmod.EnvConfig.from_dict(self.config.get("env", {}))
-        except (envmod.EnvError, TypeError) as exc:
-            raise click.UsageError(f"bad env config: {exc}")
-
-    def planner_config(self) -> planner.RewardConfig:
-        p = self.config.get("planner", {})
-        r = p.get("r", 0.5)
-        if not all(_is_number(ri) and ri >= 0 for ri in (r if isinstance(r, list) else [r])):
-            raise click.UsageError(f"planner.r must be a number >= 0 or a list of them, got {r!r}")
-        r = tuple(r) if isinstance(r, list) else (float(r),)
-        if len(r) != self.n_help:
-            raise click.UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
-                                   f"{self.intervention!r} has {self.n_help} help type(s)")
-        try:
-            return planner.RewardConfig(r=r, variant=p.get("variant", "value_consistent"))
-        except planner.PlannerError as exc:
-            raise click.UsageError(f"bad planner config: {exc}")
-
-    def search_settings(self) -> tuple[float, tuple[float, float]]:
-        """``planner.budget`` and ``planner.bounds``, checked here as
-        ``planner.r`` is, so a bad value exits 2 before anything is read."""
-        p = self.config.get("planner", {})
-        if "budget" not in p:
-            raise click.UsageError("search needs planner.budget")
-        budget = p["budget"]
-        if not (_is_number(budget) and budget >= 0):
-            raise click.UsageError(f"planner.budget must be a number >= 0, got {budget!r}")
-        bounds = p.get("bounds", [0.0, 10.0])
-        if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))
-                and 0 <= bounds[0] < bounds[1]):
-            raise click.UsageError(f"planner.bounds must be [lo, hi] with 0 <= lo < hi, got {bounds!r}")
-        return budget, tuple(bounds)
-
-    def episodes_per_task(self, key: str) -> int:
-        """``phase1_seeds`` or ``eval_seeds``: a whole number >= 1."""
-        n = self.config.get(key, 3)
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-            raise click.UsageError(f"{key} must be an integer >= 1, got {n!r}")
-        return n
-
-    def baseline_probs(self) -> list:
-        probs = self.config.get("baseline_probs", [0.0, 0.3, 1.0])
-        if not (isinstance(probs, list) and all(_is_number(p) and 0 <= p <= 1 for p in probs)):
-            raise click.UsageError(f"baseline_probs must be a list of numbers in [0, 1], got {probs!r}")
-        return probs
-
-    def helper_mode(self) -> str:
-        mode = self.config.get("helper_mode", "all_states")
-        if mode not in pipeline.HELPER_MODES:
-            raise click.UsageError(f"helper_mode must be one of {list(pipeline.HELPER_MODES)}, got {mode!r}")
-        return mode
-
     def interventions(self, tasks: tuple[envmod.Task, ...]) -> list:
         """The configured executors for episodes on ``tasks``; the MCTS scorer
         enumerates only those tasks, since every state key carries its task."""
-        ec = self.env_config()
-        strong = pipeline.StrongActorIntervention(ec.eta_strong)
+        strong = pipeline.StrongActorIntervention(self.env.eta_strong)
         if self.intervention == "strong":
             return [strong]
-        _, success = envmod.exact_models(tasks, eta=ec.eta, eta_strong=ec.eta_strong)
+        _, success = envmod.exact_models(tasks, eta=self.env.eta, eta_strong=self.env.eta_strong)
         mcts = pipeline.MctsIntervention(_q_from_success(success, self.seed))
         return [strong, mcts] if self.intervention == "both" else [mcts]
 
@@ -156,9 +164,9 @@ class Run:
         cp = self.require("counts.jsonl", "`fit`")
         return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)), self.n_help)
 
-    def load_success(self, cfg: planner.RewardConfig) -> SuccessModel | None:
-        """The fitted success model if the policy rule of ``cfg`` reads it."""
-        if not cfg.reads_success:
+    def load_success(self) -> SuccessModel | None:
+        """The fitted success model if the run's policy rule reads it."""
+        if not self.reward.reads_success:
             return None
         return SuccessModel.load(self.require("success.jsonl", "`fit`"))
 
@@ -169,11 +177,6 @@ class Run:
         """Start state keys of ``tasks`` in order; every command that averages
         usage or walks the policy takes its starts from here."""
         return [envmod.initial_state(t).key() for t in tasks]
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; true and false are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _q_from_success(success: SuccessModel, seed: int):
@@ -206,7 +209,7 @@ def main(ctx: click.Context, config_path: str, seed: int | None, out: str | None
 @pass_run
 def gen(run: Run) -> None:
     """Generate the train/val/test taskset."""
-    taskset = envmod.generate_tasks(run.env_config(), run.seed)
+    taskset = envmod.generate_tasks(run.env, run.seed)
     run.out.mkdir(parents=True, exist_ok=True)
     taskset.save(run.path("tasks.jsonl"), header=run.provenance)
     click.echo(
@@ -218,21 +221,9 @@ def gen(run: Run) -> None:
 @pass_run
 def collect(run: Run) -> None:
     """Randomized-intervention collection over the train split."""
-    n_seeds = run.episodes_per_task("phase1_seeds")
     taskset = run.load_tasks()
-    ec = run.env_config()
-    interventions = run.interventions(taskset.train)
-    schedule = run.config.get("schedule")
-    if schedule is not None:
-        schedule = [tuple(p) for p in schedule]
-    log = pipeline.collect_phase1(
-        list(taskset.train),
-        interventions,
-        run.seed,
-        schedule=schedule,
-        n_seeds=n_seeds,
-        eta=ec.eta,
-    )
+    log = pipeline.collect_phase1(list(taskset.train), run.interventions(taskset.train), run.seed,
+                                  n_seeds=run.phase1_seeds, eta=run.env.eta)
     log.save(run.path("phase1.jsonl"), header=run.provenance)
     click.echo(f"collected {len(log)} episodes")
 
@@ -270,9 +261,9 @@ def _summary(sol: planner.Solution) -> str:
 @pass_run
 def solve(run: Run) -> None:
     """Solve the fixed-cost planning problem on the fitted model."""
-    cfg = run.planner_config()
-    model, success = run.load_model(), run.load_success(cfg)
-    sol = planner.solve(model, success, cfg)
+    if run.reward is None:
+        raise click.UsageError(f"solve needs planner.r: intervention {run.intervention!r} has 2 help types")
+    sol = planner.solve(run.load_model(), run.load_success(), run.reward)
     _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
     sol = dataclasses.replace(sol, expected_usage=planner.expected_usage(sol, starts))
@@ -287,16 +278,17 @@ def search(run: Run) -> None:
     if run.n_help != 1:
         raise click.UsageError(f"search bisects one help cost, but intervention {run.intervention!r} "
                                f"has {run.n_help} help types; use `solve` with planner.r")
-    budget, bounds = run.search_settings()
-    cfg = run.planner_config()  # reward_search sets r at every probe
-    model, success = run.load_model(), run.load_success(cfg)
+    if run.budget is None:
+        raise click.UsageError("search needs planner.budget")
+    model, success = run.load_model(), run.load_success()
     starts = run.start_keys(run.load_tasks().train)
-    result = planner.reward_search(model, success, float(budget), bounds, starts, cfg)
+    # reward_search sets r at every probe
+    result = planner.reward_search(model, success, float(run.budget), run.bounds, starts, run.reward)
     _require_converged(result.solution)
     run.write_json("solution.json", planner.solution_to_dict(result.solution))
     run.write_json(
         "search.json",
-        {"budget": budget, "r": result.r, "expected_usage": result.solution.expected_usage[0],
+        {"budget": run.budget, "r": result.r, "expected_usage": result.solution.expected_usage[0],
          "trace": [[r, eu] for r, eu in result.trace]},
     )
     click.echo(_summary(result.solution))
@@ -306,18 +298,17 @@ def search(run: Run) -> None:
 @pass_run
 def annotate(run: Run) -> None:
     """Distill the solved policy into a helper lookup table."""
-    mode = run.helper_mode()
     sol = run.load_solution()
     starts = model = None
-    if mode == "trajectory_only":  # the only mode that walks the model from the train starts
+    if run.helper_mode == "trajectory_only":  # the only mode that walks the model from the train starts
         starts = run.start_keys(run.load_tasks().train)
         model = run.load_model()
-    helper = pipeline.build_helper(sol, starts, model, mode=mode)
+    helper = pipeline.build_helper(sol, starts, model, mode=run.helper_mode)
     run.write_json(
         "helper.json",
         {"mode": helper.training_mode, "fallback": helper.fallback, "table": helper.table},
     )
-    click.echo(f"helper mode={mode} states={len(helper.table)}")
+    click.echo(f"helper mode={run.helper_mode} states={len(helper.table)}")
 
 
 @main.command("eval")
@@ -327,9 +318,7 @@ def eval_cmd(run: Run) -> None:
     seen/unseen breakdown; the lookup table cannot generalize across task
     identities, so the deployment split is the one the policy was solved
     for."""
-    n_seeds = run.episodes_per_task("eval_seeds")
     taskset = run.load_tasks()
-    ec = run.env_config()
     doc = json.loads(run.require("helper.json", "`annotate`").read_text(encoding="utf-8"))
     helper = pipeline.HelperPolicy(
         table=doc["table"], training_mode=doc["mode"], fallback=doc["fallback"]
@@ -340,10 +329,8 @@ def eval_cmd(run: Run) -> None:
     starts = dict(zip(tasks, run.start_keys(taskset.train)))
     seen_ids, unseen_ids = pipeline.split_seen_unseen(starts, sol)
     headline, log = pipeline.evaluate(
-        helper.as_decider(), list(taskset.train), interventions, run.seed, n_seeds=n_seeds,
-        eta=ec.eta, expected=planner.expected_usage(sol, list(starts.values())),
-        seed_salt="eval-all",
-    )
+        helper.as_decider(), list(taskset.train), interventions, run.seed, n_seeds=run.eval_seeds,
+        eta=run.env.eta, expected=planner.expected_usage(sol, list(starts.values())), seed_salt="eval-all")
     report = {"all": headline.to_dict()}
     for name, ids in (("seen", seen_ids), ("unseen", unseen_ids)):
         if not ids:
@@ -367,21 +354,13 @@ def eval_cmd(run: Run) -> None:
 @pass_run
 def baseline(run: Run) -> None:
     """Random-trigger baselines on the test split."""
-    probs, n_seeds = run.baseline_probs(), run.episodes_per_task("eval_seeds")
     taskset = run.load_tasks()
-    ec = run.env_config()
     interventions = run.interventions(taskset.test)
     report = {}
-    for p in probs:
+    for p in run.baseline_probs:
         metrics, _ = pipeline.evaluate(
-            pipeline.baseline_random((p,) + (0.0,) * (len(interventions) - 1)),
-            list(taskset.test),
-            interventions,
-            run.seed,
-            n_seeds=n_seeds,
-            eta=ec.eta,
-            seed_salt=f"baseline-{p}",
-        )
+            pipeline.baseline_random((p,) + (0.0,) * (len(interventions) - 1)), list(taskset.test),
+            interventions, run.seed, n_seeds=run.eval_seeds, eta=run.env.eta, seed_salt=f"baseline-{p}")
         report[f"p={p}"] = metrics.to_dict()
         click.echo(f"p={p} SR={metrics.sr:.4f} U={[round(u, 4) for u in metrics.usage]}")
     run.write_json("baseline.json", report)
@@ -395,10 +374,8 @@ def selfreg(run: Run) -> None:
     The difficulty scorer is the exact per-state success probability of the
     val/test tasks; empirical estimates never cover these states."""
     taskset = run.load_tasks()
-    ec = run.env_config()
-    _, success = envmod.exact_models(
-        list(taskset.val) + list(taskset.test), eta=ec.eta, eta_strong=ec.eta_strong
-    )
+    _, success = envmod.exact_models(list(taskset.val) + list(taskset.test),
+                                     eta=run.env.eta, eta_strong=run.env.eta_strong)
 
     def score(key: str) -> float:
         return pipeline.state_score(success, key) if success.has(key, NOHELP) else 0.5
@@ -407,7 +384,7 @@ def selfreg(run: Run) -> None:
         log = RolloutLog()
         for task in tasks:
             seed = pipeline.derive_seed(run.seed, salt, task.task_id)
-            log.append(pipeline.run_episode(task, pipeline.always(NOHELP), [], seed, eta=ec.eta))
+            log.append(pipeline.run_episode(task, pipeline.always(NOHELP), [], seed, eta=run.env.eta))
         return log
 
     report = pipeline.self_regulation_eval(score, roll(taskset.val, "sr-val"), roll(taskset.test, "sr-test"))

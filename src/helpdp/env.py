@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .mdp import (NOHELP, SuccessModel, TransitionModel, help_action, read_jsonl,
+from .mdp import (NOHELP, SuccessModel, TransitionModel, help_action, is_number, is_whole, read_jsonl,
                   terminal_outcome, write_jsonl)
 
 EXPLORE = "explore"
@@ -172,25 +172,35 @@ class EnvConfig:
     n_test: int = 40
 
     def __post_init__(self) -> None:
-        if self.room_count < 2:
-            raise EnvError("need at least two rooms")
-        if self.max_steps < 2:
-            raise EnvError("need at least two steps")
-        for size, weight in self.hint_sizes:
-            if size < 1 or size > self.room_count:
-                raise EnvError(f"infeasible hint size {size} for {self.room_count} rooms")
-            if weight < 0:
-                raise EnvError("hint size weights must be >= 0")
-        if not 0.0 <= self.move_prob <= 1.0:
-            raise EnvError("move_prob must be in [0, 1]")
+        # here and in from_dict every message starts with the field it refuses
+        for name, low in (("room_count", 2), ("max_steps", 2), ("n_train", 1), ("n_val", 0), ("n_test", 0)):
+            value = getattr(self, name)
+            if not (is_whole(value) and value >= low):
+                raise EnvError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("move_prob", "eta", "eta_strong"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0 <= value <= 1):
+                raise EnvError(f"{name} must be a number in [0, 1], got {value!r}")
+        for size, _ in self.hint_sizes:
+            if not (is_whole(size) and 1 <= size <= self.room_count):
+                raise EnvError(f"hint_sizes must fit {self.room_count} rooms, got hint size {size!r}")
+        weights = [w for _, w in self.hint_sizes]
+        if not (all(is_number(w) and w >= 0 for w in weights) and sum(weights) > 0):
+            raise EnvError(f"hint_sizes must have weights >= 0 with a positive sum, got {self.hint_sizes!r}")
 
     @classmethod
     def from_dict(cls, rec: dict) -> "EnvConfig":
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(rec) - set(names))
+        if unknown:
+            raise EnvError(f"{unknown[0]} is unknown; the fields are {names}")
         kwargs = dict(rec)
         if "hint_sizes" in kwargs:
-            kwargs["hint_sizes"] = tuple(
-                sorted((int(s), float(w)) for s, w in rec["hint_sizes"].items())
-            )
+            sizes = rec["hint_sizes"]
+            try:
+                kwargs["hint_sizes"] = tuple(sorted((int(s), float(w)) for s, w in sizes.items()))
+            except (AttributeError, TypeError, ValueError):
+                raise EnvError(f"hint_sizes must be an object of size: weight, got {sizes!r}") from None
         return cls(**kwargs)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +81,16 @@ def terminal_key(name: str, outcome: str) -> str:
     if outcome not in ("success", "failure"):
         raise DataError(f"outcome must be success/failure, got {outcome!r}")
     return f"{name}|outcome={outcome}"
+
+
+def is_number(value) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_whole(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # One encoder for every record: json.dumps with these arguments builds an

@@ -40,7 +40,8 @@ CONFIG = {
 }
 
 
-def write_config(tmp_path: Path, out: str, **overrides) -> Path:
+def write_config(tmp_path: Path, out: str, name: str | None = None, **overrides) -> Path:
+    """CONFIG with ``overrides`` and out dir ``out``, written to ``<name or out>.json``."""
     cfg = json.loads(json.dumps(CONFIG))
     cfg["out"] = str(tmp_path / out)
     for key, value in overrides.items():
@@ -48,9 +49,16 @@ def write_config(tmp_path: Path, out: str, **overrides) -> Path:
             cfg.setdefault(key, {}).update(value)
         else:
             cfg[key] = value
-    path = tmp_path / f"{out}.json"
+    path = tmp_path / f"{name or out}.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def refusal(key: str) -> str:
+    """The words of the usage error that refuses the config key ``key``."""
+    if key in ("eval_seed", "planner.varient"):
+        return f"{key} is unknown"
+    return f"{key} is fixed at null" if key == "schedule" else f"{key} must be"
 
 
 def run_cmd(config: Path, *args) -> str:
@@ -208,22 +216,53 @@ class TestExitCodes:
         ("eval", {"eval_seeds": 0}, "eval_seeds"),
         ("collect", {"phase1_seeds": "x"}, "phase1_seeds"),
         ("annotate", {"helper_mode": "foo"}, "helper_mode"),
+        ("gen", {"seed": "x"}, "seed"),
+        ("collect", {"seed": 1.5}, "seed"),
+        ("eval", {"seed": True}, "seed"),
+        ("collect", {"schedule": "x"}, "schedule"),
+        ("gen", {"env": {"n_train": "x"}}, "env.n_train"),
+        ("gen", {"env": {"hint_sizes": [1, 2]}}, "env.hint_sizes"),
+        ("collect", {"env": {"eta": "x"}}, "env.eta"),
+        ("solve", {"planner": [1]}, "planner"),
+        ("eval", {"intervention": ["strong"]}, "intervention"),
+        ("eval", {"eval_seed": 10}, "eval_seed"),
+        ("search", {"planner": {"varient": "paper_literal"}}, "planner.varient"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, override, key):
-        """A bad value exits 2 naming its key, checked where it is read and
-        before any artifact, so the out dir keeps its bytes."""
+        """A bad value or an unknown key exits 2 naming the key, on `gen` as on
+        the command that reads it: the config is checked once, before any
+        command body runs, so the out dir keeps its bytes."""
         cfg = write_config(tmp_path, "bv")
         for cmd in ("gen", "collect", "fit", "search", "annotate", "eval"):
             run_cmd(cfg, cmd)
         before = {p.name: p.read_bytes() for p in (tmp_path / "bv").iterdir()}
         bad = write_config(tmp_path, "bv", **override)
-        proc = self._run("--config", str(bad), command)
-        assert proc.returncode == 2, proc.stderr
-        assert f"{key} must be" in proc.stderr
-        assert {p.name: p.read_bytes() for p in (tmp_path / "bv").iterdir()} == before
         fresh = write_config(tmp_path, "fresh", **override)
-        assert self._run("--config", str(fresh), command).returncode == 2
+        for config in (bad, fresh):
+            for cmd in ("gen", command):
+                proc = self._run("--config", str(config), cmd)
+                assert proc.returncode == 2, (cmd, proc.stderr)
+                assert refusal(key) in proc.stderr
+        assert {p.name: p.read_bytes() for p in (tmp_path / "bv").iterdir()} == before
         assert not (tmp_path / "fresh").exists()
+
+    def test_value_only_search_reads_refuses_every_command(self, tmp_path):
+        """planner.budget is read by `search` alone, yet a bad one refuses `gen`
+        before any directory is made; a run that leaves it out runs every other
+        command, and `search` refuses it."""
+        bad = write_config(tmp_path, "nb", planner={"budget": -1})
+        proc = self._run("--config", str(bad), "gen")
+        assert proc.returncode == 2
+        assert "planner.budget must be" in proc.stderr
+        assert not (tmp_path / "nb").exists()
+        config = json.loads(bad.read_text())
+        del config["planner"]["budget"]
+        bad.write_text(json.dumps(config))
+        for cmd in ("gen", "collect", "fit", "solve", "annotate", "eval"):
+            run_cmd(bad, cmd)
+        proc = self._run("--config", str(bad), "search")
+        assert proc.returncode == 2
+        assert "search needs planner.budget" in proc.stderr
 
     def test_no_command_declares_an_option(self):
         """--config, --seed and --out belong to the group; no command has a
@@ -234,9 +273,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [("bounds", [5, 0]), ("bounds", [0, 5, 9]),
                                            ("budget", -1), ("budget", "lots")])
     def test_bad_search_setting_is_usage_error(self, tmp_path, key, value):
-        cfg = write_config(tmp_path, "bs", planner={key: value})
+        good = write_config(tmp_path, "bs")
         for cmd in ("gen", "collect", "fit"):
-            run_cmd(cfg, cmd)
+            run_cmd(good, cmd)
+        cfg = write_config(tmp_path, "bs", planner={key: value})
         proc = self._run("--config", str(cfg), "search")
         assert proc.returncode == 2, proc.stderr
         assert f"planner.{key} must be" in proc.stderr
@@ -251,16 +291,24 @@ class TestExitCodes:
 
     def test_help_costs_must_match_the_intervention_kind(self, tmp_path):
         """K comes from `intervention` alone: a scalar r on a 'both' run and
-        two costs on a 'strong' run are usage errors, and search (one cost)
-        refuses a K = 2 run."""
-        both = write_config(tmp_path, "k2", intervention="both")
-        strong = write_config(tmp_path, "k1", planner={"r": [0.3, 0.3]})
-        for cfg in (both, strong):
+        two costs on a 'strong' run are usage errors on every command, search
+        (one cost) refuses a K = 2 run, and solve one that gives no r."""
+        k2 = write_config(tmp_path, "k2", intervention="both", planner={"r": [0.3, 0.3]})
+        k1 = write_config(tmp_path, "k1")
+        for cfg in (k2, k1):
             for cmd in ("gen", "collect", "fit"):
                 run_cmd(cfg, cmd)
+        no_r = json.loads(k2.read_text())
+        del no_r["planner"]["r"]
+        (tmp_path / "no_r.json").write_text(json.dumps(no_r))
+        both = write_config(tmp_path, "k2", name="both", intervention="both")
+        strong = write_config(tmp_path, "k1", name="strong", planner={"r": [0.3, 0.3]})
         for cfg, cmd, message in (
+            (both, "gen", "planner.r gives 1 help cost(s), but intervention 'both' has 2"),
             (both, "solve", "planner.r gives 1 help cost(s), but intervention 'both' has 2"),
-            (both, "search", "use `solve`"),
+            (k2, "search", "use `solve`"),
+            (tmp_path / "no_r.json", "solve", "solve needs planner.r"),
+            (strong, "gen", "planner.r gives 2 help cost(s), but intervention 'strong' has 1"),
             (strong, "solve", "planner.r gives 2 help cost(s), but intervention 'strong' has 1"),
         ):
             proc = self._run("--config", str(cfg), cmd)

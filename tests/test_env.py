@@ -69,6 +69,22 @@ class TestGenerateTasks:
         with pytest.raises(EnvError, match="hint size"):
             EnvConfig(room_count=3, hint_sizes=((4, 1.0),))
 
+    @pytest.mark.parametrize("field,value", [
+        ("room_count", 1), ("room_count", 4.0), ("max_steps", True), ("n_train", 0), ("n_val", -1),
+        ("n_test", "4"), ("move_prob", 1.5), ("eta", "x"), ("eta_strong", float("nan")),
+        ("eta", False), ("hint_sizes", [1, 2]), ("hint_sizes", {"x": 1}), ("hint_sizes", {"2": 0}),
+        ("n_trian", 3),
+    ])
+    def test_config_refuses_a_bad_field_by_name(self, field, value):
+        """Each field is checked for its type and range, and an unknown one is
+        refused; the message starts with the field's name, so the CLI can name
+        it under `env.`."""
+        with pytest.raises(EnvError, match=f"^{field} (must|is unknown)"):
+            EnvConfig.from_dict({field: value})
+
+    def test_config_defaults_pass(self):
+        assert EnvConfig.from_dict({}) == EnvConfig()
+
     def test_taskset_roundtrip(self, tmp_path):
         ts = generate_tasks(SMALL, 9)
         path = tmp_path / "tasks.jsonl"
