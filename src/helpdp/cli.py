@@ -192,6 +192,14 @@ def _q_from_success(success: SuccessModel, seed: int):
     return q
 
 
+def _require_tasks(run: Run, command: str, *keys: str) -> None:
+    """``gen`` may leave the val or test split empty, since the main chain
+    never plays them; a command that does refuses such a run up front."""
+    for key in keys:
+        if getattr(run.env, key) == 0:
+            raise click.UsageError(f"{command} needs env.{key} >= 1, got 0")
+
+
 pass_run = click.make_pass_decorator(Run)
 
 
@@ -354,6 +362,7 @@ def eval_cmd(run: Run) -> None:
 @pass_run
 def baseline(run: Run) -> None:
     """Random-trigger baselines on the test split."""
+    _require_tasks(run, "baseline", "n_test")
     taskset = run.load_tasks()
     interventions = run.interventions(taskset.test)
     report = {}
@@ -373,6 +382,7 @@ def selfreg(run: Run) -> None:
 
     The difficulty scorer is the exact per-state success probability of the
     val/test tasks; empirical estimates never cover these states."""
+    _require_tasks(run, "selfreg", "n_val", "n_test")
     taskset = run.load_tasks()
     _, success = envmod.exact_models(list(taskset.val) + list(taskset.test),
                                      eta=run.env.eta, eta_strong=run.env.eta_strong)

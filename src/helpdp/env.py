@@ -14,12 +14,13 @@ import functools
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .mdp import (NOHELP, SuccessModel, TransitionModel, help_action, is_number, is_whole, read_jsonl,
                   terminal_outcome, write_jsonl)
 
 EXPLORE = "explore"
+T = TypeVar("T")
 
 
 class EnvError(ValueError):
@@ -86,6 +87,24 @@ class Task:
         )
 
 
+def _memo(fn: Callable[[object], T]) -> Callable[[object], T]:
+    """``fn`` computed once per object it is called with and kept on that
+    object, out of its fields, so equality, hashing and ``to_dict`` ignore it
+    (as they ignore ``Task.key_prefix``).  The dynamics are deterministic, so
+    a state's answer never changes; ``fn`` never returns None, which marks a
+    miss."""
+    slot = f"memo:{fn.__name__}"  # no attribute has this name
+
+    @functools.wraps(fn)
+    def cached(obj):
+        value = obj.__dict__.get(slot)
+        if value is None:
+            value = obj.__dict__[slot] = fn(obj)
+        return value
+
+    return cached
+
+
 @dataclass(frozen=True)
 class EnvState:
     task: Task
@@ -111,6 +130,7 @@ class EnvState:
     def terminal(self) -> bool:
         return self.outcome is not None
 
+    @_memo
     def key(self) -> str:
         outcome = self.outcome
         return (
@@ -133,17 +153,45 @@ def initial_state(task: Task) -> EnvState:
     return EnvState(task=task, t=0, room=0, explored=frozenset(), found=False)
 
 
-def legal_actions(state: EnvState) -> list[str]:
+@_memo
+def episode_start(task: Task) -> EnvState:
+    """The start object kept on ``task``, so every episode of the task walks,
+    and grows, one memoized state graph.  The task and its start then refer
+    to each other, a cycle that a process with the cyclic collector off
+    never frees; code that needs only the start key takes
+    :func:`initial_state`, which leaves nothing on the task."""
+    return initial_state(task)
+
+
+@_memo
+def legal_actions(state: EnvState) -> tuple[str, ...]:
     acts = [EXPLORE]
     if state.room > 0:
         acts.append(goto(state.room - 1))
     if state.room + 1 < state.task.room_count:
         acts.append(goto(state.room + 1))
-    return acts
+    return tuple(acts)
+
+
+@_memo
+def _successors(state: EnvState) -> dict[str, EnvState]:
+    """The successors of ``state`` stepped so far, by action."""
+    return {}
 
 
 def env_step(state: EnvState, action: str) -> EnvState:
-    """Deterministic transition."""
+    """Deterministic transition, memoized per state object.  A memo hit is
+    a pair that already passed both checks of :func:`_step`, so repeating
+    it skips none."""
+    successors = _successors(state)
+    nxt = successors.get(action)
+    if nxt is None:
+        nxt = successors[action] = _step(state, action)
+    return nxt
+
+
+def _step(state: EnvState, action: str) -> EnvState:
+    """Deterministic transition to a new, unmemoized successor object."""
     if state.terminal:
         raise EnvError("cannot step a terminal state")
     if action not in legal_actions(state):
@@ -204,6 +252,7 @@ class EnvConfig:
         return cls(**kwargs)
 
 
+@_memo
 def _greedy_base(state: EnvState) -> str:
     """Move toward (then explore) the nearest unexplored hint room.
 
@@ -221,6 +270,7 @@ def _greedy_base(state: EnvState) -> str:
     return goto(state.room + (1 if target > state.room else -1))
 
 
+@_memo
 def _greedy_strong(state: EnvState) -> str:
     target = state.task.object_room(state.t)
     if target == state.room:
@@ -370,7 +420,8 @@ def exact_models(
             ):
                 row: dict[str, float] = {}
                 for env_action, prob in action_distribution(greedy, state, noise).items():
-                    nxt = env_step(state, env_action)
+                    # unmemoized: the enumeration must not outlive the call
+                    nxt = _step(state, env_action)
                     nk = nxt.key()
                     row[nk] = row.get(nk, 0.0) + prob
                     stack.append(nxt)

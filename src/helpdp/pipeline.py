@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .env import EnvConfig, EnvState, Task, base_actor, env_step, initial_state, strong_actor
+from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start, strong_actor
 from .mdp import (
     NOHELP,
     CountTable,
@@ -37,13 +38,9 @@ class PipelineError(ValueError):
 
 
 def derive_seed(master: int, *parts) -> int:
-    """Stable 63-bit child seed from a master seed and a label path."""
-    h = hashlib.sha256()
-    h.update(str(master).encode())
-    for part in parts:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest()[:8], "big") >> 1
+    """Stable 63-bit child seed: the hash of the label path ``master/part/...``."""
+    digest = hashlib.sha256("/".join(map(str, (master,) + parts)).encode()).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 # (state key, decision stream, step index) -> branch
@@ -130,7 +127,7 @@ def run_episode(
         (iv, observe) for iv in interventions
         if (observe := getattr(iv, "observe", None)) is not None
     ]
-    state = initial_state(task)
+    state = episode_start(task)
     steps: list[Step] = []
     t = 0
     while not state.terminal:
@@ -199,6 +196,36 @@ def phase1_schedule(n_help: int) -> list[tuple[float, ...]]:
     raise PipelineError(f"no default schedule for {n_help} interventions")
 
 
+# A forked collect worker takes about 10 ms to start and join, and sending
+# an episode back costs about a third of playing it, so a second worker pays
+# off only past about 500 episodes.
+EPISODES_PER_WORKER = 500
+
+# The inputs of the running collect_phase1; forked workers inherit them, so
+# the interventions (the MCTS scorer is a closure) are never pickled.
+_collect_job: tuple | None = None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _collect_slice(bounds: tuple[int, int]) -> list[Episode]:
+    tasks, interventions, master_seed, schedule, n_seeds, eta = _collect_job
+    episodes = []
+    for task in tasks[bounds[0]:bounds[1]]:
+        for probs in schedule:
+            decide = baseline_random(probs)
+            for rep in range(n_seeds):
+                seed = derive_seed(master_seed, "phase1", task.task_id, probs, rep)
+                episodes.append(run_episode(task, decide, interventions, seed, eta=eta))
+    return episodes
+
+
 def collect_phase1(
     tasks: Sequence[Task],
     interventions: Sequence[Intervention],
@@ -207,19 +234,34 @@ def collect_phase1(
     n_seeds: int = 3,
     eta: float = EnvConfig.eta,
 ) -> RolloutLog:
-    """One episode per task x schedule entry x seed, everything recorded."""
+    """One episode per task x schedule entry x seed, everything recorded.
+
+    The tasks are cut into one contiguous slice per worker, with one worker
+    per usable CPU and at least ``EPISODES_PER_WORKER`` episodes each.  This
+    process plays the first slice while forked processes play the others,
+    and the slices are joined in task order; each episode depends only on
+    its own seed, so the log is the same for any worker count."""
+    global _collect_job
     if not tasks:
         raise PipelineError("empty taskset")
     if schedule is None:
         schedule = phase1_schedule(len(interventions))
-    log = RolloutLog()
-    for task in tasks:
-        for probs in schedule:
-            decide = baseline_random(probs)
-            for rep in range(n_seeds):
-                seed = derive_seed(master_seed, "phase1", task.task_id, probs, rep)
-                log.append(run_episode(task, decide, interventions, seed, eta=eta))
-    return log
+    n_episodes = len(tasks) * len(schedule) * n_seeds
+    workers = max(1, min(_usable_cpus(), n_episodes // EPISODES_PER_WORKER))
+    bounds = [(len(tasks) * i // workers, len(tasks) * (i + 1) // workers) for i in range(workers)]
+    _collect_job = (tasks, interventions, master_seed, schedule, n_seeds, eta)
+    try:
+        if workers == 1:
+            slices = list(map(_collect_slice, bounds))
+        else:
+            import multiprocessing  # only here: a serial collect pays nothing for it
+
+            with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
+                rest = pool.map_async(_collect_slice, bounds[1:], chunksize=1)
+                slices = [_collect_slice(bounds[0]), *rest.get()]
+    finally:
+        _collect_job = None
+    return RolloutLog([ep for episodes in slices for ep in episodes])
 
 
 def truncate_counts(

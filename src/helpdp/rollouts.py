@@ -41,6 +41,17 @@ class Episode:
                 counts[help_index(step.action) - 1] += 1
         return tuple(counts)
 
+    def __reduce__(self):
+        # The steps travel as plain tuples, which pickle about twice as fast
+        # as named tuples; collect_phase1's workers send every episode back.
+        return _episode, (self.task_id, self.seed, tuple(map(tuple, self.steps)),
+                          self.final_state, self.outcome, self.length)
+
+
+def _episode(task_id: str, seed: int, steps: tuple[tuple[str, str, str], ...], final_state: str,
+             outcome: str, length: int) -> Episode:
+    return Episode(task_id, seed, tuple(map(Step._make, steps)), final_state, outcome, length)
+
 
 class RolloutLog:
     """Ordered collection of episodes with jsonl persistence."""

@@ -355,6 +355,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "helper.json missing" in proc.stderr and "`annotate`" in proc.stderr
 
+    @pytest.mark.parametrize("command,key", [("selfreg", "n_val"), ("selfreg", "n_test"),
+                                             ("baseline", "n_test")])
+    def test_empty_played_split_is_usage_error(self, tmp_path, monkeypatch, command, key):
+        """`gen` may leave val or test empty, since the main chain never plays
+        them; a command that plays the split refuses before it enumerates or
+        rolls anything, and writes nothing."""
+        from helpdp import env
+
+        cfg = write_config(tmp_path, "e", env={key: 0})
+        run_cmd(cfg, "gen")
+
+        def played(*args, **kwargs):
+            raise AssertionError("an empty split was played")
+
+        monkeypatch.setattr(pipeline, "run_episode", played)
+        monkeypatch.setattr(env, "exact_models", played)
+        result = CliRunner().invoke(main, ["--config", str(cfg), command])
+        assert result.exit_code == 2, result.output
+        assert f"{command} needs env.{key} >= 1" in result.output
+        assert [p.name for p in (tmp_path / "e").iterdir()] == ["tasks.jsonl"]
+
     def test_trajectory_annotate_without_tasks_is_usage_error(self, tmp_path):
         """A trajectory_only annotate walks from the train starts of
         tasks.jsonl; the rollout log is not needed."""
@@ -558,12 +579,40 @@ def test_gc_is_switched_off_only_at_the_process_entry(tmp_path, monkeypatch, cap
     assert not gc.isenabled()
 
 
+def test_failed_forked_collect_exits_1_and_writes_no_log(tmp_path, monkeypatch, capsys, restore_gc):
+    cfg = write_config(tmp_path, "fk")
+    run_cmd(cfg, "gen")
+    monkeypatch.setattr(pipeline, "EPISODES_PER_WORKER", 1)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    # a schedule that calls help2 on a run with one help type
+    monkeypatch.setattr(pipeline, "phase1_schedule", lambda n_help: [(0.0, 1.0)])
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), "collect"])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    assert "unknown intervention index 2" in capsys.readouterr().err
+    assert not (tmp_path / "fk" / "phase1.jsonl").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     # fixtures and oracle are test aids that no command imports
     code = ("import sys, helpdp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
             "'helpdp.fixtures' in sys.modules, 'helpdp.oracle' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False False False"
+
+
+def test_reference_collect_stays_serial(tmp_path):
+    """configs/reference.json collects 560 episodes, too few to pay for a
+    fork, so collect runs in the one process and never imports
+    multiprocessing."""
+    code = ("import sys; from helpdp.cli import main; "
+            "[main(['--config', sys.argv[1], '--out', sys.argv[2], c], standalone_mode=False) "
+            "for c in ('gen', 'collect')]; print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(REFERENCE_CONFIG), str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_benchmark_wrap_targets_exist():

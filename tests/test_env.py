@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -23,7 +24,7 @@ from helpdp.env import (
     shortest_success_length,
     strong_actor,
 )
-from helpdp.mdp import NOHELP
+from helpdp.mdp import NOHELP, terminal_outcome
 
 
 def make_task(rooms=2, obj=1, hint=(1,), schedule=(), steps=3, opt=2, task_id="h0"):
@@ -381,6 +382,84 @@ def test_cached_key_parts_leave_task_identity_alone():
     assert a == b and hash(a) == hash(b)
     assert a.to_dict() == b.to_dict()
     assert a.first_move == 2 and make_task().first_move is None
+
+
+class TestMemo:
+    """env_step, the state key, the legal actions and the greedy actions are
+    kept on each state object; the memo must change no answer and skip no
+    check."""
+
+    def test_repeated_step_returns_the_same_successor(self):
+        task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
+        s0 = env.episode_start(task)
+        assert env.episode_start(task) is s0 and s0 == initial_state(task)
+        nxt = env_step(s0, goto(1))
+        assert env_step(s0, goto(1)) is nxt
+        assert env_step(s0, EXPLORE) is not nxt
+        assert nxt == EnvState(task=task, t=1, room=1, explored=frozenset(), found=False)
+
+    def test_stepped_state_still_refuses_illegal_and_terminal_steps(self):
+        task = make_task(obj=0, hint=(0,), opt=1)
+        s0 = env.episode_start(task)
+        done = env_step(s0, EXPLORE)  # s0 now has a memoized successor
+        with pytest.raises(EnvError, match="illegal"):
+            env_step(s0, goto(1 + 1))
+        assert done.terminal
+        for _ in range(2):
+            with pytest.raises(EnvError, match="terminal"):
+                env_step(done, EXPLORE)
+
+    def test_memo_leaves_state_identity_alone(self):
+        task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
+        warm = env_step(initial_state(task), goto(1))
+        warm.key(), legal_actions(warm), env._greedy_base(warm), env_step(warm, EXPLORE)
+        cold = dataclasses.replace(warm)
+        assert cold == warm and hash(cold) == hash(warm)
+        assert cold.key() == warm.key()
+
+    def test_exact_models_match_an_uncached_enumeration(self):
+        tasks = generate_tasks(SMALL, 5).train[:8]
+        iv = [pipeline.StrongActorIntervention()]
+        for task in tasks[:4]:  # grow the episode graphs of half the tasks
+            for seed in range(20):
+                pipeline.run_episode(task, pipeline.baseline_random((0.5,)), iv, seed)
+        model, success = exact_models(tasks, eta=0.3, eta_strong=0.1)
+        probs, p = _uncached_exact(tasks, eta=0.3, eta_strong=0.1)
+        assert model.probs == probs
+        assert success.p == p
+        # the enumeration leaves nothing on the tasks it walked
+        kept = {name for t in tasks[4:] for name in vars(t)}
+        assert kept <= {f.name for f in dataclasses.fields(Task)} | {"key_prefix", "first_move"}
+
+
+def _uncached_exact(tasks, eta, eta_strong):
+    """exact_models' rows and p(s, a), with every state copied before it is
+    read, so no memoized key, action or successor is ever read back."""
+    def fresh(state):
+        return dataclasses.replace(state)
+
+    probs = {}
+    stack = [fresh(initial_state(t)) for t in tasks]
+    while stack:
+        state = stack.pop()
+        key = fresh(state).key()
+        if state.terminal or (key, NOHELP) in probs:
+            continue
+        for tag, greedy, noise in ((NOHELP, env._greedy_base, eta), ("help1", env._greedy_strong, eta_strong)):
+            row = {}
+            for action, prob in action_distribution(greedy, fresh(state), noise).items():
+                nxt = env._step(fresh(state), action)
+                row[fresh(nxt).key()] = row.get(fresh(nxt).key(), 0.0) + prob
+                stack.append(nxt)
+            probs[(key, tag)] = row
+
+    def p_star(key):
+        outcome = terminal_outcome(key)
+        if outcome is not None:
+            return 1.0 if outcome == "success" else 0.0
+        return sum(q * p_star(nk) for nk, q in probs[(key, NOHELP)].items())
+
+    return probs, {sa: sum(q * p_star(nk) for nk, q in row.items()) for sa, row in probs.items()}
 
 
 def test_shortest_success_length_with_move():

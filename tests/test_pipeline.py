@@ -78,6 +78,58 @@ class TestCollect:
         assert len(log) == len(TASKS.train) * len(phase1_schedule(1)) * 3
 
 
+class TestForkedCollect:
+    """collect_phase1 forks workers when the episodes pay for them; here ten
+    tasks are cut for three workers whatever the host has, and the forked
+    slices must give the serial log."""
+
+    @pytest.fixture
+    def slices(self, monkeypatch):
+        """Force three workers; returns the slices handed to the pool."""
+        import multiprocessing.pool
+
+        monkeypatch.setattr(pipeline, "EPISODES_PER_WORKER", 1)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+        handed: list[tuple[int, int]] = []
+        map_async = multiprocessing.pool.Pool.map_async
+
+        def spy(pool, fn, bounds, *args, **kwargs):
+            handed.extend(bounds)
+            return map_async(pool, fn, bounds, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "map_async", spy)
+        return handed
+
+    @staticmethod
+    def interventions(kind: str) -> list:
+        from helpdp.cli import _q_from_success
+
+        _, success = env.exact_models(TASKS.train, eta=CFG.eta, eta_strong=CFG.eta_strong)
+        mcts = pipeline.MctsIntervention(_q_from_success(success, 5))
+        return {"strong": STRONG, "mcts": [mcts], "both": [STRONG[0], mcts]}[kind]
+
+    @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
+    def test_forked_log_equals_serial_log(self, tmp_path, monkeypatch, slices, kind):
+        # the MCTS scorer is a closure and its visit counts live in the
+        # intervention: both must reach the workers through the fork
+        forked = collect_phase1(list(TASKS.train), self.interventions(kind), 11, n_seeds=2, eta=CFG.eta)
+        assert slices == [(3, 6), (6, 10)]  # this process plays (0, 3)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        serial = collect_phase1(list(TASKS.train), self.interventions(kind), 11, n_seeds=2, eta=CFG.eta)
+        assert len(slices) == 2  # the serial run forked nothing
+        assert forked.episodes == serial.episodes
+        forked.save(tmp_path / "forked.jsonl")
+        serial.save(tmp_path / "serial.jsonl")
+        assert (tmp_path / "forked.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+    def test_worker_error_reaches_the_caller_with_its_type(self, slices):
+        # two tasks for three workers leave this process's slice empty, so
+        # the error can only come from a forked worker
+        with pytest.raises(PipelineError, match="unknown intervention index 2"):
+            collect_phase1(list(TASKS.train[:2]), STRONG, 11, schedule=[(0.0, 1.0)], n_seeds=2)
+        assert slices == [(0, 1), (1, 2)]
+
+
 class TestReductions:
     def _logs_equal(self, a: RolloutLog, b: RolloutLog) -> bool:
         return [e for e in a] == [e for e in b]
@@ -405,6 +457,14 @@ def test_derive_seed_stable_and_distinct():
     assert a == derive_seed(1, "x", 2)
     assert a != derive_seed(1, "x", 3)
     assert 0 <= a < 2**63
+
+
+def test_derive_seed_keeps_its_recorded_values():
+    # every seed of every artifact comes from here, so the hash of a label
+    # path must not move however it is computed
+    assert derive_seed(11, "phase1", "train0000", (0.3,), 2) == 506697477610168690
+    assert derive_seed(11, "decide") == 5803270299541934115
+    assert derive_seed(11, "q", "task=train0000|hint=1,2", "explore") == 7506896485353172538
 
 
 def test_state_score_uses_base_branch():
