@@ -130,8 +130,8 @@ class CountTable:
     def record(self, state: str, action: str, next_state: str, count: int = 1) -> None:
         if is_terminal(state):
             raise DataError(f"terminal source state: {state!r}")
-        if count < 1:
-            raise DataError(f"count must be positive, got {count}")
+        if not (is_whole(count) and count >= 1):
+            raise DataError(f"count must be a positive integer, got {count!r}")
         action = canonical_action(action)
         key = (state, action, next_state)
         self._counts[key] = self._counts.get(key, 0) + count
@@ -259,11 +259,14 @@ class SuccessModel:
         p: dict[tuple[str, str], float] = {}
         n: dict[tuple[str, str], int] = {}
         provenance = "empirical"
-        for rec in read_jsonl(path, "state"):
+        for i, rec in enumerate(read_jsonl(path, "state")):
             key = (rec["state"], canonical_action(rec["action"]))
             p[key] = rec["p"]
             n[key] = rec["n"]
-            provenance = rec["provenance"]
+            if i == 0:
+                provenance = rec["provenance"]
+            elif rec["provenance"] != provenance:  # one provenance decides the n >= 1 check for all
+                raise DataError(f"mixed provenance in {path}: {provenance!r} and {rec['provenance']!r}")
         return cls(p=p, n=n, provenance=provenance)
 
 

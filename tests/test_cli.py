@@ -595,11 +595,39 @@ def test_failed_forked_collect_exits_1_and_writes_no_log(tmp_path, monkeypatch, 
 
 
 def test_import_leaves_scipy_unloaded():
-    # fixtures and oracle are test aids that no command imports
-    code = ("import sys, helpdp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
-            "'helpdp.fixtures' in sys.modules, 'helpdp.oracle' in sys.modules)")
+    # fixtures and oracle are test aids that no command imports; solver is the array core
+    code = ("import sys, helpdp.cli; print(any(m.split('.')[0] in ('numpy', 'scipy') for m in sys.modules), "
+            "'helpdp.fixtures' in sys.modules, 'helpdp.oracle' in sys.modules, 'helpdp.solver' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False False False"
+    assert proc.stdout.strip() == "False False False False"
+
+
+def numeric_libraries_after(config: Path, out: Path, *commands: str) -> list[str]:
+    """Which of numpy and scipy a fresh process holds after running
+    ``commands`` in order through ``cli.main``."""
+    code = ("import sys; from helpdp.cli import main; "
+            "[main(['--config', sys.argv[1], '--out', sys.argv[2], c], standalone_mode=False) "
+            "for c in sys.argv[3:]]; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))")
+    proc = subprocess.run([sys.executable, "-c", code, str(config), str(out), *commands],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("intervention", ["strong", "mcts"])
+def test_only_the_solving_commands_load_numpy_and_scipy(tmp_path, intervention):
+    """Only `search` and `solve` do array work; every other command, the
+    MCTS scorer's exact enumeration included, runs without numpy or scipy."""
+    config = json.loads(REFERENCE_CONFIG.read_text())
+    config["intervention"] = intervention
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert numeric_libraries_after(path, out, "gen", "collect", "fit") == []
+    assert numeric_libraries_after(path, out, "search") == ["numpy", "scipy"]
+    assert numeric_libraries_after(path, out, "annotate", "eval", "baseline", "selfreg") == []
+    assert numeric_libraries_after(path, out, "solve") == ["numpy", "scipy"]
 
 
 def test_reference_collect_stays_serial(tmp_path):
@@ -653,14 +681,14 @@ def test_reference_search_factorizes_each_distinct_policy_once(tmp_path, monkeyp
     policy costs one sparse LU factorization, and the rest are lookups."""
     from scipy.sparse import linalg
 
-    from helpdp import planner
+    from helpdp import solver
 
     monkeypatch.chdir(tmp_path)
     for cmd in ("gen", "collect", "fit"):
         main(["--config", str(REFERENCE_CONFIG), "--out", "out", cmd], standalone_mode=False)
     factorizations = 0
     policies = []
-    real_splu, real_eval = linalg.splu, planner._exact_eval
+    real_splu, real_eval = linalg.splu, solver._exact_eval
 
     def counting_splu(*args, **kwargs):
         nonlocal factorizations
@@ -672,7 +700,7 @@ def test_reference_search_factorizes_each_distinct_policy_once(tmp_path, monkeyp
         return real_eval(comp, cfg, choice)
 
     monkeypatch.setattr(linalg, "splu", counting_splu)
-    monkeypatch.setattr(planner, "_exact_eval", recording_eval)
+    monkeypatch.setattr(solver, "_exact_eval", recording_eval)
     main(["--config", str(REFERENCE_CONFIG), "--out", "out", "search"], standalone_mode=False)
     assert len(policies) == 90
     assert factorizations == len(set(policies)) == 10

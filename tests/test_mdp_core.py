@@ -51,6 +51,19 @@ class TestCountTable:
         with pytest.raises(DataError, match="terminal source"):
             table.record(T_SUCC, "help1", "s0")
 
+    @pytest.mark.parametrize("count", [0, -1, 1.5, 2.0, True, "2"])
+    def test_count_must_be_a_positive_integer(self, count):
+        table = CountTable()
+        with pytest.raises(DataError, match="positive integer"):
+            table.record("s0", NOHELP, T_SUCC, count)
+        assert len(table) == 0
+
+    def test_load_rejects_a_fractional_count(self, tmp_path):
+        path = tmp_path / "counts.jsonl"
+        write_jsonl(path, [{"state": "s0", "action": NOHELP, "next": T_SUCC, "count": 1.5}])
+        with pytest.raises(DataError, match="positive integer"):
+            CountTable.load(path)
+
     def test_log_with_terminal_step_rejected(self):
         ep = Episode("t0", 0, (Step("s0", NOHELP), Step(T_FAIL, NOHELP)), T_FAIL, "failure", 2)
         with pytest.raises(DataError, match="terminal source"):
@@ -284,6 +297,24 @@ class TestEstimateSuccess:
         assert back.p == sm.p
         assert back.n == sm.n
         assert back.provenance == "empirical"
+
+    @pytest.mark.parametrize("kinds", [("empirical", "exact"), ("exact", "empirical")])
+    def test_load_rejects_mixed_provenance(self, tmp_path, kinds):
+        # an empirical row without samples must not pass because another row says exact
+        path = tmp_path / "success.jsonl"
+        write_jsonl(path, [{"state": s, "action": NOHELP, "p": 0.5, "n": 0, "provenance": kind}
+                           for s, kind in zip(("s0", "s1"), kinds)])
+        with pytest.raises(DataError, match="mixed provenance"):
+            SuccessModel.load(path)
+
+    def test_load_keeps_one_provenance(self, tmp_path):
+        path = tmp_path / "success.jsonl"
+        write_jsonl(path, [{"state": s, "action": NOHELP, "p": 0.5, "n": 0, "provenance": "exact"}
+                           for s in ("s0", "s1")])
+        assert SuccessModel.load(path).provenance == "exact"
+        write_jsonl(path, [{"state": "s0", "action": NOHELP, "p": 0.5, "n": 0, "provenance": "empirical"}])
+        with pytest.raises(DataError, match="without samples"):
+            SuccessModel.load(path)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpdp import fixtures, oracle, planner
+from helpdp import fixtures, oracle, planner, solver
 from helpdp.mdp import NOHELP, TransitionModel
 from helpdp.planner import (
     BudgetInfeasibleError,
@@ -157,13 +157,13 @@ class TestRewardSearchOnCompiledModel:
 
     def test_compiles_once_per_search(self, monkeypatch):
         calls = []
-        compile_model = planner._compile
+        compile_model = solver._compile
 
         def counting(*args, **kwargs):
             calls.append(args)
             return compile_model(*args, **kwargs)
 
-        monkeypatch.setattr(planner, "_compile", counting)
+        monkeypatch.setattr(solver, "_compile", counting)
         model, succ = fixtures.mdp_b()
         res = reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert len(res.trace) > 2
@@ -172,10 +172,10 @@ class TestRewardSearchOnCompiledModel:
     def test_evaluation_is_cached_read_only(self):
         model, _ = fixtures.random_mdp(0, 6)
         cfg = cfg1(0.1)
-        comp = planner._compile(model, cfg.n_help)
+        comp = solver._compile(model, cfg.n_help)
         choice = np.ones(len(comp.states), dtype=int)
-        S, M = planner._exact_eval(comp, cfg, choice)
-        again = planner._exact_eval(comp, replace(cfg, r=(0.7,)), choice.copy())
+        S, M = solver._exact_eval(comp, cfg, choice)
+        again = solver._exact_eval(comp, replace(cfg, r=(0.7,)), choice.copy())
         assert again[0] is S and again[1] is M  # r does not enter (S, M)
         for arr in (S, M):
             with pytest.raises(ValueError):
@@ -221,6 +221,18 @@ class TestRewardSearchOnCompiledModel:
         model, succ = fixtures.mdp_b()
         with pytest.raises(PlannerError, match="no start states"):
             reward_search(model, succ, 1.0, (0.0, 2.0), [], cfg1(0.0))
+
+    def test_no_starts_and_bad_budget_raise_before_compiling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compiled before the inputs were checked")
+
+        monkeypatch.setattr(solver, "_compile", refuse)
+        model, succ = fixtures.mdp_b()
+        with pytest.raises(PlannerError, match="no start states"):
+            reward_search(model, succ, 1.0, (0.0, 2.0), [], cfg1(0.0))
+        for budget in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(PlannerError, match="budget must be finite"):
+                reward_search(model, succ, budget, (0.0, 2.0), ["s0"], cfg1(0.0))
 
     def test_improper_chain_at_gamma_one_raises(self):
         probs = {
@@ -339,7 +351,7 @@ def test_paper_literal_rule_matches_per_state_reference(n_help):
     M_br[2:, :, 40:80] = M_br[1, :, 40:80]  # equal costs: the lowest help index wins
     p[2:, 40:80] = p[1, 40:80]
     cfg = RewardConfig(r=r, gamma=1.0, variant="paper_literal")
-    got = planner._select_paper_literal(cfg, M_br, p)
+    got = solver._select_paper_literal(cfg, M_br, p)
     assert got.tolist() == _paper_literal_by_state(r, M_br, p).tolist()
     assert set(got.tolist()) >= {0, 1}
 
@@ -356,6 +368,63 @@ class TestDecomposition:
         model, succ = fixtures.mdp_a()
         sol = solve(model, succ, cfg1(0.5))
         assert sol.value["s0"] == pytest.approx(0.9 - 0.5 * 1.0, abs=1e-12)
+
+
+def _numpy_expected_usage(sol, starts):
+    """The array accumulation expected_usage replaced."""
+    acc = np.zeros(sol.n_help)
+    for s in starts:
+        u = sol.usage.get(s)
+        if u is not None:
+            acc += np.asarray(u)
+    return tuple(float(x) for x in acc / len(starts))
+
+
+def _numpy_residual(sol):
+    r = np.asarray(sol.r)
+    return max(abs(v - (sol.success[s] - float(r @ np.asarray(sol.usage[s])))) for s, v in sol.value.items())
+
+
+class TestPlainPythonHelpers:
+    """expected_usage and decomposition_residual run without numpy; they
+    must give the numbers of the array formulas they replaced."""
+
+    @pytest.mark.parametrize("n_help", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_expected_usage_is_bit_equal_to_the_array_sum(self, n_help, seed):
+        rng = np.random.default_rng(seed)
+        states = [f"s{i}" for i in range(300)]
+        # magnitudes spread over six decades, so the order of the additions shows in the bits
+        usage = {s: tuple(float(x) for x in rng.uniform(0, 1, n_help) * 10.0 ** rng.integers(-3, 3))
+                 for s in states}
+        usage[fixtures.T_SUCC] = usage[fixtures.T_FAIL] = (0.0,) * n_help
+        sol = planner.Solution(usage=usage, success={}, policy={}, value={}, r=(0.1,) * n_help,
+                               variant="value_consistent", iterations_run=1, converged=True)
+        pool = states + [fixtures.T_SUCC, fixtures.T_FAIL, "off-model-a", "off-model-b"]
+        starts = [pool[i] for i in rng.integers(0, len(pool), 997)]
+        got = expected_usage(sol, starts)
+        assert got == _numpy_expected_usage(sol, starts)
+        assert all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize("n_help", [1, 2])
+    def test_expected_usage_of_a_solve_is_bit_equal(self, n_help):
+        for seed in range(4):
+            model, succ = fixtures.random_mdp(seed, 8, n_help=n_help)
+            sol = solve(model, succ, RewardConfig(r=(0.2,) * n_help))
+            starts = model.nonterminal_states() * 3 + [fixtures.T_SUCC, "off-model"]
+            assert expected_usage(sol, starts) == _numpy_expected_usage(sol, starts)
+
+    @pytest.mark.parametrize("n_help", [1, 2, 3])
+    def test_residual_agrees_with_the_array_formula(self, n_help):
+        for seed in range(6):
+            model, succ = fixtures.random_mdp(seed, 10, n_help=n_help)
+            sol = solve(model, succ, RewardConfig(r=tuple(0.1 * (i + 1) for i in range(n_help))))
+            assert decomposition_residual(sol) == pytest.approx(_numpy_residual(sol), abs=1e-15)
+            # a value table off the decomposition gives the same residual too
+            rng = random.Random(seed)
+            off = replace(sol, value={s: v + rng.uniform(-0.1, 0.1) for s, v in sol.value.items()})
+            assert decomposition_residual(off) == pytest.approx(_numpy_residual(off), abs=1e-15)
+            assert decomposition_residual(off) > 1e-3
 
 
 class TestVariants:
