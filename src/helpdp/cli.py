@@ -23,9 +23,9 @@ import click
 
 from . import env as envmod
 from . import pipeline, planner
-from .mdp import (NOHELP, CountTable, SuccessModel, TransitionModel, _dump, estimate_success, is_number,
-                  is_whole, normalize)
-from .rollouts import RolloutLog
+from .mdp import NOHELP, CountTable, SuccessModel, TransitionModel, _dump, is_number, is_whole, normalize
+from .mdp import estimate_success  # noqa: F401  (bench/worker.py traces it by this name)
+from .rollouts import RolloutLog, fit_log
 
 HELP_TYPES = {"strong": 1, "mcts": 1, "both": 2}  # K, the help types of each intervention kind
 
@@ -157,9 +157,6 @@ class Run:
     def load_tasks(self) -> envmod.TaskSet:
         return envmod.TaskSet.load(self.require("tasks.jsonl", "`gen`"))
 
-    def load_log(self) -> RolloutLog:
-        return RolloutLog.load(self.require("phase1.jsonl", "`collect`"))
-
     def load_model(self) -> TransitionModel:
         cp = self.require("counts.jsonl", "`fit`")
         return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)), self.n_help)
@@ -240,9 +237,7 @@ def collect(run: Run) -> None:
 @pass_run
 def fit(run: Run) -> None:
     """Estimate transition counts and success probabilities from the log."""
-    log = run.load_log()
-    table = log.to_count_table()
-    success = estimate_success(log)
+    table, success = fit_log(run.require("phase1.jsonl", "`collect`"))
     table.save(run.path("counts.jsonl"), header=run.provenance)
     success.save(run.path("success.jsonl"), header=run.provenance)
     click.echo(f"fit {len(table)} transition rows, {len(success.p)} success entries")

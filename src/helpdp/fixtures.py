@@ -1,4 +1,6 @@
-"""Hand-built MDP fixtures and a seeded random MDP generator.
+"""Hand-built MDP fixtures, a seeded random MDP generator, and
+``truncate_counts``, which drops states from a count table for coverage
+ablations.
 
 All terminal mass flows into the two shared terminal keys, and every row
 carries some direct terminal mass so chains are absorbing and gamma = 1
@@ -10,7 +12,8 @@ import random
 
 import numpy as np
 
-from .mdp import NOHELP, SuccessModel, TransitionModel, help_action, terminal_key, terminal_outcome
+from .mdp import (NOHELP, CountTable, SuccessModel, TransitionModel, help_action, terminal_key,
+                  terminal_outcome)
 
 T_SUCC = terminal_key("terminal", "success")
 T_FAIL = terminal_key("terminal", "failure")
@@ -139,3 +142,32 @@ def random_mdp(
             probs[(s, a)] = row
     model = _model(probs)
     return model, _exact_success(model, n_help)
+
+
+def truncate_counts(
+    table: CountTable, fraction: float, seed: int, keep: str = "random"
+) -> CountTable:
+    """Drop all rows for a fraction of source states (coverage ablation).
+
+    ``keep="random"`` removes a uniform subset; ``keep="frequent"`` retains
+    the most-visited states, mimicking coverage loss in the tail.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    if keep == "random":
+        states = sorted({s for (s, _, _), _ in table.items()})
+        rng = random.Random(seed)
+        rng.shuffle(states)
+    elif keep == "frequent":
+        totals: dict[str, int] = {}
+        for (s, _, _), c in table.items():
+            totals[s] = totals.get(s, 0) + c
+        states = sorted(totals, key=lambda s: (-totals[s], s))
+    else:
+        raise ValueError(f"unknown keep mode {keep!r}")
+    kept = set(states[: max(1, round(fraction * len(states)))])
+    out = CountTable()
+    for (s, a, s2), c in table.items():
+        if s in kept:
+            out.record(s, a, s2, c)
+    return out

@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,8 +50,8 @@ def help_index(action: str) -> int:
 def canonical_action(action: str) -> str:
     """``action`` unchanged if it is ``nohelp`` or ``help<i>`` (i >= 1, no
     leading zero); any other name raises DataError.  Names are checked where
-    they enter: ``CountTable.record``, ``SuccessModel.load`` and
-    ``estimate_success``."""
+    they enter: ``CountTable.record``, ``SuccessModel.load``,
+    ``estimate_success`` and ``rollouts.fit_log``."""
     if action == NOHELP or is_help(action):
         return action
     raise DataError(f"unknown action {action!r}")
@@ -93,9 +94,25 @@ def is_whole(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# One encoder for every record: json.dumps with these arguments builds an
-# equal one per call, so the bytes are the same.
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# One C encoder for the module, built with the arguments that
+# ``JSONEncoder.encode`` passes to ``c_make_encoder`` when it builds a new one
+# on every call, so the bytes are json.dumps' with these settings and an
+# unserializable value still raises TypeError.  Circular references are still
+# checked: ``_markers`` holds the ids of the containers being encoded, and a
+# call that raises leaves its open ones behind, so every call empties it.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_markers: dict[int, object] = {}
+_encode = c_make_encoder(_markers, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+                         _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+                         _ENCODER.skipkeys, _ENCODER.allow_nan)
+
+
+def _dump(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``."""
+    try:
+        return "".join(_encode(obj, 0))
+    finally:
+        _markers.clear()
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
@@ -111,21 +128,32 @@ def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None =
 
 
 def read_jsonl(path: str | Path, key: str) -> Iterator[dict]:
-    """Records of a JSONL file that carry ``key``; blank lines and records
-    of another schema (the provenance header) are skipped."""
+    """The records of a JSONL file written by ``write_jsonl``: every line is
+    a JSON object carrying ``key``, except blank lines, which are skipped,
+    and a ``{"provenance": ...}`` header on the first line.  Any other line
+    raises DataError naming the path and line number."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
                 rec = json.loads(line)
-                if key in rec:
-                    yield rec
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not JSON: {exc}") from None
+            if type(rec) is dict and key in rec:
+                yield rec
+            elif not (lineno == 1 and type(rec) is dict and list(rec) == ["provenance"]):
+                raise DataError(f"{path}:{lineno}: expected a JSON object with {key!r}, "
+                                f"got {line.strip()[:80]}")
 
 
 class CountTable:
     """Raw transition counts keyed by (state, action, next_state)."""
 
-    def __init__(self) -> None:
-        self._counts: dict[tuple[str, str, str], int] = {}
+    def __init__(self, counts: dict[tuple[str, str, str], int] | None = None) -> None:
+        """``counts``, if given, is taken as it is: the caller has already
+        checked every entry as ``record`` would."""
+        self._counts: dict[tuple[str, str, str], int] = {} if counts is None else counts
 
     def record(self, state: str, action: str, next_state: str, count: int = 1) -> None:
         if is_terminal(state):

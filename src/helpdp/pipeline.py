@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Protocol, Sequence
 from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start, strong_actor
 from .mdp import (
     NOHELP,
-    CountTable,
     SuccessModel,
     TransitionModel,
     action_order,
@@ -262,35 +261,6 @@ def collect_phase1(
     finally:
         _collect_job = None
     return RolloutLog([ep for episodes in slices for ep in episodes])
-
-
-def truncate_counts(
-    table: CountTable, fraction: float, seed: int, keep: str = "random"
-) -> CountTable:
-    """Drop all rows for a fraction of source states (coverage ablation).
-
-    ``keep="random"`` removes a uniform subset; ``keep="frequent"`` retains
-    the most-visited states, mimicking coverage loss in the tail.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise PipelineError(f"fraction must be in (0, 1], got {fraction}")
-    if keep == "random":
-        states = sorted({s for (s, _, _), _ in table.items()})
-        rng = random.Random(seed)
-        rng.shuffle(states)
-    elif keep == "frequent":
-        totals: dict[str, int] = {}
-        for (s, _, _), c in table.items():
-            totals[s] = totals.get(s, 0) + c
-        states = sorted(totals, key=lambda s: (-totals[s], s))
-    else:
-        raise PipelineError(f"unknown keep mode {keep!r}")
-    kept = set(states[: max(1, round(fraction * len(states)))])
-    out = CountTable()
-    for (s, a, s2), c in table.items():
-        if s in kept:
-            out.record(s, a, s2, c)
-    return out
 
 
 def restrict_to_solvable(model: TransitionModel, n_help: int) -> TransitionModel:

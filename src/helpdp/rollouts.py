@@ -5,7 +5,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .mdp import NOHELP, CountTable, help_index, read_jsonl, write_jsonl
+from .mdp import (NOHELP, CountTable, DataError, SuccessModel, canonical_action, help_index, is_terminal,
+                  read_jsonl, write_jsonl)
+
+_WON = {"success": 1, "failure": 0}
 
 
 class Step(NamedTuple):
@@ -54,7 +57,10 @@ def _episode(task_id: str, seed: int, steps: tuple[tuple[str, str, str], ...], f
 
 
 class RolloutLog:
-    """Ordered collection of episodes with jsonl persistence."""
+    """Ordered collection of episodes with jsonl persistence: one record per
+    episode, whose ``steps`` are ``[state, branch, env_action]`` lists.
+    ``load``, ``to_count_table`` and ``mdp.estimate_success`` are the
+    per-episode reference for ``fit_log``."""
 
     def __init__(self, episodes: Sequence[Episode] = ()) -> None:
         self.episodes: list[Episode] = list(episodes)
@@ -101,3 +107,56 @@ class RolloutLog:
             )
             for rec in read_jsonl(path, "task_id")
         ])
+
+
+def fit_log(path: str | Path) -> tuple[CountTable, SuccessModel]:
+    """The transition counts and the empirical success model of a saved log,
+    read in one pass and equal to ``RolloutLog.load(path).to_count_table()``
+    and ``estimate_success(RolloutLog.load(path))``; no Episode or Step is
+    built.
+
+    Every (state, branch) is checked once, where it first appears: a
+    non-string or terminal state and an unknown branch name are refused.  So
+    are an outcome other than success or failure, a step that is not a
+    ``[state, branch, env_action]`` list, a non-string final state and a log
+    without episodes.  Each raises DataError naming the path and the episode.
+    """
+    counts: dict[tuple[str, str, str], int] = {}
+    stats: dict[tuple[str, str], list[int]] = {}  # (state, branch) -> [visits, wins]
+    rec = None
+    for rec in read_jsonl(path, "task_id"):
+        try:
+            won = _WON.get(rec["outcome"])
+            if won is None:
+                raise DataError(f"rollout without terminal outcome: {rec['outcome']!r}")
+            final = rec["final_state"]
+            if not isinstance(final, str):
+                raise DataError(f"final state must be a string, got {final!r}")
+            prev = None
+            for state, action, _ in rec["steps"]:
+                key = (state, action)
+                st = stats.get(key)
+                if st is None:
+                    if not isinstance(state, str):
+                        raise DataError(f"state must be a string, got {state!r}")
+                    if is_terminal(state):
+                        raise DataError(f"terminal source state: {state!r}")
+                    canonical_action(action)
+                    st = stats[key] = [0, 0]
+                st[0] += 1
+                st[1] += won
+                if prev is not None:
+                    nxt = prev + (state,)
+                    counts[nxt] = counts.get(nxt, 0) + 1
+                prev = key
+            if prev is not None:
+                nxt = prev + (final,)
+                counts[nxt] = counts.get(nxt, 0) + 1
+        except (KeyError, TypeError, ValueError) as exc:  # DataError is a ValueError
+            why = exc if isinstance(exc, DataError) else f"malformed record ({type(exc).__name__}: {exc})"
+            raise DataError(f"{path}: episode {rec['task_id']}:{rec.get('seed')}: {why}") from None
+    if rec is None:
+        raise DataError(f"{path}: no episodes")
+    p = {key: wins / visits for key, (visits, wins) in stats.items()}
+    n = {key: visits for key, (visits, _) in stats.items()}
+    return CountTable(counts), SuccessModel(p=p, n=n, provenance="empirical")

@@ -276,7 +276,7 @@ def test_09_robustness_direction():
     details = []
     for seed in range(5):
         log = pipeline.collect_phase1(list(ts.train), iv, 100 + seed, n_seeds=2, eta=cfg.eta)
-        table = pipeline.truncate_counts(log.to_count_table(), 0.6, seed=seed, keep="frequent")
+        table = fixtures.truncate_counts(log.to_count_table(), 0.6, seed=seed, keep="frequent")
         raw = normalize(table)
         solvable = pipeline.restrict_to_solvable(raw, 1)
         sol = planner.solve(solvable, estimate_success(log), cfg1(0.1))

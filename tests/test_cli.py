@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from helpdp import pipeline
+from helpdp import fixtures, pipeline
 from helpdp.cli import Run, cli, main
-from helpdp.env import TaskSet, initial_state
-from helpdp.mdp import CountTable, normalize
+from helpdp.env import TaskSet, generate_tasks, initial_state
+from helpdp.mdp import CountTable, estimate_success, normalize
 from helpdp.pipeline import build_helper, restrict_to_solvable
 from helpdp.planner import expected_usage, load_solution
-from helpdp.rollouts import RolloutLog
+from helpdp.rollouts import RolloutLog, fit_log
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
@@ -426,7 +426,7 @@ class TestDeploy:
         for cmd in ("gen", "collect", "fit"):
             run_cmd(cfg, cmd)
         counts = out / "counts.jsonl"
-        pipeline.truncate_counts(CountTable.load(counts), 0.7, seed=2).save(counts)
+        fixtures.truncate_counts(CountTable.load(counts), 0.7, seed=2).save(counts)
         for cmd in ("solve", "annotate", "eval"):
             run_cmd(cfg, cmd)
         report = json.loads((out / "metrics.json").read_text())
@@ -460,7 +460,7 @@ def test_search_annotate_eval_share_one_budget_definition(tmp_path, monkeypatch)
     for cmd in ("gen", "collect", "fit"):
         main(["--config", str(path), "--out", "out", cmd], standalone_mode=False)
     counts = tmp_path / "out" / "counts.jsonl"
-    pipeline.truncate_counts(CountTable.load(counts), 0.7, seed=2).save(counts)
+    fixtures.truncate_counts(CountTable.load(counts), 0.7, seed=2).save(counts)
     for cmd in ("search", "annotate", "eval"):
         main(["--config", str(path), "--out", "out", cmd], standalone_mode=False)
     search = json.loads((tmp_path / "out" / "search.json").read_text())
@@ -759,6 +759,8 @@ def test_reference_trajectory_helper_is_golden(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind,plan,golden", [
     ("both", "solve", {
         "phase1.jsonl": "d81f6e198130aea7df8e27ebae1b13a8454dfe47efe2a2367a79ddb60cfe1960",
+        "counts.jsonl": "95deefb0098ce8f1616f310283fbd2da891fd52e10e995d2c8f6929421b2a50b",
+        "success.jsonl": "c14d883f0969d82fcbad6efbe36a41455bdcbdeae4645ecdf02c0723dffe05db",
         "helper.json": "f5499477d1abdf6f638499fd6d16c646ebac8be5c9d667a9e08593774666b7f6",
         "metrics.json": "37f0e9005f37dadf7fb965b4645b1f8176ddb04ea232bf3447f24643eea93410",
         "baseline.json": "5c3971be11f903aa53806446bf39076d25141d226187eacdcf305698feb52780",
@@ -783,3 +785,112 @@ def test_reference_mcts_rollouts_are_golden(tmp_path, monkeypatch, kind, plan, g
     path.write_text(json.dumps(config))
     commands = ("gen", "collect", "fit", plan, "annotate", "eval", "baseline")
     assert _reference_digests(tmp_path, monkeypatch, commands, tuple(golden), path) == golden
+
+
+@pytest.mark.parametrize("kind", ["strong", "both"])
+def test_fit_pass_equals_the_per_episode_reference(tmp_path, kind):
+    """fit_log's one pass over a saved log gives exactly the counts and the
+    success model of RolloutLog.load, to_count_table and estimate_success,
+    on seeded phase-1 logs of the reference tasks with one and two help types."""
+    config = json.loads(REFERENCE_CONFIG.read_text())
+    config["intervention"] = kind
+    if kind == "both":
+        config["planner"]["r"] = [0.3, 0.3]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(config))
+    run = Run(str(path), None, str(tmp_path / "out"))
+    train = generate_tasks(run.env, run.seed).train
+    log = pipeline.collect_phase1(list(train), run.interventions(train), run.seed,
+                                  n_seeds=run.phase1_seeds, eta=run.env.eta)
+    saved = tmp_path / "phase1.jsonl"
+    log.save(saved, header=run.provenance)
+    table, success = fit_log(saved)
+    reference = RolloutLog.load(saved)
+    branches = {"nohelp", "help1", "help2"} if kind == "both" else {"nohelp", "help1"}
+    assert {a for (_, a, _), _ in table.items()} == branches
+    assert list(table.items()) == list(reference.to_count_table().items())
+    want = estimate_success(reference)
+    assert (success.p, success.n, success.provenance) == (want.p, want.n, want.provenance)
+
+
+def _broken_log(tmp_path, edit) -> Path:
+    """A small run's config after gen and collect, with ``edit`` applied to
+    the first episode record of its phase1.jsonl (``None`` keeps only the header)."""
+    cfg = write_config(tmp_path, "bad")
+    for cmd in ("gen", "collect"):
+        run_cmd(cfg, cmd)
+    log = tmp_path / "bad" / "phase1.jsonl"
+    header, first, *rest = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    if edit is None:
+        log.write_text(header, encoding="utf-8")
+    else:
+        rec = json.loads(first)
+        edit(rec)
+        log.write_text(header + json.dumps(rec) + "\n" + "".join(rest), encoding="utf-8")
+    return cfg
+
+
+def _set(rec, *path_and_value):
+    *path, last, value = path_and_value
+    target = rec
+    for key in path:
+        target = target[key]
+    target[last] = value
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rec: _set(rec, "steps", 0, 0, "room=0|outcome=success"),
+     "terminal source state: 'room=0|outcome=success'"),
+    (lambda rec: _set(rec, "steps", 0, 1, "help"), "unknown action 'help'"),
+    (lambda rec: _set(rec, "outcome", "draw"), "rollout without terminal outcome: 'draw'"),
+    (lambda rec: _set(rec, "steps", 0, ["s0", "nohelp", "explore", "x"]), "malformed record"),
+    (lambda rec: _set(rec, "steps", "s0"), "malformed record"),
+    (lambda rec: _set(rec, "final_state", None), "final state must be a string"),
+    (None, "no episodes"),
+], ids=["terminal-source", "unknown-action", "outcome", "step-shape", "steps-shape", "final-state", "empty"])
+def test_fit_refuses_a_malformed_log(tmp_path, monkeypatch, capsys, restore_gc, edit, message):
+    """Every check of the per-episode path still makes fit exit 1, and the
+    error names the log and the episode record; fit writes nothing."""
+    cfg = _broken_log(tmp_path, edit)
+    first = None if edit is None else json.loads(
+        (tmp_path / "bad" / "phase1.jsonl").read_text(encoding="utf-8").splitlines()[1])
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), "fit"])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "bad" / "phase1.jsonl") in err and message in err
+    if first is not None:
+        assert f"episode {first['task_id']}:{first['seed']}:" in err
+    assert not (tmp_path / "bad" / "counts.jsonl").exists()
+    assert not (tmp_path / "bad" / "success.jsonl").exists()
+
+
+def test_fit_refuses_a_record_without_task_id(tmp_path, monkeypatch, capsys, restore_gc):
+    """One misspelt task_id used to drop that episode without a word."""
+    cfg = _broken_log(tmp_path, lambda rec: rec.update(task=rec.pop("task_id")))
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), "fit"])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'bad' / 'phase1.jsonl'}:2: expected a JSON object with 'task_id'" in err
+
+
+def test_fit_builds_no_episode_objects(tmp_path, monkeypatch):
+    """fit reads the log in one pass of its own; the per-episode loader is
+    only the reference the tests compare against."""
+    cfg = write_config(tmp_path, "noload")
+    for cmd in ("gen", "collect"):
+        run_cmd(cfg, cmd)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit called RolloutLog.load")
+
+    monkeypatch.setattr(RolloutLog, "load", refuse)
+    run_cmd(cfg, "fit")
+    saved = tmp_path / "noload" / "phase1.jsonl"
+    monkeypatch.undo()
+    reference = RolloutLog.load(saved)
+    assert list(CountTable.load(tmp_path / "noload" / "counts.jsonl").items()) == list(
+        reference.to_count_table().items())

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from helpdp.mdp import (
     terminal_outcome,
     write_jsonl,
 )
-from helpdp.rollouts import Episode, RolloutLog, Step
+from helpdp.rollouts import Episode, RolloutLog, Step, fit_log
 from conftest import always_branch, rollout_log, sample_next
 
 T_SUCC = fixtures.T_SUCC
@@ -221,6 +222,21 @@ class TestJsonWriting:
     def test_dump_matches_json_dumps(self, rec):
         assert _dump(rec) == json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
+    def test_dump_refuses_what_json_dumps_refuses_and_recovers(self):
+        # the encoder is built once: a call that raised must not leave the
+        # containers it had open marked, or encoding them again would be
+        # taken for a circular reference
+        rec = {"a": {"b": [1, {2}]}}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump(rec)
+        rec["a"]["b"].pop()
+        assert _dump(rec) == '{"a":{"b":[1]}}'
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _dump({"x": loop})
+        assert _dump(rec) == '{"a":{"b":[1]}}'
+
     def test_rewrite_replaces_the_file(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [{"k": "x" * 100}] * 5, {"seed": 1})
@@ -361,3 +377,58 @@ def test_save_with_header_roundtrip(tmp_path, kind):
     plain = tmp_path / f"{kind}-plain.jsonl"
     obj.save(plain)
     assert lines[1:] == plain.read_text(encoding="utf-8").splitlines()
+
+
+# every reader of a JSONL artifact: the artifact it reads, its key field and
+# a comparable view of what it returns
+READERS = {
+    "tasks": ("tasks", TaskSet.load, "task_id", lambda t: t),
+    "rollouts": ("rollouts", RolloutLog.load, "task_id", lambda log: log.episodes),
+    "counts": ("counts", CountTable.load, "state", lambda table: list(table.items())),
+    "success": ("success", SuccessModel.load, "state", lambda sm: sm),
+    "fit": ("rollouts", fit_log, "task_id", lambda fitted: (list(fitted[0].items()), fitted[1])),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_lines(tmp_path_factory):
+    """The lines of each JSONL artifact saved with a provenance header."""
+    out = tmp_path_factory.mktemp("artifacts")
+    lines = {}
+    for kind, (obj, _, _) in _saved_artifacts().items():
+        obj.save(out / kind, header={"config_hash": "0123456789abcdef", "seed": 7})
+        lines[kind] = (out / kind).read_text(encoding="utf-8").splitlines(keepends=True)
+    return lines
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_blank_lines_are_skipped(tmp_path, saved_lines, reader):
+    artifact, load, _, view = READERS[reader]
+    lines = saved_lines[artifact]
+    plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+    plain.write_text("".join(lines), encoding="utf-8")
+    spaced.write_text("".join(lines[:2] + ["\n", "  \n"] + lines[2:] + ["\n"]), encoding="utf-8")
+    assert view(load(spaced)) == view(load(plain))
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("bad", ["misspelt key", "string", "number", "list", "second header", "cut short"])
+def test_a_record_without_the_key_is_refused(tmp_path, saved_lines, reader, bad):
+    """Any line but a blank one or the first-line header must be an object
+    carrying the schema's key; before, such a record was dropped or raised
+    a bare TypeError."""
+    artifact, load, key, _ = READERS[reader]
+    lines = list(saved_lines[artifact])
+    lines[2] = {
+        "misspelt key": lines[2].replace(f'"{key}"', f'"{key[:-1]}"', 1),
+        "string": json.dumps(key) + "\n",
+        "number": "7\n",
+        "list": json.dumps([key]) + "\n",
+        "second header": lines[0],
+        "cut short": lines[2][:40] + "\n",
+    }[bad]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    why = "not JSON" if bad == "cut short" else f"expected a JSON object with '{key}'"
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: {why}")):
+        load(path)

@@ -25,8 +25,8 @@ from helpdp.pipeline import (
     state_score,
     statewise_threshold_policy,
     taskwise_first_window_decider,
-    truncate_counts,
 )
+from helpdp.fixtures import truncate_counts
 from helpdp.planner import RewardConfig, expected_usage, solve
 from helpdp.rollouts import Episode, RolloutLog, Step
 from conftest import rollout_log, always_branch
