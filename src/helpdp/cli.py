@@ -161,6 +161,13 @@ class Run:
         cp = self.require("counts.jsonl", "`fit`")
         return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)), self.n_help)
 
+    def load_rows(self) -> planner.ModelRows:
+        """``load_model`` laid out as the solver's rows, read in one pass
+        (``pipeline.solvable_rows``) while this process imports numpy and
+        scipy; a large file is read by a forked worker meanwhile."""
+        cp = self.require("counts.jsonl", "`fit`")
+        return pipeline.read_solvable_rows(cp, self.n_help, planner.import_solver)
+
     def load_success(self) -> SuccessModel | None:
         """The fitted success model if the run's policy rule reads it."""
         if not self.reward.reads_success:
@@ -266,7 +273,7 @@ def solve(run: Run) -> None:
     """Solve the fixed-cost planning problem on the fitted model."""
     if run.reward is None:
         raise click.UsageError(f"solve needs planner.r: intervention {run.intervention!r} has 2 help types")
-    sol = planner.solve(run.load_model(), run.load_success(), run.reward)
+    sol = planner.solve(run.load_rows(), run.load_success(), run.reward)
     _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
     sol = dataclasses.replace(sol, expected_usage=planner.expected_usage(sol, starts))
@@ -283,10 +290,10 @@ def search(run: Run) -> None:
                                f"has {run.n_help} help types; use `solve` with planner.r")
     if run.budget is None:
         raise click.UsageError("search needs planner.budget")
-    model, success = run.load_model(), run.load_success()
+    rows, success = run.load_rows(), run.load_success()
     starts = run.start_keys(run.load_tasks().train)
     # reward_search sets r at every probe
-    result = planner.reward_search(model, success, float(run.budget), run.bounds, starts, run.reward)
+    result = planner.reward_search(rows, success, float(run.budget), run.bounds, starts, run.reward)
     _require_converged(result.solution)
     run.write_json("solution.json", planner.solution_to_dict(result.solution))
     run.write_json(

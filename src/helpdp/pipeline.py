@@ -19,14 +19,19 @@ from typing import Callable, Iterable, Protocol, Sequence
 from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start, strong_actor
 from .mdp import (
     NOHELP,
+    DataError,
     SuccessModel,
     TransitionModel,
     action_order,
+    canonical_action,
     help_action,
     help_index,
     is_terminal,
+    is_whole,
+    read_jsonl,
+    terminal_outcome,
 )
-from .planner import Solution
+from .planner import ModelRows, Solution
 from .rollouts import Episode, RolloutLog, Step
 
 UNKNOWN_FAILURE = "unknown|outcome=failure"
@@ -291,6 +296,121 @@ def restrict_to_solvable(model: TransitionModel, n_help: int) -> TransitionModel
             support.add(s2)
         probs[(s, a)] = out
     return TransitionModel(probs=probs, support=frozenset(support))
+
+
+def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
+    """``restrict_to_solvable(normalize(CountTable.load(path)), n_help)`` laid
+    out as the solver's rows, read in one pass over ``counts.jsonl`` with no
+    CountTable or TransitionModel built; ``solver._compile`` makes the same
+    arrays of either.
+
+    Each record is checked as ``CountTable.record`` checks it, with its
+    messages: a terminal source state, a count that is not a positive
+    integer, an unknown action.  Duplicate records add up.  An empty file
+    raises "no data", as ``normalize`` does, and one with no state carrying
+    every action row of 0..``n_help`` raises ``restrict_to_solvable``'s
+    PipelineError.  Each probability is a count over its row's total, and
+    successors off the solvable states go to ``UNKNOWN_FAILURE``, as in
+    ``restrict_to_solvable``; rows of help types past ``n_help`` add only
+    their terminal successors to ``terminals``, as they add them to that
+    model's support.  Each row's successors are taken in sorted order, as
+    ``CountTable.items`` gives them, so the records may come in any order.
+    """
+    names: dict[str, str] = {}  # one object per state key, however many records repeat it
+    table: dict[tuple[str, str], dict[str, int]] = {}  # (state, action) -> next -> count
+    for rec in read_jsonl(path, "state"):
+        s, a, s2, c = rec["state"], rec["action"], rec["next"], rec["count"]
+        row = table.get((s, a))
+        if row is None and is_terminal(s):
+            raise DataError(f"terminal source state: {s!r}")
+        if not (is_whole(c) and c >= 1):
+            raise DataError(f"count must be a positive integer, got {c!r}")
+        if row is None:
+            row = table[names.setdefault(s, s), canonical_action(a)] = {}
+        s2 = names.setdefault(s2, s2)
+        row[s2] = row.get(s2, 0) + c
+    if not table:
+        raise DataError("no data")
+
+    actions = {a: ai for ai, a in enumerate(action_order(n_help))}
+    coverage: dict[str, int] = {}
+    for s, a in table:
+        if a in actions:
+            coverage[s] = coverage.get(s, 0) + 1
+    states = sorted(s for s, k in coverage.items() if k == len(actions))
+    if not states:
+        raise PipelineError("no state has full action coverage")
+    index = {s: i for i, s in enumerate(states)}
+    outcome = {s: o for s in names if (o := terminal_outcome(s)) is not None}
+    n = len(states)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    succ = [0.0] * (len(actions) * n)
+    exits = [0] * (len(actions) * n)
+    terminals: set[str] = set()
+    for (s, a), row in table.items():
+        i = index.get(s)
+        if i is None:
+            continue
+        ai = actions.get(a)
+        at = None if ai is None else ai * n + i  # None: a help type past n_help
+        total = sum(row.values())
+        remapped = False
+        for s2 in sorted(row):
+            j = index.get(s2)
+            if j is not None:
+                if at is not None:
+                    rows.append(at)
+                    cols.append(j)
+                    vals.append(row[s2] / total)
+                continue
+            o = outcome.get(s2)
+            if o is None:
+                remapped = True
+                continue
+            terminals.add(s2)
+            if at is not None:
+                exits[at] += 1
+                if o == "success":
+                    succ[at] += row[s2] / total
+        if remapped:
+            terminals.add(UNKNOWN_FAILURE)
+            if at is not None and UNKNOWN_FAILURE not in row:
+                exits[at] += 1
+    return ModelRows(states=states, terminals=sorted(terminals), n_help=n_help, rows=rows, cols=cols,
+                     vals=vals, succ=succ, exits=exits, observed=len(names) - len(outcome))
+
+
+# solvable_rows reads about 25 MB of counts.jsonl a second, and a forked
+# reader adds about 35 ms: importing multiprocessing, starting the worker and
+# sending the rows back.  On a 2-CPU host, with numpy and scipy loading
+# meanwhile, a forked and an inline read of a 0.5 MB file end together; at
+# 1 MB the fork is about 15 ms ahead, and at 2 MB about 0.1 s.
+FORK_MIN_BYTES = 1_000_000
+
+
+def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable[[], object]) -> ModelRows:
+    """``solvable_rows(path, n_help)``, with ``meanwhile()`` also run in this
+    process.  From ``FORK_MIN_BYTES`` on, and with a second usable CPU, one
+    forked worker reads the file while this process runs ``meanwhile``; the
+    worker's exception is raised here with its type.  Otherwise the file is
+    read first and ``meanwhile`` runs after it.
+
+    The worker is forked, as ``collect_phase1``'s are: a spawned one starts
+    a new interpreter and imports the package again, about 0.2 s more, which
+    is about what the paper-scale read takes.  The commands fork before they
+    import numpy, so no thread runs then."""
+    if _usable_cpus() < 2 or os.path.getsize(path) < FORK_MIN_BYTES:
+        rows = solvable_rows(path, n_help)
+        meanwhile()
+        return rows
+    import multiprocessing  # only here: an inline read pays nothing for it
+
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pending = pool.apply_async(solvable_rows, (path, n_help))
+        meanwhile()
+        return pending.get()
 
 
 HELPER_MODES = ("all_states", "trajectory_only")

@@ -11,11 +11,14 @@ converged after ``MAX_SWEEPS`` sweeps is returned with ``converged`` False.
 
 Both run on arrays compiled from the model (see ``solver``).
 ``reward_search`` compiles once per search and runs every probe on those
-arrays; string keys appear only in the ``Solution`` tables.  This module
+arrays; string keys appear only in the ``Solution`` tables.  Either takes a
+``TransitionModel`` or a ``ModelRows``: the model already laid out in the
+solver's rows, which ``pipeline.solvable_rows`` reads straight from
+``counts.jsonl`` for the ``solve`` and ``search`` commands.  This module
 holds the types, the budget's definition and the solution files in plain
 Python, and imports ``solver`` (numpy and scipy) only when ``solve`` or
-``reward_search`` is called, so every command that does not solve runs
-without either library.
+``reward_search`` is called, or ``import_solver`` is, so every command that
+does not solve runs without either library.
 """
 from __future__ import annotations
 
@@ -84,6 +87,32 @@ class RewardConfig:
 
 
 @dataclass(frozen=True)
+class ModelRows:
+    """A model in the solver's layout, in plain Python lists: the input that
+    ``solver._compile`` turns into arrays.
+
+    ``states`` are the sorted non-terminal states and ``terminals`` the sorted
+    terminal keys of the support.  Over the A = K + 1 actions of
+    ``action_order(n_help)``, pair (a, s) is entry a * n + s of ``succ`` (its
+    mass reaching terminal success) and ``exits`` (its distinct terminal
+    successors), and row a * n + s of the coordinate lists ``rows``, ``cols``
+    and ``vals``, which hold its mass on each non-terminal successor.
+    ``observed`` counts the non-terminal states the model was cut from: a
+    fitted model's states before ``restrict_to_solvable`` kept ``states``.
+    """
+
+    states: list[str]
+    terminals: list[str]
+    n_help: int
+    rows: list[int]
+    cols: list[int]
+    vals: list[float]
+    succ: list[float]
+    exits: list[int]
+    observed: int
+
+
+@dataclass(frozen=True)
 class Solution:
     """Converged usage/success/policy tables plus the value function."""
 
@@ -102,13 +131,18 @@ class Solution:
         return len(self.r)
 
 
-def solve(model: TransitionModel, success: SuccessModel | None, cfg: RewardConfig) -> Solution:
+def import_solver() -> None:
+    """Import the array core (numpy and scipy) ahead of the first solve."""
+    from . import solver  # noqa: F401
+
+
+def solve(model: TransitionModel | ModelRows, success: SuccessModel | None, cfg: RewardConfig) -> Solution:
     """Usage/policy fixed point for any number K >= 1 of interventions."""
     from . import solver
 
     comp = solver._compile(model, cfg.n_help)
     p = solver._success_arrays(comp, cfg, success)
-    return solver._to_solution(model, comp, cfg, solver._fixed_point(comp, cfg, p))
+    return solver._to_solution(comp, cfg, solver._fixed_point(comp, cfg, p))
 
 
 def expected_usage(sol: Solution, starts: Sequence[str]) -> tuple[float, ...]:
@@ -142,7 +176,7 @@ class SearchResult:
 
 
 def reward_search(
-    model: TransitionModel,
+    model: TransitionModel | ModelRows,
     success: SuccessModel | None,
     budget: float,
     bounds: tuple[float, float],
@@ -184,7 +218,7 @@ def reward_search(
         return core, eu
 
     def result(r: float, core: solver._Core, eu: float) -> SearchResult:
-        sol = replace(solver._to_solution(model, comp, replace(cfg, r=(r,)), core), expected_usage=(eu,))
+        sol = replace(solver._to_solution(comp, replace(cfg, r=(r,)), core), expected_usage=(eu,))
         return SearchResult(r=r, solution=sol, trace=tuple(trace))
 
     core_hi, eu_hi = probe(r_hi)

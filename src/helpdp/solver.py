@@ -9,8 +9,11 @@ The model is compiled once into action-indexed arrays over the A = K + 1
 actions (nohelp, help1..helpK) and the n non-terminal states: one sparse
 (A*n, n) matrix whose row a*n + s holds the non-terminal successors of s
 under action a, and an (A, n) array of the mass that reaches terminal
-success.  Branch values are (A, n) for S and (A, K, n) for M, so a policy
-is a choice vector indexing them directly.  The compiled model keeps the
+success.  One builder makes them from a ``planner.ModelRows``: the ``solve``
+and ``search`` commands read those rows straight from ``counts.jsonl``
+(``pipeline.solvable_rows``), and a ``TransitionModel`` is first laid out as
+rows by ``_rows``.  Branch values are (A, n) for S and (A, K, n) for M, so a
+policy is a choice vector indexing them directly.  The compiled model keeps the
 exact evaluation of each policy it has factorized, so a policy is
 factorized once however many probes reach it.  Tunable constants are read
 from ``planner`` at call time.
@@ -36,38 +39,54 @@ class _Compiled:
     n_help: int
     P: sparse.csr_matrix  # (A*n, n); row a*n + s: non-terminal -> non-terminal mass of s under a
     succ: np.ndarray  # (A, n); mass reaching terminal success
+    terminals: list[str]  # sorted terminal keys of the support
     # choice bytes -> read-only exact (S, M) of that policy; see _exact_eval
     evals: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _compile(model: TransitionModel, n_help: int) -> _Compiled:
+def _rows(model: TransitionModel, n_help: int) -> planner.ModelRows:
+    """``model`` in the solver's layout; every state needs every action row."""
     states = model.nonterminal_states()
     index = {s: i for i, s in enumerate(states)}
     actions = action_order(n_help)
     n = len(states)
     rows, cols, vals = [], [], []
-    succ = np.zeros((len(actions), n))
-    exits = np.zeros((len(actions), n), dtype=int)  # terminal successors per (action, state)
+    succ = [0.0] * (len(actions) * n)
+    exits = [0] * (len(actions) * n)
     for ai, a in enumerate(actions):
         for s in states:
             row = model.row(s, a)
             if row is None:
                 raise planner.PlannerError(f"missing action row ({s!r}, {a!r})")
-            i = index[s]
+            at = ai * n + index[s]
             for s2, p in row.items():
                 outcome = terminal_outcome(s2)
                 if outcome is not None:
-                    exits[ai, i] += 1
+                    exits[at] += 1
                     if outcome == "success":
-                        succ[ai, i] += p
+                        succ[at] += p
                 else:
-                    rows.append(ai * n + i)
+                    rows.append(at)
                     cols.append(index[s2])
                     vals.append(p)
+    terminals = sorted(s for s in model.support if terminal_outcome(s) is not None)
+    return planner.ModelRows(states=states, terminals=terminals, n_help=n_help, rows=rows, cols=cols,
+                             vals=vals, succ=succ, exits=exits, observed=n)
+
+
+def _compile(model: TransitionModel | planner.ModelRows, n_help: int) -> _Compiled:
+    """The arrays of a model, given as rows or laid out as rows first."""
+    rows = model if isinstance(model, planner.ModelRows) else _rows(model, n_help)
+    if rows.n_help != n_help:
+        raise planner.PlannerError(f"model rows are laid out for K={rows.n_help}, not K={n_help}")
+    actions = action_order(n_help)
+    shape = (len(actions), len(rows.states))
     # explicit zeros stay stored, so the sparsity pattern is the row support
-    P = sparse.csr_matrix((vals, (rows, cols)), shape=(len(actions) * n, n))
-    comp = _Compiled(states=states, index=index, actions=actions, n_help=n_help, P=P, succ=succ)
-    _check_absorbing(comp, exits)
+    P = sparse.csr_matrix((rows.vals, (rows.rows, rows.cols)), shape=(shape[0] * shape[1], shape[1]))
+    comp = _Compiled(states=rows.states, index={s: i for i, s in enumerate(rows.states)}, actions=actions,
+                     n_help=n_help, P=P, succ=np.array(rows.succ, dtype=float).reshape(shape),
+                     terminals=rows.terminals)
+    _check_absorbing(comp, np.array(rows.exits, dtype=int).reshape(shape))
     return comp
 
 
@@ -256,9 +275,7 @@ def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig, p: np.ndarray | Non
     return S, M, choice, iterations, converged
 
 
-def _to_solution(
-    model: TransitionModel, comp: _Compiled, cfg: planner.RewardConfig, core: _Core
-) -> planner.Solution:
+def _to_solution(comp: _Compiled, cfg: planner.RewardConfig, core: _Core) -> planner.Solution:
     """String-keyed tables of one fixed point, terminal states included."""
     S, M, choice, iterations, converged = core
     r = np.asarray(cfg.r)
@@ -266,13 +283,11 @@ def _to_solution(
     succ_tbl = {s: float(S[j]) for s, j in comp.index.items()}
     value = {s: float(S[j] - r @ M[:, j]) for s, j in comp.index.items()}
     policy = {s: comp.actions[choice[j]] for s, j in comp.index.items()}
-    for s in sorted(model.support):
-        outcome = terminal_outcome(s)
-        if outcome is not None:
-            win = 1.0 if outcome == "success" else 0.0
-            usage[s] = tuple(0.0 for _ in range(cfg.n_help))
-            succ_tbl[s] = win
-            value[s] = win
+    for s in comp.terminals:
+        win = 1.0 if terminal_outcome(s) == "success" else 0.0
+        usage[s] = tuple(0.0 for _ in range(cfg.n_help))
+        succ_tbl[s] = win
+        value[s] = win
     return planner.Solution(
         usage=usage,
         success=succ_tbl,

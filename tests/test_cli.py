@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from helpdp import fixtures, pipeline
 from helpdp.cli import Run, cli, main
 from helpdp.env import TaskSet, generate_tasks, initial_state
-from helpdp.mdp import CountTable, estimate_success, normalize
+from helpdp.mdp import CountTable, DataError, estimate_success, normalize
 from helpdp.pipeline import build_helper, restrict_to_solvable
 from helpdp.planner import expected_usage, load_solution
 from helpdp.rollouts import RolloutLog, fit_log
@@ -894,3 +895,182 @@ def test_fit_builds_no_episode_objects(tmp_path, monkeypatch):
     reference = RolloutLog.load(saved)
     assert list(CountTable.load(tmp_path / "noload" / "counts.jsonl").items()) == list(
         reference.to_count_table().items())
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory) -> dict[str, Path]:
+    """counts.jsonl of two fitted runs: the reference config (K = 1) and a
+    small ``intervention: "both"`` run (K = 2)."""
+    root = tmp_path_factory.mktemp("fitted")
+    both = write_config(root, "both", intervention="both", planner={"r": [0.3, 0.3]})
+    for cmd in ("gen", "collect", "fit"):
+        run_cmd(REFERENCE_CONFIG, "--out", str(root / "reference"), cmd)
+        run_cmd(both, cmd)
+    return {"reference": root / "reference" / "counts.jsonl", "both": root / "both" / "counts.jsonl"}
+
+
+def _counts_input(fitted: dict[str, Path], case: str, tmp_path: Path) -> Path:
+    if case in ("reference", "both"):
+        return fitted[case]
+    path = tmp_path / "counts.jsonl"
+    table = CountTable.load(fitted["reference"])
+    if case == "truncated":  # half the states lose their rows, so successors are remapped
+        table = fixtures.truncate_counts(table, 0.5, seed=1)
+        for (s, a, _), _ in table.items():  # and the remap target is also logged as it is
+            table.record(s, a, pipeline.UNKNOWN_FAILURE)
+        table.save(path)
+    else:  # "reordered": records in reverse order, and one record's count split in two
+        records = [{"state": s, "action": a, "next": s2, "count": c} for (s, a, s2), c in table.items()]
+        first = next(r for r in records if r["count"] > 1)
+        records.append(dict(first, count=1))
+        first["count"] -= 1
+        path.write_text("".join(json.dumps(r) + "\n" for r in reversed(records)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case,n_help", [
+    ("reference", 1), ("both", 2), ("both", 1), ("truncated", 1), ("reordered", 1),
+])
+def test_solvable_rows_compile_to_the_reference_arrays(fitted, tmp_path, case, n_help):
+    """The one-pass reader and the CountTable -> normalize ->
+    restrict_to_solvable chain compile to equal arrays.  At K = 1 the help2
+    rows of a "both" log neither keep nor drop a state, but their terminal
+    successors stay in the support."""
+    from helpdp import solver
+
+    path = _counts_input(fitted, case, tmp_path)
+    raw = normalize(CountTable.load(path))
+    model = restrict_to_solvable(raw, n_help)
+    rows = pipeline.solvable_rows(path, n_help)
+    got, want = solver._compile(rows, n_help), solver._compile(model, n_help)
+    assert got.states == want.states
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got.P, name).tolist() == getattr(want.P, name).tolist()
+    assert got.succ.tolist() == want.succ.tolist()
+    assert got.terminals == want.terminals
+    reference = solver._rows(model, n_help)
+    assert (rows.succ, rows.exits) == (reference.succ, reference.exits)
+    assert rows.observed == len(raw.nonterminal_states())
+    assert len(rows.states) < rows.observed
+    if case == "truncated":
+        assert pipeline.UNKNOWN_FAILURE in rows.terminals
+    if case == "both" and n_help == 1:
+        assert any(a == "help2" for _, a in raw.probs)
+
+
+def _broken_counts(tmp_path: Path, case: str) -> tuple[Path, Path]:
+    """A small run's config after gen, collect and fit, and its counts.jsonl
+    broken as ``case`` says."""
+    cfg = write_config(tmp_path, "badc")
+    for cmd in ("gen", "collect", "fit"):
+        run_cmd(cfg, cmd)
+    path = tmp_path / "badc" / "counts.jsonl"
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    if case == "terminal-source":
+        records[0]["state"] = "room=0|outcome=success"
+    elif case.startswith("count="):
+        records[0]["count"] = json.loads(case[len("count="):])
+    elif case == "unknown-action":
+        records[0]["action"] = "help"
+    elif case == "no-state":
+        del records[0]["state"]
+    elif case == "header-only":
+        records = []
+    else:  # "no-coverage": no help1 row anywhere
+        records = [r for r in records if r["action"] != "help1"]
+    path.write_text(header + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return cfg, path
+
+
+def _force_read(monkeypatch, cpus: int) -> list:
+    """Every counts.jsonl is large enough to fork for, and ``cpus`` CPUs are
+    usable; returns the arguments of each read handed to a worker."""
+    import multiprocessing.pool
+
+    monkeypatch.setattr(pipeline, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    handed: list = []
+    apply_async = multiprocessing.pool.Pool.apply_async
+
+    def spy(pool, fn, args, *rest, **kwargs):
+        handed.append(args)
+        return apply_async(pool, fn, args, *rest, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", spy)
+    return handed
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+@pytest.mark.parametrize("case", [
+    "terminal-source", "count=0", "count=-1", "count=1.5", "count=true", "unknown-action", "no-state",
+    "header-only", "no-coverage",
+])
+def test_search_refuses_malformed_counts_like_the_reference(tmp_path, monkeypatch, capsys, restore_gc,
+                                                            cpus, case):
+    """search exits 1 with the message CountTable.load, normalize or
+    restrict_to_solvable gives for the same file, and writes nothing."""
+    cfg, path = _broken_counts(tmp_path, case)
+    forks = _force_read(monkeypatch, cpus)
+    with pytest.raises(ValueError) as ref:
+        restrict_to_solvable(normalize(CountTable.load(path)), 1)
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), "search"])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {ref.value}\n"
+    assert forks == ([(path, 1)] if cpus == 2 else [])
+    assert not (tmp_path / "badc" / "solution.json").exists()
+    assert not (tmp_path / "badc" / "search.json").exists()
+
+
+class TestForkedSearch:
+    """search and solve read counts.jsonl in a forked worker while numpy and
+    scipy load, once the file is large enough; here every file is."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch) -> list:
+        return _force_read(monkeypatch, 2)
+
+    @pytest.mark.parametrize("command", ["search", "solve"])
+    def test_forked_read_writes_the_inline_bytes(self, tmp_path, monkeypatch, forks, command):
+        cfg = write_config(tmp_path, "fs")
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(cfg, cmd)
+        out = tmp_path / "fs"
+        names = ("solution.json", "search.json") if command == "search" else ("solution.json",)
+        forked_output = run_cmd(cfg, command)
+        assert forks == [(out / "counts.jsonl", 1)]
+        forked = {name: (out / name).read_bytes() for name in names}
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        assert run_cmd(cfg, command) == forked_output
+        assert len(forks) == 1  # the inline read forked nothing
+        assert {name: (out / name).read_bytes() for name in names} == forked
+
+    def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, forks):
+        _, path = _broken_counts(tmp_path, "terminal-source")
+        ran = []
+        with pytest.raises(DataError, match=re.escape("terminal source state: 'room=0|outcome=success'")):
+            pipeline.read_solvable_rows(path, 1, lambda: ran.append(True))
+        assert forks == [(path, 1)] and ran == [True]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+    def test_search_and_solve_build_no_count_table_or_transition_model(self, tmp_path, monkeypatch, cpus):
+        from helpdp import cli as climod, mdp
+
+        cfg = write_config(tmp_path, "nb")
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(cfg, cmd)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the dict-layer model")
+
+        forks = _force_read(monkeypatch, cpus)
+        monkeypatch.setattr(CountTable, "load", refuse)
+        monkeypatch.setattr(mdp, "normalize", refuse)
+        monkeypatch.setattr(climod, "normalize", refuse)
+        monkeypatch.setattr(pipeline, "restrict_to_solvable", refuse)
+        monkeypatch.setattr(mdp.TransitionModel, "__post_init__", refuse)
+        run_cmd(cfg, "search")
+        run_cmd(cfg, "solve")
+        assert len(forks) == (2 if cpus == 2 else 0)  # search's read and solve's
