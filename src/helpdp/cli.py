@@ -234,10 +234,9 @@ def gen(run: Run) -> None:
 def collect(run: Run) -> None:
     """Randomized-intervention collection over the train split."""
     taskset = run.load_tasks()
-    log = pipeline.collect_phase1(list(taskset.train), run.interventions(taskset.train), run.seed,
-                                  n_seeds=run.phase1_seeds, eta=run.env.eta)
-    log.save(run.path("phase1.jsonl"), header=run.provenance)
-    click.echo(f"collected {len(log)} episodes")
+    n = pipeline.write_phase1(run.path("phase1.jsonl"), run.provenance, list(taskset.train),
+                              run.interventions(taskset.train), run.seed, n_seeds=run.phase1_seeds, eta=run.env.eta)
+    click.echo(f"collected {n} episodes")
 
 
 @main.command()

@@ -20,6 +20,7 @@ from .mdp import (NOHELP, SuccessModel, TransitionModel, help_action, is_number,
                   terminal_outcome, write_jsonl)
 
 EXPLORE = "explore"
+SPLITS = ("train", "val", "test")
 T = TypeVar("T")
 
 
@@ -75,15 +76,40 @@ class Task:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "Task":
+        """The task of a ``tasks.jsonl`` record.  A missing or malformed field
+        raises EnvError, and the message starts with the field."""
+
+        def get(name: str, rule: str, ok: Callable[[object], bool]):
+            if name not in rec:
+                raise EnvError(f"{name} is missing")
+            value = rec[name]
+            if not ok(value):
+                raise EnvError(f"{name} {rule}, got {value!r}")
+            return value
+
+        def is_room(value) -> bool:
+            return is_whole(value) and 0 <= value < rooms
+
+        def is_move(value) -> bool:
+            return isinstance(value, list) and len(value) == 2 and is_whole(value[0]) and is_room(value[1])
+
+        rooms = get("room_count", "must be an integer >= 1", lambda v: is_whole(v) and v >= 1)
+        steps = get("max_steps", "must be an integer >= 1", lambda v: is_whole(v) and v >= 1)
+        rule = f"must be a list of rooms in 0..{rooms - 1}"
+        split = rec.get("split", "train")
+        if split not in SPLITS:
+            raise EnvError(f"split must be one of {list(SPLITS)}, got {split!r}")
         return cls(
-            task_id=rec["task_id"],
-            room_count=rec["room_count"],
-            object_location=rec["object_location"],
-            hint=tuple(rec["hint"]),
-            move_schedule=tuple(tuple(m) for m in rec["move_schedule"]),
-            max_steps=rec["max_steps"],
-            optimal_length=rec["optimal_length"],
-            split=rec.get("split", "train"),
+            task_id=get("task_id", "must be a string", lambda v: isinstance(v, str)),
+            room_count=rooms,
+            object_location=get("object_location", f"must be a room in 0..{rooms - 1}", is_room),
+            hint=tuple(get("hint", rule, lambda v: isinstance(v, list) and all(map(is_room, v)))),
+            move_schedule=tuple(map(tuple, get("move_schedule", f"must be a list of [step, room] pairs, {rule}",
+                                               lambda v: isinstance(v, list) and all(map(is_move, v))))),
+            max_steps=steps,
+            optimal_length=get("optimal_length", f"must be an integer in 1..{steps}",
+                               lambda v: is_whole(v) and 1 <= v <= steps),
+            split=split,
         )
 
 
@@ -317,9 +343,15 @@ class TaskSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "TaskSet":
-        splits: dict[str, list[Task]] = {"train": [], "val": [], "test": []}
+        """The tasks of a file written by ``save``, by split in file order; a
+        malformed record raises EnvError naming the path, the task and the
+        field."""
+        splits: dict[str, list[Task]] = {split: [] for split in SPLITS}
         for rec in read_jsonl(path, "task_id"):
-            task = Task.from_dict(rec)
+            try:
+                task = Task.from_dict(rec)
+            except EnvError as exc:
+                raise EnvError(f"{path}: task {rec['task_id']}: {exc}") from None
             splits[task.split].append(task)
         return cls(
             train=tuple(splits["train"]), val=tuple(splits["val"]), test=tuple(splits["test"])

@@ -102,7 +102,8 @@ def is_whole(value) -> bool:
 # call that raises leaves its open ones behind, so every call empties it.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _markers: dict[int, object] = {}
-_encode = c_make_encoder(_markers, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+_enc = encode_basestring_ascii
+_encode = c_make_encoder(_markers, _ENCODER.default, _enc, _ENCODER.indent,
                          _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
                          _ENCODER.skipkeys, _ENCODER.allow_nan)
 
@@ -115,16 +116,54 @@ def _dump(obj) -> str:
         _markers.clear()
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
-    """Write one compact, key-sorted JSON record per line in a single pass;
-    ``header`` (the run provenance) goes first as ``{"provenance": header}``.
-    An existing file is unlinked first and replaced, never truncated."""
+# The row formatters below give ``_dump(record)`` of one record schema with no
+# dict built and no keys sorted.  Their keys are written in sorted order,
+# strings go through ``encode_basestring_ascii`` (which raises TypeError on
+# any other type), and numbers are written as ``int.__repr__`` and
+# ``float.__repr__`` write them, as the C encoder does.  Only an exact ``int``
+# and a finite ``float`` (or subclass, such as ``np.float64``) take that path;
+# a record with any other value (a bool, an int subclass, NaN, a list ...)
+# falls back to ``_dump``.  ``%r`` is not used: it writes an ``np.float64`` as
+# ``np.float64(0.5)``.
+
+
+def count_line(state: str, action: str, nxt: str, count: int) -> str:
+    """One ``counts.jsonl`` record: ``_dump`` of its dict."""
+    if type(count) is int:
+        try:
+            return f'{{"action":{_enc(action)},"count":{count},"next":{_enc(nxt)},"state":{_enc(state)}}}'
+        except TypeError:
+            pass
+    return _dump({"state": state, "action": action, "next": nxt, "count": count})
+
+
+def success_line(state: str, action: str, p: float, n: int, provenance: str) -> str:
+    """One ``success.jsonl`` record: ``_dump`` of its dict."""
+    if type(n) is int and isinstance(p, float) and math.isfinite(p):
+        try:
+            return (f'{{"action":{_enc(action)},"n":{n},"p":{float.__repr__(p)},'
+                    f'"provenance":{_enc(provenance)},"state":{_enc(state)}}}')
+        except TypeError:
+            pass
+    return _dump({"state": state, "action": action, "p": p, "n": n, "provenance": provenance})
+
+
+def write_lines(path: str | Path, lines: Iterable[str], header: dict | None = None) -> None:
+    """Write ``header`` (the run provenance) as ``{"provenance": header}`` on
+    the first line, then each of ``lines``, a run of whole lines, as given,
+    in a single pass.  An existing file is unlinked first and replaced, never
+    truncated."""
     Path(path).unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(_dump({"provenance": header}) + "\n")
-        for rec in records:
-            fh.write(_dump(rec) + "\n")
+        fh.writelines(lines)
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
+    """Write one compact, key-sorted JSON record per line, after the header
+    line, through ``write_lines``."""
+    write_lines(path, (_dump(rec) + "\n" for rec in records), header)
 
 
 def read_jsonl(path: str | Path, key: str) -> Iterator[dict]:
@@ -177,11 +216,7 @@ class CountTable:
         return len(self._counts)
 
     def save(self, path: str | Path, header: dict | None = None) -> None:
-        write_jsonl(
-            path,
-            ({"state": s, "action": a, "next": s2, "count": c} for (s, a, s2), c in self.items()),
-            header,
-        )
+        write_lines(path, (count_line(s, a, s2, c) + "\n" for (s, a, s2), c in self.items()), header)
 
     @classmethod
     def load(cls, path: str | Path) -> "CountTable":
@@ -244,7 +279,9 @@ def normalize(table: CountTable) -> TransitionModel:
 class SuccessModel:
     """Per (state, action-branch) probability of eventual task success.
 
-    Terminal keys are forced to 1/0 regardless of stored samples.
+    Every ``p`` is a number in [0, 1] and every ``n`` an integer; an
+    empirical entry needs n >= 1.  No entry has a terminal state: ``get``
+    answers 1 or 0 for those from the key alone.
     """
 
     p: dict[tuple[str, str], float]
@@ -254,10 +291,19 @@ class SuccessModel:
     def __post_init__(self) -> None:
         if self.provenance not in ("empirical", "exact"):
             raise DataError(f"bad provenance {self.provenance!r}")
+        for key, v in self.n.items():
+            if not is_whole(v):
+                raise DataError(f"n must be an integer for {key}, got {v!r}")
+        empirical = self.provenance == "empirical"
         for key, v in self.p.items():
-            if not 0.0 <= v <= 1.0:
-                raise DataError(f"success probability out of range for {key}")
-            if self.provenance == "empirical" and self.n.get(key, 0) < 1:
+            if not (is_number(v) and 0.0 <= v <= 1.0):
+                raise DataError(f"p must be a number in [0, 1] for {key}, got {v!r}")
+            state = key[0]
+            if not isinstance(state, str):
+                raise DataError(f"state must be a string, got {state!r}")
+            if is_terminal(state):
+                raise DataError(f"terminal source state: {state!r}")
+            if empirical and self.n.get(key, 0) < 1:
                 raise DataError(f"empirical entry without samples: {key}")
 
     def has(self, state: str, action: str) -> bool:
@@ -275,12 +321,9 @@ class SuccessModel:
         return self.p[key]
 
     def save(self, path: str | Path, header: dict | None = None) -> None:
-        write_jsonl(
-            path,
-            ({"state": s, "action": a, "p": v, "n": self.n.get((s, a), 0),
-              "provenance": self.provenance} for (s, a), v in sorted(self.p.items())),
-            header,
-        )
+        n, provenance = self.n, self.provenance
+        write_lines(path, (success_line(s, a, v, n.get((s, a), 0), provenance) + "\n"
+                           for (s, a), v in sorted(self.p.items())), header)
 
     @classmethod
     def load(cls, path: str | Path) -> "SuccessModel":

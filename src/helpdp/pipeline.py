@@ -6,6 +6,13 @@ Episodes draw decision randomness and actor randomness from separate
 child streams of the episode seed, so two behaviors that pick the same
 branches produce byte-identical rollouts regardless of how many decision
 draws each consumes.
+
+Phase-1 collection has two entry points over one slice player.
+``write_phase1`` (the ``collect`` command) plays slices of the tasks in
+forked workers and writes ``phase1.jsonl`` from the finished lines each
+slice sends back, so no episode crosses a process boundary;
+``collect_phase1`` plays the same episodes in this process and returns them
+as a ``RolloutLog``, the episode-level reference for the tests.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start, strong_actor
 from .mdp import (
@@ -30,9 +37,10 @@ from .mdp import (
     is_whole,
     read_jsonl,
     terminal_outcome,
+    write_lines,
 )
 from .planner import ModelRows, Solution
-from .rollouts import Episode, RolloutLog, Step
+from .rollouts import Episode, RolloutLog, Step, episode_line
 
 UNKNOWN_FAILURE = "unknown|outcome=failure"
 
@@ -200,13 +208,14 @@ def phase1_schedule(n_help: int) -> list[tuple[float, ...]]:
     raise PipelineError(f"no default schedule for {n_help} interventions")
 
 
-# A forked collect worker takes about 10 ms to start and join, and sending
-# an episode back costs about a third of playing it, so a second worker pays
-# off only past about 500 episodes.
+# A forked collect worker takes about 10 ms to start and join, so a second
+# worker pays off only past about 500 episodes.  That was measured when the
+# workers sent their episodes back; the text of their finished lines, sent
+# now, costs less, so the bound is if anything high.
 EPISODES_PER_WORKER = 500
 
-# The inputs of the running collect_phase1; forked workers inherit them, so
-# the interventions (the MCTS scorer is a closure) are never pickled.
+# The inputs of the running write_phase1; forked workers inherit them, so the
+# interventions (the MCTS scorer is a closure) are never pickled.
 _collect_job: tuple | None = None
 
 
@@ -218,16 +227,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _collect_slice(bounds: tuple[int, int]) -> list[Episode]:
-    tasks, interventions, master_seed, schedule, n_seeds, eta = _collect_job
-    episodes = []
-    for task in tasks[bounds[0]:bounds[1]]:
+def _checked_schedule(tasks: Sequence[Task], interventions: Sequence[Intervention],
+                     schedule: Sequence[tuple[float, ...]] | None) -> Sequence[tuple[float, ...]]:
+    """``schedule``, or the default one for ``interventions``; an empty
+    taskset is refused."""
+    if not tasks:
+        raise PipelineError("empty taskset")
+    return phase1_schedule(len(interventions)) if schedule is None else schedule
+
+
+def _play_phase1(tasks: Sequence[Task], interventions: Sequence[Intervention], master_seed: int,
+                 schedule: Sequence[tuple[float, ...]], n_seeds: int, eta: float) -> Iterator[Episode]:
+    """The phase-1 episodes of ``tasks`` in order: one per task x schedule
+    entry x seed, each drawing only from its own seed."""
+    for task in tasks:
         for probs in schedule:
             decide = baseline_random(probs)
             for rep in range(n_seeds):
                 seed = derive_seed(master_seed, "phase1", task.task_id, probs, rep)
-                episodes.append(run_episode(task, decide, interventions, seed, eta=eta))
-    return episodes
+                yield run_episode(task, decide, interventions, seed, eta=eta)
+
+
+def _phase1_text(bounds: tuple[int, int]) -> str:
+    """The finished ``phase1.jsonl`` lines of one slice of the running job's
+    tasks, as one string."""
+    tasks, *rest = _collect_job
+    return "".join([episode_line(ep) + "\n" for ep in _play_phase1(tasks[bounds[0]:bounds[1]], *rest)])
 
 
 def collect_phase1(
@@ -238,34 +263,56 @@ def collect_phase1(
     n_seeds: int = 3,
     eta: float = EnvConfig.eta,
 ) -> RolloutLog:
-    """One episode per task x schedule entry x seed, everything recorded.
+    """One episode per task x schedule entry x seed, everything recorded and
+    played in this process.  The episode-level reference for
+    ``write_phase1``: ``collect_phase1(...).save(path, header)`` writes the
+    file that ``write_phase1(path, header, ...)`` writes."""
+    schedule = _checked_schedule(tasks, interventions, schedule)
+    return RolloutLog(_play_phase1(tasks, interventions, master_seed, schedule, n_seeds, eta))
+
+
+def write_phase1(
+    path: str | os.PathLike,
+    header: dict | None,
+    tasks: Sequence[Task],
+    interventions: Sequence[Intervention],
+    master_seed: int,
+    schedule: Sequence[tuple[float, ...]] | None = None,
+    n_seeds: int = 3,
+    eta: float = EnvConfig.eta,
+) -> int:
+    """Play ``collect_phase1``'s episodes and write them to ``path`` after
+    ``header``, byte-equal to ``collect_phase1(...).save(path, header)``;
+    returns the number of episodes.
 
     The tasks are cut into one contiguous slice per worker, with one worker
     per usable CPU and at least ``EPISODES_PER_WORKER`` episodes each.  This
-    process plays the first slice while forked processes play the others,
-    and the slices are joined in task order; each episode depends only on
-    its own seed, so the log is the same for any worker count."""
+    process plays the first slice while forked processes play the others.
+    Each slice comes back as its finished lines (``episode_line``) in one
+    string, so no episode crosses a process boundary, and a worker's
+    exception is raised here with its type.  The header and the slices are
+    written in task order once every slice has succeeded; a failed run
+    writes nothing.  Each episode depends only on its own seed, so the file
+    is the same for any worker count."""
     global _collect_job
-    if not tasks:
-        raise PipelineError("empty taskset")
-    if schedule is None:
-        schedule = phase1_schedule(len(interventions))
+    schedule = _checked_schedule(tasks, interventions, schedule)
     n_episodes = len(tasks) * len(schedule) * n_seeds
     workers = max(1, min(_usable_cpus(), n_episodes // EPISODES_PER_WORKER))
     bounds = [(len(tasks) * i // workers, len(tasks) * (i + 1) // workers) for i in range(workers)]
     _collect_job = (tasks, interventions, master_seed, schedule, n_seeds, eta)
     try:
         if workers == 1:
-            slices = list(map(_collect_slice, bounds))
+            texts = [_phase1_text(bounds[0])]
         else:
             import multiprocessing  # only here: a serial collect pays nothing for it
 
             with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
-                rest = pool.map_async(_collect_slice, bounds[1:], chunksize=1)
-                slices = [_collect_slice(bounds[0]), *rest.get()]
+                rest = pool.map_async(_phase1_text, bounds[1:], chunksize=1)
+                texts = [_phase1_text(bounds[0]), *rest.get()]
     finally:
         _collect_job = None
-    return RolloutLog([ep for episodes in slices for ep in episodes])
+    write_lines(path, texts, header)
+    return n_episodes
 
 
 def restrict_to_solvable(model: TransitionModel, n_help: int) -> TransitionModel:
@@ -397,7 +444,7 @@ def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable
     worker's exception is raised here with its type.  Otherwise the file is
     read first and ``meanwhile`` runs after it.
 
-    The worker is forked, as ``collect_phase1``'s are: a spawned one starts
+    The worker is forked, as ``write_phase1``'s are: a spawned one starts
     a new interpreter and imports the package again, about 0.2 s more, which
     is about what the paper-scale read takes.  The commands fork before they
     import numpy, so no thread runs then."""

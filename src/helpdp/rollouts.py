@@ -1,12 +1,18 @@
-"""Recorded episode logs shared by collection, estimation, and evaluation."""
+"""Recorded episode logs shared by collection, estimation, and evaluation.
+
+``episode_line`` is the one encoder of a ``phase1.jsonl`` record: both
+``RolloutLog.save`` and the collect workers of ``pipeline.write_phase1``
+use it, so the file of a collect is the file of its episodes' log.
+``fit_log`` reads a saved log in one pass.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .mdp import (NOHELP, CountTable, DataError, SuccessModel, canonical_action, help_index, is_terminal,
-                  read_jsonl, write_jsonl)
+from .mdp import (NOHELP, CountTable, DataError, SuccessModel, _dump, _enc, canonical_action, help_index,
+                  is_terminal, read_jsonl, write_lines)
 
 _WON = {"success": 1, "failure": 0}
 
@@ -44,16 +50,24 @@ class Episode:
                 counts[help_index(step.action) - 1] += 1
         return tuple(counts)
 
-    def __reduce__(self):
-        # The steps travel as plain tuples, which pickle about twice as fast
-        # as named tuples; collect_phase1's workers send every episode back.
-        return _episode, (self.task_id, self.seed, tuple(map(tuple, self.steps)),
-                          self.final_state, self.outcome, self.length)
 
-
-def _episode(task_id: str, seed: int, steps: tuple[tuple[str, str, str], ...], final_state: str,
-             outcome: str, length: int) -> Episode:
-    return Episode(task_id, seed, tuple(map(Step._make, steps)), final_state, outcome, length)
+def episode_line(ep: Episode) -> str:
+    """One ``phase1.jsonl`` record: ``mdp._dump`` of the episode's dict, whose
+    ``steps`` are ``[state, branch, env_action]`` lists, written field by
+    field as the row formatters of ``mdp`` write theirs.  An episode whose
+    seed or length is not an exact ``int``, or whose strings are not all
+    strings, falls back to ``_dump``."""
+    seed, length = ep.seed, ep.length
+    if type(seed) is int and type(length) is int:
+        try:
+            steps = ",".join([f"[{_enc(s)},{_enc(a)},{_enc(e)}]" for s, a, e in ep.steps])
+            return (f'{{"final_state":{_enc(ep.final_state)},"length":{length},"outcome":{_enc(ep.outcome)},'
+                    f'"seed":{seed},"steps":[{steps}],"task_id":{_enc(ep.task_id)}}}')
+        except TypeError:
+            pass
+    return _dump({"task_id": ep.task_id, "seed": ep.seed,
+                  "steps": [[s.state, s.action, s.env_action] for s in ep.steps],
+                  "final_state": ep.final_state, "outcome": ep.outcome, "length": ep.length})
 
 
 class RolloutLog:
@@ -85,14 +99,7 @@ class RolloutLog:
         return table
 
     def save(self, path: str | Path, header: dict | None = None) -> None:
-        write_jsonl(
-            path,
-            ({"task_id": ep.task_id, "seed": ep.seed,
-              "steps": [[s.state, s.action, s.env_action] for s in ep.steps],
-              "final_state": ep.final_state, "outcome": ep.outcome, "length": ep.length}
-             for ep in self.episodes),
-            header,
-        )
+        write_lines(path, (episode_line(ep) + "\n" for ep in self.episodes), header)
 
     @classmethod
     def load(cls, path: str | Path) -> "RolloutLog":

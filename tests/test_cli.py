@@ -595,6 +595,22 @@ def test_failed_forked_collect_exits_1_and_writes_no_log(tmp_path, monkeypatch, 
     assert not (tmp_path / "fk" / "phase1.jsonl").exists()
 
 
+def test_collect_on_a_malformed_task_exits_1_naming_it(tmp_path, monkeypatch, capsys, restore_gc):
+    cfg = write_config(tmp_path, "mt")
+    run_cmd(cfg, "gen")
+    path = tmp_path / "mt" / "tasks.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace('"split":"train"', '"split":"dev"')
+    path.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), "collect"])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (f"error: {path}: task train0000: split must be one of "
+                                       f"['train', 'val', 'test'], got 'dev'\n")
+    assert not (tmp_path / "mt" / "phase1.jsonl").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     # fixtures and oracle are test aids that no command imports; solver is the array core
     code = ("import sys, helpdp.cli; print(any(m.split('.')[0] in ('numpy', 'scipy') for m in sys.modules), "
@@ -654,6 +670,23 @@ def test_benchmark_wrap_targets_exist():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "wrapped"
+
+
+def test_benchmark_traced_chain_reports_no_failures(tmp_path):
+    """bench/worker.py's traced run also reads what wrapped functions return
+    (the length of a collected log, the size of a saved file, a search's
+    trace); a changed return shape must fail here, not in the benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    spec = {"configs": [str(REFERENCE_CONFIG)], "cwds": [str(tmp_path)]}
+    code = ("import json, sys; sys.path[:0] = sys.argv[2:]; import worker; "
+            "tr = worker.Tracer('t'); worker.instrument(tr); res = worker.run_chains(json.loads(sys.argv[1]), tr); "
+            "print(json.dumps({'failures': res['failures'], 'spans': sorted({s['name'] for s in tr.spans})}))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(spec), str(root / "src"), str(root / "bench")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout.splitlines()[-1])
+    assert res["failures"] == []
+    assert {f"cli.{cmd}" for cmd in ("gen", "collect", "fit", "search", "annotate", "eval")} <= set(res["spans"])
 
 
 def test_benchmark_exact_step_keeps_its_fingerprint():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -24,7 +25,7 @@ from helpdp.env import (
     shortest_success_length,
     strong_actor,
 )
-from helpdp.mdp import NOHELP, terminal_outcome
+from helpdp.mdp import NOHELP, terminal_outcome, write_jsonl
 
 
 def make_task(rooms=2, obj=1, hint=(1,), schedule=(), steps=3, opt=2, task_id="h0"):
@@ -92,6 +93,32 @@ class TestGenerateTasks:
         ts.save(path)
         back = TaskSet.load(path)
         assert [t.to_dict() for t in back.all()] == [t.to_dict() for t in ts.all()]
+
+    @pytest.mark.parametrize("field,value,why", [
+        ("split", "dev", "split must be one of ['train', 'val', 'test'], got 'dev'"),
+        ("room_count", None, "room_count is missing"),
+        ("room_count", 0, "room_count must be an integer >= 1, got 0"),
+        ("hint", 5, "hint must be a list of rooms in 0..3, got 5"),
+        ("hint", [1, 4], "hint must be a list of rooms in 0..3, got [1, 4]"),
+        ("max_steps", "6", "max_steps must be an integer >= 1, got '6'"),
+        ("object_location", True, "object_location must be a room in 0..3, got True"),
+        ("move_schedule", [[2]], "move_schedule must be a list of [step, room] pairs"),
+        ("optimal_length", 9, "optimal_length must be an integer in 1..5, got 9"),
+    ])
+    def test_load_refuses_a_malformed_task_by_path_task_and_field(self, tmp_path, field, value, why):
+        """Before, these raised a bare KeyError or TypeError, or loaded a task
+        that failed later in the run."""
+        ts = generate_tasks(SMALL, 9)
+        rec = ts.train[1].to_dict()
+        if value is None:
+            del rec[field]
+        else:
+            rec[field] = value
+        path = tmp_path / "tasks.jsonl"
+        write_jsonl(path, [ts.train[0].to_dict(), rec])
+        want = f"{path}: task {rec['task_id']}: {why}"
+        with pytest.raises(EnvError, match=f"^{re.escape(want)}"):
+            TaskSet.load(path)
 
 
 class TestEnvStep:

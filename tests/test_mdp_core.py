@@ -4,8 +4,9 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpdp import fixtures, pipeline
@@ -16,17 +17,19 @@ from helpdp.mdp import (
     DataError,
     SuccessModel,
     canonical_action,
+    count_line,
     estimate_success,
     help_action,
     help_index,
     _dump,
     is_terminal,
     normalize,
+    success_line,
     terminal_key,
     terminal_outcome,
     write_jsonl,
 )
-from helpdp.rollouts import Episode, RolloutLog, Step, fit_log
+from helpdp.rollouts import Episode, RolloutLog, Step, episode_line, fit_log
 from conftest import always_branch, rollout_log, sample_next
 
 T_SUCC = fixtures.T_SUCC
@@ -211,6 +214,23 @@ def _segment_outcome(key: str) -> str | None:
     return None
 
 
+# Strings with quotes, backslashes, control and non-ASCII characters; ints
+# past 64 bits; bools; floats with subnormals, -0.0, NaN and infinities, also
+# as np.float64.  A ``field`` is of its own kind three times in four and of
+# any kind otherwise, so records take both the line formatters' fast path and
+# their fallback; their explicit examples pin each value the fast path must
+# refuse or write exactly.
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f é→😀'), st.characters()), max_size=12)
+INT = st.integers(-2**100, 2**100)
+FLOAT = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf])
+REAL = FLOAT | FLOAT.map(np.float64) | st.floats(0, 1)
+ODD = st.one_of(st.booleans(), st.none(), TEXT, INT, REAL)
+
+
+def field(kind):
+    return st.integers(0, 3).flatmap(lambda i: ODD if i == 0 else kind)
+
+
 class TestJsonWriting:
     RECORDS = [
         {"b": 1.0, "a": [0.1, 1e-300, 2.5e17, -0.0, None], "z": {"y": "ä→😀", "x": None}},
@@ -246,6 +266,41 @@ class TestJsonWriting:
         write_jsonl(path, [{"k": 1}])
         assert path.read_bytes() == b'{"k":1}\n'  # no stale tail of the longer file
         assert link.read_bytes() == old  # a new file, not the old one edited in place
+
+    @settings(max_examples=200, deadline=None)
+    @given(field(TEXT), field(TEXT), field(TEXT), field(INT))
+    @example("s", "a", "é\x00\"\\", True)
+    @example("s", "a", "t", False)
+    @example("s", "a", "t", 2**70)
+    def test_count_line_is_dump(self, state, action, nxt, count):
+        want = _dump({"state": state, "action": action, "next": nxt, "count": count})
+        assert count_line(state, action, nxt, count) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(field(TEXT), field(TEXT), field(REAL), field(INT), field(TEXT))
+    @example("s", "a", np.float64(0.1), 3, "empirical")
+    @example("s", "a", math.nan, 3, "empirical")
+    @example("s", "a", -math.inf, 3, "empirical")
+    @example("s", "a", -0.0, 3, "empirical")
+    @example("s", "a", 5e-324, True, "empirical")
+    @example("s", "a", True, 3, "empirical")
+    @example("s", "a", 1, 0, "exact")
+    def test_success_line_is_dump(self, state, action, p, n, provenance):
+        want = _dump({"state": state, "action": action, "p": p, "n": n, "provenance": provenance})
+        assert success_line(state, action, p, n, provenance) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(field(TEXT), field(INT), st.lists(st.tuples(field(TEXT), field(TEXT), field(TEXT)), max_size=4),
+           field(TEXT), field(TEXT), field(INT))
+    @example("t", True, [("s", "nohelp", "goto:1")], "f", "success", 1)
+    @example("t", 1, [("s", "nohelp", "goto:1")], "f", "success", False)
+    @example("t", 1, [("s→", "nohelp", 3)], "f", "success", 1)
+    @example("t", 1, [], "f\u2028\"", "success", 0)
+    def test_episode_line_is_dump(self, task_id, seed, steps, final, outcome, length):
+        ep = Episode(task_id, seed, tuple(map(Step._make, steps)), final, outcome, length)
+        want = _dump({"task_id": task_id, "seed": seed, "steps": [list(s) for s in steps],
+                      "final_state": final, "outcome": outcome, "length": length})
+        assert episode_line(ep) == want
 
 
 class TestStep:
@@ -330,6 +385,25 @@ class TestEstimateSuccess:
         assert SuccessModel.load(path).provenance == "exact"
         write_jsonl(path, [{"state": "s0", "action": NOHELP, "p": 0.5, "n": 0, "provenance": "empirical"}])
         with pytest.raises(DataError, match="without samples"):
+            SuccessModel.load(path)
+
+    @pytest.mark.parametrize("field,value,why", [
+        ("p", True, "p must be a number in [0, 1]"),
+        ("p", "0.5", "p must be a number in [0, 1]"),
+        ("p", 1.5, "p must be a number in [0, 1]"),
+        ("n", True, "n must be an integer"),
+        ("n", 1.5, "n must be an integer"),
+        ("state", T_SUCC, "terminal source state"),
+        ("state", 7, "state must be a string"),
+    ])
+    def test_load_refuses_a_bad_value_by_field(self, tmp_path, field, value, why):
+        """Before, all but "p": "0.5" loaded (a loaded "n": true saved back as
+        true) and "p": "0.5" raised a bare TypeError."""
+        rec = {"state": "s0", "action": NOHELP, "p": 0.5, "n": 2, "provenance": "empirical"}
+        rec[field] = value
+        path = tmp_path / "success.jsonl"
+        write_jsonl(path, [rec])
+        with pytest.raises(DataError, match=f"^{re.escape(why)}"):
             SuccessModel.load(path)
 
 

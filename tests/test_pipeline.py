@@ -79,9 +79,11 @@ class TestCollect:
 
 
 class TestForkedCollect:
-    """collect_phase1 forks workers when the episodes pay for them; here ten
-    tasks are cut for three workers whatever the host has, and the forked
-    slices must give the serial log."""
+    """write_phase1 forks workers when the episodes pay for them; here ten
+    tasks are cut for three workers whatever the host has, and the file must
+    be the serial collect_phase1 log's."""
+
+    HEADER = {"config_hash": "0123456789abcdef", "seed": 11}
 
     @pytest.fixture
     def slices(self, monkeypatch):
@@ -109,25 +111,28 @@ class TestForkedCollect:
         return {"strong": STRONG, "mcts": [mcts], "both": [STRONG[0], mcts]}[kind]
 
     @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
-    def test_forked_log_equals_serial_log(self, tmp_path, monkeypatch, slices, kind):
+    def test_forked_log_equals_serial_log(self, tmp_path, slices, kind):
         # the MCTS scorer is a closure and its visit counts live in the
         # intervention: both must reach the workers through the fork
-        forked = collect_phase1(list(TASKS.train), self.interventions(kind), 11, n_seeds=2, eta=CFG.eta)
+        forked = tmp_path / "forked.jsonl"
+        n = pipeline.write_phase1(forked, self.HEADER, list(TASKS.train), self.interventions(kind), 11,
+                                  n_seeds=2, eta=CFG.eta)
         assert slices == [(3, 6), (6, 10)]  # this process plays (0, 3)
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         serial = collect_phase1(list(TASKS.train), self.interventions(kind), 11, n_seeds=2, eta=CFG.eta)
-        assert len(slices) == 2  # the serial run forked nothing
-        assert forked.episodes == serial.episodes
-        forked.save(tmp_path / "forked.jsonl")
-        serial.save(tmp_path / "serial.jsonl")
-        assert (tmp_path / "forked.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+        assert len(slices) == 2  # collect_phase1 forks nothing
+        assert n == len(serial)
+        serial.save(tmp_path / "serial.jsonl", header=self.HEADER)
+        assert forked.read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
-    def test_worker_error_reaches_the_caller_with_its_type(self, slices):
+    def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, slices):
         # two tasks for three workers leave this process's slice empty, so
-        # the error can only come from a forked worker
+        # the error can only come from a forked worker; nothing is written
+        path = tmp_path / "phase1.jsonl"
         with pytest.raises(PipelineError, match="unknown intervention index 2"):
-            collect_phase1(list(TASKS.train[:2]), STRONG, 11, schedule=[(0.0, 1.0)], n_seeds=2)
+            pipeline.write_phase1(path, self.HEADER, list(TASKS.train[:2]), STRONG, 11, schedule=[(0.0, 1.0)],
+                                  n_seeds=2)
         assert slices == [(0, 1), (1, 2)]
+        assert not path.exists()
 
 
 class TestReductions:
