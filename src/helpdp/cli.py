@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid usage or config, 3 infeasible budget,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -137,14 +138,13 @@ class Run:
         p.write_text(_dump(doc) + "\n", encoding="utf-8")
         return p
 
-    def interventions(self, tasks: tuple[envmod.Task, ...]) -> list:
-        """The configured executors for episodes on ``tasks``; the MCTS scorer
-        enumerates only those tasks, since every state key carries its task."""
+    def interventions(self) -> list:
+        """The configured executors; the MCTS scorer computes p* of a state
+        only when a pick asks for it."""
         strong = pipeline.StrongActorIntervention(self.env.eta_strong)
         if self.intervention == "strong":
             return [strong]
-        _, success = envmod.exact_models(tasks, eta=self.env.eta, eta_strong=self.env.eta_strong)
-        mcts = pipeline.MctsIntervention(_q_from_success(success, self.seed))
+        mcts = pipeline.MctsIntervention(_mcts_q(envmod.success_probability(self.env.eta), self.seed))
         return [strong, mcts] if self.intervention == "both" else [mcts]
 
     def require(self, name: str, producer: str) -> Path:
@@ -183,15 +183,14 @@ class Run:
         return [envmod.initial_state(t).key() for t in tasks]
 
 
-def _q_from_success(success: SuccessModel, seed: int):
-    """Noisy post-action success score used by the MCTS intervention."""
+def _mcts_q(p_star, seed: int):
+    """Noisy post-action success score used by the MCTS intervention: the
+    exact p* of the successor (``env.success_probability``) plus seeded noise."""
 
     def q(state: envmod.EnvState, action: str) -> float:
         nxt = envmod.env_step(state, action)
-        key = nxt.key()
-        base = success.get(key, NOHELP) if success.has(key, NOHELP) else 0.5
-        rng = random.Random(pipeline.derive_seed(seed, "q", key, action))
-        return min(1.0, max(0.0, base + rng.uniform(-0.05, 0.05)))
+        rng = random.Random(pipeline.derive_seed(seed, "q", nxt.key(), action))
+        return min(1.0, max(0.0, p_star(nxt) + rng.uniform(-0.05, 0.05)))
 
     return q
 
@@ -235,7 +234,7 @@ def collect(run: Run) -> None:
     """Randomized-intervention collection over the train split."""
     taskset = run.load_tasks()
     n = pipeline.write_phase1(run.path("phase1.jsonl"), run.provenance, list(taskset.train),
-                              run.interventions(taskset.train), run.seed, n_seeds=run.phase1_seeds, eta=run.env.eta)
+                              run.interventions(), run.seed, n_seeds=run.phase1_seeds, eta=run.env.eta)
     click.echo(f"collected {n} episodes")
 
 
@@ -333,12 +332,11 @@ def eval_cmd(run: Run) -> None:
         table=doc["table"], training_mode=doc["mode"], fallback=doc["fallback"]
     )
     sol = run.load_solution()
-    interventions = run.interventions(taskset.train)
     tasks = {t.task_id: t for t in taskset.train}
     starts = dict(zip(tasks, run.start_keys(taskset.train)))
     seen_ids, unseen_ids = pipeline.split_seen_unseen(starts, sol)
     headline, log = pipeline.evaluate(
-        helper.as_decider(), list(taskset.train), interventions, run.seed, n_seeds=run.eval_seeds,
+        helper.as_decider(), list(taskset.train), run.interventions(), run.seed, n_seeds=run.eval_seeds,
         eta=run.env.eta, expected=planner.expected_usage(sol, list(starts.values())), seed_salt="eval-all")
     report = {"all": headline.to_dict()}
     for name, ids in (("seen", seen_ids), ("unseen", unseen_ids)):
@@ -365,7 +363,7 @@ def baseline(run: Run) -> None:
     """Random-trigger baselines on the test split."""
     _require_tasks(run, "baseline", "n_test")
     taskset = run.load_tasks()
-    interventions = run.interventions(taskset.test)
+    interventions = run.interventions()
     report = {}
     for p in run.baseline_probs:
         metrics, _ = pipeline.evaluate(
@@ -388,9 +386,6 @@ def selfreg(run: Run) -> None:
     _, success = envmod.exact_models(list(taskset.val) + list(taskset.test),
                                      eta=run.env.eta, eta_strong=run.env.eta_strong)
 
-    def score(key: str) -> float:
-        return pipeline.state_score(success, key) if success.has(key, NOHELP) else 0.5
-
     def roll(tasks, salt):
         log = RolloutLog()
         for task in tasks:
@@ -398,6 +393,7 @@ def selfreg(run: Run) -> None:
             log.append(pipeline.run_episode(task, pipeline.always(NOHELP), [], seed, eta=run.env.eta))
         return log
 
+    score = functools.partial(pipeline.state_score, success)  # a key off the enumeration raises DataError
     report = pipeline.self_regulation_eval(score, roll(taskset.val, "sr-val"), roll(taskset.test, "sr-test"))
     run.write_json(
         "selfreg.json",

@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .mdp import (NOHELP, SuccessModel, TransitionModel, help_action, is_number, is_whole, read_jsonl,
-                  terminal_outcome, write_jsonl)
+from .mdp import NOHELP, SuccessModel, TransitionModel, help_action, is_number, is_whole, read_jsonl, write_jsonl
 
 EXPLORE = "explore"
 SPLITS = ("train", "val", "test")
@@ -418,6 +417,31 @@ def generate_tasks(config: EnvConfig, seed: int) -> TaskSet:
     )
 
 
+def success_probability(eta: float = EnvConfig.eta) -> Callable[[EnvState], float]:
+    """p*(s), the probability that the base actor with noise ``eta`` succeeds
+    from state s: 1 or 0 at a terminal state, else the sum of prob * p*(s')
+    over ``action_distribution(_greedy_base, s, eta)``, memoized by state
+    key.  The sum takes every legal action, zero-probability ones too, so it
+    is exact for any ``eta``.  Successors come from :func:`env_step`, so they
+    stay memoized on the states passed in."""
+    memo: dict[str, float] = {}
+
+    def p_star(state: EnvState) -> float:
+        key = state.key()
+        value = memo.get(key)
+        if value is None:
+            outcome = state.outcome
+            if outcome is not None:
+                value = 1.0 if outcome == "success" else 0.0
+            else:
+                value = sum(prob * p_star(env_step(state, a))
+                            for a, prob in action_distribution(_greedy_base, state, eta).items())
+            memo[key] = value
+        return value
+
+    return p_star
+
+
 def exact_models(
     tasks: Iterable[Task],
     eta: float = EnvConfig.eta,
@@ -426,13 +450,16 @@ def exact_models(
 ) -> tuple[TransitionModel, SuccessModel]:
     """Exact transition and success models for the base/strong actor pair.
 
-    Marginalizes each actor's noise over the deterministic step function and
-    runs backward induction for p(s, a): the first step takes branch a, and
-    every later step continues with the base actor (nohelp).
+    Marginalizes each actor's noise over the deterministic step function;
+    p(s, a) takes branch a for the first step and then :func:`success_probability`
+    (the base actor, nohelp).  Each task is walked from a fresh
+    :func:`initial_state`, so the enumeration leaves nothing on the tasks.
     """
     probs: dict[tuple[str, str], dict[str, float]] = {}
+    p: dict[tuple[str, str], float] = {}
     seen: set[str] = set()  # every successor is visited, so this is the support
     h1 = help_action(1)
+    p_star = success_probability(eta)
 
     for task in tasks:
         stack = [initial_state(task)]
@@ -451,30 +478,15 @@ def exact_models(
                 (h1, _greedy_strong, eta_strong),
             ):
                 row: dict[str, float] = {}
+                terms: list[float] = []
                 for env_action, prob in action_distribution(greedy, state, noise).items():
-                    # unmemoized: the enumeration must not outlive the call
-                    nxt = _step(state, env_action)
+                    nxt = env_step(state, env_action)
                     nk = nxt.key()
                     row[nk] = row.get(nk, 0.0) + prob
+                    terms.append(prob * p_star(nxt))
                     stack.append(nxt)
                 probs[(key, action_tag)] = row
-
-    memo: dict[str, float] = {}
-
-    def p_star(key: str) -> float:
-        if key in memo:
-            return memo[key]
-        outcome = terminal_outcome(key)
-        if outcome is not None:
-            val = 1.0 if outcome == "success" else 0.0
-        else:
-            val = sum(p * p_star(nk) for nk, p in probs[(key, NOHELP)].items())
-        memo[key] = val
-        return val
-
-    p: dict[tuple[str, str], float] = {}
-    for (key, tag), row in probs.items():
-        p[(key, tag)] = sum(prob * p_star(nk) for nk, prob in row.items())
+                p[(key, action_tag)] = sum(terms)  # as success_probability: 3.12's sum() is compensated
 
     model = TransitionModel(probs=probs, support=frozenset(seen))
     return model, SuccessModel(p=p, provenance="exact")

@@ -12,7 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _enc
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -94,33 +94,15 @@ def is_whole(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# One C encoder for the module, built with the arguments that
-# ``JSONEncoder.encode`` passes to ``c_make_encoder`` when it builds a new one
-# on every call, so the bytes are json.dumps' with these settings and an
-# unserializable value still raises TypeError.  Circular references are still
-# checked: ``_markers`` holds the ids of the containers being encoded, and a
-# call that raises leaves its open ones behind, so every call empties it.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_markers: dict[int, object] = {}
-_enc = encode_basestring_ascii
-_encode = c_make_encoder(_markers, _ENCODER.default, _enc, _ENCODER.indent,
-                         _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
-                         _ENCODER.skipkeys, _ENCODER.allow_nan)
-
-
 def _dump(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``."""
-    try:
-        return "".join(_encode(obj, 0))
-    finally:
-        _markers.clear()
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # The row formatters below give ``_dump(record)`` of one record schema with no
 # dict built and no keys sorted.  Their keys are written in sorted order,
 # strings go through ``encode_basestring_ascii`` (which raises TypeError on
 # any other type), and numbers are written as ``int.__repr__`` and
-# ``float.__repr__`` write them, as the C encoder does.  Only an exact ``int``
+# ``float.__repr__`` write them, as ``json.dumps`` does.  Only an exact ``int``
 # and a finite ``float`` (or subclass, such as ``np.float64``) take that path;
 # a record with any other value (a bool, an int subclass, NaN, a list ...)
 # falls back to ``_dump``.  ``%r`` is not used: it writes an ``np.float64`` as
@@ -146,6 +128,13 @@ def success_line(state: str, action: str, p: float, n: int, provenance: str) -> 
         except TypeError:
             pass
     return _dump({"state": state, "action": action, "p": p, "n": n, "provenance": provenance})
+
+
+def record_error(path: str | Path, rec: dict, fields: tuple[str, ...], exc: Exception) -> DataError:
+    """``exc``, raised on the record ``rec`` of ``path``, as a DataError that
+    names the file and the record by the values of its ``fields``."""
+    why = exc if isinstance(exc, DataError) else f"malformed record ({type(exc).__name__}: {exc})"
+    return DataError(f"{path}: record ({', '.join(repr(rec.get(f)) for f in fields)}): {why}")
 
 
 def write_lines(path: str | Path, lines: Iterable[str], header: dict | None = None) -> None:
@@ -186,6 +175,9 @@ def read_jsonl(path: str | Path, key: str) -> Iterator[dict]:
                                 f"got {line.strip()[:80]}")
 
 
+COUNT_FIELDS = ("state", "action", "next")  # the fields that name a counts.jsonl record
+
+
 class CountTable:
     """Raw transition counts keyed by (state, action, next_state)."""
 
@@ -195,11 +187,15 @@ class CountTable:
         self._counts: dict[tuple[str, str, str], int] = {} if counts is None else counts
 
     def record(self, state: str, action: str, next_state: str, count: int = 1) -> None:
-        if is_terminal(state):
-            raise DataError(f"terminal source state: {state!r}")
         if not (is_whole(count) and count >= 1):
             raise DataError(f"count must be a positive integer, got {count!r}")
+        if not isinstance(state, str):
+            raise DataError(f"state must be a string, got {state!r}")
+        if is_terminal(state):
+            raise DataError(f"terminal source state: {state!r}")
         action = canonical_action(action)
+        if not isinstance(next_state, str):
+            raise DataError(f"next must be a string, got {next_state!r}")
         key = (state, action, next_state)
         self._counts[key] = self._counts.get(key, 0) + count
 
@@ -220,9 +216,14 @@ class CountTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "CountTable":
+        """The table of a ``counts.jsonl``; a record ``record`` refuses raises
+        DataError naming the path and the record."""
         table = cls()
         for rec in read_jsonl(path, "state"):
-            table.record(rec["state"], rec["action"], rec["next"], rec["count"])
+            try:
+                table.record(rec["state"], rec["action"], rec["next"], rec["count"])
+            except (KeyError, TypeError, ValueError) as exc:  # DataError is a ValueError
+                raise record_error(path, rec, COUNT_FIELDS, exc) from None
         return table
 
 
@@ -327,18 +328,26 @@ class SuccessModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "SuccessModel":
+        """The model of a ``success.jsonl``; a bad record raises DataError
+        naming the path and the record's (state, action)."""
         p: dict[tuple[str, str], float] = {}
         n: dict[tuple[str, str], int] = {}
         provenance = "empirical"
         for i, rec in enumerate(read_jsonl(path, "state")):
-            key = (rec["state"], canonical_action(rec["action"]))
-            p[key] = rec["p"]
-            n[key] = rec["n"]
-            if i == 0:
-                provenance = rec["provenance"]
-            elif rec["provenance"] != provenance:  # one provenance decides the n >= 1 check for all
-                raise DataError(f"mixed provenance in {path}: {provenance!r} and {rec['provenance']!r}")
-        return cls(p=p, n=n, provenance=provenance)
+            try:
+                key = (rec["state"], canonical_action(rec["action"]))
+                p[key] = rec["p"]
+                n[key] = rec["n"]
+                if i == 0:
+                    provenance = rec["provenance"]
+                elif rec["provenance"] != provenance:  # one provenance decides the n >= 1 check for all
+                    raise DataError(f"mixed provenance: {provenance!r} and {rec['provenance']!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise record_error(path, rec, ("state", "action"), exc) from None
+        try:
+            return cls(p=p, n=n, provenance=provenance)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def estimate_success(log: Iterable) -> SuccessModel:

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start, strong_actor
 from .mdp import (
+    COUNT_FIELDS,
     NOHELP,
     DataError,
     SuccessModel,
@@ -36,6 +37,7 @@ from .mdp import (
     is_terminal,
     is_whole,
     read_jsonl,
+    record_error,
     terminal_outcome,
     write_lines,
 )
@@ -351,12 +353,14 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
     CountTable or TransitionModel built; ``solver._compile`` makes the same
     arrays of either.
 
-    Each record is checked as ``CountTable.record`` checks it, with its
-    messages: a terminal source state, a count that is not a positive
-    integer, an unknown action.  Duplicate records add up.  An empty file
-    raises "no data", as ``normalize`` does, and one with no state carrying
-    every action row of 0..``n_help`` raises ``restrict_to_solvable``'s
-    PipelineError.  Each probability is a count over its row's total, and
+    Each record is refused as ``CountTable.load`` refuses it, with its
+    message naming the path and the record: a count that is not a positive
+    integer, a state or next state that is not a string, a terminal source
+    state, an unknown action.  States and actions are checked where they
+    first appear, so an unhashable one is refused as a malformed record.
+    Duplicate records add up.  An empty file raises "no data", as
+    ``normalize`` does, and one with no state carrying every action row of
+    0..``n_help`` raises ``restrict_to_solvable``'s PipelineError.  Each probability is a count over its row's total, and
     successors off the solvable states go to ``UNKNOWN_FAILURE``, as in
     ``restrict_to_solvable``; rows of help types past ``n_help`` add only
     their terminal successors to ``terminals``, as they add them to that
@@ -366,16 +370,25 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
     names: dict[str, str] = {}  # one object per state key, however many records repeat it
     table: dict[tuple[str, str], dict[str, int]] = {}  # (state, action) -> next -> count
     for rec in read_jsonl(path, "state"):
-        s, a, s2, c = rec["state"], rec["action"], rec["next"], rec["count"]
-        row = table.get((s, a))
-        if row is None and is_terminal(s):
-            raise DataError(f"terminal source state: {s!r}")
-        if not (is_whole(c) and c >= 1):
-            raise DataError(f"count must be a positive integer, got {c!r}")
-        if row is None:
-            row = table[names.setdefault(s, s), canonical_action(a)] = {}
-        s2 = names.setdefault(s2, s2)
-        row[s2] = row.get(s2, 0) + c
+        try:
+            s, a, s2, c = rec["state"], rec["action"], rec["next"], rec["count"]
+            if not (is_whole(c) and c >= 1):
+                raise DataError(f"count must be a positive integer, got {c!r}")
+            row = table.get((s, a))
+            if row is None:
+                if not isinstance(s, str):
+                    raise DataError(f"state must be a string, got {s!r}")
+                if is_terminal(s):
+                    raise DataError(f"terminal source state: {s!r}")
+                row = table[names.setdefault(s, s), canonical_action(a)] = {}
+            name = names.get(s2)
+            if name is None:
+                if not isinstance(s2, str):
+                    raise DataError(f"next must be a string, got {s2!r}")
+                name = names[s2] = s2
+            row[name] = row.get(name, 0) + c
+        except (KeyError, TypeError, ValueError) as exc:  # DataError is a ValueError
+            raise record_error(path, rec, COUNT_FIELDS, exc) from None
     if not table:
         raise DataError("no data")
 

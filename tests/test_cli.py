@@ -529,30 +529,6 @@ def test_only_the_paper_literal_rule_reads_the_success_model(tmp_path, monkeypat
         "solution.json", "tasks.jsonl", "counts.jsonl", "helper.json"}
 
 
-def test_mcts_scorer_enumerates_only_the_played_tasks(tmp_path, monkeypatch):
-    """collect and eval play the train tasks and baseline the test tasks, so
-    each enumerates the exact model of that split alone."""
-    from helpdp import env
-
-    cfg = write_config(tmp_path, "mc", intervention="both", planner={"r": [0.3, 0.3]},
-                       baseline_probs=[0.3])
-    run_cmd(cfg, "gen")
-    enumerated = []
-    real = env.exact_models
-
-    def recording(tasks, **kwargs):
-        enumerated.append((command, tuple(t.task_id for t in tasks)))
-        return real(tasks, **kwargs)
-
-    monkeypatch.setattr(env, "exact_models", recording)
-    for command in ("collect", "fit", "solve", "annotate", "eval", "baseline"):
-        run_cmd(cfg, command)
-    taskset = TaskSet.load(tmp_path / "mc" / "tasks.jsonl")
-    train = tuple(t.task_id for t in taskset.train)
-    test = tuple(t.task_id for t in taskset.test)
-    assert enumerated == [("collect", train), ("eval", train), ("baseline", test)]
-
-
 def test_rewritten_json_artifact_replaces_the_file(tmp_path):
     run = Run(str(write_config(tmp_path, "r")), None, None)
     path = run.write_json("doc.json", {"k": "x" * 200})
@@ -790,6 +766,14 @@ def test_reference_trajectory_helper_is_golden(tmp_path, monkeypatch):
         "67293cd0ab68de84c36e3c651aae73943b53d38a05253db36a6a3f275815f46b")
 
 
+def test_reference_selfreg_is_golden(tmp_path, monkeypatch):
+    """selfreg on configs/reference.json scores every state its val/test
+    rollouts reach by the exact model of those tasks (a state off it would
+    raise DataError) and reproduces the recorded bytes."""
+    digest = _reference_digests(tmp_path, monkeypatch, ("gen", "selfreg"), ("selfreg.json",))
+    assert digest == {"selfreg.json": "ba07806bcc1b9026d7183d6b423027d45023355c399ed959b625cf56b2be51ad"}
+
+
 @pytest.mark.parametrize("kind,plan,golden", [
     ("both", "solve", {
         "phase1.jsonl": "d81f6e198130aea7df8e27ebae1b13a8454dfe47efe2a2367a79ddb60cfe1960",
@@ -810,7 +794,14 @@ def test_reference_mcts_rollouts_are_golden(tmp_path, monkeypatch, kind, plan, g
     """The UCT picker's proposals, visit counts and random draws decide every
     MCTS step of collect, eval and baseline; with intervention 'both' (two
     costs, solved) and 'mcts' (searched) on configs/reference.json those
-    rollouts reproduce the recorded bytes."""
+    rollouts reproduce the recorded bytes.  The scorer's p* comes from
+    env.success_probability, so no command enumerates the exact model."""
+    from helpdp import env
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("a command enumerated the exact model")
+
+    monkeypatch.setattr(env, "exact_models", enumerated)
     config = json.loads(REFERENCE_CONFIG.read_text())
     config["intervention"] = kind
     if kind == "both":
@@ -834,7 +825,7 @@ def test_fit_pass_equals_the_per_episode_reference(tmp_path, kind):
     path.write_text(json.dumps(config))
     run = Run(str(path), None, str(tmp_path / "out"))
     train = generate_tasks(run.env, run.seed).train
-    log = pipeline.collect_phase1(list(train), run.interventions(train), run.seed,
+    log = pipeline.collect_phase1(list(train), run.interventions(), run.seed,
                                   n_seeds=run.phase1_seeds, eta=run.env.eta)
     saved = tmp_path / "phase1.jsonl"
     log.save(saved, header=run.provenance)
@@ -1006,6 +997,8 @@ def _broken_counts(tmp_path: Path, case: str) -> tuple[Path, Path]:
         records[0]["count"] = json.loads(case[len("count="):])
     elif case == "unknown-action":
         records[0]["action"] = "help"
+    elif case in ("state=7", "next=7"):
+        records[0][case[:-2]] = 7
     elif case == "no-state":
         del records[0]["state"]
     elif case == "header-only":
@@ -1037,16 +1030,20 @@ def _force_read(monkeypatch, cpus: int) -> list:
 @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
 @pytest.mark.parametrize("case", [
     "terminal-source", "count=0", "count=-1", "count=1.5", "count=true", "unknown-action", "no-state",
-    "header-only", "no-coverage",
+    "state=7", "next=7", "header-only", "no-coverage",
 ])
 def test_search_refuses_malformed_counts_like_the_reference(tmp_path, monkeypatch, capsys, restore_gc,
                                                             cpus, case):
     """search exits 1 with the message CountTable.load, normalize or
-    restrict_to_solvable gives for the same file, and writes nothing."""
+    restrict_to_solvable gives for the same file, and writes nothing.  A
+    refused record is named with the path; a number as state or next used
+    to end in a raw TypeError."""
     cfg, path = _broken_counts(tmp_path, case)
     forks = _force_read(monkeypatch, cpus)
     with pytest.raises(ValueError) as ref:
         restrict_to_solvable(normalize(CountTable.load(path)), 1)
+    if case not in ("header-only", "no-coverage"):
+        assert str(ref.value).startswith(f"{path}:{2 if case == 'no-state' else ' record ('}")
     monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), "search"])
     with pytest.raises(SystemExit) as exc:
         cli()
@@ -1055,6 +1052,37 @@ def test_search_refuses_malformed_counts_like_the_reference(tmp_path, monkeypatc
     assert forks == ([(path, 1)] if cpus == 2 else [])
     assert not (tmp_path / "badc" / "solution.json").exists()
     assert not (tmp_path / "badc" / "search.json").exists()
+
+
+@pytest.mark.parametrize("name,command,overrides,field,value,why", [
+    ("counts.jsonl", "annotate", {"helper_mode": "trajectory_only"}, "count", 1.5,
+     "count must be a positive integer, got 1.5"),
+    ("counts.jsonl", "annotate", {"helper_mode": "trajectory_only"}, "state", 7, "state must be a string, got 7"),
+    ("success.jsonl", "search", {"planner": {"variant": "paper_literal"}}, "p", True,
+     "p must be a number in [0, 1] for "),
+    ("success.jsonl", "search", {"planner": {"variant": "paper_literal"}}, "action", "help",
+     "unknown action 'help'"),
+], ids=["counts-count", "counts-state", "success-p", "success-action"])
+def test_load_errors_name_the_file_and_the_record(tmp_path, monkeypatch, capsys, restore_gc,
+                                                 name, command, overrides, field, value, why):
+    """CountTable.load (annotate, trajectory_only) and SuccessModel.load
+    (search, paper_literal) refuse a bad record with the path and the
+    record's state and action in the message."""
+    cfg = write_config(tmp_path, "badr", **overrides)
+    for cmd in ("gen", "collect", "fit", "search"):
+        run_cmd(cfg, cmd)
+    path = tmp_path / "badr" / name
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(first)
+    rec[field] = value
+    path.write_text(header + json.dumps(rec) + "\n" + "".join(rest), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and why in err
+    assert repr(rec["state"]) in err and repr(rec["action"]) in err
 
 
 class TestForkedSearch:

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from helpdp.env import (
     legal_actions,
     shortest_success_length,
     strong_actor,
+    success_probability,
 )
 from helpdp.mdp import NOHELP, terminal_outcome, write_jsonl
 
@@ -457,6 +460,29 @@ class TestMemo:
         # the enumeration leaves nothing on the tasks it walked
         kept = {name for t in tasks[4:] for name in vars(t)}
         assert kept <= {f.name for f in dataclasses.fields(Task)} | {"key_prefix", "first_move"}
+
+
+@pytest.mark.parametrize("eta", [0.35, 0.0, 1.0])
+def test_success_probability_is_the_exact_models_value(eta):
+    """The one p* recursion gives, bit for bit, the nohelp value exact_models
+    holds for every state it enumerates from the reference train tasks; at
+    eta 0 the zero-probability actions are still enumerated."""
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "reference.json").read_text())
+    cfg = EnvConfig.from_dict(config["env"])
+    tasks = generate_tasks(cfg, config["seed"]).train
+    model, success = exact_models(tasks, eta=eta, eta_strong=cfg.eta_strong)
+    p_star = success_probability(eta)
+    stack, seen = [initial_state(t) for t in tasks], set()
+    while stack:
+        state = stack.pop()
+        key = state.key()
+        if key in seen:
+            continue
+        seen.add(key)
+        assert p_star(state) == success.get(key, NOHELP), key
+        if not state.terminal:
+            stack.extend(env_step(state, a) for a in legal_actions(state))
+    assert seen == model.support
 
 
 def _uncached_exact(tasks, eta, eta_strong):

@@ -398,12 +398,13 @@ class TestEstimateSuccess:
     ])
     def test_load_refuses_a_bad_value_by_field(self, tmp_path, field, value, why):
         """Before, all but "p": "0.5" loaded (a loaded "n": true saved back as
-        true) and "p": "0.5" raised a bare TypeError."""
+        true) and "p": "0.5" raised a bare TypeError.  The message starts
+        with the path."""
         rec = {"state": "s0", "action": NOHELP, "p": 0.5, "n": 2, "provenance": "empirical"}
         rec[field] = value
         path = tmp_path / "success.jsonl"
         write_jsonl(path, [rec])
-        with pytest.raises(DataError, match=f"^{re.escape(why)}"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {why}')}"):
             SuccessModel.load(path)
 
 

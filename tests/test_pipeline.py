@@ -104,10 +104,9 @@ class TestForkedCollect:
 
     @staticmethod
     def interventions(kind: str) -> list:
-        from helpdp.cli import _q_from_success
+        from helpdp.cli import _mcts_q
 
-        _, success = env.exact_models(TASKS.train, eta=CFG.eta, eta_strong=CFG.eta_strong)
-        mcts = pipeline.MctsIntervention(_q_from_success(success, 5))
+        mcts = pipeline.MctsIntervention(_mcts_q(env.success_probability(CFG.eta), 5))
         return {"strong": STRONG, "mcts": [mcts], "both": [STRONG[0], mcts]}[kind]
 
     @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
