@@ -343,14 +343,18 @@ class TaskSet:
     @classmethod
     def load(cls, path: str | Path) -> "TaskSet":
         """The tasks of a file written by ``save``, by split in file order; a
-        malformed record raises EnvError naming the path, the task and the
-        field."""
+        malformed record or a repeated task id raises EnvError naming the
+        path, the task and the field."""
         splits: dict[str, list[Task]] = {split: [] for split in SPLITS}
+        ids: set[str] = set()  # seeds, state keys and start keys all go by task id
         for rec in read_jsonl(path, "task_id"):
             try:
                 task = Task.from_dict(rec)
+                if task.task_id in ids:
+                    raise EnvError("duplicate task_id")
             except EnvError as exc:
                 raise EnvError(f"{path}: task {rec['task_id']}: {exc}") from None
+            ids.add(task.task_id)
             splits[task.split].append(task)
         return cls(
             train=tuple(splits["train"]), val=tuple(splits["val"]), test=tuple(splits["test"])
@@ -417,27 +421,57 @@ def generate_tasks(config: EnvConfig, seed: int) -> TaskSet:
     )
 
 
+def _walk(root: EnvState, eta: float, cap: float = float("inf"),
+          reached: int = 0) -> tuple[dict[str, tuple[EnvState, list[str]]], dict[str, float]]:
+    """Every state reachable from ``root``, walked layer by layer in t with
+    the unmemoized :func:`_step`, so nothing lands on any task or episode
+    graph and no recursion limits the depth.
+
+    Returns each non-terminal state by key, with its successor keys in
+    ``legal_actions`` order (distinct, since each action leads to another
+    room), and p*(s) of every reached state: the probability that the base
+    actor with noise ``eta`` succeeds from s, 1 or 0 at a terminal state,
+    else the sum of prob * p*(s') over ``action_distribution(_greedy_base,
+    s, eta)``, filled by t descending.  The sum takes every legal action,
+    zero-probability ones too, so it is exact for any ``eta``.  Once
+    ``reached`` (the states of earlier walks) plus this walk's states pass
+    ``cap``, it raises EnumerationTooLarge before it walks further."""
+    rows: dict[str, tuple[EnvState, list[str]]] = {}
+    p: dict[str, float] = {}
+    layer = {root.key(): root}
+    while layer:
+        reached += len(layer)
+        if reached > cap:
+            raise EnumerationTooLarge(f"enumeration too large (> {cap} states)")
+        nxt: dict[str, EnvState] = {}
+        for key, state in layer.items():
+            if state.terminal:
+                p[key] = 1.0 if state.found else 0.0  # success is finding the object
+                continue
+            children = [_step(state, action) for action in legal_actions(state)]
+            kids = [child.key() for child in children]
+            nxt.update(zip(kids, children))
+            rows[key] = (state, kids)
+        layer = nxt
+    for key, (state, kids) in reversed(rows.items()):
+        p[key] = sum(prob * p[k] for prob, k in zip(action_distribution(_greedy_base, state, eta).values(), kids))
+    return rows, p
+
+
 def success_probability(eta: float = EnvConfig.eta) -> Callable[[EnvState], float]:
-    """p*(s), the probability that the base actor with noise ``eta`` succeeds
-    from state s: 1 or 0 at a terminal state, else the sum of prob * p*(s')
-    over ``action_distribution(_greedy_base, s, eta)``, memoized by state
-    key.  The sum takes every legal action, zero-probability ones too, so it
-    is exact for any ``eta``.  Successors come from :func:`env_step`, so they
-    stay memoized on the states passed in."""
+    """p*(s) of :func:`_walk`, the base actor's success probability from
+    state s, memoized by state key.  A state not yet known fills the memo
+    with its whole task, from one walk from a fresh :func:`initial_state`,
+    so the states passed in keep no successor."""
     memo: dict[str, float] = {}
 
     def p_star(state: EnvState) -> float:
         key = state.key()
-        value = memo.get(key)
-        if value is None:
-            outcome = state.outcome
-            if outcome is not None:
-                value = 1.0 if outcome == "success" else 0.0
-            else:
-                value = sum(prob * p_star(env_step(state, a))
-                            for a, prob in action_distribution(_greedy_base, state, eta).items())
-            memo[key] = value
-        return value
+        if key not in memo:
+            memo.update(_walk(initial_state(state.task), eta)[1])
+        if key not in memo:  # a state no walk from the start reaches
+            memo.update(_walk(state, eta)[1])
+        return memo[key]
 
     return p_star
 
@@ -450,43 +484,20 @@ def exact_models(
 ) -> tuple[TransitionModel, SuccessModel]:
     """Exact transition and success models for the base/strong actor pair.
 
-    Marginalizes each actor's noise over the deterministic step function;
-    p(s, a) takes branch a for the first step and then :func:`success_probability`
-    (the base actor, nohelp).  Each task is walked from a fresh
+    Marginalizes each actor's noise over the deterministic step function, one
+    :func:`_walk` per task; p(s, a) takes branch a for the first step and
+    then p* (the base actor, nohelp).  Each walk starts from a fresh
     :func:`initial_state`, so the enumeration leaves nothing on the tasks.
     """
     probs: dict[tuple[str, str], dict[str, float]] = {}
     p: dict[tuple[str, str], float] = {}
-    seen: set[str] = set()  # every successor is visited, so this is the support
-    h1 = help_action(1)
-    p_star = success_probability(eta)
-
+    support: set[str] = set()
     for task in tasks:
-        stack = [initial_state(task)]
-        while stack:
-            state = stack.pop()
-            key = state.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) > cap:
-                raise EnumerationTooLarge(f"enumeration too large (> {cap} states)")
-            if state.terminal:
-                continue
-            for action_tag, greedy, noise in (
-                (NOHELP, _greedy_base, eta),
-                (h1, _greedy_strong, eta_strong),
-            ):
-                row: dict[str, float] = {}
-                terms: list[float] = []
-                for env_action, prob in action_distribution(greedy, state, noise).items():
-                    nxt = env_step(state, env_action)
-                    nk = nxt.key()
-                    row[nk] = row.get(nk, 0.0) + prob
-                    terms.append(prob * p_star(nxt))
-                    stack.append(nxt)
-                probs[(key, action_tag)] = row
-                p[(key, action_tag)] = sum(terms)  # as success_probability: 3.12's sum() is compensated
-
-    model = TransitionModel(probs=probs, support=frozenset(seen))
-    return model, SuccessModel(p=p, provenance="exact")
+        rows, p_star = _walk(initial_state(task), eta, cap, len(support))
+        support.update(p_star)
+        for key, (state, kids) in rows.items():
+            for tag, greedy, noise in ((NOHELP, _greedy_base, eta), (help_action(1), _greedy_strong, eta_strong)):
+                dist = action_distribution(greedy, state, noise).values()
+                probs[(key, tag)] = dict(zip(kids, dist))
+                p[(key, tag)] = sum(prob * p_star[k] for prob, k in zip(dist, kids))
+    return TransitionModel(probs=probs, support=frozenset(support)), SuccessModel(p=p, provenance="exact")

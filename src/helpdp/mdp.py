@@ -78,6 +78,15 @@ def is_terminal(key: str) -> bool:
     return terminal_outcome(key) is not None
 
 
+def check_source(state) -> None:
+    """Refuse a source state, the state a step or a success entry starts
+    from, that is not a string or is terminal."""
+    if not isinstance(state, str):
+        raise DataError(f"state must be a string, got {state!r}")
+    if is_terminal(state):
+        raise DataError(f"terminal source state: {state!r}")
+
+
 def terminal_key(name: str, outcome: str) -> str:
     if outcome not in ("success", "failure"):
         raise DataError(f"outcome must be success/failure, got {outcome!r}")
@@ -189,10 +198,7 @@ class CountTable:
     def record(self, state: str, action: str, next_state: str, count: int = 1) -> None:
         if not (is_whole(count) and count >= 1):
             raise DataError(f"count must be a positive integer, got {count!r}")
-        if not isinstance(state, str):
-            raise DataError(f"state must be a string, got {state!r}")
-        if is_terminal(state):
-            raise DataError(f"terminal source state: {state!r}")
+        check_source(state)
         action = canonical_action(action)
         if not isinstance(next_state, str):
             raise DataError(f"next must be a string, got {next_state!r}")
@@ -299,11 +305,7 @@ class SuccessModel:
         for key, v in self.p.items():
             if not (is_number(v) and 0.0 <= v <= 1.0):
                 raise DataError(f"p must be a number in [0, 1] for {key}, got {v!r}")
-            state = key[0]
-            if not isinstance(state, str):
-                raise DataError(f"state must be a string, got {state!r}")
-            if is_terminal(state):
-                raise DataError(f"terminal source state: {state!r}")
+            check_source(key[0])
             if empirical and self.n.get(key, 0) < 1:
                 raise DataError(f"empirical entry without samples: {key}")
 

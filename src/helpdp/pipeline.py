@@ -32,6 +32,7 @@ from .mdp import (
     TransitionModel,
     action_order,
     canonical_action,
+    check_source,
     help_action,
     help_index,
     is_terminal,
@@ -376,10 +377,7 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
                 raise DataError(f"count must be a positive integer, got {c!r}")
             row = table.get((s, a))
             if row is None:
-                if not isinstance(s, str):
-                    raise DataError(f"state must be a string, got {s!r}")
-                if is_terminal(s):
-                    raise DataError(f"terminal source state: {s!r}")
+                check_source(s)
                 row = table[names.setdefault(s, s), canonical_action(a)] = {}
             name = names.get(s2)
             if name is None:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .mdp import (NOHELP, CountTable, DataError, SuccessModel, _dump, _enc, canonical_action, help_index,
-                  is_terminal, read_jsonl, write_lines)
+from .mdp import (NOHELP, CountTable, DataError, SuccessModel, _dump, _enc, canonical_action, check_source,
+                  help_index, read_jsonl, write_lines)
 
 _WON = {"success": 1, "failure": 0}
 
@@ -144,10 +144,7 @@ def fit_log(path: str | Path) -> tuple[CountTable, SuccessModel]:
                 key = (state, action)
                 st = stats.get(key)
                 if st is None:
-                    if not isinstance(state, str):
-                        raise DataError(f"state must be a string, got {state!r}")
-                    if is_terminal(state):
-                        raise DataError(f"terminal source state: {state!r}")
+                    check_source(state)
                     canonical_action(action)
                     st = stats[key] = [0, 0]
                 st[0] += 1

@@ -587,6 +587,35 @@ def test_collect_on_a_malformed_task_exits_1_naming_it(tmp_path, monkeypatch, ca
     assert not (tmp_path / "mt" / "phase1.jsonl").exists()
 
 
+def test_collect_refuses_a_repeated_task_id(tmp_path, monkeypatch, capsys, restore_gc):
+    """Seeds, state keys and start keys all go by task id, so two tasks may
+    not share one."""
+    cfg = write_config(tmp_path, "dup")
+    run_cmd(cfg, "gen")
+    path = tmp_path / "dup" / "tasks.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert '"task_id":"train0001"' in lines[2]
+    lines[2] = lines[2].replace('"task_id":"train0001"', '"task_id":"train0000"')
+    path.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), "collect"])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {path}: task train0000: duplicate task_id\n"
+    assert not (tmp_path / "dup" / "phase1.jsonl").exists()
+
+
+def test_mcts_collect_plays_tasks_deeper_than_the_recursion_limit(tmp_path, monkeypatch, restore_gc):
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"seed": 1, "intervention": "mcts", "phase1_seeds": 1, "out": str(tmp_path / "long"),
+                               "env": {"room_count": 2, "max_steps": 600, "hint_sizes": {"1": 1.0},
+                                       "n_train": 1, "n_val": 0, "n_test": 0}}))
+    for command in ("gen", "collect"):
+        monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
+        cli()  # a failed command exits
+    assert (tmp_path / "long" / "phase1.jsonl").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     # fixtures and oracle are test aids that no command imports; solver is the array core
     code = ("import sys, helpdp.cli; print(any(m.split('.')[0] in ('numpy', 'scipy') for m in sys.modules), "

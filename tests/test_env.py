@@ -485,6 +485,43 @@ def test_success_probability_is_the_exact_models_value(eta):
     assert seen == model.support
 
 
+LONG = EnvConfig(room_count=2, max_steps=600, hint_sizes=((1, 1.0),), n_train=2, n_val=0, n_test=0)
+
+
+def test_exact_models_walk_tasks_deeper_than_the_recursion_limit():
+    """600 steps, past the depth where a recursion per step fails."""
+    tasks = generate_tasks(LONG, 1).train
+    model, success = exact_models(tasks)
+    assert any("|t=600|" in key for key in model.support)
+    p_star = success_probability()
+    for task in tasks:
+        start = initial_state(task)
+        assert success.get(start.key(), NOHELP) == p_star(start)
+
+
+def test_success_probability_adds_no_successor_to_the_episode_graph():
+    task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
+    s0 = env.episode_start(task)
+    nxt = env_step(s0, goto(1))
+    p_star = success_probability(0.35)
+    p_star(nxt), p_star(s0)
+    assert env._successors(s0) == {goto(1): nxt}
+    assert env._successors(nxt) == {}
+
+
+def test_success_probability_of_a_state_no_walk_from_the_start_reaches():
+    task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
+    odd = EnvState(task=task, t=1, room=0, explored=frozenset({2}), found=False)
+
+    def reference(state):
+        if state.terminal:
+            return 1.0 if state.outcome == "success" else 0.0
+        dist = action_distribution(env._greedy_base, state, 0.35)
+        return sum(prob * reference(env._step(state, a)) for a, prob in dist.items())
+
+    assert success_probability(0.35)(odd) == reference(odd)
+
+
 def _uncached_exact(tasks, eta, eta_strong):
     """exact_models' rows and p(s, a), with every state copied before it is
     read, so no memoized key, action or successor is ever read back."""
