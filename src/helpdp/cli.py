@@ -24,7 +24,7 @@ import click
 
 from . import env as envmod
 from . import pipeline, planner
-from .mdp import NOHELP, CountTable, SuccessModel, TransitionModel, _dump, is_number, is_whole, normalize
+from .mdp import NOHELP, CountTable, TransitionModel, _dump, is_number, is_whole, normalize
 from .mdp import estimate_success  # noqa: F401  (bench/worker.py traces it by this name)
 from .rollouts import RolloutLog, fit_log
 
@@ -59,8 +59,7 @@ PLANNER_KEYS = {  # gamma is 1 because the budget counts calls
     "gamma": _fixed(1.0),
     "epsilon": _fixed(planner.EPSILON),
     "max_iters": _fixed(planner.MAX_SWEEPS),
-    "variant": ("value_consistent", "must be 'value_consistent' or 'paper_literal'",
-                lambda got: got in ("value_consistent", "paper_literal")),
+    "variant": _fixed("value_consistent"),  # the one policy rule: help iff dS > r.dM
     "r": (None, "must be a number >= 0 or a list of them",  # K = 1 defaults to 0.5
           lambda got: all(is_number(ri) and ri >= 0 for ri in (got if isinstance(got, list) else [got]))),
     "budget": (None, "must be a number >= 0", lambda got: is_number(got) and got >= 0),
@@ -116,7 +115,7 @@ class Run:
             if len(r) != self.n_help:
                 raise click.UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
                                        f"{self.intervention!r} has {self.n_help} help type(s)")
-            self.reward = planner.RewardConfig(r=r, variant=p["variant"])
+            self.reward = planner.RewardConfig(r=r)
         self.budget, self.bounds = p["budget"], tuple(p["bounds"])
         # made by `gen` or `write_json`, so a refused command leaves no directory
         self.out = Path(top["out"])
@@ -167,12 +166,6 @@ class Run:
         scipy; a large file is read by a forked worker meanwhile."""
         cp = self.require("counts.jsonl", "`fit`")
         return pipeline.read_solvable_rows(cp, self.n_help, planner.import_solver)
-
-    def load_success(self) -> SuccessModel | None:
-        """The fitted success model if the run's policy rule reads it."""
-        if not self.reward.reads_success:
-            return None
-        return SuccessModel.load(self.require("success.jsonl", "`fit`"))
 
     def load_solution(self) -> planner.Solution:
         return planner.load_solution(self.require("solution.json", "`solve` or `search`"))
@@ -241,11 +234,10 @@ def collect(run: Run) -> None:
 @main.command()
 @pass_run
 def fit(run: Run) -> None:
-    """Estimate transition counts and success probabilities from the log."""
-    table, success = fit_log(run.require("phase1.jsonl", "`collect`"))
+    """Estimate transition counts from the log."""
+    table = fit_log(run.require("phase1.jsonl", "`collect`"))
     table.save(run.path("counts.jsonl"), header=run.provenance)
-    success.save(run.path("success.jsonl"), header=run.provenance)
-    click.echo(f"fit {len(table)} transition rows, {len(success.p)} success entries")
+    click.echo(f"fit {len(table)} transition rows")
 
 
 def _r_label(sol: planner.Solution) -> float | list[float]:
@@ -271,7 +263,7 @@ def solve(run: Run) -> None:
     """Solve the fixed-cost planning problem on the fitted model."""
     if run.reward is None:
         raise click.UsageError(f"solve needs planner.r: intervention {run.intervention!r} has 2 help types")
-    sol = planner.solve(run.load_rows(), run.load_success(), run.reward)
+    sol = planner.solve(run.load_rows(), None, run.reward)
     _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
     sol = dataclasses.replace(sol, expected_usage=planner.expected_usage(sol, starts))
@@ -288,11 +280,10 @@ def search(run: Run) -> None:
                                f"has {run.n_help} help types; use `solve` with planner.r")
     if run.budget is None:
         raise click.UsageError("search needs planner.budget")
-    rows, success = run.load_rows(), run.load_success()
+    rows = run.load_rows()
     starts = run.start_keys(run.load_tasks().train)
     # reward_search sets r at every probe
-    result = planner.reward_search(rows, success, float(run.budget), run.bounds, starts, run.reward)
-    _require_converged(result.solution)
+    result = planner.reward_search(rows, float(run.budget), run.bounds, starts, run.reward)
     run.write_json("solution.json", planner.solution_to_dict(result.solution))
     run.write_json(
         "search.json",

@@ -107,15 +107,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# The row formatters below give ``_dump(record)`` of one record schema with no
-# dict built and no keys sorted.  Their keys are written in sorted order,
-# strings go through ``encode_basestring_ascii`` (which raises TypeError on
-# any other type), and numbers are written as ``int.__repr__`` and
-# ``float.__repr__`` write them, as ``json.dumps`` does.  Only an exact ``int``
-# and a finite ``float`` (or subclass, such as ``np.float64``) take that path;
-# a record with any other value (a bool, an int subclass, NaN, a list ...)
-# falls back to ``_dump``.  ``%r`` is not used: it writes an ``np.float64`` as
-# ``np.float64(0.5)``.
+# The row formatters (``count_line`` below, ``rollouts.episode_line``) give
+# ``_dump(record)`` of one record schema with no dict built and no keys
+# sorted.  Their keys are written in sorted order, strings go through
+# ``encode_basestring_ascii`` (which raises TypeError on any other type), and
+# integers are written as ``json.dumps`` writes them.  Only an exact ``int``
+# takes that path; a record with any other value (a bool, an int subclass, a
+# float, a list ...) falls back to ``_dump``.
 
 
 def count_line(state: str, action: str, nxt: str, count: int) -> str:
@@ -126,17 +124,6 @@ def count_line(state: str, action: str, nxt: str, count: int) -> str:
         except TypeError:
             pass
     return _dump({"state": state, "action": action, "next": nxt, "count": count})
-
-
-def success_line(state: str, action: str, p: float, n: int, provenance: str) -> str:
-    """One ``success.jsonl`` record: ``_dump`` of its dict."""
-    if type(n) is int and isinstance(p, float) and math.isfinite(p):
-        try:
-            return (f'{{"action":{_enc(action)},"n":{n},"p":{float.__repr__(p)},'
-                    f'"provenance":{_enc(provenance)},"state":{_enc(state)}}}')
-        except TypeError:
-            pass
-    return _dump({"state": state, "action": action, "p": p, "n": n, "provenance": provenance})
 
 
 def record_error(path: str | Path, rec: dict, fields: tuple[str, ...], exc: Exception) -> DataError:
@@ -323,15 +310,11 @@ class SuccessModel:
             raise DataError(f"no success estimate for {key}")
         return self.p[key]
 
-    def save(self, path: str | Path, header: dict | None = None) -> None:
-        n, provenance = self.n, self.provenance
-        write_lines(path, (success_line(s, a, v, n.get((s, a), 0), provenance) + "\n"
-                           for (s, a), v in sorted(self.p.items())), header)
-
     @classmethod
     def load(cls, path: str | Path) -> "SuccessModel":
-        """The model of a ``success.jsonl``; a bad record raises DataError
-        naming the path and the record's (state, action)."""
+        """The model of a JSONL file of ``state``, ``action``, ``p``, ``n``
+        and ``provenance`` records; a bad record raises DataError naming the
+        path and the record's (state, action).  No command writes one."""
         p: dict[tuple[str, str], float] = {}
         n: dict[tuple[str, str], int] = {}
         provenance = "empirical"

@@ -7,7 +7,8 @@ the usage/policy recursion until the max-norm change drops below
 sparse linear solve and re-derives the policy from the exact values until
 it stops changing.  The polish removes the iteration tail, so converged
 solutions satisfy the value decomposition to ~1e-12.  A solve that has not
-converged after ``MAX_SWEEPS`` sweeps is returned with ``converged`` False.
+converged after ``MAX_SWEEPS`` sweeps is returned with ``converged`` False;
+such a probe of ``reward_search`` raises.
 
 Both run on arrays compiled from the model (see ``solver``).
 ``reward_search`` compiles once per search and runs every probe on those
@@ -30,7 +31,6 @@ from typing import Sequence
 
 from .mdp import SuccessModel, TransitionModel
 
-DM_ZERO_TOL = 1e-9  # |dM| below this defaults the paper-literal rule to nohelp
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
 MAX_SWEEPS = 10_000  # a fixed point still moving after this many sweeps is unconverged
@@ -52,19 +52,16 @@ class BudgetInfeasibleError(PlannerError):
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Per-help costs and policy rule.
+    """Per-help costs.
 
-    ``r`` holds one nonnegative cost per intervention type; ``variant``
-    selects the policy rule ('value_consistent' default, 'paper_literal'
-    for the published threshold with success-weighted usage differences).
-    Nothing is discounted, since the budget counts intervention calls and M
+    ``r`` holds one nonnegative cost per intervention type.  Nothing is
+    discounted, since the budget counts intervention calls and M
     is that count only undiscounted: ``gamma`` accepts 1.0 alone, so callers
     that spell the discount out keep working.
     """
 
     r: tuple[float, ...]
     gamma: float = 1.0
-    variant: str = "value_consistent"
 
     def __post_init__(self) -> None:
         if not self.r:
@@ -73,17 +70,10 @@ class RewardConfig:
             raise PlannerError(f"help costs must be >= 0, got {self.r}")
         if self.gamma != 1.0:
             raise PlannerError(f"gamma is fixed at 1.0, got {self.gamma}")
-        if self.variant not in ("value_consistent", "paper_literal"):
-            raise PlannerError(f"unknown variant {self.variant!r}")
 
     @property
     def n_help(self) -> int:
         return len(self.r)
-
-    @property
-    def reads_success(self) -> bool:
-        """Only the paper-literal rule reads a success model."""
-        return self.variant == "paper_literal"
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,6 @@ class Solution:
     policy: dict[str, str]
     value: dict[str, float]
     r: tuple[float, ...]
-    variant: str
     iterations_run: int
     converged: bool
     expected_usage: tuple[float, ...] | None = None
@@ -137,12 +126,13 @@ def import_solver() -> None:
 
 
 def solve(model: TransitionModel | ModelRows, success: SuccessModel | None, cfg: RewardConfig) -> Solution:
-    """Usage/policy fixed point for any number K >= 1 of interventions."""
+    """Usage/policy fixed point for any number K >= 1 of interventions.
+    ``success`` is not read: it stays for callers that pass the pair
+    ``env.exact_models`` returns."""
     from . import solver
 
     comp = solver._compile(model, cfg.n_help)
-    p = solver._success_arrays(comp, cfg, success)
-    return solver._to_solution(comp, cfg, solver._fixed_point(comp, cfg, p))
+    return solver._to_solution(comp, cfg, solver._fixed_point(comp, cfg))
 
 
 def expected_usage(sol: Solution, starts: Sequence[str]) -> tuple[float, ...]:
@@ -177,7 +167,6 @@ class SearchResult:
 
 def reward_search(
     model: TransitionModel | ModelRows,
-    success: SuccessModel | None,
     budget: float,
     bounds: tuple[float, float],
     starts: Sequence[str],
@@ -189,7 +178,8 @@ def reward_search(
     E[U](r) is a nonincreasing step function, so exact attainment of the
     budget is generally impossible; the result is the smallest probed
     feasible r, i.e. the maximal-usage feasible policy among probes, with
-    the full probe trace attached.
+    the full probe trace attached.  A probe that does not converge raises
+    PlannerError, since its E[U] cannot steer the bisection.
     """
     r_lo, r_hi = bounds
     if r_lo < 0 or r_hi <= r_lo:
@@ -203,13 +193,14 @@ def reward_search(
     from . import solver
 
     comp = solver._compile(model, cfg.n_help)
-    p = solver._success_arrays(comp, cfg, success)
     # terminal and off-model starts add zero usage but stay in the mean
     cols = [comp.index[s] for s in starts if s in comp.index]
     trace: list[tuple[float, float]] = []
 
     def probe(r: float) -> tuple[solver._Core, float]:
-        core = solver._fixed_point(comp, replace(cfg, r=(r,)), p)
+        core = solver._fixed_point(comp, replace(cfg, r=(r,)))
+        if not core[4]:
+            raise PlannerError(f"probe at r={r:.6g} did not converge in {core[3]} sweeps")
         acc = 0.0  # added in start order, as expected_usage does, so E[U] is bit-equal
         for j in cols:
             acc += core[1][0, j]
@@ -248,7 +239,7 @@ def solution_to_dict(sol: Solution) -> dict:
     return {
         "r": list(sol.r),
         "gamma": 1.0,  # undiscounted; kept so solution.json keeps its bytes
-        "variant": sol.variant,
+        "variant": "value_consistent",  # the one policy rule; kept for the same reason
         "converged": sol.converged,
         "iterations": sol.iterations_run,
         "expected_usage": list(sol.expected_usage) if sol.expected_usage else None,
@@ -267,7 +258,6 @@ def load_solution(path: str | Path) -> Solution:
         policy=doc["policy"],
         value=doc["value"],
         r=tuple(doc["r"]),
-        variant=doc["variant"],
         iterations_run=doc["iterations"],
         converged=doc["converged"],
         expected_usage=tuple(doc["expected_usage"]) if doc.get("expected_usage") else None,

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .mdp import (NOHELP, CountTable, DataError, SuccessModel, _dump, _enc, canonical_action, check_source,
-                  help_index, read_jsonl, write_lines)
+from .mdp import (NOHELP, CountTable, DataError, _dump, _enc, canonical_action, check_source, help_index,
+                  read_jsonl, write_lines)
 
-_WON = {"success": 1, "failure": 0}
+_OUTCOMES = frozenset(("success", "failure"))
 
 
 class Step(NamedTuple):
@@ -73,8 +73,8 @@ def episode_line(ep: Episode) -> str:
 class RolloutLog:
     """Ordered collection of episodes with jsonl persistence: one record per
     episode, whose ``steps`` are ``[state, branch, env_action]`` lists.
-    ``load``, ``to_count_table`` and ``mdp.estimate_success`` are the
-    per-episode reference for ``fit_log``."""
+    ``load`` and ``to_count_table`` are the per-episode reference for
+    ``fit_log``."""
 
     def __init__(self, episodes: Sequence[Episode] = ()) -> None:
         self.episodes: list[Episode] = list(episodes)
@@ -116,11 +116,9 @@ class RolloutLog:
         ])
 
 
-def fit_log(path: str | Path) -> tuple[CountTable, SuccessModel]:
-    """The transition counts and the empirical success model of a saved log,
-    read in one pass and equal to ``RolloutLog.load(path).to_count_table()``
-    and ``estimate_success(RolloutLog.load(path))``; no Episode or Step is
-    built.
+def fit_log(path: str | Path) -> CountTable:
+    """The transition counts of a saved log, read in one pass and equal to
+    ``RolloutLog.load(path).to_count_table()``; no Episode or Step is built.
 
     Every (state, branch) is checked once, where it first appears: a
     non-string or terminal state and an unknown branch name are refused.  So
@@ -129,12 +127,11 @@ def fit_log(path: str | Path) -> tuple[CountTable, SuccessModel]:
     without episodes.  Each raises DataError naming the path and the episode.
     """
     counts: dict[tuple[str, str, str], int] = {}
-    stats: dict[tuple[str, str], list[int]] = {}  # (state, branch) -> [visits, wins]
+    checked: set[tuple[str, str]] = set()  # (state, branch) pairs seen so far
     rec = None
     for rec in read_jsonl(path, "task_id"):
         try:
-            won = _WON.get(rec["outcome"])
-            if won is None:
+            if rec["outcome"] not in _OUTCOMES:
                 raise DataError(f"rollout without terminal outcome: {rec['outcome']!r}")
             final = rec["final_state"]
             if not isinstance(final, str):
@@ -142,13 +139,10 @@ def fit_log(path: str | Path) -> tuple[CountTable, SuccessModel]:
             prev = None
             for state, action, _ in rec["steps"]:
                 key = (state, action)
-                st = stats.get(key)
-                if st is None:
+                if key not in checked:
                     check_source(state)
                     canonical_action(action)
-                    st = stats[key] = [0, 0]
-                st[0] += 1
-                st[1] += won
+                    checked.add(key)
                 if prev is not None:
                     nxt = prev + (state,)
                     counts[nxt] = counts.get(nxt, 0) + 1
@@ -161,6 +155,4 @@ def fit_log(path: str | Path) -> tuple[CountTable, SuccessModel]:
             raise DataError(f"{path}: episode {rec['task_id']}:{rec.get('seed')}: {why}") from None
     if rec is None:
         raise DataError(f"{path}: no episodes")
-    p = {key: wins / visits for key, (visits, wins) in stats.items()}
-    n = {key: visits for key, (visits, _) in stats.items()}
-    return CountTable(counts), SuccessModel(p=p, n=n, provenance="empirical")
+    return CountTable(counts)

@@ -1,5 +1,5 @@
 """Array core of the planner: the compiled model, the branch values, the
-policy rules, the Jacobi sweeps and the exact polish.
+policy rule, the Jacobi sweeps and the exact polish.
 
 This is the one module of the package that imports numpy and scipy, and
 only ``planner.solve`` and ``planner.reward_search`` import it, when they
@@ -21,14 +21,13 @@ from ``planner`` at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg
 
 from . import planner
-from .mdp import SuccessModel, TransitionModel, action_order, terminal_outcome
+from .mdp import TransitionModel, action_order, terminal_outcome
 
 
 @dataclass
@@ -122,23 +121,6 @@ def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
         raise planner.PlannerError(f"improper chain: trapping non-terminal states {alive[:5]}")
 
 
-def _success_arrays(
-    comp: _Compiled, cfg: planner.RewardConfig, success: SuccessModel | None
-) -> np.ndarray | None:
-    """(A, n) success estimates, for the rules that read them."""
-    if not cfg.reads_success:
-        return None
-    if success is None:
-        raise planner.PlannerError("paper_literal variant requires a success model")
-    out = np.empty((len(comp.actions), len(comp.states)))
-    for ai, a in enumerate(comp.actions):
-        for s, i in comp.index.items():
-            if not success.has(s, a):
-                raise planner.PlannerError(f"no success estimate for ({s!r}, {a!r})")
-            out[ai, i] = success.get(s, a)
-    return out
-
-
 def _branch_values(comp: _Compiled, S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous application of the piecewise recursions per branch.
 
@@ -165,29 +147,6 @@ def _select_value_consistent(cfg: planner.RewardConfig, S_br: np.ndarray, M_br: 
         best[mask] = ai
         best_q = np.where(mask, q, best_q)
     return best
-
-
-def _select_paper_literal(cfg: planner.RewardConfig, M_br: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # help_i passes iff r_i < dp_i / dM_i with dM_i = p_i M_i^i - p_0 M_0^i;
-    # among passing helps the lowest combined cost r.M wins (ties
-    # keep the lowest index), and with none passing nohelp stays
-    K = cfg.n_help
-    helps = np.arange(K)
-    dp = p[1:] - p[0]
-    dM = p[1:] * M_br[helps + 1, helps] - p[0] * M_br[0]
-    usable = np.abs(dM) >= planner.DM_ZERO_TOL
-    passing = usable & (np.asarray(cfg.r)[:, None] < dp / np.where(usable, dM, 1.0))
-    cost = sum(cfg.r[j] * M_br[1:, j] for j in range(K))
-    best = np.argmin(np.where(passing, cost, np.inf), axis=0)
-    return np.where(passing.any(axis=0), best + 1, 0)
-
-
-def _select(
-    cfg: planner.RewardConfig, S_br: np.ndarray, M_br: np.ndarray, p: np.ndarray | None
-) -> np.ndarray:
-    if cfg.variant == "paper_literal":
-        return _select_paper_literal(cfg, M_br, p)
-    return _select_value_consistent(cfg, S_br, M_br)
 
 
 def _exact_eval(
@@ -225,15 +184,15 @@ def _exact_eval(
     return S, M
 
 
-def _polish(comp: _Compiled, cfg: planner.RewardConfig, choice: np.ndarray, reselect: Callable) -> np.ndarray:
+def _polish(comp: _Compiled, cfg: planner.RewardConfig, choice: np.ndarray) -> np.ndarray:
     """Exact polish: evaluate the policy by linear solve, re-derive it from
-    the exact values with ``reselect(S, M)``, repeat until stable (finite,
-    usually 1-2 rounds; a policy seen before also ends it).  The returned
-    policy is, unless the 100 rounds ran out, the last one evaluated, so
-    the caller's own ``_exact_eval`` of it is a lookup."""
+    the exact values, repeat until stable (finite, usually 1-2 rounds; a
+    policy seen before also ends it).  The returned policy is, unless the
+    100 rounds ran out, the last one evaluated, so the caller's own
+    ``_exact_eval`` of it is a lookup."""
     seen: set[bytes] = set()
     for _ in range(100):
-        new_choice = reselect(*_exact_eval(comp, cfg, choice))
+        new_choice = _select_value_consistent(cfg, *_branch_values(comp, *_exact_eval(comp, cfg, choice)))
         if np.array_equal(new_choice, choice):
             break
         key = new_choice.tobytes()
@@ -248,7 +207,7 @@ def _polish(comp: _Compiled, cfg: planner.RewardConfig, choice: np.ndarray, rese
 _Core = tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]
 
 
-def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig, p: np.ndarray | None) -> _Core:
+def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig) -> _Core:
     """Jacobi sweeps, then the exact polish."""
     n = len(comp.states)
     idx = np.arange(n)
@@ -257,7 +216,7 @@ def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig, p: np.ndarray | Non
     converged = False
     for iterations in range(1, planner.MAX_SWEEPS + 1):
         S_br, M_br = _branch_values(comp, S, M)
-        choice = _select(cfg, S_br, M_br, p)
+        choice = _select_value_consistent(cfg, S_br, M_br)
         new_S = S_br[choice, idx]
         new_M = M_br[choice, :, idx].T
         delta = max(float(np.max(np.abs(new_M - M), initial=0.0)),
@@ -268,9 +227,7 @@ def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig, p: np.ndarray | Non
             break
 
     if converged:
-        choice = _polish(
-            comp, cfg, choice, lambda S, M: _select(cfg, *_branch_values(comp, S, M), p)
-        )
+        choice = _polish(comp, cfg, choice)
     S, M = _exact_eval(comp, cfg, choice)
     return S, M, choice, iterations, converged
 
@@ -294,7 +251,6 @@ def _to_solution(comp: _Compiled, cfg: planner.RewardConfig, core: _Core) -> pla
         policy=policy,
         value=value,
         r=tuple(cfg.r),
-        variant=cfg.variant,
         iterations_run=iterations,
         converged=converged,
     )

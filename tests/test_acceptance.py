@@ -101,12 +101,11 @@ def test_03_decomposition_residual():
     for fx in (fixtures.mdp_a, fixtures.mdp_b, fixtures.corridor_mdp):
         model, succ = fx()
         for r in np.linspace(0.0, 1.5, 16):
-            for variant in ("value_consistent", "paper_literal"):
-                sol = planner.solve(model, succ, cfg1(float(r), variant=variant))
-                if sol.converged:
-                    worst = max(worst, planner.decomposition_residual(sol))
-                    count += 1
-    for seed in range(30):
+            sol = planner.solve(model, succ, cfg1(float(r)))
+            if sol.converged:
+                worst = max(worst, planner.decomposition_residual(sol))
+                count += 1
+    for seed in range(60):  # 48 fixture solutions above; these keep the count over 100
         model, succ = fixtures.random_mdp(seed, 12)
         sol = planner.solve(model, succ, cfg1(0.3))
         if sol.converged:
@@ -122,32 +121,16 @@ def test_03_decomposition_residual():
 
 def test_04_threshold_variant_flip_points():
     model, succ = fixtures.mdp_a()
-
-    def flip(variant):
-        lo, hi = 0.0, 2.0
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            sol = planner.solve(model, succ, cfg1(mid, variant=variant))
-            if sol.policy["s0"] == "help1":
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    vc, pl = flip("value_consistent"), flip("paper_literal")
-    dominated = True
-    for r in np.linspace(0.0, 1.5, 50):
-        sol_vc = planner.solve(model, succ, cfg1(float(r)))
-        sol_pl = planner.solve(model, succ, cfg1(float(r), variant="paper_literal"))
-        ev_pl = oracle.exact_policy_eval(model, sol_pl.policy, cfg1(float(r)))
-        if sol_vc.value["s0"] < ev_pl.value["s0"] - 1e-12:
-            dominated = False
-    report(
-        4,
-        "flip points r=0.7 (value_consistent) and r=7/9 (paper_literal), value dominance on grid",
-        abs(vc - 0.7) < 1e-9 and abs(pl - 7 / 9) < 1e-9 and dominated,
-        f"flips {vc:.10f} / {pl:.10f}",
-    )
+    lo, hi = 0.0, 2.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        sol = planner.solve(model, succ, cfg1(mid))
+        if sol.policy["s0"] == "help1":
+            lo = mid
+        else:
+            hi = mid
+    flip = 0.5 * (lo + hi)
+    report(4, "flip point r=0.7 (help iff dS > r.dM)", abs(flip - 0.7) < 1e-9, f"flip {flip:.10f}")
 
 
 def test_05_budget_calibration():
@@ -202,7 +185,7 @@ def test_06_monotonicity_and_reward_search():
     search_ok = True
     got = {}
     for budget, eu_want in expect.items():
-        res = planner.reward_search(model, succ, budget, (0.0, 2.0), ["s0"], cfg1(0.0))
+        res = planner.reward_search(model, budget, (0.0, 2.0), ["s0"], cfg1(0.0))
         eu = got[budget] = res.solution.expected_usage[0]
         search_ok = search_ok and abs(eu - eu_want) < 1e-9 and eu <= budget + 1e-12
     # the step function itself: 1.5 / 1.0 / 0 with breakpoints 0.2 and 0.7

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from helpdp import fixtures, pipeline
 from helpdp.cli import Run, cli, main
 from helpdp.env import TaskSet, generate_tasks, initial_state
-from helpdp.mdp import CountTable, DataError, estimate_success, normalize
+from helpdp.mdp import CountTable, DataError, normalize
 from helpdp.pipeline import build_helper, restrict_to_solvable
 from helpdp.planner import expected_usage, load_solution
 from helpdp.rollouts import RolloutLog, fit_log
@@ -85,7 +85,7 @@ class TestChain:
         out_b = run_chain(cfg_b)
         assert out_a == out_b
         # artifact-level byte identity apart from the out-path-dependent hash
-        for name in ("tasks.jsonl", "phase1.jsonl", "counts.jsonl", "success.jsonl"):
+        for name in ("tasks.jsonl", "phase1.jsonl", "counts.jsonl"):
             a = (tmp_path / "a" / name).read_text().splitlines()[1:]
             b = (tmp_path / "b" / name).read_text().splitlines()[1:]
             assert a == b
@@ -170,10 +170,12 @@ class TestExitCodes:
             assert not (tmp_path / "u" / "solution.json").exists()
             assert not (tmp_path / "u" / "search.json").exists()
 
-    @pytest.mark.parametrize("key,value", [("gamma", 0.9), ("epsilon", 1e-6), ("max_iters", 5)])
+    @pytest.mark.parametrize("key,value", [("gamma", 0.9), ("epsilon", 1e-6), ("max_iters", 5),
+                                           ("variant", "paper_literal")])
     def test_planner_setting_other_than_its_fixed_value_is_usage_error(self, tmp_path, key, value):
-        """gamma, epsilon and the sweep cap belong to the planner; a config
-        that changes one is refused before any command writes."""
+        """gamma, epsilon, the sweep cap and the policy rule belong to the
+        planner; a config that changes one is refused before any command
+        writes."""
         cfg = write_config(tmp_path, "fx")
         for cmd in ("gen", "collect", "fit"):
             run_cmd(cfg, cmd)
@@ -319,22 +321,6 @@ class TestExitCodes:
             assert not (tmp_path / out / "solution.json").exists()
             assert not (tmp_path / out / "search.json").exists()
 
-    def test_search_without_success_model(self, tmp_path):
-        """Deleting success.jsonl leaves a value_consistent search
-        byte-identical; the paper_literal rule still requires the file."""
-        cfg = write_config(tmp_path, "sv")
-        out = tmp_path / "sv"
-        for cmd in ("gen", "collect", "fit", "search"):
-            run_cmd(cfg, cmd)
-        before = {name: (out / name).read_bytes() for name in ("solution.json", "search.json")}
-        (out / "success.jsonl").unlink()
-        run_cmd(cfg, "search")
-        assert {name: (out / name).read_bytes() for name in before} == before
-        literal = write_config(tmp_path, "sv", planner={"variant": "paper_literal"})
-        proc = self._run("--config", str(literal), "search")
-        assert proc.returncode == 2
-        assert "success.jsonl missing" in proc.stderr and "`fit`" in proc.stderr
-
     def test_out_of_order_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "i")
         proc = self._run("--config", str(cfg), "collect")
@@ -397,7 +383,7 @@ class TestDeploy:
         run_chain(cfg)
         out = tmp_path / "m"
         before = {name: (out / name).read_bytes() for name in ("helper.json", "metrics.json")}
-        for name in ("counts.jsonl", "success.jsonl", "phase1.jsonl"):
+        for name in ("counts.jsonl", "phase1.jsonl"):
             (out / name).unlink()
         run_cmd(cfg, "annotate")
         run_cmd(cfg, "eval")
@@ -499,8 +485,7 @@ def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "w")
     out = tmp_path / "w"
     opens = command_opens(monkeypatch, cfg, out, ("gen", "collect", "fit"))
-    writer = {"tasks.jsonl": "gen", "phase1.jsonl": "collect",
-              "counts.jsonl": "fit", "success.jsonl": "fit"}
+    writer = {"tasks.jsonl": "gen", "phase1.jsonl": "collect", "counts.jsonl": "fit"}
     assert sorted((name, cmd) for cmd, name, w in opens if w) == sorted(
         (name, cmd) for name, cmd in writer.items())
     assert {p.name for p in out.iterdir()} == set(writer)
@@ -508,24 +493,14 @@ def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
     assert read_back == []
 
 
-def test_only_the_paper_literal_rule_reads_the_success_model(tmp_path, monkeypatch):
-    """solve and search open success.jsonl only with variant paper_literal;
-    a trajectory_only annotate walks the fitted transitions from the train
+def test_trajectory_annotate_opens_only_its_inputs(tmp_path, monkeypatch):
+    """A trajectory_only annotate walks the fitted transitions from the train
     starts of tasks.jsonl and never opens the rollout log."""
     cfg = write_config(tmp_path, "sm", helper_mode="trajectory_only")
     out = tmp_path / "sm"
-    for cmd in ("gen", "collect", "fit"):
+    for cmd in ("gen", "collect", "fit", "search"):
         run_cmd(cfg, cmd)
-    commands = ("solve", "search", "annotate")
-    opens = command_opens(monkeypatch, cfg, out, commands)
-    literal = write_config(tmp_path, "sm", helper_mode="trajectory_only",
-                           planner={"variant": "paper_literal"})
-    literal_opens = command_opens(monkeypatch, literal, out, ("solve", "search"))
-    assert {cmd for cmd, _, _ in opens} == set(commands)
-    assert not [cmd for cmd, name, w in opens if name == "success.jsonl"]
-    readers = {cmd for cmd, name, w in literal_opens if name == "success.jsonl"}
-    assert readers == {"solve", "search"}
-    assert {name for cmd, name, _ in opens if cmd == "annotate"} == {
+    assert {name for _, name, _ in command_opens(monkeypatch, cfg, out, ("annotate",))} == {
         "solution.json", "tasks.jsonl", "counts.jsonl", "helper.json"}
 
 
@@ -757,13 +732,11 @@ def test_reference_search_artifacts_are_golden(tmp_path, monkeypatch):
     """gen -> collect -> fit -> search on configs/reference.json reproduces the
     recorded bytes; any refactor of the chain must keep them."""
     digest = _reference_digests(tmp_path, monkeypatch, ("gen", "collect", "fit", "search"),
-                                ("tasks.jsonl", "phase1.jsonl", "counts.jsonl", "success.jsonl",
-                                 "solution.json", "search.json"))
+                                ("tasks.jsonl", "phase1.jsonl", "counts.jsonl", "solution.json", "search.json"))
     assert digest == {
         "tasks.jsonl": "e478250249ab26a19980830d843fd5f88f11ceeb05f0036ab8eff04728f13d9f",
         "phase1.jsonl": "c7a944457cc922cb367c6ea082bbc84bf1db3323d72a5ddfd6541c3cec269b6e",
         "counts.jsonl": "cdc05fcf732ed4b3ae11ee5ae2935efa9a49c46e8d52e1b4c5b9ef1a0f7b397e",
-        "success.jsonl": "2da3f94404ca134865608b175bff9a1442388b6a9ee2c82f50a23d58de14ecc4",
         "solution.json": "65621cdfc4f34518d765f687ded67ad5dae4f9591d10ba3fac79c6cf8f08a4c9",
         "search.json": "ae708a56fbdbe64b46b6929c92a92906cb4de8b293ddd7feb0c4b54dcdc020c7",
     }
@@ -807,7 +780,6 @@ def test_reference_selfreg_is_golden(tmp_path, monkeypatch):
     ("both", "solve", {
         "phase1.jsonl": "d81f6e198130aea7df8e27ebae1b13a8454dfe47efe2a2367a79ddb60cfe1960",
         "counts.jsonl": "95deefb0098ce8f1616f310283fbd2da891fd52e10e995d2c8f6929421b2a50b",
-        "success.jsonl": "c14d883f0969d82fcbad6efbe36a41455bdcbdeae4645ecdf02c0723dffe05db",
         "helper.json": "f5499477d1abdf6f638499fd6d16c646ebac8be5c9d667a9e08593774666b7f6",
         "metrics.json": "37f0e9005f37dadf7fb965b4645b1f8176ddb04ea232bf3447f24643eea93410",
         "baseline.json": "5c3971be11f903aa53806446bf39076d25141d226187eacdcf305698feb52780",
@@ -843,9 +815,9 @@ def test_reference_mcts_rollouts_are_golden(tmp_path, monkeypatch, kind, plan, g
 
 @pytest.mark.parametrize("kind", ["strong", "both"])
 def test_fit_pass_equals_the_per_episode_reference(tmp_path, kind):
-    """fit_log's one pass over a saved log gives exactly the counts and the
-    success model of RolloutLog.load, to_count_table and estimate_success,
-    on seeded phase-1 logs of the reference tasks with one and two help types."""
+    """fit_log's one pass over a saved log gives exactly the counts of
+    RolloutLog.load and to_count_table, on seeded phase-1 logs of the
+    reference tasks with one and two help types."""
     config = json.loads(REFERENCE_CONFIG.read_text())
     config["intervention"] = kind
     if kind == "both":
@@ -858,13 +830,10 @@ def test_fit_pass_equals_the_per_episode_reference(tmp_path, kind):
                                   n_seeds=run.phase1_seeds, eta=run.env.eta)
     saved = tmp_path / "phase1.jsonl"
     log.save(saved, header=run.provenance)
-    table, success = fit_log(saved)
-    reference = RolloutLog.load(saved)
+    table = fit_log(saved)
     branches = {"nohelp", "help1", "help2"} if kind == "both" else {"nohelp", "help1"}
     assert {a for (_, a, _), _ in table.items()} == branches
-    assert list(table.items()) == list(reference.to_count_table().items())
-    want = estimate_success(reference)
-    assert (success.p, success.n, success.provenance) == (want.p, want.n, want.provenance)
+    assert list(table.items()) == list(RolloutLog.load(saved).to_count_table().items())
 
 
 def _broken_log(tmp_path, edit) -> Path:
@@ -917,7 +886,6 @@ def test_fit_refuses_a_malformed_log(tmp_path, monkeypatch, capsys, restore_gc, 
     if first is not None:
         assert f"episode {first['task_id']}:{first['seed']}:" in err
     assert not (tmp_path / "bad" / "counts.jsonl").exists()
-    assert not (tmp_path / "bad" / "success.jsonl").exists()
 
 
 def test_fit_refuses_a_record_without_task_id(tmp_path, monkeypatch, capsys, restore_gc):
@@ -1087,16 +1055,11 @@ def test_search_refuses_malformed_counts_like_the_reference(tmp_path, monkeypatc
     ("counts.jsonl", "annotate", {"helper_mode": "trajectory_only"}, "count", 1.5,
      "count must be a positive integer, got 1.5"),
     ("counts.jsonl", "annotate", {"helper_mode": "trajectory_only"}, "state", 7, "state must be a string, got 7"),
-    ("success.jsonl", "search", {"planner": {"variant": "paper_literal"}}, "p", True,
-     "p must be a number in [0, 1] for "),
-    ("success.jsonl", "search", {"planner": {"variant": "paper_literal"}}, "action", "help",
-     "unknown action 'help'"),
-], ids=["counts-count", "counts-state", "success-p", "success-action"])
+], ids=["counts-count", "counts-state"])
 def test_load_errors_name_the_file_and_the_record(tmp_path, monkeypatch, capsys, restore_gc,
                                                  name, command, overrides, field, value, why):
-    """CountTable.load (annotate, trajectory_only) and SuccessModel.load
-    (search, paper_literal) refuse a bad record with the path and the
-    record's state and action in the message."""
+    """CountTable.load (annotate, trajectory_only) refuses a bad record with
+    the path and the record's state and action in the message."""
     cfg = write_config(tmp_path, "badr", **overrides)
     for cmd in ("gen", "collect", "fit", "search"):
         run_cmd(cfg, cmd)

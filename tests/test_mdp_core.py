@@ -24,7 +24,6 @@ from helpdp.mdp import (
     _dump,
     is_terminal,
     normalize,
-    success_line,
     terminal_key,
     terminal_outcome,
     write_jsonl,
@@ -277,19 +276,6 @@ class TestJsonWriting:
         assert count_line(state, action, nxt, count) == want
 
     @settings(max_examples=200, deadline=None)
-    @given(field(TEXT), field(TEXT), field(REAL), field(INT), field(TEXT))
-    @example("s", "a", np.float64(0.1), 3, "empirical")
-    @example("s", "a", math.nan, 3, "empirical")
-    @example("s", "a", -math.inf, 3, "empirical")
-    @example("s", "a", -0.0, 3, "empirical")
-    @example("s", "a", 5e-324, True, "empirical")
-    @example("s", "a", True, 3, "empirical")
-    @example("s", "a", 1, 0, "exact")
-    def test_success_line_is_dump(self, state, action, p, n, provenance):
-        want = _dump({"state": state, "action": action, "p": p, "n": n, "provenance": provenance})
-        assert success_line(state, action, p, n, provenance) == want
-
-    @settings(max_examples=200, deadline=None)
     @given(field(TEXT), field(INT), st.lists(st.tuples(field(TEXT), field(TEXT), field(TEXT)), max_size=4),
            field(TEXT), field(TEXT), field(INT))
     @example("t", True, [("s", "nohelp", "goto:1")], "f", "success", 1)
@@ -363,7 +349,7 @@ class TestEstimateSuccess:
         model, _ = fixtures.mdp_b()
         sm = estimate_success(rollout_log(model, always_branch(NOHELP), "s0", 50, seed=3))
         path = tmp_path / "success.jsonl"
-        sm.save(path)
+        _save_success(sm, path)
         back = SuccessModel.load(path)
         assert back.p == sm.p
         assert back.n == sm.n
@@ -425,32 +411,39 @@ def test_normalized_rows_sum_to_one(data):
         assert all(0.0 <= p <= 1.0 for p in row.values())
 
 
+def _save_success(sm: SuccessModel, path, header: dict | None = None) -> None:
+    """A file ``SuccessModel.load`` reads; no command writes one."""
+    write_jsonl(path, [{"state": s, "action": a, "p": p, "n": sm.n.get((s, a), 0), "provenance": sm.provenance}
+                       for (s, a), p in sorted(sm.p.items())], header)
+
+
 def _saved_artifacts():
-    """One of each JSONL artifact, from a small real collection."""
+    """One of each JSONL artifact, from a small real collection, with its
+    writer, its reader and a comparable view of what the reader returns."""
     cfg = EnvConfig(room_count=4, max_steps=5, hint_sizes=((2, 1.0),), move_prob=0.5,
                     n_train=6, n_val=2, n_test=2)
     tasks = generate_tasks(cfg, 3)
     log = pipeline.collect_phase1(list(tasks.train), [pipeline.StrongActorIntervention(0.05)], 3,
                                   n_seeds=2, eta=cfg.eta)
     return {
-        "tasks": (tasks, TaskSet.load, lambda t: t),
-        "rollouts": (log, RolloutLog.load, lambda log: log.episodes),
-        "counts": (log.to_count_table(), CountTable.load, lambda table: list(table.items())),
-        "success": (estimate_success(log), SuccessModel.load, lambda sm: sm),
+        "tasks": (tasks, TaskSet.save, TaskSet.load, lambda t: t),
+        "rollouts": (log, RolloutLog.save, RolloutLog.load, lambda log: log.episodes),
+        "counts": (log.to_count_table(), CountTable.save, CountTable.load, lambda table: list(table.items())),
+        "success": (estimate_success(log), _save_success, SuccessModel.load, lambda sm: sm),
     }
 
 
 @pytest.mark.parametrize("kind", ["tasks", "rollouts", "counts", "success"])
 def test_save_with_header_roundtrip(tmp_path, kind):
-    obj, load, view = _saved_artifacts()[kind]
+    obj, save, load, view = _saved_artifacts()[kind]
     header = {"config_hash": "0123456789abcdef", "seed": 7}
     path = tmp_path / f"{kind}.jsonl"
-    obj.save(path, header=header)
+    save(obj, path, header=header)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == {"provenance": header}
     assert view(load(path)) == view(obj)
     plain = tmp_path / f"{kind}-plain.jsonl"
-    obj.save(plain)
+    save(obj, plain)
     assert lines[1:] == plain.read_text(encoding="utf-8").splitlines()
 
 
@@ -461,7 +454,7 @@ READERS = {
     "rollouts": ("rollouts", RolloutLog.load, "task_id", lambda log: log.episodes),
     "counts": ("counts", CountTable.load, "state", lambda table: list(table.items())),
     "success": ("success", SuccessModel.load, "state", lambda sm: sm),
-    "fit": ("rollouts", fit_log, "task_id", lambda fitted: (list(fitted[0].items()), fitted[1])),
+    "fit": ("rollouts", fit_log, "task_id", lambda table: list(table.items())),
 }
 
 
@@ -470,8 +463,8 @@ def saved_lines(tmp_path_factory):
     """The lines of each JSONL artifact saved with a provenance header."""
     out = tmp_path_factory.mktemp("artifacts")
     lines = {}
-    for kind, (obj, _, _) in _saved_artifacts().items():
-        obj.save(out / kind, header={"config_hash": "0123456789abcdef", "seed": 7})
+    for kind, (obj, save, _, _) in _saved_artifacts().items():
+        save(obj, out / kind, header={"config_hash": "0123456789abcdef", "seed": 7})
         lines[kind] = (out / kind).read_text(encoding="utf-8").splitlines(keepends=True)
     return lines
 

@@ -101,8 +101,7 @@ class TestExpectedUsage:
         sol = solve(model, succ, cfg1(0.3))
         sol = planner.Solution(
             usage={"a": (0.4,), "b": (1.2,)},
-            success={}, policy={}, value={}, r=(0.3,),
-            variant="value_consistent", iterations_run=1, converged=True,
+            success={}, policy={}, value={}, r=(0.3,), iterations_run=1, converged=True,
         )
         assert expected_usage(sol, ["a", "b"])[0] == pytest.approx(0.8)
 
@@ -117,38 +116,38 @@ class TestExpectedUsage:
 
 class TestRewardSearch:
     def test_midrange_budget(self):
-        model, succ = fixtures.mdp_b()
-        res = reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+        model, _ = fixtures.mdp_b()
+        res = reward_search(model, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert 0.2 < res.r < 0.7
         assert res.solution.expected_usage[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_loose_budget_returns_lower_bound(self):
-        model, succ = fixtures.mdp_b()
-        res = reward_search(model, succ, 2.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+        model, _ = fixtures.mdp_b()
+        res = reward_search(model, 2.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert res.r == 0.0
         assert res.solution.expected_usage[0] == pytest.approx(1.5, abs=1e-9)
 
     def test_zero_budget(self):
-        model, succ = fixtures.mdp_b()
-        res = reward_search(model, succ, 0.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+        model, _ = fixtures.mdp_b()
+        res = reward_search(model, 0.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert res.solution.expected_usage[0] == 0.0
         assert all(a == NOHELP for a in res.solution.policy.values())
 
     def test_infeasible_bounds(self):
-        model, succ = fixtures.mdp_b()
+        model, _ = fixtures.mdp_b()
         with pytest.raises(BudgetInfeasibleError):
-            reward_search(model, succ, 0.0, (0.0, 0.1), ["s0"], cfg1(0.0))
+            reward_search(model, 0.0, (0.0, 0.1), ["s0"], cfg1(0.0))
 
     def test_trace_recorded(self):
-        model, succ = fixtures.mdp_b()
-        res = reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+        model, _ = fixtures.mdp_b()
+        res = reward_search(model, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert len(res.trace) >= 2
         assert all(len(pair) == 2 for pair in res.trace)
 
     def test_multi_cost_rejected(self):
-        model, succ = fixtures.mdp_b()
+        model, _ = fixtures.mdp_b()
         with pytest.raises(PlannerError, match="K=1"):
-            reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], RewardConfig(r=(0.1, 0.1)))
+            reward_search(model, 1.0, (0.0, 2.0), ["s0"], RewardConfig(r=(0.1, 0.1)))
 
 
 class TestRewardSearchOnCompiledModel:
@@ -164,8 +163,8 @@ class TestRewardSearchOnCompiledModel:
             return compile_model(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_compile", counting)
-        model, succ = fixtures.mdp_b()
-        res = reward_search(model, succ, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+        model, _ = fixtures.mdp_b()
+        res = reward_search(model, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
         assert len(res.trace) > 2
         assert len(calls) == 1
 
@@ -181,10 +180,8 @@ class TestRewardSearchOnCompiledModel:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
-    @pytest.mark.parametrize("variant", ["value_consistent", "paper_literal"])
-    def test_matches_independent_solves(self, variant, monkeypatch):
-        # paper_literal can cycle without converging; a short cap keeps that case cheap
-        monkeypatch.setattr(planner, "MAX_SWEEPS", 300)
+    @pytest.mark.parametrize("variant", ["value_consistent"])  # the rule solution.json names
+    def test_matches_independent_solves(self, variant):
         cases = [(fixtures.mdp_b(), ["s0", "s1", "s0"])]
         for seed in range(4):
             model, succ = fixtures.random_mdp(seed, 6)
@@ -192,9 +189,9 @@ class TestRewardSearchOnCompiledModel:
             # repeated and terminal starts count like any other start
             cases.append(((model, succ), [states[3], states[0], fixtures.T_SUCC, states[3]]))
         for (model, succ), starts in cases:
-            base = RewardConfig(r=(0.0,), gamma=1.0, variant=variant)
+            base = RewardConfig(r=(0.0,), gamma=1.0)
             top = sum(expected_usage(solve(model, succ, base), starts))
-            res = reward_search(model, succ, 0.5 * top, (0.0, 2.0), starts, base)
+            res = reward_search(model, 0.5 * top, (0.0, 2.0), starts, base)
             assert len(res.trace) >= 2
             for r, eu in res.trace:
                 want = sum(expected_usage(solve(model, succ, replace(base, r=(r,))), starts))
@@ -202,6 +199,7 @@ class TestRewardSearchOnCompiledModel:
             sol = solve(model, succ, replace(base, r=(res.r,)))
             sol = replace(sol, expected_usage=expected_usage(sol, starts))
             assert res.solution == sol
+            assert planner.solution_to_dict(sol)["variant"] == variant
             assert json.dumps(planner.solution_to_dict(res.solution), sort_keys=True) == json.dumps(
                 planner.solution_to_dict(sol), sort_keys=True
             )
@@ -210,7 +208,7 @@ class TestRewardSearchOnCompiledModel:
         # "zz" is off the model: it adds 0 usage but still counts, so budget
         # 0.5 admits s0's one help (usage 1.0), which s0 alone would not fit
         model, succ = fixtures.mdp_b()
-        res = reward_search(model, succ, 0.5, (0.0, 2.0), ["s0", "zz"], cfg1(0.0))
+        res = reward_search(model, 0.5, (0.0, 2.0), ["s0", "zz"], cfg1(0.0))
         assert 0.2 < res.r < 0.7
         assert res.solution.expected_usage == (res.solution.usage["s0"][0] / 2,)
         assert res.solution.expected_usage[0] == pytest.approx(0.5, abs=1e-9)
@@ -218,21 +216,28 @@ class TestRewardSearchOnCompiledModel:
             assert eu == expected_usage(solve(model, succ, cfg1(r)), ["s0", "zz"])[0]
 
     def test_no_starts_raises(self):
-        model, succ = fixtures.mdp_b()
+        model, _ = fixtures.mdp_b()
         with pytest.raises(PlannerError, match="no start states"):
-            reward_search(model, succ, 1.0, (0.0, 2.0), [], cfg1(0.0))
+            reward_search(model, 1.0, (0.0, 2.0), [], cfg1(0.0))
 
     def test_no_starts_and_bad_budget_raise_before_compiling(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("compiled before the inputs were checked")
 
         monkeypatch.setattr(solver, "_compile", refuse)
-        model, succ = fixtures.mdp_b()
+        model, _ = fixtures.mdp_b()
         with pytest.raises(PlannerError, match="no start states"):
-            reward_search(model, succ, 1.0, (0.0, 2.0), [], cfg1(0.0))
+            reward_search(model, 1.0, (0.0, 2.0), [], cfg1(0.0))
         for budget in (float("nan"), float("inf"), -0.5):
             with pytest.raises(PlannerError, match="budget must be finite"):
-                reward_search(model, succ, budget, (0.0, 2.0), ["s0"], cfg1(0.0))
+                reward_search(model, budget, (0.0, 2.0), ["s0"], cfg1(0.0))
+
+    def test_unconverged_probe_raises(self, monkeypatch):
+        # a probe still moving at the sweep cap has no E[U] to steer the bisection by
+        monkeypatch.setattr(planner, "MAX_SWEEPS", 2)
+        model, _ = fixtures.random_mdp(1, 6)
+        with pytest.raises(PlannerError, match=r"^probe at r=2 did not converge in 2 sweeps$"):
+            reward_search(model, 1.0, (0.0, 2.0), model.nonterminal_states()[:3], cfg1(0.0))
 
     def test_improper_chain_at_gamma_one_raises(self):
         probs = {
@@ -241,7 +246,7 @@ class TestRewardSearchOnCompiledModel:
         }
         model = TransitionModel(probs=probs, support=frozenset({"s0"}))
         with pytest.raises(PlannerError, match=r"improper chain: trapping non-terminal states \['s0'\]"):
-            reward_search(model, None, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
+            reward_search(model, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
 
 
 def _with_clone_help2(model: TransitionModel, source_action: str) -> TransitionModel:
@@ -291,21 +296,13 @@ class TestMultiIntervention:
 # the policies use help2 and help3 and every K >= 2 selection path runs
 MULTI_HELP_GOLDEN = {
     (2, 0, "value_consistent"): "8d010e3d394cd2a601c43bcfc08e8c9d0e342cfaef5286bb1c3524d14d713a53",
-    (2, 0, "paper_literal"): "0b3cf8f32cf6bde27cd5d24dee7a023fe50dda27f8a2686e25797f2387175f80",
     (2, 1, "value_consistent"): "3a73e6a3559bb6bee4237d1b6feeb8f07b609d77c4e26e4cebc2d74130f7cf4f",
-    (2, 1, "paper_literal"): "5dd1927202be0b9c1d54b214c48a31b3e4357236be7756859993dbd45d84f325",
     (2, 2, "value_consistent"): "ff6b7ff156ef87752d1c9f7f939cd056c9021fb7247d054d78caff458c3e13d7",
-    (2, 2, "paper_literal"): "41bf41e5e17f5d315bc484a220c2c1755058892ac381efce6bbf5323ca3d27c9",
     (2, 3, "value_consistent"): "e6087e9d75b364e8eca9c5ae8adde0b7cf4065bf20f97be3f3309cade8d8e8e9",
-    (2, 3, "paper_literal"): "dbaf547c53a6ea694fc62cff89782825872e7e9cdb7fc111ecae0440384528f7",
     (3, 0, "value_consistent"): "e2fe265dbe4cf1ec0d3176b6ea3aea86de7cb4069745cf69ec77f4934251c84f",
-    (3, 0, "paper_literal"): "051210526167502e690aff8fea672424a925625370f57ae31954c8359c1eb006",
     (3, 1, "value_consistent"): "47896725b11f6913df001ecbe1f09a3c386b1169ef91ae91ed5ac2df3d7c83c2",
-    (3, 1, "paper_literal"): "b3b7d9a27fcfc15dbe0e1f58bef2be83dc8522a3f743fb2006c3bf20c909d3a7",
     (3, 2, "value_consistent"): "2c42b6e39c14790a783b829dcb3e53091e0b653ad7164fc0e15e7893266a59a0",
-    (3, 2, "paper_literal"): "a35635568a203f618e271904ac980f4e38fd5b8a1e95c4a4b74917ce239462e8",
     (3, 3, "value_consistent"): "75134c03115a2c8904aa2db5bb48759fda2f1fdc64aebe94bdda7f188fbead5b",
-    (3, 3, "paper_literal"): "e579531bfdc120adbffb6297d46c2037d65dafb0c584ccd2d17ef70f8d04484c",
 }
 MULTI_HELP_COSTS = {2: (0.2, 0.05), 3: (0.2, 0.1, 0.05)}
 
@@ -313,47 +310,11 @@ MULTI_HELP_COSTS = {2: (0.2, 0.05), 3: (0.2, 0.1, 0.05)}
 @pytest.mark.parametrize("n_help,seed,variant", sorted(MULTI_HELP_GOLDEN))
 def test_multi_help_solutions_are_golden(n_help, seed, variant):
     model, succ = fixtures.random_mdp(seed, 6, n_help=n_help)
-    cfg = RewardConfig(r=MULTI_HELP_COSTS[n_help], gamma=1.0, variant=variant)
+    cfg = RewardConfig(r=MULTI_HELP_COSTS[n_help], gamma=1.0)
     sol = solve(model, succ, cfg)
     assert sol.converged
     doc = json.dumps(planner.solution_to_dict(sol), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == MULTI_HELP_GOLDEN[(n_help, seed, variant)]
-
-
-
-def _paper_literal_by_state(r, M_br, p):
-    """Per-state reference of the paper-literal rule: help_i passes iff
-    |dM_i| >= DM_ZERO_TOL and r_i < dp_i / dM_i; the cheapest passing help wins."""
-    K, n = len(r), M_br.shape[2]
-    choice = np.zeros(n, dtype=int)
-    for si in range(n):
-        passing = []
-        for i in range(1, K + 1):
-            dp = p[i, si] - p[0, si]
-            dM = p[i, si] * M_br[i, i - 1, si] - p[0, si] * M_br[0, i - 1, si]
-            if abs(dM) >= planner.DM_ZERO_TOL and r[i - 1] < dp / dM:
-                passing.append(i)
-        if passing:
-            costs = [sum(r[j] * M_br[i, j, si] for j in range(K)) for i in passing]
-            choice[si] = passing[int(np.argmin(costs))]
-    return choice
-
-
-@pytest.mark.parametrize("n_help", [1, 2, 3])
-def test_paper_literal_rule_matches_per_state_reference(n_help):
-    rng = np.random.default_rng(n_help)
-    n = 400
-    r = tuple(float(x) for x in rng.uniform(0.0, 0.5, n_help))
-    p = rng.uniform(0.0, 1.0, (n_help + 1, n))
-    M_br = rng.uniform(0.0, 2.0, (n_help + 1, n_help, n))
-    p[1:, :40] = p[0, :40]  # dM = 0 wherever M_br agrees too
-    M_br[1:, :, :40] = M_br[0, :, :40]
-    M_br[2:, :, 40:80] = M_br[1, :, 40:80]  # equal costs: the lowest help index wins
-    p[2:, 40:80] = p[1, 40:80]
-    cfg = RewardConfig(r=r, gamma=1.0, variant="paper_literal")
-    got = solver._select_paper_literal(cfg, M_br, p)
-    assert got.tolist() == _paper_literal_by_state(r, M_br, p).tolist()
-    assert set(got.tolist()) >= {0, 1}
 
 
 class TestDecomposition:
@@ -399,7 +360,7 @@ class TestPlainPythonHelpers:
                  for s in states}
         usage[fixtures.T_SUCC] = usage[fixtures.T_FAIL] = (0.0,) * n_help
         sol = planner.Solution(usage=usage, success={}, policy={}, value={}, r=(0.1,) * n_help,
-                               variant="value_consistent", iterations_run=1, converged=True)
+                               iterations_run=1, converged=True)
         pool = states + [fixtures.T_SUCC, fixtures.T_FAIL, "off-model-a", "off-model-b"]
         starts = [pool[i] for i in rng.integers(0, len(pool), 997)]
         got = expected_usage(sol, starts)
@@ -430,28 +391,24 @@ class TestPlainPythonHelpers:
 class TestVariants:
     def test_flip_points(self):
         model, succ = fixtures.mdp_a()
-
-        def flips_at(variant):
-            lo, hi = 0.0, 2.0
-            while hi - lo > 1e-11:
-                mid = 0.5 * (lo + hi)
-                sol = solve(model, succ, cfg1(mid, variant=variant))
-                if sol.policy["s0"] == "help1":
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        assert flips_at("value_consistent") == pytest.approx(0.7, abs=1e-9)
-        assert flips_at("paper_literal") == pytest.approx(7 / 9, abs=1e-9)
+        lo, hi = 0.0, 2.0
+        while hi - lo > 1e-11:
+            mid = 0.5 * (lo + hi)
+            sol = solve(model, succ, cfg1(mid))
+            if sol.policy["s0"] == "help1":
+                lo = mid
+            else:
+                hi = mid
+        assert 0.5 * (lo + hi) == pytest.approx(0.7, abs=1e-9)
 
     def test_value_consistent_dominates_on_grid(self):
+        # s0 is mdp_a's one state, so nohelp and help1 are all its policies
         model, succ = fixtures.mdp_a()
         for r in np.linspace(0.0, 1.5, 50):
-            sol_vc = solve(model, succ, cfg1(float(r), variant="value_consistent"))
-            sol_pl = solve(model, succ, cfg1(float(r), variant="paper_literal"))
-            ev_pl = oracle.exact_policy_eval(model, sol_pl.policy, cfg1(float(r)))
-            assert sol_vc.value["s0"] >= ev_pl.value["s0"] - 1e-12
+            sol = solve(model, succ, cfg1(float(r)))
+            for action in (NOHELP, "help1"):
+                ev = oracle.exact_policy_eval(model, {"s0": action}, cfg1(float(r)))
+                assert sol.value["s0"] >= ev.value["s0"] - 1e-12
 
 
 class TestProperties:
