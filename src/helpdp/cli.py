@@ -400,7 +400,10 @@ def selfreg(run: Run) -> None:
 def cli() -> None:
     """Process entry point.  A command builds hundreds of thousands of acyclic
     containers and then exits, so the cyclic GC only re-traverses them; it is
-    switched off here, and ``main`` (called in-process by tests) keeps it."""
+    switched off here.  What is left is frozen (``gc.freeze``) before the
+    process exits, so the interpreter's shutdown collection, which runs even
+    with the collector off, has nothing to traverse.  ``main`` (called
+    in-process by tests) leaves the collector as it was."""
     gc.disable()
     try:
         main(standalone_mode=False)
@@ -417,6 +420,8 @@ def cli() -> None:
     except Exception as exc:  # categorized catch-all for batch usage
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

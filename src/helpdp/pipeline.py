@@ -13,15 +13,20 @@ forked workers and writes ``phase1.jsonl`` from the finished lines each
 slice sends back, so no episode crosses a process boundary;
 ``collect_phase1`` plays the same episodes in this process and returns them
 as a ``RolloutLog``, the episode-level reference for the tests.
+
+Every worker process comes from ``fork_jobs``: ``collect``'s and ``eval``'s
+episode slices and the ``counts.jsonl`` read of ``solve`` and ``search``.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NoReturn, Protocol, Sequence, TypeVar
 
 from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start, strong_actor
 from .mdp import (
@@ -46,6 +51,7 @@ from .planner import ModelRows, Solution
 from .rollouts import Episode, RolloutLog, Step, episode_line
 
 UNKNOWN_FAILURE = "unknown|outcome=failure"
+T = TypeVar("T")
 
 
 class PipelineError(ValueError):
@@ -211,15 +217,13 @@ def phase1_schedule(n_help: int) -> list[tuple[float, ...]]:
     raise PipelineError(f"no default schedule for {n_help} interventions")
 
 
-# A forked collect worker takes about 10 ms to start and join, so a second
-# worker pays off only past about 500 episodes.  That was measured when the
-# workers sent their episodes back; the text of their finished lines, sent
-# now, costs less, so the bound is if anything high.
+# fork_jobs starts and reaps a worker in about 3 ms in a process holding the
+# paper-scale tasks, 7 ms on its first call, which imports pickle.  An eval
+# worker's episodes cost 20 to 30 ms per 1,500 to send back and rebuild, and a
+# collect worker's text less.  The bound was set when a worker of a
+# multiprocessing pool took about 10 ms to start and join, so it is if
+# anything high.
 EPISODES_PER_WORKER = 500
-
-# The inputs of the running write_phase1; forked workers inherit them, so the
-# interventions (the MCTS scorer is a closure) are never pickled.
-_collect_job: tuple | None = None
 
 
 def _usable_cpus() -> int:
@@ -228,6 +232,91 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _task_slices(n_tasks: int, n_episodes: int) -> list[tuple[int, int]]:
+    """Contiguous slices of the tasks, one per worker: one worker per usable
+    CPU, with at least ``EPISODES_PER_WORKER`` episodes each."""
+    workers = max(1, min(_usable_cpus(), n_episodes // EPISODES_PER_WORKER))
+    return [(n_tasks * i // workers, n_tasks * (i + 1) // workers) for i in range(workers)]
+
+
+def fork_jobs(jobs: Sequence[Callable[[], T]]) -> list[T]:
+    """``[job() for job in jobs]``: the first job runs in this process while
+    one forked child runs each of the others.
+
+    A child inherits its job, closures included, so no job is pickled; it
+    sends back its pickled result, or its exception, through its own pipe.
+    The results come in input order.  A child's exception is raised here with
+    its type, and a child that ends without a result (killed by a signal,
+    say) raises PipelineError naming its exit status.  Every child is reaped
+    before this returns or raises; once this raises, the children still
+    running are killed first.  Only a call with more than one job forks, and
+    only it imports pickle.  Fork before any thread starts: a forked child
+    holds only the thread that forked it."""
+    if len(jobs) < 2:
+        return [job() for job in jobs]
+    import pickle
+    import signal
+
+    pipes: list[io.BufferedReader] = []  # the read end of each child's pipe
+    pids: list[int] = []
+    running: set[int] = set()  # the children not yet reaped
+    try:
+        for job in jobs[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(job, w)
+            finally:
+                os.close(w)  # in this process only: _run_child never returns
+            pids.append(pid)
+            running.add(pid)
+        results = [jobs[0]()]
+        for i, (pid, pipe) in enumerate(zip(pids, pipes), start=2):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.discard(pid)
+            if code:
+                why = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+                raise PipelineError(f"forked worker {i} of {len(jobs)} (pid {pid}) {why} before sending its result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(job: Callable[[], object], w: int) -> NoReturn:
+    """The forked side of ``fork_jobs``: write ``(True, result)`` or
+    ``(False, exception)``, pickled, to ``w`` and exit at once, with status 0
+    only once everything is written; nothing of the parent's (atexit
+    handlers, buffered output, the caller's stack) runs here."""
+    status = 1
+    try:
+        import pickle
+
+        try:
+            out = (True, job())
+        except Exception as exc:
+            out = (False, exc)
+        try:
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # an unpicklable result or exception
+            data = pickle.dumps((False, PipelineError(f"forked worker could not send its result: {exc!r}")))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _checked_schedule(tasks: Sequence[Task], interventions: Sequence[Intervention],
@@ -249,13 +338,6 @@ def _play_phase1(tasks: Sequence[Task], interventions: Sequence[Intervention], m
             for rep in range(n_seeds):
                 seed = derive_seed(master_seed, "phase1", task.task_id, probs, rep)
                 yield run_episode(task, decide, interventions, seed, eta=eta)
-
-
-def _phase1_text(bounds: tuple[int, int]) -> str:
-    """The finished ``phase1.jsonl`` lines of one slice of the running job's
-    tasks, as one string."""
-    tasks, *rest = _collect_job
-    return "".join([episode_line(ep) + "\n" for ep in _play_phase1(tasks[bounds[0]:bounds[1]], *rest)])
 
 
 def collect_phase1(
@@ -290,30 +372,21 @@ def write_phase1(
 
     The tasks are cut into one contiguous slice per worker, with one worker
     per usable CPU and at least ``EPISODES_PER_WORKER`` episodes each.  This
-    process plays the first slice while forked processes play the others.
-    Each slice comes back as its finished lines (``episode_line``) in one
-    string, so no episode crosses a process boundary, and a worker's
-    exception is raised here with its type.  The header and the slices are
-    written in task order once every slice has succeeded; a failed run
-    writes nothing.  Each episode depends only on its own seed, so the file
-    is the same for any worker count."""
-    global _collect_job
+    process plays the first slice while forked processes play the others
+    (``fork_jobs``).  Each slice comes back as its finished lines
+    (``episode_line``) in one string, so no episode crosses a process
+    boundary, and a worker's exception is raised here with its type.  The
+    header and the slices are written in task order once every slice has
+    succeeded; a failed run writes nothing.  Each episode depends only on
+    its own seed, so the file is the same for any worker count."""
     schedule = _checked_schedule(tasks, interventions, schedule)
     n_episodes = len(tasks) * len(schedule) * n_seeds
-    workers = max(1, min(_usable_cpus(), n_episodes // EPISODES_PER_WORKER))
-    bounds = [(len(tasks) * i // workers, len(tasks) * (i + 1) // workers) for i in range(workers)]
-    _collect_job = (tasks, interventions, master_seed, schedule, n_seeds, eta)
-    try:
-        if workers == 1:
-            texts = [_phase1_text(bounds[0])]
-        else:
-            import multiprocessing  # only here: a serial collect pays nothing for it
 
-            with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
-                rest = pool.map_async(_phase1_text, bounds[1:], chunksize=1)
-                texts = [_phase1_text(bounds[0]), *rest.get()]
-    finally:
-        _collect_job = None
+    def text(lo: int, hi: int) -> str:
+        return "".join([episode_line(ep) + "\n"
+                        for ep in _play_phase1(tasks[lo:hi], interventions, master_seed, schedule, n_seeds, eta)])
+
+    texts = fork_jobs([partial(text, lo, hi) for lo, hi in _task_slices(len(tasks), n_episodes)])
     write_lines(path, texts, header)
     return n_episodes
 
@@ -441,34 +514,31 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
 
 
 # solvable_rows reads about 25 MB of counts.jsonl a second, and a forked
-# reader adds about 35 ms: importing multiprocessing, starting the worker and
-# sending the rows back.  On a 2-CPU host, with numpy and scipy loading
-# meanwhile, a forked and an inline read of a 0.5 MB file end together; at
-# 1 MB the fork is about 15 ms ahead, and at 2 MB about 0.1 s.
+# reader adds about 10 ms: importing pickle (4 ms), forking and reaping the
+# worker (3 ms) and sending the rows back (1.5 ms per MB of file).  The bound
+# was set when a multiprocessing pool added about 35 ms, so it is if anything
+# high; it stays, so a file of configs/reference.json's size (136 KB) is read
+# inline.
 FORK_MIN_BYTES = 1_000_000
 
 
 def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable[[], object]) -> ModelRows:
     """``solvable_rows(path, n_help)``, with ``meanwhile()`` also run in this
     process.  From ``FORK_MIN_BYTES`` on, and with a second usable CPU, one
-    forked worker reads the file while this process runs ``meanwhile``; the
-    worker's exception is raised here with its type.  Otherwise the file is
-    read first and ``meanwhile`` runs after it.
+    forked worker (``fork_jobs``) reads the file while this process runs
+    ``meanwhile``; the worker's exception is raised here with its type.
+    Otherwise the file is read first and ``meanwhile`` runs after it.
 
     The worker is forked, as ``write_phase1``'s are: a spawned one starts
     a new interpreter and imports the package again, about 0.2 s more, which
     is about what the paper-scale read takes.  The commands fork before they
     import numpy, so no thread runs then."""
+    read = partial(solvable_rows, path, n_help)
     if _usable_cpus() < 2 or os.path.getsize(path) < FORK_MIN_BYTES:
-        rows = solvable_rows(path, n_help)
+        rows = read()
         meanwhile()
         return rows
-    import multiprocessing  # only here: an inline read pays nothing for it
-
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        pending = pool.apply_async(solvable_rows, (path, n_help))
-        meanwhile()
-        return pending.get()
+    return fork_jobs([meanwhile, read])[1]
 
 
 HELPER_MODES = ("all_states", "trajectory_only")
@@ -603,6 +673,18 @@ def metrics_from_log(
     )
 
 
+def _episode_fields(ep: Episode) -> tuple:
+    """An episode as plain tuples and strings: a forked eval worker's
+    episodes go through pickle and back in about a third of the time their
+    Episode and Step objects take, and are rebuilt by
+    ``_episode_from_fields``."""
+    return ep.task_id, ep.seed, tuple(map(tuple, ep.steps)), ep.final_state, ep.outcome, ep.length
+
+
+def _episode_from_fields(task_id, seed, steps, final_state, outcome, length) -> Episode:
+    return Episode(task_id, seed, tuple(map(Step._make, steps)), final_state, outcome, length)
+
+
 def evaluate(
     decide: Decider,
     tasks: Sequence[Task],
@@ -613,13 +695,28 @@ def evaluate(
     expected: tuple[float, ...] | None = None,
     seed_salt: str = "eval",
 ) -> tuple[Metrics, RolloutLog]:
+    """``n_seeds`` episodes of each task under ``decide``, logged in task
+    order, and their metrics.  The tasks are cut into slices as
+    ``write_phase1`` cuts them; this process plays the first while forked
+    workers play the others and send their episodes back as plain tuples
+    (``_episode_fields``).  Each episode draws only from its own seed, so the
+    log is the same for any worker count."""
     if not tasks:
         raise PipelineError("empty taskset")
-    log = RolloutLog()
-    for task in tasks:
-        for rep in range(n_seeds):
-            seed = derive_seed(master_seed, seed_salt, task.task_id, rep)
-            log.append(run_episode(task, decide, interventions, seed, eta=eta))
+
+    def play(lo: int, hi: int) -> list[Episode]:
+        return [run_episode(task, decide, interventions, derive_seed(master_seed, seed_salt, task.task_id, rep),
+                            eta=eta)
+                for task in tasks[lo:hi] for rep in range(n_seeds)]
+
+    def ship(lo: int, hi: int) -> list[tuple]:
+        return [_episode_fields(ep) for ep in play(lo, hi)]
+
+    first, *rest = _task_slices(len(tasks), len(tasks) * n_seeds)
+    played, *shipped = fork_jobs([partial(play, *first), *(partial(ship, lo, hi) for lo, hi in rest)])
+    log = RolloutLog(played)
+    for fields in shipped:
+        log.episodes.extend([_episode_from_fields(*f) for f in fields])
     return metrics_from_log(log, tasks, len(interventions), expected), log
 
 

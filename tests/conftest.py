@@ -1,5 +1,10 @@
+import os
 import random
+import signal
 
+import pytest
+
+from helpdp import pipeline
 from helpdp.mdp import NOHELP, TransitionModel, terminal_outcome
 from helpdp.rollouts import Episode, RolloutLog, Step
 
@@ -61,3 +66,36 @@ def always_branch(branch: str):
 
 def policy_decider(policy: dict[str, str], fallback: str = NOHELP):
     return lambda state: policy.get(state, fallback)
+
+
+def spy_forks(monkeypatch) -> list:
+    """Spy on pipeline.fork_jobs; returns the arguments of every job it
+    hands to a forked worker (each job after the first is a partial)."""
+    handed: list = []
+    fork_jobs = pipeline.fork_jobs
+
+    def spy(jobs):
+        handed.extend(job.args for job in jobs[1:])
+        return fork_jobs(jobs)
+
+    monkeypatch.setattr(pipeline, "fork_jobs", spy)
+    return handed
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on forked workers for 20 s rather than let it
+    hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting on forked workers after 20 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)

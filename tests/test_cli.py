@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from helpdp.mdp import CountTable, DataError, normalize
 from helpdp.pipeline import build_helper, restrict_to_solvable
 from helpdp.planner import expected_usage, load_solution
 from helpdp.rollouts import RolloutLog, fit_log
+from conftest import assert_no_child_left, spy_forks
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
@@ -518,17 +520,21 @@ def test_rewritten_json_artifact_replaces_the_file(tmp_path):
 @pytest.fixture
 def restore_gc():
     yield
+    gc.unfreeze()
     gc.enable()
 
 
 def test_gc_is_switched_off_only_at_the_process_entry(tmp_path, monkeypatch, capsys, restore_gc):
     assert gc.isenabled()
+    frozen = gc.get_freeze_count()
     main(["--config", str(write_config(tmp_path, "gc")), "gen"], standalone_mode=False)
     assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
     monkeypatch.setattr(sys, "argv", ["helpdp", "--help"])
     cli()
     assert "Usage" in capsys.readouterr().out
     assert not gc.isenabled()
+    assert gc.get_freeze_count() > 0  # the exit has nothing left to collect
 
 
 def test_failed_forked_collect_exits_1_and_writes_no_log(tmp_path, monkeypatch, capsys, restore_gc):
@@ -544,6 +550,63 @@ def test_failed_forked_collect_exits_1_and_writes_no_log(tmp_path, monkeypatch, 
     assert exc.value.code == 1
     assert "unknown intervention index 2" in capsys.readouterr().err
     assert not (tmp_path / "fk" / "phase1.jsonl").exists()
+
+
+def _kill_in_child(fn):
+    """``fn``, except that a forked worker calling it kills itself."""
+    parent = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("command,target,artifacts", [
+    ("collect", "_play_phase1", ("phase1.jsonl",)),
+    ("search", "solvable_rows", ("solution.json", "search.json")),
+    ("eval", "run_episode", ("metrics.json",)),
+])
+def test_a_killed_worker_exits_1_naming_the_signal(tmp_path, monkeypatch, capsys, restore_gc, deadline,
+                                                   command, target, artifacts):
+    """A worker killed from outside (the OOM killer, say) fails its command
+    at once, with no artifact and no child process left behind; a
+    multiprocessing pool waited for ever on the lost job."""
+    cfg = write_config(tmp_path, "kw")
+    run_chain(cfg, COMMANDS[:COMMANDS.index(command)])
+    monkeypatch.setattr(pipeline, "EPISODES_PER_WORKER", 1)
+    monkeypatch.setattr(pipeline, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, target, _kill_in_child(getattr(pipeline, target)))
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    assert re.fullmatch(r"error: forked worker 2 of 2 \(pid \d+\) was killed by SIGKILL before sending its result\n",
+                        capsys.readouterr().err)
+    assert not any((tmp_path / "kw" / name).exists() for name in artifacts)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("intervention", ["strong", "mcts", "both"])
+def test_forked_eval_writes_the_serial_metrics(tmp_path, monkeypatch, intervention):
+    """eval plays slices of the tasks in forked workers; metrics.json, seen
+    and unseen splits included, is the serial run's for any worker count."""
+    cfg = write_config(tmp_path, "fe", intervention=intervention,
+                       planner={"r": [0.3, 0.5]} if intervention == "both" else {})
+    run_chain(cfg, ("gen", "collect", "fit", "solve", "annotate"))
+    metrics = tmp_path / "fe" / "metrics.json"
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    serial_output = run_cmd(cfg, "eval")
+    serial = metrics.read_bytes()
+    monkeypatch.setattr(pipeline, "EPISODES_PER_WORKER", 1)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    slices = spy_forks(monkeypatch)
+    assert run_cmd(cfg, "eval") == serial_output
+    assert slices == [(2, 5), (5, 8)]  # this process plays (0, 2) of the 8 train tasks
+    assert metrics.read_bytes() == serial
 
 
 def test_collect_on_a_malformed_task_exits_1_naming_it(tmp_path, monkeypatch, capsys, restore_gc):
@@ -629,15 +692,35 @@ def test_only_the_solving_commands_load_numpy_and_scipy(tmp_path, intervention):
 
 def test_reference_collect_stays_serial(tmp_path):
     """configs/reference.json collects 560 episodes, too few to pay for a
-    fork, so collect runs in the one process and never imports
-    multiprocessing."""
+    fork, so collect runs in the one process and never imports pickle,
+    which only a forking call of pipeline.fork_jobs does."""
     code = ("import sys; from helpdp.cli import main; "
             "[main(['--config', sys.argv[1], '--out', sys.argv[2], c], standalone_mode=False) "
-            "for c in ('gen', 'collect')]; print('multiprocessing' in sys.modules)")
+            "for c in ('gen', 'collect')]; print('pickle' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, str(REFERENCE_CONFIG), str(tmp_path / "out")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_no_command_imports_multiprocessing(tmp_path):
+    """Importing the CLI loads neither pickle nor multiprocessing, and
+    collect, search and eval fork their workers with os.fork, here forced to
+    fork whatever their inputs: multiprocessing never loads."""
+    proc = subprocess.run([sys.executable, "-c", "import sys, helpdp.cli; "
+                           "print('pickle' in sys.modules, 'multiprocessing' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False False"
+    code = ("import sys; from helpdp import pipeline; from helpdp.cli import main; "
+            "pipeline.EPISODES_PER_WORKER, pipeline.FORK_MIN_BYTES = 1, 0; "
+            "pipeline._usable_cpus = lambda: 2; forks = []; fork_jobs = pipeline.fork_jobs; "
+            "pipeline.fork_jobs = lambda jobs: forks.append(len(jobs)) or fork_jobs(jobs); "
+            "[main(['--config', sys.argv[1], c], standalone_mode=False) for c in sys.argv[2:]]; "
+            "print(forks, 'multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(write_config(tmp_path, "mp")), *COMMANDS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[2, 2, 2] False"  # collect, search and eval each forked
 
 
 def test_benchmark_wrap_targets_exist():
@@ -1009,19 +1092,9 @@ def _broken_counts(tmp_path: Path, case: str) -> tuple[Path, Path]:
 def _force_read(monkeypatch, cpus: int) -> list:
     """Every counts.jsonl is large enough to fork for, and ``cpus`` CPUs are
     usable; returns the arguments of each read handed to a worker."""
-    import multiprocessing.pool
-
     monkeypatch.setattr(pipeline, "FORK_MIN_BYTES", 0)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    handed: list = []
-    apply_async = multiprocessing.pool.Pool.apply_async
-
-    def spy(pool, fn, args, *rest, **kwargs):
-        handed.append(args)
-        return apply_async(pool, fn, args, *rest, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", spy)
-    return handed
+    return spy_forks(monkeypatch)
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])

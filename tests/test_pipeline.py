@@ -1,11 +1,14 @@
 import math
+import os
 import random
+import signal
+import time
 
 import pytest
 
 from helpdp import env, fixtures, oracle, pipeline, planner
 from helpdp.env import EnvConfig, generate_tasks, initial_state
-from helpdp.mdp import NOHELP, estimate_success, normalize
+from helpdp.mdp import NOHELP, DataError, estimate_success, normalize
 from helpdp.pipeline import (
     UNKNOWN_FAILURE,
     HelperPolicy,
@@ -29,7 +32,7 @@ from helpdp.pipeline import (
 from helpdp.fixtures import truncate_counts
 from helpdp.planner import RewardConfig, expected_usage, solve
 from helpdp.rollouts import Episode, RolloutLog, Step
-from conftest import rollout_log, always_branch
+from conftest import always_branch, assert_no_child_left, rollout_log, spy_forks
 
 CFG = EnvConfig(
     room_count=4, max_steps=5, hint_sizes=((2, 1.0),), move_prob=0.5,
@@ -78,29 +81,57 @@ class TestCollect:
         assert len(log) == len(TASKS.train) * len(phase1_schedule(1)) * 3
 
 
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestForkJobs:
+    def test_results_come_in_input_order_and_the_first_job_runs_here(self):
+        here, there, big = pipeline.fork_jobs([os.getpid, os.getpid, lambda: "x" * 200_000])
+        assert here == os.getpid() != there and big == "x" * 200_000
+        assert_no_child_left()
+
+    def test_a_single_job_runs_here(self):
+        assert pipeline.fork_jobs([os.getpid]) == [os.getpid()]
+
+    def test_a_child_error_keeps_its_type(self):
+        def refuse():
+            raise DataError("bad record")
+
+        with pytest.raises(DataError, match="bad record"):
+            pipeline.fork_jobs([lambda: None, refuse])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("job,why", [(kill_self, "was killed by SIGKILL"),
+                                         (lambda: os._exit(3), "exited with status 3")], ids=["killed", "exited"])
+    def test_a_child_without_a_result_is_named(self, deadline, job, why):
+        # a multiprocessing pool waits for ever on a job whose worker died
+        with pytest.raises(PipelineError, match=f"forked worker 3 of 3 \\(pid \\d+\\) {why} before sending its result"):
+            pipeline.fork_jobs([lambda: None, lambda: 1, job])
+        assert_no_child_left()
+
+    def test_a_failed_first_job_kills_the_children(self, deadline):
+        def refuse():
+            raise PipelineError("first job")
+
+        with pytest.raises(PipelineError, match="first job"):
+            pipeline.fork_jobs([refuse, lambda: time.sleep(60)])
+        assert_no_child_left()
+
+
 class TestForkedCollect:
-    """write_phase1 forks workers when the episodes pay for them; here ten
-    tasks are cut for three workers whatever the host has, and the file must
-    be the serial collect_phase1 log's."""
+    """write_phase1 and evaluate fork workers when the episodes pay for them;
+    here the tasks are cut for three workers whatever the host has, and the
+    file or the log must be the serial one."""
 
     HEADER = {"config_hash": "0123456789abcdef", "seed": 11}
 
     @pytest.fixture
     def slices(self, monkeypatch):
-        """Force three workers; returns the slices handed to the pool."""
-        import multiprocessing.pool
-
+        """Force three workers; returns the slices handed to forked workers."""
         monkeypatch.setattr(pipeline, "EPISODES_PER_WORKER", 1)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
-        handed: list[tuple[int, int]] = []
-        map_async = multiprocessing.pool.Pool.map_async
-
-        def spy(pool, fn, bounds, *args, **kwargs):
-            handed.extend(bounds)
-            return map_async(pool, fn, bounds, *args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "map_async", spy)
-        return handed
+        return spy_forks(monkeypatch)
 
     @staticmethod
     def interventions(kind: str) -> list:
@@ -132,6 +163,18 @@ class TestForkedCollect:
                                   n_seeds=2)
         assert slices == [(0, 1), (1, 2)]
         assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
+    def test_forked_eval_equals_serial_eval(self, monkeypatch, slices, kind):
+        decide = baseline_random((0.3,) * len(self.interventions(kind)))
+        metrics, log = evaluate(decide, list(TASKS.train), self.interventions(kind), 11, n_seeds=2, eta=CFG.eta)
+        assert slices == [(3, 6), (6, 10)]
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        serial_metrics, serial_log = evaluate(decide, list(TASKS.train), self.interventions(kind), 11, n_seeds=2,
+                                              eta=CFG.eta)
+        assert len(slices) == 2
+        assert (metrics, list(log)) == (serial_metrics, list(serial_log))
+        assert all(type(step) is Step for ep in log for step in ep.steps)
 
 
 class TestReductions:
