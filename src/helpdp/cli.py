@@ -6,6 +6,10 @@ embed the config hash and seed; reruns with unchanged inputs are
 byte-identical.  Every run setting comes from the config: ``--seed`` and
 ``--out`` are folded into it before it is hashed, so the hash names the run.
 
+Each command imports the other helpdp modules it calls in its own body, so
+a process compiles and runs only those: importing this module loads
+``mdp`` and ``planner`` alone, enough to check a config.
+
 Exit codes: 0 success, 2 invalid usage or config, 3 infeasible budget,
 1 any other error.
 """
@@ -19,14 +23,17 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import env as envmod
-from . import pipeline, planner
-from .mdp import NOHELP, CountTable, TransitionModel, _dump, is_number, is_whole, normalize
+from . import planner
+from .mdp import (NOHELP, CountTable, EnvConfig, EnvError, TransitionModel, _dump, is_number, is_whole, normalize,
+                  read_json)
 from .mdp import estimate_success  # noqa: F401  (bench/worker.py traces it by this name)
-from .rollouts import RolloutLog, fit_log
+
+if TYPE_CHECKING:
+    from . import env as envmod
 
 HELP_TYPES = {"strong": 1, "mcts": 1, "both": 2}  # K, the help types of each intervention kind
 
@@ -49,8 +56,8 @@ KEYS = {
     "planner": ({}, "must be an object", lambda got: isinstance(got, dict)),
     "intervention": ("strong", f"must be one of {list(HELP_TYPES)}",
                      lambda got: isinstance(got, str) and got in HELP_TYPES),
-    "helper_mode": ("all_states", f"must be one of {list(pipeline.HELPER_MODES)}",
-                    lambda got: got in pipeline.HELPER_MODES),
+    "helper_mode": ("all_states", f"must be one of {list(planner.HELPER_MODES)}",
+                    lambda got: got in planner.HELPER_MODES),
     "eval_seeds": _SEEDS,
     "baseline_probs": ([0.0, 0.3, 1.0], "must be a list of numbers in [0, 1]",
                        lambda got: isinstance(got, list) and all(is_number(p) and 0 <= p <= 1 for p in got)),
@@ -87,7 +94,7 @@ class Run:
     def __init__(self, config_path: str, seed: int | None, out: str | None) -> None:
         try:
             config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot read config {config_path}: {exc}")
         if not isinstance(config, dict):
             raise click.UsageError(f"config {config_path} must be an object")
@@ -103,8 +110,8 @@ class Run:
         self.phase1_seeds, self.eval_seeds = top["phase1_seeds"], top["eval_seeds"]
         self.baseline_probs, self.helper_mode = top["baseline_probs"], top["helper_mode"]
         try:
-            self.env = envmod.EnvConfig.from_dict(top["env"])
-        except envmod.EnvError as exc:
+            self.env = EnvConfig.from_dict(top["env"])
+        except EnvError as exc:
             raise click.UsageError(f"env.{exc}")
         p = _read(top["planner"], PLANNER_KEYS, "planner.")
         r, self.reward = p["r"], None  # a K = 2 run without r can do all but `solve`
@@ -140,6 +147,8 @@ class Run:
     def interventions(self) -> list:
         """The configured executors; the MCTS scorer computes p* of a state
         only when a pick asks for it."""
+        from . import env as envmod, pipeline
+
         strong = pipeline.StrongActorIntervention(self.env.eta_strong)
         if self.intervention == "strong":
             return [strong]
@@ -154,9 +163,13 @@ class Run:
         return p
 
     def load_tasks(self) -> envmod.TaskSet:
+        from . import env as envmod
+
         return envmod.TaskSet.load(self.require("tasks.jsonl", "`gen`"))
 
     def load_model(self) -> TransitionModel:
+        from . import pipeline
+
         cp = self.require("counts.jsonl", "`fit`")
         return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)), self.n_help)
 
@@ -164,6 +177,8 @@ class Run:
         """``load_model`` laid out as the solver's rows, read in one pass
         (``pipeline.solvable_rows``) while this process imports numpy and
         scipy; a large file is read by a forked worker meanwhile."""
+        from . import pipeline
+
         cp = self.require("counts.jsonl", "`fit`")
         return pipeline.read_solvable_rows(cp, self.n_help, planner.import_solver)
 
@@ -173,12 +188,15 @@ class Run:
     def start_keys(self, tasks) -> list[str]:
         """Start state keys of ``tasks`` in order; every command that averages
         usage or walks the policy takes its starts from here."""
+        from . import env as envmod
+
         return [envmod.initial_state(t).key() for t in tasks]
 
 
 def _mcts_q(p_star, seed: int):
     """Noisy post-action success score used by the MCTS intervention: the
     exact p* of the successor (``env.success_probability``) plus seeded noise."""
+    from . import env as envmod, pipeline
 
     def q(state: envmod.EnvState, action: str) -> float:
         nxt = envmod.env_step(state, action)
@@ -213,6 +231,8 @@ def main(ctx: click.Context, config_path: str, seed: int | None, out: str | None
 @pass_run
 def gen(run: Run) -> None:
     """Generate the train/val/test taskset."""
+    from . import env as envmod
+
     taskset = envmod.generate_tasks(run.env, run.seed)
     run.out.mkdir(parents=True, exist_ok=True)
     taskset.save(run.path("tasks.jsonl"), header=run.provenance)
@@ -225,6 +245,8 @@ def gen(run: Run) -> None:
 @pass_run
 def collect(run: Run) -> None:
     """Randomized-intervention collection over the train split."""
+    from . import pipeline
+
     taskset = run.load_tasks()
     n = pipeline.write_phase1(run.path("phase1.jsonl"), run.provenance, list(taskset.train),
                               run.interventions(), run.seed, n_seeds=run.phase1_seeds, eta=run.env.eta)
@@ -235,7 +257,9 @@ def collect(run: Run) -> None:
 @pass_run
 def fit(run: Run) -> None:
     """Estimate transition counts from the log."""
-    table = fit_log(run.require("phase1.jsonl", "`collect`"))
+    from . import rollouts
+
+    table = rollouts.fit_log(run.require("phase1.jsonl", "`collect`"))
     table.save(run.path("counts.jsonl"), header=run.provenance)
     click.echo(f"fit {len(table)} transition rows")
 
@@ -297,6 +321,8 @@ def search(run: Run) -> None:
 @pass_run
 def annotate(run: Run) -> None:
     """Distill the solved policy into a helper lookup table."""
+    from . import pipeline
+
     sol = run.load_solution()
     starts = model = None
     if run.helper_mode == "trajectory_only":  # the only mode that walks the model from the train starts
@@ -317,11 +343,12 @@ def eval_cmd(run: Run) -> None:
     seen/unseen breakdown; the lookup table cannot generalize across task
     identities, so the deployment split is the one the policy was solved
     for."""
+    from . import pipeline
+    from .rollouts import RolloutLog
+
     taskset = run.load_tasks()
-    doc = json.loads(run.require("helper.json", "`annotate`").read_text(encoding="utf-8"))
-    helper = pipeline.HelperPolicy(
-        table=doc["table"], training_mode=doc["mode"], fallback=doc["fallback"]
-    )
+    helper = read_json(run.require("helper.json", "`annotate`"), lambda doc: pipeline.HelperPolicy(
+        table=doc["table"], training_mode=doc["mode"], fallback=doc["fallback"]))
     sol = run.load_solution()
     tasks = {t.task_id: t for t in taskset.train}
     starts = dict(zip(tasks, run.start_keys(taskset.train)))
@@ -352,6 +379,8 @@ def eval_cmd(run: Run) -> None:
 @pass_run
 def baseline(run: Run) -> None:
     """Random-trigger baselines on the test split."""
+    from . import pipeline
+
     _require_tasks(run, "baseline", "n_test")
     taskset = run.load_tasks()
     interventions = run.interventions()
@@ -372,6 +401,9 @@ def selfreg(run: Run) -> None:
 
     The difficulty scorer is the exact per-state success probability of the
     val/test tasks; empirical estimates never cover these states."""
+    from . import env as envmod, pipeline
+    from .rollouts import RolloutLog
+
     _require_tasks(run, "selfreg", "n_val", "n_test")
     taskset = run.load_tasks()
     _, success = envmod.exact_models(list(taskset.val) + list(taskset.test),

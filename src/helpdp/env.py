@@ -7,24 +7,24 @@ actor is noisy-greedy over the hint; the strong actor tracks the object's
 true room.  Dynamics are deterministic given the executed command, so all
 stochasticity lives in the actors, which keeps exact model extraction a
 matter of marginalizing actor noise.
+
+``EnvConfig`` and ``EnvError`` are defined in ``mdp``, so the CLI checks a
+run config without importing this module; both are importable from here.
 """
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .mdp import NOHELP, SuccessModel, TransitionModel, help_action, is_number, is_whole, read_jsonl, write_jsonl
+from .mdp import (NOHELP, EnvConfig, EnvError, SuccessModel, TransitionModel, help_action, is_whole, read_jsonl,
+                  write_jsonl)
 
 EXPLORE = "explore"
 SPLITS = ("train", "val", "test")
 T = TypeVar("T")
-
-
-class EnvError(ValueError):
-    pass
 
 
 class EnumerationTooLarge(EnvError):
@@ -230,51 +230,6 @@ def _step(state: EnvState, action: str) -> EnvState:
     else:
         room = int(action.split(":", 1)[1])
     return EnvState(task=state.task, t=state.t + 1, room=room, explored=explored, found=found)
-
-
-@dataclass(frozen=True)
-class EnvConfig:
-    room_count: int = 10
-    max_steps: int = 6
-    hint_sizes: tuple[tuple[int, float], ...] = ((4, 0.4), (5, 0.6))
-    move_prob: float = 0.8
-    eta: float = 0.35
-    eta_strong: float = 0.05
-    n_train: int = 1000
-    n_val: int = 40
-    n_test: int = 40
-
-    def __post_init__(self) -> None:
-        # here and in from_dict every message starts with the field it refuses
-        for name, low in (("room_count", 2), ("max_steps", 2), ("n_train", 1), ("n_val", 0), ("n_test", 0)):
-            value = getattr(self, name)
-            if not (is_whole(value) and value >= low):
-                raise EnvError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("move_prob", "eta", "eta_strong"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0 <= value <= 1):
-                raise EnvError(f"{name} must be a number in [0, 1], got {value!r}")
-        for size, _ in self.hint_sizes:
-            if not (is_whole(size) and 1 <= size <= self.room_count):
-                raise EnvError(f"hint_sizes must fit {self.room_count} rooms, got hint size {size!r}")
-        weights = [w for _, w in self.hint_sizes]
-        if not (all(is_number(w) and w >= 0 for w in weights) and sum(weights) > 0):
-            raise EnvError(f"hint_sizes must have weights >= 0 with a positive sum, got {self.hint_sizes!r}")
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "EnvConfig":
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(rec) - set(names))
-        if unknown:
-            raise EnvError(f"{unknown[0]} is unknown; the fields are {names}")
-        kwargs = dict(rec)
-        if "hint_sizes" in kwargs:
-            sizes = rec["hint_sizes"]
-            try:
-                kwargs["hint_sizes"] = tuple(sorted((int(s), float(w)) for s, w in sizes.items()))
-            except (AttributeError, TypeError, ValueError):
-                raise EnvError(f"hint_sizes must be an object of size: weight, got {sizes!r}") from None
-        return cls(**kwargs)
 
 
 @_memo

@@ -1,5 +1,7 @@
 """Core tabular bookkeeping: state keys, actions, transition counts,
-normalized transition models, and empirical success estimation.
+normalized transition models, and empirical success estimation; also the
+environment's config (``EnvConfig``), checked here so that a run config can
+be validated without importing ``env``.
 
 States are canonical strings built from ``field=value`` segments joined by
 ``|``.  Terminal states carry an ``outcome=success`` or ``outcome=failure``
@@ -11,12 +13,13 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _enc
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 NOHELP = "nohelp"
+T = TypeVar("T")
 
 _HELP_RE = re.compile(r"^help([1-9]\d*)$")
 
@@ -169,6 +172,16 @@ def read_jsonl(path: str | Path, key: str) -> Iterator[dict]:
             elif not (lineno == 1 and type(rec) is dict and list(rec) == ["provenance"]):
                 raise DataError(f"{path}:{lineno}: expected a JSON object with {key!r}, "
                                 f"got {line.strip()[:80]}")
+
+
+def read_json(path: str | Path, parse: Callable[[dict], T]) -> T:
+    """``parse`` of the JSON document in ``path``.  A file that is not UTF-8
+    JSON, or a document that ``parse`` fails on (a missing key, a value of
+    the wrong type), raises DataError naming the path and the cause."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed document ({type(exc).__name__}: {exc})") from None
 
 
 COUNT_FIELDS = ("state", "action", "next")  # the fields that name a counts.jsonl record
@@ -361,3 +374,52 @@ def estimate_success(log: Iterable) -> SuccessModel:
         raise DataError("no data")
     p = {key: successes.get(key, 0) / v for key, v in visits.items()}
     return SuccessModel(p=p, n=dict(visits), provenance="empirical")
+
+
+class EnvError(ValueError):
+    """Raised on a bad environment config or task."""
+
+
+@dataclass(frozen=True)
+class EnvConfig:
+    room_count: int = 10
+    max_steps: int = 6
+    hint_sizes: tuple[tuple[int, float], ...] = ((4, 0.4), (5, 0.6))
+    move_prob: float = 0.8
+    eta: float = 0.35
+    eta_strong: float = 0.05
+    n_train: int = 1000
+    n_val: int = 40
+    n_test: int = 40
+
+    def __post_init__(self) -> None:
+        # here and in from_dict every message starts with the field it refuses
+        for name, low in (("room_count", 2), ("max_steps", 2), ("n_train", 1), ("n_val", 0), ("n_test", 0)):
+            value = getattr(self, name)
+            if not (is_whole(value) and value >= low):
+                raise EnvError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("move_prob", "eta", "eta_strong"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0 <= value <= 1):
+                raise EnvError(f"{name} must be a number in [0, 1], got {value!r}")
+        for size, _ in self.hint_sizes:
+            if not (is_whole(size) and 1 <= size <= self.room_count):
+                raise EnvError(f"hint_sizes must fit {self.room_count} rooms, got hint size {size!r}")
+        weights = [w for _, w in self.hint_sizes]
+        if not (all(is_number(w) and w >= 0 for w in weights) and sum(weights) > 0):
+            raise EnvError(f"hint_sizes must have weights >= 0 with a positive sum, got {self.hint_sizes!r}")
+
+    @classmethod
+    def from_dict(cls, rec: dict) -> "EnvConfig":
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(rec) - set(names))
+        if unknown:
+            raise EnvError(f"{unknown[0]} is unknown; the fields are {names}")
+        kwargs = dict(rec)
+        if "hint_sizes" in kwargs:
+            sizes = rec["hint_sizes"]
+            try:
+                kwargs["hint_sizes"] = tuple(sorted((int(s), float(w)) for s, w in sizes.items()))
+            except (AttributeError, TypeError, ValueError):
+                raise EnvError(f"hint_sizes must be an object of size: weight, got {sizes!r}") from None
+        return cls(**kwargs)

@@ -47,7 +47,7 @@ from .mdp import (
     terminal_outcome,
     write_lines,
 )
-from .planner import ModelRows, Solution
+from .planner import HELPER_MODES, ModelRows, Solution
 from .rollouts import Episode, RolloutLog, Step, episode_line
 
 UNKNOWN_FAILURE = "unknown|outcome=failure"
@@ -539,9 +539,6 @@ def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable
         meanwhile()
         return rows
     return fork_jobs([meanwhile, read])[1]
-
-
-HELPER_MODES = ("all_states", "trajectory_only")
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .mdp import SuccessModel, TransitionModel
+from .mdp import SuccessModel, TransitionModel, read_json
 
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
 MAX_SWEEPS = 10_000  # a fixed point still moving after this many sweeps is unconverged
+HELPER_MODES = ("all_states", "trajectory_only")  # how `annotate` distills a solution (pipeline.build_helper)
 
 
 class PlannerError(ValueError):
@@ -251,8 +252,9 @@ def solution_to_dict(sol: Solution) -> dict:
 
 
 def load_solution(path: str | Path) -> Solution:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Solution(
+    """The solution a ``solve`` or ``search`` run wrote to ``path``; a file
+    that is not one raises DataError naming the path and the cause."""
+    return read_json(path, lambda doc: Solution(
         usage={s: tuple(u) for s, u in doc["usage"].items()},
         success=doc["success"],
         policy=doc["policy"],
@@ -261,4 +263,4 @@ def load_solution(path: str | Path) -> Solution:
         iterations_run=doc["iterations"],
         converged=doc["converged"],
         expected_usage=tuple(doc["expected_usage"]) if doc.get("expected_usage") else None,
-    )
+    ))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from helpdp import fixtures, pipeline
+from helpdp import env, fixtures, mdp, pipeline
 from helpdp.cli import Run, cli, main
 from helpdp.env import TaskSet, generate_tasks, initial_state
 from helpdp.mdp import CountTable, DataError, normalize
@@ -625,6 +625,62 @@ def test_collect_on_a_malformed_task_exits_1_naming_it(tmp_path, monkeypatch, ca
     assert not (tmp_path / "mt" / "phase1.jsonl").exists()
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{"seed": 1}', b'{"seed": 1'], ids=["not-utf8", "not-json"])
+def test_an_unreadable_config_exits_2(tmp_path, monkeypatch, capsys, restore_gc, content):
+    """The README's exit codes make a config that cannot be read a usage
+    error, whatever the reason; a non-UTF-8 config used to exit 1."""
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(path), "gen"])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage error: cannot read config {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _truncate(path: Path) -> None:
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
+
+
+def _drop(key: str):
+    def edit(path: Path) -> None:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc[key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return edit
+
+
+@pytest.mark.parametrize("command,name,edit,cause", [
+    ("annotate", "solution.json", _truncate, "JSONDecodeError: "),
+    ("annotate", "solution.json", _drop("policy"), "KeyError: 'policy')"),
+    ("eval", "solution.json", _truncate, "JSONDecodeError: "),
+    ("eval", "solution.json", _drop("policy"), "KeyError: 'policy')"),
+    ("eval", "helper.json", _truncate, "JSONDecodeError: "),
+    ("eval", "helper.json", _drop("table"), "KeyError: 'table')"),
+], ids=["annotate-solution-truncated", "annotate-solution-no-policy", "eval-solution-truncated",
+        "eval-solution-no-policy", "eval-helper-truncated", "eval-helper-no-table"])
+def test_a_corrupt_solution_or_helper_exits_1_naming_its_file(tmp_path, monkeypatch, capsys, restore_gc,
+                                                               command, name, edit, cause):
+    """A solution.json or helper.json that is not JSON, or lacks a key, is
+    named with the cause, as the JSONL loaders name theirs."""
+    cfg = write_config(tmp_path, "cs")
+    run_chain(cfg, ("gen", "collect", "fit", "search", "annotate"))
+    path = tmp_path / "cs" / name
+    edit(path)
+    written = tmp_path / "cs" / ("helper.json" if command == "annotate" else "metrics.json")
+    written.unlink(missing_ok=True)
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed document ({cause}") and err.endswith(")\n"), err
+    assert not written.exists()
+
+
 def test_collect_refuses_a_repeated_task_id(tmp_path, monkeypatch, capsys, restore_gc):
     """Seeds, state keys and start keys all go by task id, so two tasks may
     not share one."""
@@ -662,17 +718,53 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False False False False"
 
 
-def numeric_libraries_after(config: Path, out: Path, *commands: str) -> list[str]:
-    """Which of numpy and scipy a fresh process holds after running
-    ``commands`` in order through ``cli.main``."""
+def modules_after(config: Path, out: Path, *commands: str) -> set[str]:
+    """The modules a fresh process holds after running ``commands`` in order
+    through ``cli.main``."""
     code = ("import sys; from helpdp.cli import main; "
             "[main(['--config', sys.argv[1], '--out', sys.argv[2], c], standalone_mode=False) "
-            "for c in sys.argv[3:]]; "
-            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))")
+            "for c in sys.argv[3:]]; print(' '.join(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code, str(config), str(out), *commands],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def numeric_libraries_after(config: Path, out: Path, *commands: str) -> list[str]:
+    """Which of numpy and scipy a fresh process holds after running
+    ``commands`` in order through ``cli.main``."""
+    return sorted({m.split(".")[0] for m in modules_after(config, out, *commands)} & {"numpy", "scipy"})
+
+
+# The helpdp modules each command loads besides cli, mdp and planner, which
+# `import helpdp.cli` loads to check a config; in chain order, so each
+# command finds the artifacts it reads.
+COMMAND_MODULES = {
+    "gen": {"env"},
+    "collect": {"env", "pipeline", "rollouts"},
+    "fit": {"rollouts"},
+    "solve": {"env", "pipeline", "rollouts", "solver"},
+    "search": {"env", "pipeline", "rollouts", "solver"},
+    "annotate": {"env", "pipeline", "rollouts"},
+    "eval": {"env", "pipeline", "rollouts"},
+    "baseline": {"env", "pipeline", "rollouts"},
+    "selfreg": {"env", "pipeline", "rollouts"},
+}
+
+
+def test_each_command_loads_only_the_helpdp_modules_it_calls(tmp_path):
+    """Each command imports the modules it calls in its own body, so a
+    process compiles and runs no helpdp source it does not use; the config
+    check needs no env, since EnvConfig lives in mdp."""
+    assert env.EnvConfig is mdp.EnvConfig and env.EnvError is mdp.EnvError
+
+    def helpdp_after(*commands: str) -> set[str]:
+        return {m.removeprefix("helpdp.") for m in modules_after(REFERENCE_CONFIG, tmp_path / "out", *commands)
+                if m.startswith("helpdp.")}
+
+    assert helpdp_after() == {"cli", "mdp", "planner"}
+    for command, modules in COMMAND_MODULES.items():
+        assert helpdp_after(command) == {"cli", "mdp", "planner"} | modules, command
 
 
 @pytest.mark.parametrize("intervention", ["strong", "mcts"])
