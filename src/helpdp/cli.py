@@ -10,11 +10,15 @@ Each command imports the other helpdp modules it calls in its own body, so
 a process compiles and runs only those: importing this module loads
 ``mdp`` and ``planner`` alone, enough to check a config.
 
+The command line is parsed with ``argparse``, so importing this module
+loads no third-party package.
+
 Exit codes: 0 success, 2 invalid usage or config, 3 infeasible budget,
 1 any other error.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import functools
 import gc
@@ -23,17 +27,19 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, Callable
 
 from . import planner
-from .mdp import (NOHELP, CountTable, EnvConfig, EnvError, TransitionModel, _dump, is_number, is_whole, normalize,
-                  read_json)
+from .mdp import NOHELP, CountTable, EnvConfig, EnvError, TransitionModel, _dump, is_number, is_whole, normalize
 from .mdp import estimate_success  # noqa: F401  (bench/worker.py traces it by this name)
 
 if TYPE_CHECKING:
     from . import env as envmod
+
+
+class UsageError(Exception):
+    """A bad command line or config, or a missing upstream artifact (exit 2)."""
+
 
 HELP_TYPES = {"strong": 1, "mcts": 1, "both": 2}  # K, the help types of each intervention kind
 
@@ -80,10 +86,10 @@ def _read(section: dict, keys: dict, prefix: str = "") -> dict:
     """The value of every key of ``keys``; an unknown or bad key is a usage error."""
     unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise click.UsageError(f"{prefix}{unknown[0]} is unknown; the keys are {sorted(keys)}")
+        raise UsageError(f"{prefix}{unknown[0]} is unknown; the keys are {sorted(keys)}")
     for key, (_, rule, ok) in keys.items():
         if key in section and not ok(section[key]):
-            raise click.UsageError(f"{prefix}{key} {rule}, got {section[key]!r}")
+            raise UsageError(f"{prefix}{key} {rule}, got {section[key]!r}")
     return {key: section.get(key, default) for key, (default, _, _) in keys.items()}
 
 
@@ -95,15 +101,15 @@ class Run:
         try:
             config = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read config {config_path}: {exc}")
+            raise UsageError(f"cannot read config {config_path}: {exc}")
         if not isinstance(config, dict):
-            raise click.UsageError(f"config {config_path} must be an object")
+            raise UsageError(f"config {config_path} must be an object")
         if seed is not None:
             config["seed"] = seed
         if out is not None:
             config["out"] = out
         if "seed" not in config:
-            raise click.UsageError("config must provide a seed")
+            raise UsageError("config must provide a seed")
         top = _read(config, KEYS)
         self.seed, self.intervention = top["seed"], top["intervention"]
         self.n_help = HELP_TYPES[self.intervention]  # K comes from `intervention` alone
@@ -112,7 +118,7 @@ class Run:
         try:
             self.env = EnvConfig.from_dict(top["env"])
         except EnvError as exc:
-            raise click.UsageError(f"env.{exc}")
+            raise UsageError(f"env.{exc}")
         p = _read(top["planner"], PLANNER_KEYS, "planner.")
         r, self.reward = p["r"], None  # a K = 2 run without r can do all but `solve`
         if r is None and self.n_help == 1:
@@ -120,8 +126,8 @@ class Run:
         if r is not None:
             r = tuple(r) if isinstance(r, list) else (float(r),)
             if len(r) != self.n_help:
-                raise click.UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
-                                       f"{self.intervention!r} has {self.n_help} help type(s)")
+                raise UsageError(f"planner.r gives {len(r)} help cost(s), but intervention "
+                                 f"{self.intervention!r} has {self.n_help} help type(s)")
             self.reward = planner.RewardConfig(r=r)
         self.budget, self.bounds = p["budget"], tuple(p["bounds"])
         # made by `gen` or `write_json`, so a refused command leaves no directory
@@ -159,7 +165,7 @@ class Run:
         """Path of an upstream artifact; a missing one is a usage error."""
         p = self.path(name)
         if not p.exists():
-            raise click.UsageError(f"{p} missing; run {producer} first")
+            raise UsageError(f"{p} missing; run {producer} first")
         return p
 
     def load_tasks(self) -> envmod.TaskSet:
@@ -211,24 +217,19 @@ def _require_tasks(run: Run, command: str, *keys: str) -> None:
     never plays them; a command that does refuses such a run up front."""
     for key in keys:
         if getattr(run.env, key) == 0:
-            raise click.UsageError(f"{command} needs env.{key} >= 1, got 0")
+            raise UsageError(f"{command} needs env.{key} >= 1, got 0")
 
 
-pass_run = click.make_pass_decorator(Run)
+COMMANDS: dict[str, Callable[[Run], None]] = {}  # command name -> body; the first docstring line is its help
 
 
-@click.group()
-@click.option("--config", "config_path", required=True, type=click.Path(), help="Run config JSON.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--out", type=click.Path(), default=None, help="Override the output directory.")
-@click.pass_context
-def main(ctx: click.Context, config_path: str, seed: int | None, out: str | None) -> None:
-    """Budget-aware intervention planning toolkit."""
-    ctx.obj = Run(config_path, seed, out)
+def command(body: Callable[[Run], None]) -> Callable[[Run], None]:
+    """Register ``body`` as the command named after it (``eval_cmd`` is ``eval``)."""
+    COMMANDS[body.__name__.removesuffix("_cmd")] = body
+    return body
 
 
-@main.command()
-@pass_run
+@command
 def gen(run: Run) -> None:
     """Generate the train/val/test taskset."""
     from . import env as envmod
@@ -236,13 +237,10 @@ def gen(run: Run) -> None:
     taskset = envmod.generate_tasks(run.env, run.seed)
     run.out.mkdir(parents=True, exist_ok=True)
     taskset.save(run.path("tasks.jsonl"), header=run.provenance)
-    click.echo(
-        f"tasks train={len(taskset.train)} val={len(taskset.val)} test={len(taskset.test)}"
-    )
+    print(f"tasks train={len(taskset.train)} val={len(taskset.val)} test={len(taskset.test)}")
 
 
-@main.command()
-@pass_run
+@command
 def collect(run: Run) -> None:
     """Randomized-intervention collection over the train split."""
     from . import pipeline
@@ -250,18 +248,17 @@ def collect(run: Run) -> None:
     taskset = run.load_tasks()
     n = pipeline.write_phase1(run.path("phase1.jsonl"), run.provenance, list(taskset.train),
                               run.interventions(), run.seed, n_seeds=run.phase1_seeds, eta=run.env.eta)
-    click.echo(f"collected {n} episodes")
+    print(f"collected {n} episodes")
 
 
-@main.command()
-@pass_run
+@command
 def fit(run: Run) -> None:
     """Estimate transition counts from the log."""
     from . import rollouts
 
     table = rollouts.fit_log(run.require("phase1.jsonl", "`collect`"))
     table.save(run.path("counts.jsonl"), header=run.provenance)
-    click.echo(f"fit {len(table)} transition rows")
+    print(f"fit {len(table)} transition rows")
 
 
 def _r_label(sol: planner.Solution) -> float | list[float]:
@@ -281,29 +278,27 @@ def _summary(sol: planner.Solution) -> str:
     return f"r={_r_label(sol)} E[U]={eu:.6f} converged={sol.converged} iters={sol.iterations_run}"
 
 
-@main.command()
-@pass_run
+@command
 def solve(run: Run) -> None:
     """Solve the fixed-cost planning problem on the fitted model."""
     if run.reward is None:
-        raise click.UsageError(f"solve needs planner.r: intervention {run.intervention!r} has 2 help types")
+        raise UsageError(f"solve needs planner.r: intervention {run.intervention!r} has 2 help types")
     sol = planner.solve(run.load_rows(), None, run.reward)
     _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
     sol = dataclasses.replace(sol, expected_usage=planner.expected_usage(sol, starts))
     run.write_json("solution.json", planner.solution_to_dict(sol))
-    click.echo(_summary(sol))
+    print(_summary(sol))
 
 
-@main.command()
-@pass_run
+@command
 def search(run: Run) -> None:
     """Bisect the help cost until expected usage fits the budget."""
     if run.n_help != 1:
-        raise click.UsageError(f"search bisects one help cost, but intervention {run.intervention!r} "
-                               f"has {run.n_help} help types; use `solve` with planner.r")
+        raise UsageError(f"search bisects one help cost, but intervention {run.intervention!r} "
+                         f"has {run.n_help} help types; use `solve` with planner.r")
     if run.budget is None:
-        raise click.UsageError("search needs planner.budget")
+        raise UsageError("search needs planner.budget")
     rows = run.load_rows()
     starts = run.start_keys(run.load_tasks().train)
     # reward_search sets r at every probe
@@ -314,11 +309,10 @@ def search(run: Run) -> None:
         {"budget": run.budget, "r": result.r, "expected_usage": result.solution.expected_usage[0],
          "trace": [[r, eu] for r, eu in result.trace]},
     )
-    click.echo(_summary(result.solution))
+    print(_summary(result.solution))
 
 
-@main.command()
-@pass_run
+@command
 def annotate(run: Run) -> None:
     """Distill the solved policy into a helper lookup table."""
     from . import pipeline
@@ -333,11 +327,10 @@ def annotate(run: Run) -> None:
         "helper.json",
         {"mode": helper.training_mode, "fallback": helper.fallback, "table": helper.table},
     )
-    click.echo(f"helper mode={run.helper_mode} states={len(helper.table)}")
+    print(f"helper mode={run.helper_mode} states={len(helper.table)}")
 
 
-@main.command("eval")
-@pass_run
+@command
 def eval_cmd(run: Run) -> None:
     """Deploy the helper on the train tasks (fresh seeds) with a
     seen/unseen breakdown; the lookup table cannot generalize across task
@@ -347,8 +340,7 @@ def eval_cmd(run: Run) -> None:
     from .rollouts import RolloutLog
 
     taskset = run.load_tasks()
-    helper = read_json(run.require("helper.json", "`annotate`"), lambda doc: pipeline.HelperPolicy(
-        table=doc["table"], training_mode=doc["mode"], fallback=doc["fallback"]))
+    helper = pipeline.load_helper(run.require("helper.json", "`annotate`"), run.n_help)
     sol = run.load_solution()
     tasks = {t.task_id: t for t in taskset.train}
     starts = dict(zip(tasks, run.start_keys(taskset.train)))
@@ -368,15 +360,14 @@ def eval_cmd(run: Run) -> None:
             subset, [tasks[i] for i in ids], len(headline.usage), eu).to_dict()
     run.write_json("metrics.json", report)
     eu = headline.expected_usage or ()
-    click.echo(
+    print(
         f"SR={headline.sr:.4f} SPL={headline.spl:.4f} L={headline.length:.3f} "
         f"U={[round(u, 4) for u in headline.usage]} EU={[round(u, 4) for u in eu]} "
         f"seen={len(seen_ids)} unseen={len(unseen_ids)}"
     )
 
 
-@main.command()
-@pass_run
+@command
 def baseline(run: Run) -> None:
     """Random-trigger baselines on the test split."""
     from . import pipeline
@@ -390,12 +381,11 @@ def baseline(run: Run) -> None:
             pipeline.baseline_random((p,) + (0.0,) * (len(interventions) - 1)), list(taskset.test),
             interventions, run.seed, n_seeds=run.eval_seeds, eta=run.env.eta, seed_salt=f"baseline-{p}")
         report[f"p={p}"] = metrics.to_dict()
-        click.echo(f"p={p} SR={metrics.sr:.4f} U={[round(u, 4) for u in metrics.usage]}")
+        print(f"p={p} SR={metrics.sr:.4f} U={[round(u, 4) for u in metrics.usage]}")
     run.write_json("baseline.json", report)
 
 
-@main.command()
-@pass_run
+@command
 def selfreg(run: Run) -> None:
     """Calibrated halt-threshold evaluation on val/test rollouts.
 
@@ -423,35 +413,77 @@ def selfreg(run: Run) -> None:
         {"threshold": report.threshold, "accuracy": report.accuracy,
          "precision": report.precision, "recall": report.recall},
     )
-    click.echo(
+    print(
         f"threshold={report.threshold:.4f} acc={report.accuracy:.4f} "
         f"prec={report.precision:.4f} rec={report.recall:.4f}"
     )
 
 
-def cli() -> None:
-    """Process entry point.  A command builds hundreds of thousands of acyclic
-    containers and then exits, so the cyclic GC only re-traverses them; it is
-    switched off here.  What is left is frozen (``gc.freeze``) before the
-    process exits, so the interpreter's shutdown collection, which runs even
-    with the collector off, has nothing to traverse.  ``main`` (called
-    in-process by tests) leaves the collector as it was."""
-    gc.disable()
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, with ``--help`` as
+    the one spelling of help and no abbreviated options."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def parser() -> argparse.ArgumentParser:
+    """``--config``, ``--seed`` and ``--out``, then one command, which takes
+    no option of its own."""
+    p = _Parser(prog="helpdp", description="Budget-aware intervention planning toolkit.")
+    p.add_argument("--config", dest="config_path", required=True, metavar="PATH", help="Run config JSON.")
+    p.add_argument("--seed", type=int, help="Override the config seed.")
+    p.add_argument("--out", metavar="PATH", help="Override the output directory.")
+    commands = p.add_subparsers(title="commands", dest="command", required=True, metavar="COMMAND")
+    for name, body in COMMANDS.items():
+        commands.add_parser(name, help=body.__doc__.split("\n")[0], description=body.__doc__)
+    return p
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the one command that ``args`` (default ``sys.argv[1:]``) names.
+    In ``standalone_mode`` an error is printed to stderr and exits with its
+    code; otherwise it is raised, as tests and the benchmark call this
+    in-process.  ``--help`` prints the usage and exits 0 in either mode."""
+    if not standalone_mode:
+        ns = parser().parse_args(args)
+        COMMANDS[ns.command](Run(ns.config_path, ns.seed, ns.out))
+        return
     try:
-        main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        main(args, standalone_mode=False)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(2)
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:  # stopped by the user: no traceback
         sys.exit(2)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
     except planner.BudgetInfeasibleError as exc:
-        click.echo(f"infeasible budget: {exc}", err=True)
+        print(f"infeasible budget: {exc}", file=sys.stderr)
         sys.exit(3)
     except Exception as exc:  # categorized catch-all for batch usage
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+
+
+def cli() -> None:
+    """Process entry point: ``main``, with the cyclic GC off.  A command
+    builds hundreds of thousands of acyclic containers and then exits, so
+    the cyclic GC only re-traverses them.  What is left is frozen
+    (``gc.freeze``) before the process exits, so the interpreter's shutdown
+    collection, which runs even with the collector off, has nothing to
+    traverse.  ``main`` (called in-process by tests) leaves the collector as
+    it was."""
+    gc.disable()
+    try:
+        main()
     finally:
         gc.freeze()
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _enc
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, TypeVar
 
 NOHELP = "nohelp"
 T = TypeVar("T")
@@ -104,6 +104,26 @@ def is_number(value) -> bool:
 def is_whole(value) -> bool:
     """A JSON integer; true and false are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def are_numbers(values: Collection) -> bool:
+    """``is_number`` of every item of ``values``, in passes over the whole
+    collection rather than a call per item (a table holds thousands)."""
+    return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+
+
+def are_actions(values: Collection, n_help: int) -> bool:
+    """Whether every item of ``values`` is one of ``action_order(n_help)``."""
+    return set(map(type, values)) <= {str} and set(values) <= set(action_order(n_help))
+
+
+def check_table(name: str, table, what: str, ok: Callable[[Collection], bool]) -> dict:
+    """``table`` if it is a JSON object whose values pass ``ok``, called once
+    on all of them; otherwise DataError saying that ``name`` must map state
+    keys to ``what``."""
+    if type(table) is not dict or not ok(table.values()):
+        raise DataError(f"{name} must map state keys to {what}")
+    return table
 
 
 def _dump(obj) -> str:

@@ -35,13 +35,17 @@ from .mdp import (
     DataError,
     SuccessModel,
     TransitionModel,
+    _dump,
     action_order,
+    are_actions,
     canonical_action,
     check_source,
+    check_table,
     help_action,
     help_index,
     is_terminal,
     is_whole,
+    read_json,
     read_jsonl,
     record_error,
     terminal_outcome,
@@ -557,6 +561,24 @@ class HelperPolicy:
             return self.decide(key)
 
         return decide
+
+
+def load_helper(path: str | os.PathLike, n_help: int) -> HelperPolicy:
+    """The helper an ``annotate`` run wrote to ``path``, read for a run with
+    ``n_help`` help types: ``table`` must map state keys to actions of
+    ``action_order(n_help)``, ``fallback`` must be one of them and ``mode``
+    one of ``HELPER_MODES``; any other file raises DataError naming the path."""
+    actions = action_order(n_help)
+
+    def parse(doc: dict) -> HelperPolicy:
+        table = check_table("table", doc["table"], f"actions of {actions}", lambda acts: are_actions(acts, n_help))
+        if not are_actions([doc["fallback"]], n_help):
+            raise DataError(f"fallback must be one of {actions}, got {_dump(doc['fallback'])[:80]}")
+        if doc["mode"] not in HELPER_MODES:
+            raise DataError(f"mode must be one of {list(HELPER_MODES)}, got {_dump(doc['mode'])[:80]}")
+        return HelperPolicy(table=table, training_mode=doc["mode"], fallback=doc["fallback"])
+
+    return read_json(path, parse)
 
 
 def pi_star_closure(sol: Solution, model: TransitionModel, start: str) -> tuple[set[str], bool]:

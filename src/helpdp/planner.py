@@ -26,10 +26,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .mdp import SuccessModel, TransitionModel, read_json
+from .mdp import (DataError, SuccessModel, TransitionModel, _dump, action_order, are_actions, are_numbers, check_table,
+                  read_json)
 
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
@@ -254,13 +256,27 @@ def solution_to_dict(sol: Solution) -> dict:
 def load_solution(path: str | Path) -> Solution:
     """The solution a ``solve`` or ``search`` run wrote to ``path``; a file
     that is not one raises DataError naming the path and the cause."""
-    return read_json(path, lambda doc: Solution(
-        usage={s: tuple(u) for s, u in doc["usage"].items()},
-        success=doc["success"],
-        policy=doc["policy"],
-        value=doc["value"],
-        r=tuple(doc["r"]),
+    return read_json(path, _solution_from_dict)
+
+
+def _solution_from_dict(doc: dict) -> Solution:
+    """The inverse of ``solution_to_dict``.  ``r`` must be a non-empty list
+    of numbers, whose length is K, and each table must map state keys to
+    values of its shape; every check runs over a whole table at once."""
+    r = doc["r"]
+    if type(r) is not list or not r or not are_numbers(r):
+        raise DataError(f"r must be a non-empty list of numbers, got {_dump(r)[:80]}")
+    k = len(r)
+    policy = check_table("policy", doc["policy"], f"actions of {action_order(k)}", lambda acts: are_actions(acts, k))
+    usage = check_table("usage", doc["usage"], f"lists of {k} numbers", lambda us: (
+        set(map(type, us)) <= {list} and set(map(len, us)) <= {k} and are_numbers(list(chain.from_iterable(us)))))
+    return Solution(
+        usage={s: tuple(u) for s, u in usage.items()},
+        success=check_table("success", doc["success"], "numbers", are_numbers),
+        policy=policy,
+        value=check_table("value", doc["value"], "numbers", are_numbers),
+        r=tuple(r),
         iterations_run=doc["iterations"],
         converged=doc["converged"],
         expected_usage=tuple(doc["expected_usage"]) if doc.get("expected_usage") else None,
-    ))
+    )

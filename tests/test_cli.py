@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import gc
 import hashlib
 import io
@@ -11,10 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from helpdp import env, fixtures, mdp, pipeline
-from helpdp.cli import Run, cli, main
+from helpdp.cli import Run, cli, main, parser
 from helpdp.env import TaskSet, generate_tasks, initial_state
 from helpdp.mdp import CountTable, DataError, normalize
 from helpdp.pipeline import build_helper, restrict_to_solvable
@@ -65,10 +65,11 @@ def refusal(key: str) -> str:
 
 
 def run_cmd(config: Path, *args) -> str:
-    runner = CliRunner()
-    result = runner.invoke(main, ["--config", str(config), *args])
-    assert result.exit_code == 0, result.output
-    return result.output
+    """What the command prints; a failed command raises."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--config", str(config), *args], standalone_mode=False)
+    return out.getvalue()
 
 
 COMMANDS = ("gen", "collect", "fit", "search", "annotate", "eval")
@@ -204,7 +205,7 @@ class TestExitCodes:
         before = {p.name: p.read_bytes() for p in (tmp_path / "fl").iterdir()}
         proc = self._run("--config", str(cfg), *argv)
         assert proc.returncode == 2
-        assert "No such option" in proc.stderr and argv[1] in proc.stderr
+        assert proc.stderr.startswith("usage error: unrecognized arguments: ") and argv[1] in proc.stderr
         assert {p.name: p.read_bytes() for p in (tmp_path / "fl").iterdir()} == before
         fresh = write_config(tmp_path, "fresh")
         assert self._run("--config", str(fresh), *argv).returncode == 2
@@ -270,10 +271,32 @@ class TestExitCodes:
         assert "search needs planner.budget" in proc.stderr
 
     def test_no_command_declares_an_option(self):
-        """--config, --seed and --out belong to the group; no command has a
-        flag of its own that could bypass the hashed config."""
-        assert [p.name for p in main.params] == ["config_path", "seed", "out"]
-        assert {name: cmd.params for name, cmd in main.commands.items()} == {name: [] for name in main.commands}
+        """--config, --seed and --out come before the command; no command has
+        a flag of its own that could bypass the hashed config."""
+        top = parser()
+        assert [a.dest for a in top._actions] == ["help", "config_path", "seed", "out", "command"]
+        commands = top._actions[-1].choices
+        assert list(commands) == ["gen", "collect", "fit", "solve", "search", "annotate", "eval", "baseline",
+                                  "selfreg"]
+        assert {name: [a.dest for a in sub._actions] for name, sub in commands.items()} == {
+            name: ["help"] for name in commands}
+
+    @pytest.mark.parametrize("argv,code,stdout,stderr", [
+        ((), 2, "", "usage error: "),
+        (("--help",), 0, "Usage: ", ""),
+        (("gen",), 2, "", "usage error: "),
+        (("--config", str(REFERENCE_CONFIG), "--seed", "x", "gen"), 2, "", "usage error: "),
+        (("--config", str(REFERENCE_CONFIG), "nope"), 2, "", "usage error: "),
+        (("--config", str(REFERENCE_CONFIG), "gen", "--seed", "3"), 2, "", "usage error: "),
+    ], ids=["no-arguments", "help", "no-config", "seed-not-an-integer", "unknown-command", "option-after-command"])
+    def test_command_line_errors_exit_2_and_help_exits_0(self, argv, code, stdout, stderr):
+        """A command line that names no runnable command exits 2 with a usage
+        error on stderr and nothing on stdout; --help alone prints the usage
+        to stdout and exits 0."""
+        proc = self._run(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith(stdout) and (stdout or not proc.stdout), proc.stdout
+        assert proc.stderr.startswith(stderr) and (stderr or not proc.stderr), proc.stderr
 
     @pytest.mark.parametrize("key,value", [("bounds", [5, 0]), ("bounds", [0, 5, 9]),
                                            ("budget", -1), ("budget", "lots")])
@@ -346,7 +369,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,key", [("selfreg", "n_val"), ("selfreg", "n_test"),
                                              ("baseline", "n_test")])
-    def test_empty_played_split_is_usage_error(self, tmp_path, monkeypatch, command, key):
+    def test_empty_played_split_is_usage_error(self, tmp_path, monkeypatch, capsys, command, key):
         """`gen` may leave val or test empty, since the main chain never plays
         them; a command that plays the split refuses before it enumerates or
         rolls anything, and writes nothing."""
@@ -360,9 +383,10 @@ class TestExitCodes:
 
         monkeypatch.setattr(pipeline, "run_episode", played)
         monkeypatch.setattr(env, "exact_models", played)
-        result = CliRunner().invoke(main, ["--config", str(cfg), command])
-        assert result.exit_code == 2, result.output
-        assert f"{command} needs env.{key} >= 1" in result.output
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), command])
+        assert exc.value.code == 2
+        assert f"{command} needs env.{key} >= 1" in capsys.readouterr().err
         assert [p.name for p in (tmp_path / "e").iterdir()] == ["tasks.jsonl"]
 
     def test_trajectory_annotate_without_tasks_is_usage_error(self, tmp_path):
@@ -531,7 +555,9 @@ def test_gc_is_switched_off_only_at_the_process_entry(tmp_path, monkeypatch, cap
     assert gc.isenabled()
     assert gc.get_freeze_count() == frozen
     monkeypatch.setattr(sys, "argv", ["helpdp", "--help"])
-    cli()
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 0
     assert "Usage" in capsys.readouterr().out
     assert not gc.isenabled()
     assert gc.get_freeze_count() > 0  # the exit has nothing left to collect
@@ -653,6 +679,18 @@ def _drop(key: str):
     return edit
 
 
+def _put(key: str, value):
+    def edit(path: Path) -> None:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return edit
+
+
+ACTIONS = "actions of ['nohelp', 'help1']"
+
+
 @pytest.mark.parametrize("command,name,edit,cause", [
     ("annotate", "solution.json", _truncate, "JSONDecodeError: "),
     ("annotate", "solution.json", _drop("policy"), "KeyError: 'policy')"),
@@ -660,12 +698,29 @@ def _drop(key: str):
     ("eval", "solution.json", _drop("policy"), "KeyError: 'policy')"),
     ("eval", "helper.json", _truncate, "JSONDecodeError: "),
     ("eval", "helper.json", _drop("table"), "KeyError: 'table')"),
+    ("annotate", "solution.json", _put("r", []), "DataError: r must be a non-empty list of numbers, got [])"),
+    ("annotate", "solution.json", _put("policy", []), f"DataError: policy must map state keys to {ACTIONS})"),
+    ("annotate", "solution.json", _put("policy", {"x": 5}), f"DataError: policy must map state keys to {ACTIONS})"),
+    ("annotate", "solution.json", _put("usage", {"a": "b"}),
+     "DataError: usage must map state keys to lists of 1 numbers)"),
+    ("annotate", "solution.json", _put("success", {"a": "x"}), "DataError: success must map state keys to numbers)"),
+    ("annotate", "solution.json", _put("value", {"a": None}), "DataError: value must map state keys to numbers)"),
+    ("eval", "helper.json", _put("table", [["s", "help1"]]), f"DataError: table must map state keys to {ACTIONS})"),
+    ("eval", "helper.json", _put("table", {"s": "help2"}), f"DataError: table must map state keys to {ACTIONS})"),
+    ("eval", "helper.json", _put("fallback", "help"),
+     "DataError: fallback must be one of ['nohelp', 'help1'], got \"help\")"),
+    ("eval", "helper.json", _put("mode", "x"),
+     "DataError: mode must be one of ['all_states', 'trajectory_only'], got \"x\")"),
 ], ids=["annotate-solution-truncated", "annotate-solution-no-policy", "eval-solution-truncated",
-        "eval-solution-no-policy", "eval-helper-truncated", "eval-helper-no-table"])
+        "eval-solution-no-policy", "eval-helper-truncated", "eval-helper-no-table", "solution-r-empty",
+        "solution-policy-a-list", "solution-policy-not-actions", "solution-usage-not-lists", "solution-success-text",
+        "solution-value-null", "helper-table-a-list", "helper-table-not-actions", "helper-fallback-not-an-action",
+        "helper-mode-unknown"])
 def test_a_corrupt_solution_or_helper_exits_1_naming_its_file(tmp_path, monkeypatch, capsys, restore_gc,
                                                                command, name, edit, cause):
-    """A solution.json or helper.json that is not JSON, or lacks a key, is
-    named with the cause, as the JSONL loaders name theirs."""
+    """A solution.json or helper.json that is not JSON, lacks a key, or has a
+    table of the wrong shape is named with the cause, as the JSONL loaders
+    name theirs, and the command writes nothing."""
     cfg = write_config(tmp_path, "cs")
     run_chain(cfg, ("gen", "collect", "fit", "search", "annotate"))
     path = tmp_path / "cs" / name
@@ -716,6 +771,17 @@ def test_import_leaves_scipy_unloaded():
             "'helpdp.fixtures' in sys.modules, 'helpdp.oracle' in sys.modules, 'helpdp.solver' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False False False False"
+
+
+def test_import_loads_no_third_party_module():
+    """``import helpdp.cli`` adds only standard-library and helpdp modules;
+    the baseline is the interpreter's own start, whose site hooks may load
+    others (certifi, _distutils_hack) before any code runs."""
+    code = ("import sys; base = set(sys.modules); import helpdp.cli; "
+            "print(sorted(m for m in set(sys.modules) - base "
+            "if m.split('.')[0] not in sys.stdlib_module_names | {'helpdp'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def modules_after(config: Path, out: Path, *commands: str) -> set[str]:
