@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import gc
 import hashlib
 import json
@@ -30,8 +29,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from . import planner
-from .mdp import NOHELP, CountTable, EnvConfig, EnvError, TransitionModel, _dump, is_number, is_whole, normalize
-from .mdp import estimate_success  # noqa: F401  (bench/worker.py traces it by this name)
+from .mdp import NOHELP, EnvConfig, EnvError, _dump, is_number, is_whole
+from .mdp import estimate_success, normalize  # noqa: F401  (bench/worker.py traces them by these names)
 
 if TYPE_CHECKING:
     from . import env as envmod
@@ -173,16 +172,10 @@ class Run:
 
         return envmod.TaskSet.load(self.require("tasks.jsonl", "`gen`"))
 
-    def load_model(self) -> TransitionModel:
-        from . import pipeline
-
-        cp = self.require("counts.jsonl", "`fit`")
-        return pipeline.restrict_to_solvable(normalize(CountTable.load(cp)), self.n_help)
-
     def load_rows(self) -> planner.ModelRows:
-        """``load_model`` laid out as the solver's rows, read in one pass
-        (``pipeline.solvable_rows``) while this process imports numpy and
-        scipy; a large file is read by a forked worker meanwhile."""
+        """The solvable rows of ``counts.jsonl`` (``pipeline.solvable_rows``),
+        read while this process imports numpy and scipy, for ``solve`` and
+        ``search``; a large file is read by a forked worker meanwhile."""
         from . import pipeline
 
         cp = self.require("counts.jsonl", "`fit`")
@@ -318,11 +311,12 @@ def annotate(run: Run) -> None:
     from . import pipeline
 
     sol = run.load_solution()
-    starts = model = None
+    starts = rows = None
     if run.helper_mode == "trajectory_only":  # the only mode that walks the model from the train starts
         starts = run.start_keys(run.load_tasks().train)
-        model = run.load_model()
-    helper = pipeline.build_helper(sol, starts, model, mode=run.helper_mode)
+        # read here, not by load_rows, which imports numpy and scipy
+        rows = pipeline.solvable_rows(run.require("counts.jsonl", "`fit`"), run.n_help)
+    helper = pipeline.build_helper(sol, starts, rows, mode=run.helper_mode)
     run.write_json(
         "helper.json",
         {"mode": helper.training_mode, "fallback": helper.fallback, "table": helper.table},
@@ -389,15 +383,17 @@ def baseline(run: Run) -> None:
 def selfreg(run: Run) -> None:
     """Calibrated halt-threshold evaluation on val/test rollouts.
 
-    The difficulty scorer is the exact per-state success probability of the
-    val/test tasks; empirical estimates never cover these states."""
+    The difficulty score of a state is 1 - p*, its exact base-actor success
+    probability, filled in by one walk per val/test task (``env._walk``);
+    empirical estimates never cover these states."""
     from . import env as envmod, pipeline
     from .rollouts import RolloutLog
 
     _require_tasks(run, "selfreg", "n_val", "n_test")
     taskset = run.load_tasks()
-    _, success = envmod.exact_models(list(taskset.val) + list(taskset.test),
-                                     eta=run.env.eta, eta_strong=run.env.eta_strong)
+    p_star: dict[str, float] = {}
+    for task in taskset.val + taskset.test:
+        p_star.update(envmod._walk(envmod.initial_state(task), run.env.eta)[1])
 
     def roll(tasks, salt):
         log = RolloutLog()
@@ -406,8 +402,8 @@ def selfreg(run: Run) -> None:
             log.append(pipeline.run_episode(task, pipeline.always(NOHELP), [], seed, eta=run.env.eta))
         return log
 
-    score = functools.partial(pipeline.state_score, success)  # a key off the enumeration raises DataError
-    report = pipeline.self_regulation_eval(score, roll(taskset.val, "sr-val"), roll(taskset.test, "sr-test"))
+    report = pipeline.self_regulation_eval(lambda key: 1.0 - p_star[key], roll(taskset.val, "sr-val"),
+                                           roll(taskset.test, "sr-test"))
     run.write_json(
         "selfreg.json",
         {"threshold": report.threshold, "accuracy": report.accuracy,

@@ -1,6 +1,7 @@
 """Independent verification engines: exhaustive policy enumeration, exact
-linear policy evaluation, a value-iteration reference solver, and seeded
-Monte Carlo estimators.
+linear policy evaluation, a value-iteration reference solver, seeded
+Monte Carlo estimators, and the policy closure over a ``TransitionModel``
+that ``trajectory_only`` helpers are checked against.
 
 Kept deliberately separate from the planner: matrices are rebuilt densely
 from the model dictionaries and solved by partial-pivot elimination, so a
@@ -15,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mdp import NOHELP, TransitionModel, action_order, terminal_outcome
-from .planner import EPSILON, MAX_SWEEPS, TIE_TOL, PlannerError, RewardConfig
+from .mdp import NOHELP, TransitionModel, action_order, is_terminal, terminal_outcome
+from .planner import EPSILON, MAX_SWEEPS, TIE_TOL, PlannerError, RewardConfig, Solution
 
 ENUMERATION_CAP = 12
 
@@ -243,3 +244,37 @@ def check_against_planner(report: EnumerationReport, planner_value: dict[str, fl
     if worst > tol:
         raise PlannerError(f"planner value deviates from enumeration by {worst:.3e}")
     return worst
+
+
+def pi_star_closure(sol: Solution, model: TransitionModel, start: str) -> tuple[set[str], bool]:
+    """Non-terminal states reached by following the solved policy from a
+    start; the flag is False if the expansion leaves the model's support."""
+    if is_terminal(start):
+        return set(), True
+    seen: set[str] = set()
+    stack = [start]
+    ok = True
+    while stack:
+        s = stack.pop()
+        if s in seen or is_terminal(s):
+            continue
+        seen.add(s)
+        a = sol.policy.get(s)
+        row = model.row(s, a) if a is not None else None
+        if row is None:
+            ok = False
+            continue
+        stack.extend(row)
+    return seen, ok
+
+
+def trajectory_table(sol: Solution, model: TransitionModel, starts: Sequence[str]) -> dict[str, str]:
+    """The ``trajectory_only`` helper table by closure over ``model``: the
+    policy on every state reached from a start whose closure stays in the
+    model's support."""
+    table: dict[str, str] = {}
+    for start in starts:
+        reached, ok = pi_star_closure(sol, model, start)
+        if ok:
+            table.update((s, sol.policy[s]) for s in reached)
+    return table

@@ -581,59 +581,53 @@ def load_helper(path: str | os.PathLike, n_help: int) -> HelperPolicy:
     return read_json(path, parse)
 
 
-def pi_star_closure(sol: Solution, model: TransitionModel, start: str) -> tuple[set[str], bool]:
-    """Non-terminal states reached by following the solved policy from a
-    start; the flag is False if the expansion leaves the model's support."""
-    if is_terminal(start):
-        return set(), True
-    seen: set[str] = set()
-    stack = [start]
-    ok = True
-    while stack:
-        s = stack.pop()
-        if s in seen or is_terminal(s):
-            continue
-        seen.add(s)
-        a = sol.policy.get(s)
-        row = model.row(s, a) if a is not None else None
-        if row is None:
-            ok = False
-            continue
-        stack.extend(row)
-    return seen, ok
-
-
 def build_helper(
     sol: Solution,
     starts: Iterable[str] | None,
-    model: TransitionModel | None,
+    rows: ModelRows | None,
     mode: str = "all_states",
 ) -> HelperPolicy:
     """Lookup table of the solved policy; only ``trajectory_only`` walks the
-    model from the start keys, so ``all_states`` accepts None for both."""
+    model from the start keys, so ``all_states`` accepts None for both.
+
+    ``trajectory_only`` keeps the policy on every state that following it
+    reaches from each start over ``rows`` (``solvable_rows``'s restricted
+    model): a state's successors are the non-terminal columns of its row
+    under the chosen action.  A start that is not a row state adds nothing,
+    nor does one whose walk reaches a state with no policy entry among the
+    rows' actions."""
     if not sol.converged:
         raise PipelineError("refusing to distill an unconverged solution")
     if mode not in HELPER_MODES:
         raise PipelineError(f"unknown helper mode {mode!r}")
     if mode == "all_states":
         return HelperPolicy(table=dict(sol.policy), training_mode=mode)
+    states, n = rows.states, len(rows.states)
+    actions = {a: ai for ai, a in enumerate(action_order(rows.n_help))}
+    chosen = [actions.get(sol.policy.get(s)) for s in states]  # None: no entry among the actions
+    nexts: list[list[int]] = [[] for _ in states]  # non-terminal successors under the chosen action
+    for at, j in zip(rows.rows, rows.cols):
+        if chosen[at % n] == at // n:
+            nexts[at % n].append(j)
+    index = {s: i for i, s in enumerate(states)}
     table: dict[str, str] = {}
-    for start in starts:
-        reached, ok = pi_star_closure(sol, model, start)
-        if not ok:
-            continue
-        for s in reached:
-            table[s] = sol.policy[s]
+    for i in [index[s] for s in starts if s in index]:  # a start off the rows adds nothing
+        seen, stack = {i}, [i]
+        while stack and chosen[stack[-1]] is not None:
+            fresh = set(nexts[stack.pop()]) - seen
+            seen |= fresh
+            stack.extend(fresh)
+        if not stack:  # the walk met no state off the policy
+            table.update((states[i], sol.policy[states[i]]) for i in seen)
     return HelperPolicy(table=table, training_mode=mode)
 
 
 def split_seen_unseen(starts: dict[str, str], sol: Solution) -> tuple[list[str], list[str]]:
     """Partition task ids into seen (the start is terminal or has a policy
-    entry) and unseen.  On a ``restrict_to_solvable`` model this is exactly
-    the flag of :func:`pi_star_closure`: every policy state there has every
-    action row and every successor is terminal or another policy state, so
-    a closure from an entry never leaves the model, and one from a start
-    off the policy leaves it at once."""
+    entry) and unseen.  A solution of ``solvable_rows`` has an entry for
+    every row state, and every successor of a row state is terminal or
+    another row state, so following the policy from an entry never leaves
+    the model, and a non-terminal start off the policy is off the model."""
     seen_ids: list[str] = []
     unseen_ids: list[str] = []
     for task_id in sorted(starts):

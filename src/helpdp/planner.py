@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .mdp import (DataError, SuccessModel, TransitionModel, _dump, action_order, are_actions, are_numbers, check_table,
-                  read_json)
+                  is_whole, read_json)
 
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
@@ -261,11 +261,16 @@ def load_solution(path: str | Path) -> Solution:
 
 def _solution_from_dict(doc: dict) -> Solution:
     """The inverse of ``solution_to_dict``.  ``r`` must be a non-empty list
-    of numbers, whose length is K, and each table must map state keys to
-    values of its shape; every check runs over a whole table at once."""
+    of numbers, whose length is K, ``converged`` a boolean, ``iterations``
+    an integer, and each table must map state keys to values of its shape;
+    every check runs over a whole table at once."""
     r = doc["r"]
     if type(r) is not list or not r or not are_numbers(r):
         raise DataError(f"r must be a non-empty list of numbers, got {_dump(r)[:80]}")
+    if type(doc["converged"]) is not bool:
+        raise DataError(f"converged must be true or false, got {_dump(doc['converged'])[:80]}")
+    if not is_whole(doc["iterations"]):
+        raise DataError(f"iterations must be an integer, got {_dump(doc['iterations'])[:80]}")
     k = len(r)
     policy = check_table("policy", doc["policy"], f"actions of {action_order(k)}", lambda acts: are_actions(acts, k))
     usage = check_table("usage", doc["usage"], f"lists of {k} numbers", lambda us: (

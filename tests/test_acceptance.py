@@ -264,10 +264,11 @@ def test_09_robustness_direction():
         solvable = pipeline.restrict_to_solvable(raw, 1)
         sol = planner.solve(solvable, estimate_success(log), cfg1(0.1))
         starts = {i: env.initial_state(t).key() for i, t in tasks.items()}
-        unseen = [i for i in sorted(starts) if not pipeline.pi_star_closure(sol, raw, starts[i])[1]]
+        unseen = [i for i in sorted(starts) if not oracle.pi_star_closure(sol, raw, starts[i])[1]]
         assert unseen, "truncation produced no unseen tasks"
         helper_a = pipeline.build_helper(sol, None, None, "all_states")
-        helper_t = pipeline.build_helper(sol, starts.values(), raw, "trajectory_only")
+        # distilled over the raw model, which the CLI never does: by the oracle closure
+        helper_t = pipeline.HelperPolicy(oracle.trajectory_table(sol, raw, starts.values()), "trajectory_only")
         subset = [tasks[i] for i in unseen]
         eu = planner.expected_usage(sol, [starts[i] for i in unseen])[0]
         ma, _ = pipeline.evaluate(helper_a.as_decider(), subset, iv, 200 + seed, n_seeds=5, eta=cfg.eta)

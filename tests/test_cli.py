@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from helpdp import env, fixtures, mdp, pipeline
+from helpdp import env, fixtures, mdp, oracle, pipeline
 from helpdp.cli import Run, cli, main, parser
 from helpdp.env import TaskSet, generate_tasks, initial_state
 from helpdp.mdp import CountTable, DataError, normalize
-from helpdp.pipeline import build_helper, restrict_to_solvable
+from helpdp.pipeline import restrict_to_solvable
 from helpdp.planner import expected_usage, load_solution
 from helpdp.rollouts import RolloutLog, fit_log
 from conftest import assert_no_child_left, spy_forks
@@ -371,7 +371,7 @@ class TestExitCodes:
                                              ("baseline", "n_test")])
     def test_empty_played_split_is_usage_error(self, tmp_path, monkeypatch, capsys, command, key):
         """`gen` may leave val or test empty, since the main chain never plays
-        them; a command that plays the split refuses before it enumerates or
+        them; a command that plays the split refuses before it walks or
         rolls anything, and writes nothing."""
         from helpdp import env
 
@@ -382,6 +382,7 @@ class TestExitCodes:
             raise AssertionError("an empty split was played")
 
         monkeypatch.setattr(pipeline, "run_episode", played)
+        monkeypatch.setattr(env, "_walk", played)
         monkeypatch.setattr(env, "exact_models", played)
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), command])
@@ -426,8 +427,7 @@ class TestDeploy:
         assert helper["table"] and helper["table"].items() <= policy.items()
         model = restrict_to_solvable(normalize(CountTable.load(out / "counts.jsonl")), 1)
         starts = [initial_state(t).key() for t in TaskSet.load(out / "tasks.jsonl").train]
-        direct = build_helper(load_solution(out / "solution.json"), starts, model, "trajectory_only")
-        assert helper["table"] == direct.table
+        assert helper["table"] == oracle.trajectory_table(load_solution(out / "solution.json"), model, starts)
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["all"]["episodes"] == CONFIG["env"]["n_train"] * CONFIG["eval_seeds"]
 
@@ -705,6 +705,8 @@ ACTIONS = "actions of ['nohelp', 'help1']"
      "DataError: usage must map state keys to lists of 1 numbers)"),
     ("annotate", "solution.json", _put("success", {"a": "x"}), "DataError: success must map state keys to numbers)"),
     ("annotate", "solution.json", _put("value", {"a": None}), "DataError: value must map state keys to numbers)"),
+    ("annotate", "solution.json", _put("converged", "no"), 'DataError: converged must be true or false, got "no")'),
+    ("annotate", "solution.json", _put("iterations", "x"), 'DataError: iterations must be an integer, got "x")'),
     ("eval", "helper.json", _put("table", [["s", "help1"]]), f"DataError: table must map state keys to {ACTIONS})"),
     ("eval", "helper.json", _put("table", {"s": "help2"}), f"DataError: table must map state keys to {ACTIONS})"),
     ("eval", "helper.json", _put("fallback", "help"),
@@ -714,13 +716,14 @@ ACTIONS = "actions of ['nohelp', 'help1']"
 ], ids=["annotate-solution-truncated", "annotate-solution-no-policy", "eval-solution-truncated",
         "eval-solution-no-policy", "eval-helper-truncated", "eval-helper-no-table", "solution-r-empty",
         "solution-policy-a-list", "solution-policy-not-actions", "solution-usage-not-lists", "solution-success-text",
-        "solution-value-null", "helper-table-a-list", "helper-table-not-actions", "helper-fallback-not-an-action",
-        "helper-mode-unknown"])
+        "solution-value-null", "solution-converged-a-string", "solution-iterations-a-string", "helper-table-a-list",
+        "helper-table-not-actions", "helper-fallback-not-an-action", "helper-mode-unknown"])
 def test_a_corrupt_solution_or_helper_exits_1_naming_its_file(tmp_path, monkeypatch, capsys, restore_gc,
                                                                command, name, edit, cause):
     """A solution.json or helper.json that is not JSON, lacks a key, or has a
-    table of the wrong shape is named with the cause, as the JSONL loaders
-    name theirs, and the command writes nothing."""
+    table or flag of the wrong shape is named with the cause, as the JSONL
+    loaders name theirs, and the command writes nothing; a truthy string as
+    `converged` would pass build_helper's refusal of an unconverged one."""
     cfg = write_config(tmp_path, "cs")
     run_chain(cfg, ("gen", "collect", "fit", "search", "annotate"))
     path = tmp_path / "cs" / name
@@ -836,7 +839,8 @@ def test_each_command_loads_only_the_helpdp_modules_it_calls(tmp_path):
 @pytest.mark.parametrize("intervention", ["strong", "mcts"])
 def test_only_the_solving_commands_load_numpy_and_scipy(tmp_path, intervention):
     """Only `search` and `solve` do array work; every other command, the
-    MCTS scorer's exact enumeration included, runs without numpy or scipy."""
+    MCTS scorer's exact enumeration and a trajectory_only annotate's walk
+    over counts.jsonl included, runs without numpy or scipy."""
     config = json.loads(REFERENCE_CONFIG.read_text())
     config["intervention"] = intervention
     path = tmp_path / "config.json"
@@ -846,6 +850,9 @@ def test_only_the_solving_commands_load_numpy_and_scipy(tmp_path, intervention):
     assert numeric_libraries_after(path, out, "search") == ["numpy", "scipy"]
     assert numeric_libraries_after(path, out, "annotate", "eval", "baseline", "selfreg") == []
     assert numeric_libraries_after(path, out, "solve") == ["numpy", "scipy"]
+    config["helper_mode"] = "trajectory_only"
+    path.write_text(json.dumps(config))
+    assert numeric_libraries_after(path, out, "annotate") == []
 
 
 def test_reference_collect_stays_serial(tmp_path):
@@ -1011,10 +1018,57 @@ def test_reference_trajectory_helper_is_golden(tmp_path, monkeypatch):
 
 def test_reference_selfreg_is_golden(tmp_path, monkeypatch):
     """selfreg on configs/reference.json scores every state its val/test
-    rollouts reach by the exact model of those tasks (a state off it would
-    raise DataError) and reproduces the recorded bytes."""
+    rollouts reach by the exact p* of those tasks (a state off their walks
+    would raise KeyError) and reproduces the recorded bytes."""
     digest = _reference_digests(tmp_path, monkeypatch, ("gen", "selfreg"), ("selfreg.json",))
     assert digest == {"selfreg.json": "ba07806bcc1b9026d7183d6b423027d45023355c399ed959b625cf56b2be51ad"}
+
+
+def test_selfreg_score_is_the_exact_models_nohelp_value(tmp_path, monkeypatch):
+    """selfreg scores a state 1 - p*, with p* from one walk per val/test
+    task: bit for bit 1 - exact_models(...)[1].get(key, NOHELP) on every
+    state of the reference val/test tasks."""
+    scorers = []
+    real = pipeline.self_regulation_eval
+
+    def spy(score_fn, val, test):
+        scorers.append(score_fn)
+        return real(score_fn, val, test)
+
+    monkeypatch.setattr(pipeline, "self_regulation_eval", spy)
+    out = tmp_path / "out"
+    for cmd in ("gen", "selfreg"):
+        run_cmd(REFERENCE_CONFIG, "--out", str(out), cmd)
+    run = Run(str(REFERENCE_CONFIG), None, str(out))
+    tasks = run.load_tasks()
+    model, success = env.exact_models(tasks.val + tasks.test, eta=run.env.eta, eta_strong=run.env.eta_strong)
+    [score] = scorers
+    keys = model.nonterminal_states()
+    assert len(keys) == 632
+    assert [score(key) for key in keys] == [1.0 - success.get(key, mdp.NOHELP) for key in keys]
+
+
+def test_no_command_builds_a_string_keyed_model(tmp_path, monkeypatch):
+    """Every command reads its model through the planner's rows or the
+    per-task walk: a trajectory_only chain, baseline and selfreg run with
+    CountTable.load, normalize, restrict_to_solvable, exact_models and both
+    model classes refused."""
+    from helpdp import cli as climod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a string-keyed model")
+
+    monkeypatch.setattr(CountTable, "load", refuse)
+    monkeypatch.setattr(mdp, "normalize", refuse)
+    monkeypatch.setattr(climod, "normalize", refuse)
+    monkeypatch.setattr(pipeline, "restrict_to_solvable", refuse)
+    monkeypatch.setattr(env, "exact_models", refuse)
+    monkeypatch.setattr(mdp.TransitionModel, "__post_init__", refuse)
+    monkeypatch.setattr(mdp.SuccessModel, "__post_init__", refuse)
+    cfg = write_config(tmp_path, "sk", helper_mode="trajectory_only")
+    outputs = run_chain(cfg, (*COMMANDS, "baseline", "selfreg"))
+    assert "helper mode=trajectory_only" in outputs[4]
+    assert json.loads((tmp_path / "sk" / "helper.json").read_text())["table"]
 
 
 @pytest.mark.parametrize("kind,plan,golden", [
@@ -1289,8 +1343,8 @@ def test_search_refuses_malformed_counts_like_the_reference(tmp_path, monkeypatc
 ], ids=["counts-count", "counts-state"])
 def test_load_errors_name_the_file_and_the_record(tmp_path, monkeypatch, capsys, restore_gc,
                                                  name, command, overrides, field, value, why):
-    """CountTable.load (annotate, trajectory_only) refuses a bad record with
-    the path and the record's state and action in the message."""
+    """pipeline.solvable_rows (annotate, trajectory_only) refuses a bad
+    record with the path and the record's state and action in the message."""
     cfg = write_config(tmp_path, "badr", **overrides)
     for cmd in ("gen", "collect", "fit", "search"):
         run_cmd(cfg, cmd)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from helpdp import env, fixtures, oracle, pipeline, planner
+from helpdp import env, fixtures, oracle, pipeline, planner, solver
 from helpdp.env import EnvConfig, generate_tasks, initial_state
 from helpdp.mdp import NOHELP, DataError, estimate_success, normalize
 from helpdp.pipeline import (
@@ -21,7 +22,6 @@ from helpdp.pipeline import (
     evaluate,
     evaluate_taskwise_all_steps,
     phase1_schedule,
-    pi_star_closure,
     restrict_to_solvable,
     self_regulation_eval,
     split_seen_unseen,
@@ -275,6 +275,11 @@ class TestModelPreparation:
         assert len(k2) < len(k1)
 
 
+def _trajectory_table(sol, model, starts):
+    """build_helper's rows walk over ``model`` laid out as the solver's rows."""
+    return build_helper(sol, starts, solver._rows(model, 1), "trajectory_only").table
+
+
 def _chain_log(n=4):
     # fabricated rollouts over the two-state chain fixture, starting at s0
     model, _ = fixtures.mdp_b()
@@ -292,11 +297,43 @@ class TestHelperConstruction:
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         a = build_helper(sol, ["s0"], model, "all_states")
-        t = build_helper(sol, ["s0"], model, "trajectory_only")
-        assert a.table == t.table
+        t = build_helper(sol, ["s0"], solver._rows(model, 1), "trajectory_only")
+        assert a.table == t.table == oracle.trajectory_table(sol, model, ["s0"])
+        assert t.training_mode == "trajectory_only"
+
+    @pytest.mark.parametrize("name,args", [
+        ("mdp_a", ()), ("mdp_b", ()), ("corridor_mdp", ()), ("random_mdp", (3, 10, 1, (1, 2))),
+    ])
+    def test_rows_walk_matches_the_closure_on_every_start(self, name, args):
+        """The rows walk keeps what the oracle closure over the same model
+        keeps, from each start and from all of them, also for a solution with
+        some policy entries removed, where a walk into one drops its start."""
+        model, succ = getattr(fixtures, name)(*args)
+        sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
+        rng = random.Random(1)
+        partial = dataclasses.replace(sol, policy={s: a for s, a in sol.policy.items() if rng.random() < 0.7})
+        starts = [*model.nonterminal_states(), fixtures.T_SUCC, "off-model"]
+        for case in (sol, partial):
+            for start in starts:
+                assert _trajectory_table(case, model, [start]) == oracle.trajectory_table(case, model, [start]), start
+            assert _trajectory_table(case, model, starts) == oracle.trajectory_table(case, model, starts)
+        assert _trajectory_table(sol, model, starts) == sol.policy
 
     def test_trajectory_only_drops_offending_tasks(self):
+        """A start whose walk reaches a state with no policy entry adds
+        nothing.  On the rows of a restricted model that takes a solution
+        that does not match the rows; on a raw model, which only the oracle
+        closure walks, it is a successor the restriction remapped."""
         from helpdp.mdp import TransitionModel
+
+        model, succ = fixtures.mdp_b()
+        sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
+        assert _trajectory_table(sol, model, ["s0"]) == sol.policy
+        stale = dataclasses.replace(sol, policy={"s0": sol.policy["s0"]})
+        assert _trajectory_table(stale, model, ["s0"]) == {}
+        assert _trajectory_table(stale, model, ["s1"]) == {}
+        off_actions = dataclasses.replace(sol, policy={**sol.policy, "s1": "help2"})
+        assert _trajectory_table(off_actions, model, ["s0"]) == {}
 
         raw = fixtures.mdp_b()[0]
         # s1's help row was never observed in this raw model
@@ -305,17 +342,16 @@ class TestHelperConstruction:
         solvable = restrict_to_solvable(raw2, 1)
         succ = estimate_success(_chain_log(20))
         sol = solve(solvable, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        helper = build_helper(sol, ["s0"], raw2, "trajectory_only")
         assert "s1" not in sol.policy
-        assert helper.table == {}
-        full = build_helper(sol, ["s0"], solvable, "all_states")
+        assert oracle.trajectory_table(sol, raw2, ["s0"]) == {}
+        # on the restricted rows s1 is the failure terminal, so s0's walk stays in
+        assert _trajectory_table(sol, solvable, ["s0"]) == sol.policy == oracle.trajectory_table(sol, solvable, ["s0"])
+        full = build_helper(sol, ["s0"], None, "all_states")
         assert set(full.table) == set(sol.policy)
 
     def test_unconverged_solution_rejected(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        import dataclasses
-
         bad = dataclasses.replace(sol, converged=False)
         with pytest.raises(PipelineError, match="unconverged"):
             build_helper(bad, ["s0"], model, "all_states")
@@ -340,8 +376,8 @@ class TestSeenUnseenSplit:
         assert unseen == ["tx"]
 
     def test_partition_matches_reachability_oracle(self):
-        """pi_star_closure's flag on the raw model, which trajectory_only
-        helpers walk, agrees with an independent reachability walk."""
+        """The oracle closure's flag on the raw model agrees with an
+        independent reachability walk."""
         log = collect_phase1(list(TASKS.train), STRONG, 6, n_seeds=1)
         table = truncate_counts(log.to_count_table(), 0.55, seed=5)
         raw = normalize(table)
@@ -363,7 +399,7 @@ class TestSeenUnseenSplit:
                 frontier.extend(raw.row(s, a))
             return True
 
-        flags = {tid: pi_star_closure(sol, raw, s0)[1] for tid, s0 in starts.items()}
+        flags = {tid: oracle.pi_star_closure(sol, raw, s0)[1] for tid, s0 in starts.items()}
         assert flags == {tid: reachable_ok(s0) for tid, s0 in starts.items()}
         assert set(flags.values()) == {True, False}
 
@@ -375,10 +411,15 @@ class TestSeenUnseenSplit:
         starts = {t.task_id: initial_state(t).key() for t in TASKS.train}
         starts["terminal"] = fixtures.T_SUCC
         split = split_seen_unseen(starts, sol)
-        closed = [tid for tid in sorted(starts) if pi_star_closure(sol, model, starts[tid])[1]]
+        closed = [tid for tid in sorted(starts) if oracle.pi_star_closure(sol, model, starts[tid])[1]]
         assert split == (closed, [tid for tid in sorted(starts) if tid not in closed])
         assert split[1], "truncation produced no unseen start"
         assert "terminal" in split[0]
+        # the rows walk keeps the policy on the closure of exactly the seen starts
+        table = _trajectory_table(sol, model, starts.values())
+        assert table == oracle.trajectory_table(sol, model, starts.values())
+        seen_only = oracle.trajectory_table(sol, model, [starts[tid] for tid in closed])
+        assert table == seen_only and table.items() <= sol.policy.items()
 
 
 class TestExpectedUsageHelpers:
