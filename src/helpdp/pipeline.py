@@ -1,6 +1,5 @@
 """End-to-end phases: randomized collection, model fitting, helper table
-construction, evaluation metrics, and the threshold/self-regulation
-baselines.
+construction, evaluation metrics, and the self-regulation evaluation.
 
 Episodes draw decision randomness and actor randomness from separate
 child streams of the episode seed, so two behaviors that pick the same
@@ -21,10 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import io
-import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NoReturn, Protocol, Sequence, TypeVar
 
@@ -33,7 +31,6 @@ from .mdp import (
     COUNT_FIELDS,
     NOHELP,
     DataError,
-    SuccessModel,
     TransitionModel,
     _dump,
     action_order,
@@ -87,50 +84,23 @@ class StrongActorIntervention:
 
 
 class MctsIntervention:
-    """Help executed by a depth-1 UCT pick over base-actor proposals.
+    """Help executed by a depth-1 pick over base-actor proposals: up to
+    ``PROPOSALS`` distinct uniform proposals, of which the one with the
+    highest ``q_fn`` is executed; a tie goes to the earliest proposal."""
 
-    UCT = Q(s,a) + UCT_C * sqrt(ln N(s) / N(s,a)); unvisited pairs count as 1,
-    ties break on proposal order, and the chosen pair's counts increment.
-    Visit counts persist within an episode; a step executed by another
-    policy adds UCT_OBSERVE_WEIGHT to its counts through :meth:`observe`.
-    """
-
-    UCT_C = 0.25  # exploration weight
-    UCT_PROPOSALS = 5  # base-actor proposals per pick
-    UCT_OBSERVE_WEIGHT = 5  # count weight of a step another policy executed
+    PROPOSALS = 5  # base-actor proposals per pick
 
     def __init__(self, q_fn: Callable[[EnvState, str], float]) -> None:
         self.q_fn = q_fn
-        self.reset()
-
-    def reset(self) -> None:
-        self.n_state: dict[str, int] = {}
-        self.n_sa: dict[tuple[str, str], int] = {}
 
     def act(self, state: EnvState, rng: random.Random) -> str:
         candidates: list[str] = []
-        for _ in range(self.UCT_PROPOSALS):
+        for _ in range(self.PROPOSALS):
             # noise 1.0: every proposal is a uniform draw over the legal actions
             a = base_actor(state, rng, 1.0)
             if a not in candidates:
                 candidates.append(a)
-        key = state.key()
-        ns = max(1, self.n_state.get(key, 0))
-        best, best_score = candidates[0], -math.inf
-        for a in candidates:
-            nsa = max(1, self.n_sa.get((key, a), 0))
-            score = self.q_fn(state, a) + self.UCT_C * math.sqrt(math.log(ns) / nsa)
-            if score > best_score:
-                best, best_score = a, score
-        self._count(key, best, 1)
-        return best
-
-    def observe(self, state_key: str, env_action: str) -> None:
-        self._count(state_key, env_action, self.UCT_OBSERVE_WEIGHT)
-
-    def _count(self, key: str, action: str, weight: int) -> None:
-        self.n_state[key] = self.n_state.get(key, 0) + weight
-        self.n_sa[(key, action)] = self.n_sa.get((key, action), 0) + weight
+        return max(candidates, key=lambda a: self.q_fn(state, a))  # max keeps the first maximal item
 
 
 def run_episode(
@@ -141,17 +111,11 @@ def run_episode(
     eta: float = EnvConfig.eta,
 ) -> Episode:
     """Roll one episode; the decider picks a branch at every step from the
-    step's state key, which is computed once and also recorded."""
+    step's state key, which is computed once and also recorded.  A help
+    branch's action comes from its intervention's ``act``, a nohelp
+    branch's from the base actor."""
     rng_decide = random.Random(derive_seed(seed, "decide"))
     rng_act = random.Random(derive_seed(seed, "act"))
-    for iv in interventions:
-        reset = getattr(iv, "reset", None)
-        if reset is not None:
-            reset()
-    observers = [
-        (iv, observe) for iv in interventions
-        if (observe := getattr(iv, "observe", None)) is not None
-    ]
     state = episode_start(task)
     steps: list[Step] = []
     t = 0
@@ -160,16 +124,11 @@ def run_episode(
         branch = decide(key, rng_decide, t)
         if branch == NOHELP:
             env_action = base_actor(state, rng_act, eta)
-            executor = None
         else:
             idx = help_index(branch)
             if idx > len(interventions):
                 raise PipelineError(f"unknown intervention index {idx}")
-            executor = interventions[idx - 1]
-            env_action = executor.act(state, rng_act)
-        for iv, observe in observers:
-            if iv is not executor:
-                observe(key, env_action)
+            env_action = interventions[idx - 1].act(state, rng_act)
         steps.append(Step(key, branch, env_action))
         state = env_step(state, env_action)
         t += 1
@@ -731,99 +690,6 @@ def evaluate(
     for fields in shipped:
         log.episodes.extend([_episode_from_fields(*f) for f in fields])
     return metrics_from_log(log, tasks, len(interventions), expected), log
-
-
-def state_score(success: SuccessModel, state_key: str) -> float:
-    """Difficulty score 1 - p(s) with p taken under the base branch."""
-    return 1.0 - success.get(state_key, NOHELP)
-
-
-def calibrate_threshold(scores: Sequence[float], percent: float) -> float:
-    """Cutpoint such that the top ``percent`` of the scores strictly exceed
-    it; percent 0 never fires, percent 100 always does."""
-    if not scores:
-        raise PipelineError("no calibration scores")
-    if not 0.0 <= percent <= 100.0:
-        raise PipelineError(f"percent must be in [0, 100], got {percent}")
-    ranked = sorted(scores, reverse=True)
-    k = round(percent / 100.0 * len(ranked))
-    if k <= 0:
-        return ranked[0] + 1.0
-    if k >= len(ranked):
-        return ranked[-1] - 1.0
-    return 0.5 * (ranked[k - 1] + ranked[k])
-
-
-def statewise_threshold_policy(
-    success: SuccessModel, states: Iterable[str], threshold: float
-) -> dict[str, str]:
-    """Help wherever the difficulty score clears the threshold."""
-    return {
-        s: help_action(1) if state_score(success, s) > threshold else NOHELP
-        for s in states
-        if not is_terminal(s)
-    }
-
-
-def _episode_triggered(ep: Episode, success: SuccessModel, threshold: float) -> bool:
-    return any(
-        success.has(s.state, NOHELP) and state_score(success, s.state) > threshold for s in ep.steps
-    )
-
-
-def evaluate_taskwise_all_steps(
-    success: SuccessModel,
-    threshold: float,
-    tasks: Sequence[Task],
-    interventions: Sequence[Intervention],
-    master_seed: int,
-    n_seeds: int = 1,
-    eta: float = EnvConfig.eta,
-) -> tuple[Metrics, RolloutLog]:
-    """Full base run first; a triggered task restarts fully assisted.
-
-    The probe run's steps count toward L but its zero interventions keep U
-    untouched; outcome and usage come from the assisted rerun.
-    """
-    if not tasks:
-        raise PipelineError("empty taskset")
-    log = RolloutLog()
-    extra_len: dict[str, int] = {}
-    for task in tasks:
-        for rep in range(n_seeds):
-            seed = derive_seed(master_seed, "taskwise", task.task_id, rep)
-            probe = run_episode(task, always(NOHELP), interventions, seed, eta=eta)
-            if probe.outcome != "success" and _episode_triggered(probe, success, threshold):
-                rerun_seed = derive_seed(master_seed, "taskwise-restart", task.task_id, rep)
-                final = run_episode(task, always(help_action(1)), interventions, rerun_seed, eta=eta)
-                extra_len[final.episode_id] = probe.length
-                log.append(final)
-            else:
-                log.append(probe)
-    metrics = metrics_from_log(log, tasks, len(interventions))
-    if extra_len:
-        bonus = sum(extra_len.values()) / len(log)
-        metrics = replace(metrics, length=metrics.length + bonus)
-    return metrics, log
-
-
-def taskwise_first_window_decider(
-    success: SuccessModel, threshold: float, window: int = 6
-) -> Decider:
-    """Observe the first ``window`` steps, then commit to full help if any
-    of them scored above threshold."""
-    fired = {"value": False}
-
-    def decide(key: str, rng: random.Random, t: int) -> str:
-        if t == 0:
-            fired["value"] = False
-        if t < window:
-            if success.has(key, NOHELP) and state_score(success, key) > threshold:
-                fired["value"] = True
-            return NOHELP
-        return help_action(1) if fired["value"] else NOHELP
-
-    return decide
 
 
 @dataclass(frozen=True)

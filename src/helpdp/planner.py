@@ -23,7 +23,6 @@ does not solve runs without either library.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import chain

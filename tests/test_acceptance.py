@@ -204,7 +204,9 @@ def test_06_monotonicity_and_reward_search():
 def test_07_toggling_reproduction():
     model, succ = fixtures.corridor_mdp()
     cfg = cfg1(0.3)
-    thr_policy = pipeline.statewise_threshold_policy(succ, model.nonterminal_states(), 0.8)
+    # help wherever the difficulty score 1 - p(s, nohelp) clears 0.8
+    thr_policy = {s: "help1" if 1.0 - succ.get(s, NOHELP) > 0.8 else NOHELP for s in model.nonterminal_states()}
+    assert thr_policy == {"s0": "help1", "s1": "help1", "s2": NOHELP}
     thr = oracle.exact_policy_eval(model, thr_policy, cfg)
     sol = planner.solve(model, succ, cfg)
     usage_matched = thr.usage["s0"][0] >= sol.usage["s0"][0]
@@ -304,7 +306,7 @@ def test_10_self_regulation_sanity():
     from helpdp.mdp import SuccessModel
 
     success = SuccessModel(p=exact_p, provenance="exact")
-    score = lambda key: pipeline.state_score(success, key)
+    score = lambda key: 1.0 - success.get(key, NOHELP)
     sep = pipeline.self_regulation_eval(score, build("v"), build("t"))
 
     const = pipeline.self_regulation_eval(lambda key: 0.5, build("v"), build("t"))

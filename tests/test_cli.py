@@ -1087,8 +1087,8 @@ def test_no_command_builds_a_string_keyed_model(tmp_path, monkeypatch):
     }),
 ])
 def test_reference_mcts_rollouts_are_golden(tmp_path, monkeypatch, kind, plan, golden):
-    """The UCT picker's proposals, visit counts and random draws decide every
-    MCTS step of collect, eval and baseline; with intervention 'both' (two
+    """The MCTS picker's proposals, their scores and the random draws decide
+    every MCTS step of collect, eval and baseline; with intervention 'both' (two
     costs, solved) and 'mcts' (searched) on configs/reference.json those
     rollouts reproduce the recorded bytes.  The scorer's p* comes from
     env.success_probability, so no command enumerates the exact model."""

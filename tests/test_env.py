@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
 import re
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -163,8 +166,8 @@ class TestEnvStep:
             assert (ep.outcome == "success") == ep.final_state.endswith("outcome=success")
 
     def test_episode_builds_each_state_key_once(self, monkeypatch):
-        # the decider, the observers and the recorded step share one key per
-        # step; the final state adds one more
+        # the decider and the recorded step share one key per step; the
+        # final state adds one more
         calls = []
         key = EnvState.key
         monkeypatch.setattr(EnvState, "key", lambda self: calls.append(self) or key(self))
@@ -252,6 +255,22 @@ def _proposals(state, seed, k=5):
     return out
 
 
+class _ScriptedRng:
+    """Drives ``MctsIntervention.act`` through a fixed proposal sequence:
+    every draw takes the noise branch, and each choice is the next proposal."""
+
+    def __init__(self, proposals):
+        self.proposals = list(proposals)
+
+    def random(self):
+        return 0.0
+
+    def choice(self, legal):
+        a = self.proposals.pop(0)
+        assert a in legal
+        return a
+
+
 class TestMcts:
     def test_tie_break_is_first_proposal(self):
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
@@ -259,8 +278,28 @@ class TestMcts:
         mcts = pipeline.MctsIntervention(lambda s, a: 0.5)
         pick = mcts.act(state, random.Random(13))
         assert pick == _proposals(state, 13)[0]
-        assert mcts.n_state[state.key()] == 1
-        assert mcts.n_sa[(state.key(), pick)] == 1
+
+    @pytest.mark.parametrize("qs", [(0.1, 0.5, 0.9), (0.5, 0.5, 0.5), (0.9, 0.9, 0.1), (0.2, 0.7, 0.7)])
+    def test_pick_law_has_closed_form(self, qs):
+        # over all L^k equally likely proposal sequences, an action with h
+        # actions scoring strictly above it, in a tied group of g, is picked
+        # with probability (((L - h)/L)^k - ((L - h - g)/L)^k) / g
+        task = make_task(rooms=3, obj=2, hint=(2,), steps=6, opt=3)
+        state = env_step(initial_state(task), goto(1))
+        legal = legal_actions(state)
+        n, k = len(legal), pipeline.MctsIntervention.PROPOSALS
+        assert n == 3
+        q = dict(zip(legal, qs))
+        mcts = pipeline.MctsIntervention(lambda s, a: q[a])
+        picks = Counter()
+        for seq in itertools.product(legal, repeat=k):
+            rng = _ScriptedRng(seq)
+            picks[mcts.act(state, rng)] += 1
+            assert not rng.proposals
+        for a in legal:
+            h = sum(q[b] > q[a] for b in legal)
+            g = sum(q[b] == q[a] for b in legal)
+            assert Fraction(picks[a], n**k) == (Fraction(n - h, n) ** k - Fraction(n - h - g, n) ** k) / g
 
     def test_ground_truth_q_picks_argmax(self):
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
@@ -275,23 +314,6 @@ class TestMcts:
         pick = pipeline.MctsIntervention(q).act(state, random.Random(3))
         cands = _proposals(state, 3)
         assert q(state, pick) == max(q(state, a) for a in cands)
-
-    def test_observe_weighs_by_factor(self):
-        mcts = pipeline.MctsIntervention(lambda s, a: 0.5)
-        mcts.observe("k", EXPLORE)
-        assert mcts.n_state["k"] == 5
-        assert mcts.n_sa[("k", EXPLORE)] == 5
-
-    def test_visited_pairs_get_discounted_exploration(self):
-        # a heavily visited candidate loses its exploration bonus
-        task = make_task(rooms=2, obj=1, hint=(1,), steps=4, opt=2)
-        state = initial_state(task)
-        mcts = pipeline.MctsIntervention(lambda s, a: 0.5)
-        mcts.n_state[state.key()] = 100
-        mcts.n_sa[(state.key(), EXPLORE)] = 99
-        mcts.n_sa[(state.key(), goto(1))] = 1
-        pick = mcts.act(state, random.Random(1))
-        assert pick == goto(1)
 
 
 class TestExactModels:
