@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -150,14 +151,16 @@ class Run:
         return p
 
     def interventions(self) -> list:
-        """The configured executors; the MCTS scorer computes p* of a state
-        only when a pick asks for it."""
+        """The configured executors, each a callable ``(state, actor stream)
+        -> env action``: the strong actor at ``env.eta_strong`` and the MCTS
+        picker, whose scorer computes p* of a state only when a pick asks
+        for it."""
         from . import env as envmod, pipeline
 
-        strong = pipeline.StrongActorIntervention(self.env.eta_strong)
+        strong = functools.partial(envmod.strong_actor, eta=self.env.eta_strong)
         if self.intervention == "strong":
             return [strong]
-        mcts = pipeline.MctsIntervention(_mcts_q(envmod.success_probability(self.env.eta), self.seed))
+        mcts = pipeline.mcts_pick(_mcts_q(envmod.success_probability(self.env.eta), self.seed))
         return [strong, mcts] if self.intervention == "both" else [mcts]
 
     def require(self, name: str, producer: str) -> Path:
@@ -316,12 +319,9 @@ def annotate(run: Run) -> None:
         starts = run.start_keys(run.load_tasks().train)
         # read here, not by load_rows, which imports numpy and scipy
         rows = pipeline.solvable_rows(run.require("counts.jsonl", "`fit`"), run.n_help)
-    helper = pipeline.build_helper(sol, starts, rows, mode=run.helper_mode)
-    run.write_json(
-        "helper.json",
-        {"mode": helper.training_mode, "fallback": helper.fallback, "table": helper.table},
-    )
-    print(f"helper mode={run.helper_mode} states={len(helper.table)}")
+    table = pipeline.build_helper(sol, starts, rows, mode=run.helper_mode)
+    run.write_json("helper.json", {"mode": run.helper_mode, "fallback": NOHELP, "table": table})
+    print(f"helper mode={run.helper_mode} states={len(table)}")
 
 
 @command
@@ -329,18 +329,18 @@ def eval_cmd(run: Run) -> None:
     """Deploy the helper on the train tasks (fresh seeds) with a
     seen/unseen breakdown; the lookup table cannot generalize across task
     identities, so the deployment split is the one the policy was solved
-    for."""
+    for.  The helper deployed is ``pipeline.load_helper``'s decider, and
+    the seen and unseen metrics are those of subsets of one deployment's
+    outcome rows."""
     from . import pipeline
-    from .rollouts import RolloutLog
 
     taskset = run.load_tasks()
-    helper = pipeline.load_helper(run.require("helper.json", "`annotate`"), run.n_help)
+    decide = pipeline.load_helper(run.require("helper.json", "`annotate`"), run.n_help)
     sol = run.load_solution()
-    tasks = {t.task_id: t for t in taskset.train}
-    starts = dict(zip(tasks, run.start_keys(taskset.train)))
+    starts = dict(zip([t.task_id for t in taskset.train], run.start_keys(taskset.train)))
     seen_ids, unseen_ids = pipeline.split_seen_unseen(starts, sol)
-    headline, log = pipeline.evaluate(
-        helper.as_decider(), list(taskset.train), run.interventions(), run.seed, n_seeds=run.eval_seeds,
+    headline, rows = pipeline.evaluate(
+        decide, list(taskset.train), run.interventions(), run.seed, n_seeds=run.eval_seeds,
         eta=run.env.eta, expected=planner.expected_usage(sol, list(starts.values())), seed_salt="eval-all")
     report = {"all": headline.to_dict()}
     for name, ids in (("seen", seen_ids), ("unseen", unseen_ids)):
@@ -348,10 +348,8 @@ def eval_cmd(run: Run) -> None:
             report[name] = None
             continue
         chosen = set(ids)
-        subset = RolloutLog([ep for ep in log if ep.task_id in chosen])
         eu = planner.expected_usage(sol, [starts[i] for i in ids])
-        report[name] = pipeline.metrics_from_log(
-            subset, [tasks[i] for i in ids], len(headline.usage), eu).to_dict()
+        report[name] = pipeline.metrics([row for row in rows if row[0] in chosen], run.n_help, eu).to_dict()
     run.write_json("metrics.json", report)
     eu = headline.expected_usage or ()
     print(

@@ -13,6 +13,16 @@ slice sends back, so no episode crosses a process boundary;
 ``collect_phase1`` plays the same episodes in this process and returns them
 as a ``RolloutLog``, the episode-level reference for the tests.
 
+Evaluation keeps only what its metrics read: each episode of ``evaluate``
+becomes one outcome row ``(task_id, won, spl_term, length, calls)``, and
+``metrics`` sums rows, so ``eval`` takes its seen and unseen metrics from
+subsets of the rows of one deployment.
+
+A decider maps ``(state key, decision stream)`` to a branch; ``always``,
+``baseline_random`` and the helper that ``load_helper`` reads are deciders.
+An intervention is a callable ``(state, actor stream) -> env action``, such
+as ``env.strong_actor`` with its noise bound or the picker of ``mcts_pick``.
+
 Every worker process comes from ``fork_jobs``: ``collect``'s and ``eval``'s
 episode slices and the ``counts.jsonl`` read of ``solve`` and ``search``.
 """
@@ -24,9 +34,9 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NoReturn, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
-from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start, strong_actor
+from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start
 from .mdp import (
     COUNT_FIELDS,
     NOHELP,
@@ -65,73 +75,56 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-# (state key, decision stream, step index) -> branch
-Decider = Callable[[str, random.Random, int], str]
+Decider = Callable[[str, random.Random], str]  # (state key, decision stream) -> branch
+Actor = Callable[[EnvState, random.Random], str]  # (state, actor stream) -> env action
+
+PROPOSALS = 5  # base-actor proposals per MCTS pick
 
 
-class Intervention(Protocol):
-    def act(self, state: EnvState, rng: random.Random) -> str: ...
-
-
-class StrongActorIntervention:
-    """Help executed by the low-noise actor that tracks the object."""
-
-    def __init__(self, eta: float = EnvConfig.eta_strong) -> None:
-        self.eta = eta
-
-    def act(self, state: EnvState, rng: random.Random) -> str:
-        return strong_actor(state, rng, self.eta)
-
-
-class MctsIntervention:
+def mcts_pick(q: Callable[[EnvState, str], float]) -> Actor:
     """Help executed by a depth-1 pick over base-actor proposals: up to
     ``PROPOSALS`` distinct uniform proposals, of which the one with the
-    highest ``q_fn`` is executed; a tie goes to the earliest proposal."""
+    highest ``q`` is executed; a tie goes to the earliest proposal."""
 
-    PROPOSALS = 5  # base-actor proposals per pick
-
-    def __init__(self, q_fn: Callable[[EnvState, str], float]) -> None:
-        self.q_fn = q_fn
-
-    def act(self, state: EnvState, rng: random.Random) -> str:
+    def pick(state: EnvState, rng: random.Random) -> str:
         candidates: list[str] = []
-        for _ in range(self.PROPOSALS):
+        for _ in range(PROPOSALS):
             # noise 1.0: every proposal is a uniform draw over the legal actions
             a = base_actor(state, rng, 1.0)
             if a not in candidates:
                 candidates.append(a)
-        return max(candidates, key=lambda a: self.q_fn(state, a))  # max keeps the first maximal item
+        return max(candidates, key=lambda a: q(state, a))  # max keeps the first maximal item
+
+    return pick
 
 
 def run_episode(
     task: Task,
     decide: Decider,
-    interventions: Sequence[Intervention],
+    interventions: Sequence[Actor],
     seed: int,
     eta: float = EnvConfig.eta,
 ) -> Episode:
     """Roll one episode; the decider picks a branch at every step from the
     step's state key, which is computed once and also recorded.  A help
-    branch's action comes from its intervention's ``act``, a nohelp
-    branch's from the base actor."""
+    branch's action comes from its intervention, a nohelp branch's from the
+    base actor."""
     rng_decide = random.Random(derive_seed(seed, "decide"))
     rng_act = random.Random(derive_seed(seed, "act"))
     state = episode_start(task)
     steps: list[Step] = []
-    t = 0
     while not state.terminal:
         key = state.key()
-        branch = decide(key, rng_decide, t)
+        branch = decide(key, rng_decide)
         if branch == NOHELP:
             env_action = base_actor(state, rng_act, eta)
         else:
             idx = help_index(branch)
             if idx > len(interventions):
                 raise PipelineError(f"unknown intervention index {idx}")
-            env_action = interventions[idx - 1].act(state, rng_act)
+            env_action = interventions[idx - 1](state, rng_act)
         steps.append(Step(key, branch, env_action))
         state = env_step(state, env_action)
-        t += 1
     return Episode(
         task_id=task.task_id,
         seed=seed,
@@ -143,7 +136,7 @@ def run_episode(
 
 
 def always(branch: str) -> Decider:
-    def decide(key: str, rng: random.Random, t: int) -> str:
+    def decide(key: str, rng: random.Random) -> str:
         return branch
 
     return decide
@@ -155,7 +148,7 @@ def baseline_random(p: Sequence[float]) -> Decider:
     if any(x < 0 for x in p) or sum(p) > 1.0 + 1e-12:
         raise PipelineError(f"bad intervention probabilities {p}")
 
-    def decide(key: str, rng: random.Random, t: int) -> str:
+    def decide(key: str, rng: random.Random) -> str:
         u = rng.random()
         acc = 0.0
         for i, pi in enumerate(p, start=1):
@@ -182,10 +175,9 @@ def phase1_schedule(n_help: int) -> list[tuple[float, ...]]:
 
 # fork_jobs starts and reaps a worker in about 3 ms in a process holding the
 # paper-scale tasks, 7 ms on its first call, which imports pickle.  An eval
-# worker's episodes cost 20 to 30 ms per 1,500 to send back and rebuild, and a
-# collect worker's text less.  The bound was set when a worker of a
-# multiprocessing pool took about 10 ms to start and join, so it is if
-# anything high.
+# worker's outcome rows cost about 1.3 ms per 1,500 to pickle and unpickle.
+# The bound was set when a worker of a multiprocessing pool took about 10 ms
+# to start and join, so it is if anything high.
 EPISODES_PER_WORKER = 500
 
 
@@ -282,7 +274,7 @@ def _run_child(job: Callable[[], object], w: int) -> NoReturn:
         os._exit(status)
 
 
-def _checked_schedule(tasks: Sequence[Task], interventions: Sequence[Intervention],
+def _checked_schedule(tasks: Sequence[Task], interventions: Sequence[Actor],
                      schedule: Sequence[tuple[float, ...]] | None) -> Sequence[tuple[float, ...]]:
     """``schedule``, or the default one for ``interventions``; an empty
     taskset is refused."""
@@ -291,7 +283,7 @@ def _checked_schedule(tasks: Sequence[Task], interventions: Sequence[Interventio
     return phase1_schedule(len(interventions)) if schedule is None else schedule
 
 
-def _play_phase1(tasks: Sequence[Task], interventions: Sequence[Intervention], master_seed: int,
+def _play_phase1(tasks: Sequence[Task], interventions: Sequence[Actor], master_seed: int,
                  schedule: Sequence[tuple[float, ...]], n_seeds: int, eta: float) -> Iterator[Episode]:
     """The phase-1 episodes of ``tasks`` in order: one per task x schedule
     entry x seed, each drawing only from its own seed."""
@@ -305,7 +297,7 @@ def _play_phase1(tasks: Sequence[Task], interventions: Sequence[Intervention], m
 
 def collect_phase1(
     tasks: Sequence[Task],
-    interventions: Sequence[Intervention],
+    interventions: Sequence[Actor],
     master_seed: int,
     schedule: Sequence[tuple[float, ...]] | None = None,
     n_seeds: int = 3,
@@ -323,7 +315,7 @@ def write_phase1(
     path: str | os.PathLike,
     header: dict | None,
     tasks: Sequence[Task],
-    interventions: Sequence[Intervention],
+    interventions: Sequence[Actor],
     master_seed: int,
     schedule: Sequence[tuple[float, ...]] | None = None,
     n_seeds: int = 3,
@@ -504,38 +496,23 @@ def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable
     return fork_jobs([meanwhile, read])[1]
 
 
-@dataclass(frozen=True)
-class HelperPolicy:
-    """Lookup-table branch chooser distilled from a planner solution."""
-
-    table: dict[str, str]
-    training_mode: str  # "all_states" | "trajectory_only"
-    fallback: str = NOHELP
-
-    def decide(self, state_key: str) -> str:
-        return self.table.get(state_key, self.fallback)
-
-    def as_decider(self) -> Decider:
-        def decide(key: str, rng: random.Random, t: int) -> str:
-            return self.decide(key)
-
-        return decide
-
-
-def load_helper(path: str | os.PathLike, n_help: int) -> HelperPolicy:
-    """The helper an ``annotate`` run wrote to ``path``, read for a run with
-    ``n_help`` help types: ``table`` must map state keys to actions of
-    ``action_order(n_help)``, ``fallback`` must be one of them and ``mode``
-    one of ``HELPER_MODES``; any other file raises DataError naming the path."""
+def load_helper(path: str | os.PathLike, n_help: int) -> Decider:
+    """The decider of the helper an ``annotate`` run wrote to ``path``, read
+    for a run with ``n_help`` help types: the branch of ``table`` for a
+    state key, ``fallback`` off it.  ``table`` must map state keys to
+    actions of ``action_order(n_help)``, ``fallback`` must be one of them and
+    ``mode`` one of ``HELPER_MODES``; any other file raises DataError naming
+    the path."""
     actions = action_order(n_help)
 
-    def parse(doc: dict) -> HelperPolicy:
+    def parse(doc: dict) -> Decider:
         table = check_table("table", doc["table"], f"actions of {actions}", lambda acts: are_actions(acts, n_help))
         if not are_actions([doc["fallback"]], n_help):
             raise DataError(f"fallback must be one of {actions}, got {_dump(doc['fallback'])[:80]}")
         if doc["mode"] not in HELPER_MODES:
             raise DataError(f"mode must be one of {list(HELPER_MODES)}, got {_dump(doc['mode'])[:80]}")
-        return HelperPolicy(table=table, training_mode=doc["mode"], fallback=doc["fallback"])
+        fallback = doc["fallback"]
+        return lambda key, rng: table.get(key, fallback)
 
     return read_json(path, parse)
 
@@ -545,9 +522,10 @@ def build_helper(
     starts: Iterable[str] | None,
     rows: ModelRows | None,
     mode: str = "all_states",
-) -> HelperPolicy:
-    """Lookup table of the solved policy; only ``trajectory_only`` walks the
-    model from the start keys, so ``all_states`` accepts None for both.
+) -> dict[str, str]:
+    """Lookup table (state key -> branch) of the solved policy; only
+    ``trajectory_only`` walks the model from the start keys, so
+    ``all_states`` accepts None for both.
 
     ``trajectory_only`` keeps the policy on every state that following it
     reaches from each start over ``rows`` (``solvable_rows``'s restricted
@@ -560,7 +538,7 @@ def build_helper(
     if mode not in HELPER_MODES:
         raise PipelineError(f"unknown helper mode {mode!r}")
     if mode == "all_states":
-        return HelperPolicy(table=dict(sol.policy), training_mode=mode)
+        return dict(sol.policy)
     states, n = rows.states, len(rows.states)
     actions = {a: ai for ai, a in enumerate(action_order(rows.n_help))}
     chosen = [actions.get(sol.policy.get(s)) for s in states]  # None: no entry among the actions
@@ -578,7 +556,7 @@ def build_helper(
             stack.extend(fresh)
         if not stack:  # the walk met no state off the policy
             table.update((states[i], sol.policy[states[i]]) for i in seen)
-    return HelperPolicy(table=table, training_mode=mode)
+    return table
 
 
 def split_seen_unseen(starts: dict[str, str], sol: Solution) -> tuple[list[str], list[str]]:
@@ -615,81 +593,61 @@ class Metrics:
         }
 
 
-def metrics_from_log(
-    log: RolloutLog,
-    tasks: Sequence[Task],
-    n_help: int,
-    expected: tuple[float, ...] | None = None,
-) -> Metrics:
-    if not len(log):
+def metrics(rows: Sequence[tuple], n_help: int, expected: tuple[float, ...] | None = None) -> Metrics:
+    """The mean success, SPL, length and calls per help type of ``evaluate``'s
+    outcome rows, summed in row order."""
+    if not rows:
         raise PipelineError("no episodes")
-    opt = {t.task_id: t.optimal_length for t in tasks}
     sr = spl = length = 0.0
     usage = [0.0] * n_help
-    for ep in log:
-        won = ep.outcome == "success"
+    for _, won, spl_term, ep_length, calls in rows:
         sr += won
-        o = opt[ep.task_id]
-        spl += (o / max(ep.length, o)) if won else 0.0
-        length += ep.length
-        for i, c in enumerate(ep.intervention_count(n_help)):
+        spl += spl_term
+        length += ep_length
+        for i, c in enumerate(calls):
             usage[i] += c
-    n = len(log)
-    return Metrics(
-        sr=sr / n,
-        spl=spl / n,
-        length=length / n,
-        usage=tuple(u / n for u in usage),
-        n_episodes=n,
-        expected_usage=expected,
-    )
-
-
-def _episode_fields(ep: Episode) -> tuple:
-    """An episode as plain tuples and strings: a forked eval worker's
-    episodes go through pickle and back in about a third of the time their
-    Episode and Step objects take, and are rebuilt by
-    ``_episode_from_fields``."""
-    return ep.task_id, ep.seed, tuple(map(tuple, ep.steps)), ep.final_state, ep.outcome, ep.length
-
-
-def _episode_from_fields(task_id, seed, steps, final_state, outcome, length) -> Episode:
-    return Episode(task_id, seed, tuple(map(Step._make, steps)), final_state, outcome, length)
+    n = len(rows)
+    return Metrics(sr=sr / n, spl=spl / n, length=length / n, usage=tuple(u / n for u in usage), n_episodes=n,
+                   expected_usage=expected)
 
 
 def evaluate(
     decide: Decider,
     tasks: Sequence[Task],
-    interventions: Sequence[Intervention],
+    interventions: Sequence[Actor],
     master_seed: int,
     n_seeds: int = 1,
     eta: float = EnvConfig.eta,
     expected: tuple[float, ...] | None = None,
     seed_salt: str = "eval",
-) -> tuple[Metrics, RolloutLog]:
-    """``n_seeds`` episodes of each task under ``decide``, logged in task
-    order, and their metrics.  The tasks are cut into slices as
+) -> tuple[Metrics, list[tuple]]:
+    """``n_seeds`` episodes of each task under ``decide``, as outcome rows in
+    task order, and their metrics.  A row is ``(task_id, won, spl_term,
+    length, calls)``: ``spl_term`` is ``optimal_length / max(length,
+    optimal_length)`` for a success and 0.0 otherwise, and ``calls`` holds
+    the episode's help steps per help type.  The tasks are cut into slices as
     ``write_phase1`` cuts them; this process plays the first while forked
-    workers play the others and send their episodes back as plain tuples
-    (``_episode_fields``).  Each episode draws only from its own seed, so the
-    log is the same for any worker count."""
+    workers play the others and send their rows back.  Each episode draws
+    only from its own seed, so the rows are the same for any worker count."""
     if not tasks:
         raise PipelineError("empty taskset")
+    n_help = len(interventions)
 
-    def play(lo: int, hi: int) -> list[Episode]:
-        return [run_episode(task, decide, interventions, derive_seed(master_seed, seed_salt, task.task_id, rep),
-                            eta=eta)
-                for task in tasks[lo:hi] for rep in range(n_seeds)]
+    def play(lo: int, hi: int) -> list[tuple]:
+        rows = []
+        for task in tasks[lo:hi]:
+            opt = task.optimal_length
+            for rep in range(n_seeds):
+                ep = run_episode(task, decide, interventions, derive_seed(master_seed, seed_salt, task.task_id, rep),
+                                 eta=eta)
+                won = ep.outcome == "success"
+                rows.append((task.task_id, won, opt / max(ep.length, opt) if won else 0.0, ep.length,
+                             ep.intervention_count(n_help)))
+        return rows
 
-    def ship(lo: int, hi: int) -> list[tuple]:
-        return [_episode_fields(ep) for ep in play(lo, hi)]
-
-    first, *rest = _task_slices(len(tasks), len(tasks) * n_seeds)
-    played, *shipped = fork_jobs([partial(play, *first), *(partial(ship, lo, hi) for lo, hi in rest)])
-    log = RolloutLog(played)
-    for fields in shipped:
-        log.episodes.extend([_episode_from_fields(*f) for f in fields])
-    return metrics_from_log(log, tasks, len(interventions), expected), log
+    slices = _task_slices(len(tasks), len(tasks) * n_seeds)
+    rows = [row for part in fork_jobs([partial(play, lo, hi) for lo, hi in slices]) for row in part]
+    return metrics(rows, n_help, expected), rows
 
 
 @dataclass(frozen=True)

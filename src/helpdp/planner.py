@@ -43,13 +43,8 @@ class PlannerError(ValueError):
 
 
 class BudgetInfeasibleError(PlannerError):
-    def __init__(self, budget: float, usage_at_hi: float, r_hi: float) -> None:
-        super().__init__(
-            f"budget infeasible within bounds: E[U]={usage_at_hi:.6g} > C={budget:.6g} at r={r_hi:.6g}"
-        )
-        self.budget = budget
-        self.usage_at_hi = usage_at_hi
-        self.r_hi = r_hi
+    """No help cost within the bounds fits the budget; the message carries
+    the certificate: E[U] at the upper bound and the budget it exceeds."""
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,8 @@ def reward_search(
 
     core_hi, eu_hi = probe(r_hi)
     if eu_hi > budget:
-        raise BudgetInfeasibleError(budget, eu_hi, r_hi)
+        raise BudgetInfeasibleError(
+            f"budget infeasible within bounds: E[U]={eu_hi:.6g} > C={budget:.6g} at r={r_hi:.6g}")
     core_lo, eu_lo = probe(r_lo)
     if eu_lo <= budget:
         return result(r_lo, core_lo, eu_lo)

@@ -68,6 +68,11 @@ def policy_decider(policy: dict[str, str], fallback: str = NOHELP):
     return lambda state: policy.get(state, fallback)
 
 
+def table_decider(table: dict[str, str], fallback: str = NOHELP):
+    """A ``pipeline.Decider`` over a helper table, as ``load_helper`` builds."""
+    return lambda key, rng: table.get(key, fallback)
+
+
 def spy_forks(monkeypatch) -> list:
     """Spy on pipeline.fork_jobs; returns the arguments of every job it
     hands to a forked worker (each job after the first is a partial)."""

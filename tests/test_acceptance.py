@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from helpdp import env, fixtures, oracle, pipeline, planner
 from helpdp.mdp import NOHELP, TransitionModel, estimate_success, normalize
 from helpdp.planner import RewardConfig
+from conftest import table_decider
 
 
 def report(num, desc, ok, detail=""):
@@ -140,7 +142,7 @@ def test_05_budget_calibration():
         n_train=6, n_val=2, n_test=2,
     )
     ts = env.generate_tasks(cfg, 7)
-    iv = [pipeline.StrongActorIntervention(cfg.eta_strong)]
+    iv = [partial(env.strong_actor, eta=cfg.eta_strong)]
     model, succ = env.exact_models(ts.train, eta=cfg.eta, eta_strong=cfg.eta_strong)
     starts = [env.initial_state(t).key() for t in ts.train]
     ok = True
@@ -149,11 +151,11 @@ def test_05_budget_calibration():
         sol = planner.solve(model, succ, cfg1(r))
         eu = planner.expected_usage(sol, starts)[0]
         s_pred = sum(sol.success[s] for s in starts) / len(starts)
-        helper = pipeline.HelperPolicy(table=dict(sol.policy), training_mode="all_states")
+        helper = table_decider(pipeline.build_helper(sol, None, None, "all_states"))
 
         def ep_fn(rng):
             task = ts.train[rng.randrange(len(ts.train))]
-            ep = pipeline.run_episode(task, helper.as_decider(), iv, rng.getrandbits(40), eta=cfg.eta)
+            ep = pipeline.run_episode(task, helper, iv, rng.getrandbits(40), eta=cfg.eta)
             return ep.outcome == "success", ep.intervention_count(1)
 
         est = oracle.monte_carlo_estimate(ep_fn, 10_000, seed=50 + int(100 * r))
@@ -255,7 +257,7 @@ def test_09_robustness_direction():
         n_train=15, n_val=4, n_test=4,
     )
     ts = env.generate_tasks(cfg, 13)
-    iv = [pipeline.StrongActorIntervention(cfg.eta_strong)]
+    iv = [partial(env.strong_actor, eta=cfg.eta_strong)]
     tasks = {t.task_id: t for t in ts.train}
     ok = True
     details = []
@@ -268,13 +270,13 @@ def test_09_robustness_direction():
         starts = {i: env.initial_state(t).key() for i, t in tasks.items()}
         unseen = [i for i in sorted(starts) if not oracle.pi_star_closure(sol, raw, starts[i])[1]]
         assert unseen, "truncation produced no unseen tasks"
-        helper_a = pipeline.build_helper(sol, None, None, "all_states")
+        helper_a = table_decider(pipeline.build_helper(sol, None, None, "all_states"))
         # distilled over the raw model, which the CLI never does: by the oracle closure
-        helper_t = pipeline.HelperPolicy(oracle.trajectory_table(sol, raw, starts.values()), "trajectory_only")
+        helper_t = table_decider(oracle.trajectory_table(sol, raw, starts.values()))
         subset = [tasks[i] for i in unseen]
         eu = planner.expected_usage(sol, [starts[i] for i in unseen])[0]
-        ma, _ = pipeline.evaluate(helper_a.as_decider(), subset, iv, 200 + seed, n_seeds=5, eta=cfg.eta)
-        mt, _ = pipeline.evaluate(helper_t.as_decider(), subset, iv, 200 + seed, n_seeds=5, eta=cfg.eta)
+        ma, _ = pipeline.evaluate(helper_a, subset, iv, 200 + seed, n_seeds=5, eta=cfg.eta)
+        mt, _ = pipeline.evaluate(helper_t, subset, iv, 200 + seed, n_seeds=5, eta=cfg.eta)
         gap_a, gap_t = abs(ma.usage[0] - eu), abs(mt.usage[0] - eu)
         ok = ok and gap_t > gap_a and ma.sr >= mt.sr
         details.append(f"seed {seed}: gaps {gap_t:.3f}>{gap_a:.3f}, SR {ma.sr:.2f}>={mt.sr:.2f}")

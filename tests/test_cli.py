@@ -433,7 +433,7 @@ class TestDeploy:
 
     def test_eval_splits_one_deployment_by_seen_and_unseen(self, tmp_path):
         """With a truncated model some starts are unseen; the seen and unseen
-        rows are the metrics of one deployment's episodes on each subset."""
+        rows are the metrics of one deployment's outcome rows on each subset."""
         cfg = write_config(tmp_path, "u", env={"n_train": 16})
         out = tmp_path / "u"
         for cmd in ("gen", "collect", "fit"):
@@ -448,15 +448,15 @@ class TestDeploy:
 
         train = TaskSet.load(out / "tasks.jsonl").train
         sol = load_solution(out / "solution.json")
-        doc = json.loads((out / "helper.json").read_text())
-        helper = pipeline.HelperPolicy(doc["table"], doc["mode"], doc["fallback"])
+        helper = pipeline.load_helper(out / "helper.json", 1)
         starts = {t.task_id: initial_state(t).key() for t in train}
-        _, log = pipeline.evaluate(helper.as_decider(), train, [pipeline.StrongActorIntervention()],
-                                   CONFIG["seed"], n_seeds=CONFIG["eval_seeds"], seed_salt="eval-all")
+        _, rows = pipeline.evaluate(helper, train, [env.strong_actor],
+                                    CONFIG["seed"], n_seeds=CONFIG["eval_seeds"], seed_salt="eval-all")
         for name, ids in zip(("seen", "unseen"), pipeline.split_seen_unseen(starts, sol)):
-            subset = RolloutLog([ep for ep in log if ep.task_id in ids])
+            subset = [row for row in rows if row[0] in ids]
+            assert len(subset) == CONFIG["eval_seeds"] * len(ids)
             eu = expected_usage(sol, [starts[i] for i in ids])
-            want = pipeline.metrics_from_log(subset, [t for t in train if t.task_id in ids], 1, eu)
+            want = pipeline.metrics(subset, 1, eu)
             assert report[name] == json.loads(json.dumps(want.to_dict()))
 
 

@@ -32,6 +32,7 @@ from helpdp.env import (
     success_probability,
 )
 from helpdp.mdp import NOHELP, terminal_outcome, write_jsonl
+from conftest import table_decider
 
 
 def make_task(rooms=2, obj=1, hint=(1,), schedule=(), steps=3, opt=2, task_id="h0"):
@@ -159,7 +160,7 @@ class TestEnvStep:
 
     def test_episode_invariants(self):
         ts = generate_tasks(SMALL, 5)
-        iv = [pipeline.StrongActorIntervention()]
+        iv = [strong_actor]
         for task in ts.train[:10]:
             ep = pipeline.run_episode(task, pipeline.baseline_random((0.4,)), iv, 77)
             assert ep.length <= task.max_steps
@@ -171,9 +172,8 @@ class TestEnvStep:
         calls = []
         key = EnvState.key
         monkeypatch.setattr(EnvState, "key", lambda self: calls.append(self) or key(self))
-        helper = pipeline.HelperPolicy(table={}, training_mode="all_states")
         task = generate_tasks(SMALL, 5).train[0]
-        ep = pipeline.run_episode(task, helper.as_decider(), [pipeline.StrongActorIntervention()], 3)
+        ep = pipeline.run_episode(task, table_decider({}), [strong_actor], 3)
         assert len(calls) == ep.length + 1
 
 
@@ -215,7 +215,7 @@ class TestActors:
     def test_strong_band_at_default_config(self):
         cfg = EnvConfig(n_train=120, n_val=2, n_test=2)
         ts = generate_tasks(cfg, 11)
-        iv = [pipeline.StrongActorIntervention()]
+        iv = [strong_actor]
         wins = total = 0
         for task in ts.train:
             for rep in range(16):
@@ -231,7 +231,7 @@ class TestActors:
             room_count=6, max_steps=8, hint_sizes=((2, 1.0),), move_prob=0.0,
             n_train=25, n_val=2, n_test=2,
         )
-        iv = [pipeline.StrongActorIntervention(eta=0.0)]
+        iv = [lambda state, rng: strong_actor(state, rng, eta=0.0)]
         for task in generate_tasks(cfg, 2).train:
             ep = pipeline.run_episode(task, pipeline.always("help1"), iv, 1)
             assert ep.outcome == "success"
@@ -256,7 +256,7 @@ def _proposals(state, seed, k=5):
 
 
 class _ScriptedRng:
-    """Drives ``MctsIntervention.act`` through a fixed proposal sequence:
+    """Drives a ``pipeline.mcts_pick`` picker through a fixed proposal sequence:
     every draw takes the noise branch, and each choice is the next proposal."""
 
     def __init__(self, proposals):
@@ -275,8 +275,7 @@ class TestMcts:
     def test_tie_break_is_first_proposal(self):
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
         state = initial_state(task)
-        mcts = pipeline.MctsIntervention(lambda s, a: 0.5)
-        pick = mcts.act(state, random.Random(13))
+        pick = pipeline.mcts_pick(lambda s, a: 0.5)(state, random.Random(13))
         assert pick == _proposals(state, 13)[0]
 
     @pytest.mark.parametrize("qs", [(0.1, 0.5, 0.9), (0.5, 0.5, 0.5), (0.9, 0.9, 0.1), (0.2, 0.7, 0.7)])
@@ -287,14 +286,14 @@ class TestMcts:
         task = make_task(rooms=3, obj=2, hint=(2,), steps=6, opt=3)
         state = env_step(initial_state(task), goto(1))
         legal = legal_actions(state)
-        n, k = len(legal), pipeline.MctsIntervention.PROPOSALS
+        n, k = len(legal), pipeline.PROPOSALS
         assert n == 3
         q = dict(zip(legal, qs))
-        mcts = pipeline.MctsIntervention(lambda s, a: q[a])
+        mcts = pipeline.mcts_pick(lambda s, a: q[a])
         picks = Counter()
         for seq in itertools.product(legal, repeat=k):
             rng = _ScriptedRng(seq)
-            picks[mcts.act(state, rng)] += 1
+            picks[mcts(state, rng)] += 1
             assert not rng.proposals
         for a in legal:
             h = sum(q[b] > q[a] for b in legal)
@@ -311,7 +310,7 @@ class TestMcts:
             key = nxt.key()
             return success.get(key, NOHELP) if success.has(key, NOHELP) else 0.0
 
-        pick = pipeline.MctsIntervention(q).act(state, random.Random(3))
+        pick = pipeline.mcts_pick(q)(state, random.Random(3))
         cands = _proposals(state, 3)
         assert q(state, pick) == max(q(state, a) for a in cands)
 
@@ -370,7 +369,7 @@ class TestExactModels:
         task = make_task(rooms=3, obj=2, hint=(1, 2), steps=4, opt=3)
         model, _ = exact_models([task])
         visited = set()
-        iv = [pipeline.StrongActorIntervention()]
+        iv = [strong_actor]
         for i in range(300):
             ep = pipeline.run_episode(task, pipeline.baseline_random((0.5,)), iv, i)
             visited.update(ep.states)
@@ -471,7 +470,7 @@ class TestMemo:
 
     def test_exact_models_match_an_uncached_enumeration(self):
         tasks = generate_tasks(SMALL, 5).train[:8]
-        iv = [pipeline.StrongActorIntervention()]
+        iv = [strong_actor]
         for task in tasks[:4]:  # grow the episode graphs of half the tasks
             for seed in range(20):
                 pipeline.run_episode(task, pipeline.baseline_random((0.5,)), iv, seed)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpdp import fixtures, pipeline
-from helpdp.env import EnvConfig, TaskSet, generate_tasks
+from helpdp.env import EnvConfig, TaskSet, generate_tasks, strong_actor
 from helpdp.mdp import (
     NOHELP,
     CountTable,
@@ -423,7 +424,7 @@ def _saved_artifacts():
     cfg = EnvConfig(room_count=4, max_steps=5, hint_sizes=((2, 1.0),), move_prob=0.5,
                     n_train=6, n_val=2, n_test=2)
     tasks = generate_tasks(cfg, 3)
-    log = pipeline.collect_phase1(list(tasks.train), [pipeline.StrongActorIntervention(0.05)], 3,
+    log = pipeline.collect_phase1(list(tasks.train), [partial(strong_actor, eta=0.05)], 3,
                                   n_seeds=2, eta=cfg.eta)
     return {
         "tasks": (tasks, TaskSet.save, TaskSet.load, lambda t: t),

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from helpdp import fixtures, oracle, planner
+from helpdp import fixtures, planner
 from helpdp.mdp import NOHELP
 from helpdp.oracle import (
     OracleError,

@@ -1,26 +1,29 @@
 import dataclasses
+import json
 import math
 import os
 import random
 import signal
 import time
+from functools import partial
 
 import pytest
 
-from helpdp import env, fixtures, oracle, pipeline, planner, solver
+from helpdp import env, fixtures, oracle, pipeline, solver
 from helpdp.env import EnvConfig, generate_tasks, initial_state
 from helpdp.mdp import NOHELP, DataError, estimate_success, normalize
 from helpdp.pipeline import (
     UNKNOWN_FAILURE,
-    HelperPolicy,
     PipelineError,
     baseline_random,
     build_helper,
     collect_phase1,
     derive_seed,
     evaluate,
+    load_helper,
     phase1_schedule,
     restrict_to_solvable,
+    run_episode,
     self_regulation_eval,
     split_seen_unseen,
 )
@@ -34,7 +37,7 @@ CFG = EnvConfig(
     n_train=10, n_val=6, n_test=6,
 )
 TASKS = generate_tasks(CFG, 7)
-STRONG = [pipeline.StrongActorIntervention(CFG.eta_strong)]
+STRONG = [partial(env.strong_actor, eta=CFG.eta_strong)]
 
 
 class TestSchedule:
@@ -132,13 +135,13 @@ class TestForkedCollect:
     def interventions(kind: str) -> list:
         from helpdp.cli import _mcts_q
 
-        mcts = pipeline.MctsIntervention(_mcts_q(env.success_probability(CFG.eta), 5))
+        mcts = pipeline.mcts_pick(_mcts_q(env.success_probability(CFG.eta), 5))
         return {"strong": STRONG, "mcts": [mcts], "both": [STRONG[0], mcts]}[kind]
 
     @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
     def test_forked_log_equals_serial_log(self, tmp_path, slices, kind):
-        # the MCTS scorer is a closure and its visit counts live in the
-        # intervention: both must reach the workers through the fork
+        # the MCTS picker and its scorer are closures: both must reach the
+        # workers through the fork
         forked = tmp_path / "forked.jsonl"
         n = pipeline.write_phase1(forked, self.HEADER, list(TASKS.train), self.interventions(kind), 11,
                                   n_seeds=2, eta=CFG.eta)
@@ -162,31 +165,87 @@ class TestForkedCollect:
     @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
     def test_forked_eval_equals_serial_eval(self, monkeypatch, slices, kind):
         decide = baseline_random((0.3,) * len(self.interventions(kind)))
-        metrics, log = evaluate(decide, list(TASKS.train), self.interventions(kind), 11, n_seeds=2, eta=CFG.eta)
+        metrics, rows = evaluate(decide, list(TASKS.train), self.interventions(kind), 11, n_seeds=2, eta=CFG.eta)
         assert slices == [(3, 6), (6, 10)]
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
-        serial_metrics, serial_log = evaluate(decide, list(TASKS.train), self.interventions(kind), 11, n_seeds=2,
-                                              eta=CFG.eta)
+        serial_metrics, serial_rows = evaluate(decide, list(TASKS.train), self.interventions(kind), 11, n_seeds=2,
+                                               eta=CFG.eta)
         assert len(slices) == 2
-        assert (metrics, list(log)) == (serial_metrics, list(serial_log))
-        assert all(type(step) is Step for ep in log for step in ep.steps)
+        assert (metrics, rows) == (serial_metrics, serial_rows)
+        assert [row[0] for row in rows] == [t.task_id for t in TASKS.train for _ in range(2)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
+    def test_rows_are_the_outcomes_of_the_seeded_episodes(self, monkeypatch, slices, kind, cpus):
+        """Each row is the outcome of the ``run_episode`` episode with the
+        row's derived seed, and the metrics of the rows, or of any subset of
+        them, equal bit for bit the per-episode sums that ``eval`` reported
+        from its episode log."""
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        tasks, ivs = list(TASKS.train), self.interventions(kind)
+        k = len(ivs)
+        decide = baseline_random((0.3,) * k)
+        expected = (0.25,) * k
+        got, rows = evaluate(decide, tasks, ivs, 11, n_seeds=2, eta=CFG.eta, expected=expected, seed_salt="s")
+        assert slices == ([(5, 10)] if cpus == 2 else [])
+        episodes = [run_episode(t, decide, ivs, derive_seed(11, "s", t.task_id, rep), eta=CFG.eta)
+                    for t in tasks for rep in range(2)]
+        opt = {t.task_id: t.optimal_length for t in tasks}
+        assert rows == [(ep.task_id, ep.outcome == "success",
+                         opt[ep.task_id] / max(ep.length, opt[ep.task_id]) if ep.outcome == "success" else 0.0,
+                         ep.length, ep.intervention_count(k)) for ep in episodes]
+        assert {row[1] for row in rows} == {True, False} and any(sum(row[4]) for row in rows)
+        assert got == _per_episode_metrics(episodes, tasks, k, expected)
+        chosen = {t.task_id for t in tasks[::3]}
+        subset = [row for row in rows if row[0] in chosen]
+        assert pipeline.metrics(subset, k, None) == _per_episode_metrics(
+            [ep for ep in episodes if ep.task_id in chosen], tasks, k, None)
+
+
+def _per_episode_metrics(episodes, tasks, n_help, expected):
+    """The metrics of a list of episodes, summed episode by episode as
+    ``eval`` summed its episode log before it kept outcome rows."""
+    opt = {t.task_id: t.optimal_length for t in tasks}
+    sr = spl = length = 0.0
+    usage = [0.0] * n_help
+    for ep in episodes:
+        won = ep.outcome == "success"
+        sr += won
+        o = opt[ep.task_id]
+        spl += (o / max(ep.length, o)) if won else 0.0
+        length += ep.length
+        for i, c in enumerate(ep.intervention_count(n_help)):
+            usage[i] += c
+    n = len(episodes)
+    return pipeline.Metrics(sr=sr / n, spl=spl / n, length=length / n, usage=tuple(u / n for u in usage),
+                            n_episodes=n, expected_usage=expected)
+
+
+def _write_helper(path, table, fallback=NOHELP):
+    path.write_text(json.dumps({"mode": "all_states", "fallback": fallback, "table": table}))
+    return path
 
 
 class TestReductions:
-    def _logs_equal(self, a: RolloutLog, b: RolloutLog) -> bool:
-        return [e for e in a] == [e for e in b]
+    @staticmethod
+    def _episodes(decide, master_seed, n_seeds):
+        """The episodes ``evaluate`` plays on the test split, each under its
+        derived seed."""
+        return [run_episode(task, decide, STRONG, derive_seed(master_seed, "eval", task.task_id, rep))
+                for task in TASKS.test for rep in range(n_seeds)]
 
-    def test_nohelp_helper_equals_zero_baseline(self):
-        helper = HelperPolicy(table={}, training_mode="all_states", fallback=NOHELP)
-        m1, l1 = evaluate(helper.as_decider(), list(TASKS.test), STRONG, 9, n_seeds=3)
-        m2, l2 = evaluate(baseline_random((0.0,)), list(TASKS.test), STRONG, 9, n_seeds=3)
-        assert self._logs_equal(l1, l2)
-        assert m1 == m2
+    def test_nohelp_helper_equals_zero_baseline(self, tmp_path):
+        helper = load_helper(_write_helper(tmp_path / "helper.json", {}), 1)
+        assert self._episodes(helper, 9, 3) == self._episodes(baseline_random((0.0,)), 9, 3)
+        m1, r1 = evaluate(helper, list(TASKS.test), STRONG, 9, n_seeds=3)
+        m2, r2 = evaluate(baseline_random((0.0,)), list(TASKS.test), STRONG, 9, n_seeds=3)
+        assert (m1, r1) == (m2, r2)
 
     def test_full_help_equals_unit_baseline_and_u_equals_l(self):
-        m1, l1 = evaluate(pipeline.always("help1"), list(TASKS.test), STRONG, 9, n_seeds=3)
-        m2, l2 = evaluate(baseline_random((1.0,)), list(TASKS.test), STRONG, 9, n_seeds=3)
-        assert self._logs_equal(l1, l2)
+        assert self._episodes(pipeline.always("help1"), 9, 3) == self._episodes(baseline_random((1.0,)), 9, 3)
+        m1, r1 = evaluate(pipeline.always("help1"), list(TASKS.test), STRONG, 9, n_seeds=3)
+        m2, r2 = evaluate(baseline_random((1.0,)), list(TASKS.test), STRONG, 9, n_seeds=3)
+        assert (m1, r1) == (m2, r2)
         assert m1.usage[0] == pytest.approx(m1.length)
 
     def test_metric_invariants(self):
@@ -218,11 +277,9 @@ class TestReductions:
                 for s2, pp in mix[s].items():
                     nxt[s2] = nxt.get(s2, 0.0) + p * pp
             dist = nxt
-        m, log = evaluate(baseline_random((q,)), [task], STRONG, 8, n_seeds=3000)
-        var = sum(
-            (ep.intervention_count(1)[0] - m.usage[0]) ** 2 for ep in log
-        ) / (len(log) - 1)
-        se = math.sqrt(var / len(log))
+        m, rows = evaluate(baseline_random((q,)), [task], STRONG, 8, n_seeds=3000)
+        var = sum((calls[0] - m.usage[0]) ** 2 for *_, calls in rows) / (len(rows) - 1)
+        se = math.sqrt(var / len(rows))
         assert abs(m.usage[0] - expect) <= 3 * se
 
 
@@ -255,7 +312,7 @@ class TestModelPreparation:
     def test_k_comes_from_the_caller_not_the_rows(self):
         """Counts logged with two help types also hold help2 rows; a K = 1
         restriction keeps every state that has its nohelp and help1 rows."""
-        two = [pipeline.StrongActorIntervention(CFG.eta_strong)] * 2
+        two = STRONG * 2
         raw = normalize(collect_phase1(list(TASKS.train), two, 4, n_seeds=1).to_count_table())
         assert any(a == "help2" for _, a in raw.probs)
 
@@ -272,7 +329,7 @@ class TestModelPreparation:
 
 def _trajectory_table(sol, model, starts):
     """build_helper's rows walk over ``model`` laid out as the solver's rows."""
-    return build_helper(sol, starts, solver._rows(model, 1), "trajectory_only").table
+    return build_helper(sol, starts, solver._rows(model, 1), "trajectory_only")
 
 
 def _chain_log(n=4):
@@ -286,15 +343,14 @@ class TestHelperConstruction:
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         helper = build_helper(sol, ["s0"], model, "all_states")
-        assert set(helper.table) == set(model.nonterminal_states())
+        assert set(helper) == set(model.nonterminal_states())
 
     def test_degenerate_chain_modes_agree(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         a = build_helper(sol, ["s0"], model, "all_states")
         t = build_helper(sol, ["s0"], solver._rows(model, 1), "trajectory_only")
-        assert a.table == t.table == oracle.trajectory_table(sol, model, ["s0"])
-        assert t.training_mode == "trajectory_only"
+        assert a == t == oracle.trajectory_table(sol, model, ["s0"])
 
     @pytest.mark.parametrize("name,args", [
         ("mdp_a", ()), ("mdp_b", ()), ("corridor_mdp", ()), ("random_mdp", (3, 10, 1, (1, 2))),
@@ -342,7 +398,7 @@ class TestHelperConstruction:
         # on the restricted rows s1 is the failure terminal, so s0's walk stays in
         assert _trajectory_table(sol, solvable, ["s0"]) == sol.policy == oracle.trajectory_table(sol, solvable, ["s0"])
         full = build_helper(sol, ["s0"], None, "all_states")
-        assert set(full.table) == set(sol.policy)
+        assert set(full) == set(sol.policy)
 
     def test_unconverged_solution_rejected(self):
         model, succ = fixtures.mdp_b()
@@ -351,10 +407,11 @@ class TestHelperConstruction:
         with pytest.raises(PipelineError, match="unconverged"):
             build_helper(bad, ["s0"], model, "all_states")
 
-    def test_fallback_used_off_table(self):
-        helper = HelperPolicy(table={"a": "help1"}, training_mode="all_states")
-        assert helper.decide("a") == "help1"
-        assert helper.decide("zz") == NOHELP
+    def test_fallback_used_off_table(self, tmp_path):
+        rng = random.Random(0)
+        for fallback in (NOHELP, "help1"):
+            decide = load_helper(_write_helper(tmp_path / "helper.json", {"a": "help1", "b": NOHELP}, fallback), 1)
+            assert (decide("a", rng), decide("b", rng), decide("zz", rng)) == ("help1", NOHELP, fallback)
 
 
 class TestSeenUnseenSplit:

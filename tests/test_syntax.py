@@ -1,6 +1,6 @@
 """The package, the benchmark harness and the tests parse as Python 3.10,
 the oldest version pyproject.toml and the CI matrix support, and every
-package module uses the names it imports."""
+package module and test module uses the names it imports."""
 import ast
 from pathlib import Path
 
@@ -8,7 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(ROOT.glob("src/helpdp/*.py"))
-SOURCES = sorted([*MODULES, *ROOT.glob("bench/*.py"), *ROOT.glob("tests/*.py")])
+TESTS = sorted(ROOT.glob("tests/*.py"))
+SOURCES = sorted([*MODULES, *ROOT.glob("bench/*.py"), *TESTS])
 
 
 def parses_as_310(source: str, name: str) -> bool:
@@ -46,7 +47,7 @@ def unused_imports(source: str, name: str) -> list[str]:
     return [f"{name}:{line} {bound}" for bound, line in imported.items() if bound not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", [*MODULES, *TESTS], ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.name) == []
 
