@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 invalid usage or config, 3 infeasible budget,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -282,7 +281,7 @@ def solve(run: Run) -> None:
     sol = planner.solve(run.load_rows(), None, run.reward)
     _require_converged(sol)
     starts = run.start_keys(run.load_tasks().train)
-    sol = dataclasses.replace(sol, expected_usage=planner.expected_usage(sol, starts))
+    sol = sol._replace(expected_usage=planner.expected_usage(sol, starts))
     run.write_json("solution.json", planner.solution_to_dict(sol))
     print(_summary(sol))
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .mdp import (NOHELP, EnvConfig, EnvError, SuccessModel, TransitionModel, help_action, is_whole, read_jsonl,
                   write_jsonl)
 
 EXPLORE = "explore"
 SPLITS = ("train", "val", "test")
+ETA = EnvConfig._field_defaults["eta"]  # the base actor's default noise
+ETA_STRONG = EnvConfig._field_defaults["eta_strong"]  # the strong actor's default noise
 T = TypeVar("T")
 
 
@@ -35,16 +36,50 @@ def goto(room: int) -> str:
     return f"goto:{room}"
 
 
-@dataclass(frozen=True)
-class Task:
-    task_id: str
-    room_count: int
-    object_location: int
-    hint: tuple[int, ...]
-    move_schedule: tuple[tuple[int, int], ...]
-    max_steps: int
-    optimal_length: int
-    split: str = "train"
+class _Record:
+    """A record whose fields are ``__slots__``, cheap to build and to read in
+    the episode loop, beside a ``__dict__`` that holds the memos of
+    ``_memo`` and ``functools.cached_property``.  Equality, hashing, ``repr``
+    and ``_replace`` go by ``_fields`` alone, so a memo changes none of them.
+    A record is not changed once built."""
+
+    __slots__ = ("__dict__",)
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def _replace(self, **changes):
+        """A new record, without memos, with ``changes`` to its fields."""
+        return type(self)(**{name: changes.pop(name, getattr(self, name)) for name in self._fields}, **changes)
+
+
+class Task(_Record):
+    _fields = __slots__ = ("task_id", "room_count", "object_location", "hint", "move_schedule", "max_steps",
+                           "optimal_length", "split")
+
+    def __init__(self, task_id: str, room_count: int, object_location: int, hint: tuple[int, ...],
+                 move_schedule: tuple[tuple[int, int], ...], max_steps: int, optimal_length: int,
+                 split: str = "train") -> None:
+        self.task_id = task_id
+        self.room_count = room_count
+        self.object_location = object_location
+        self.hint = hint
+        self.move_schedule = move_schedule
+        self.max_steps = max_steps
+        self.optimal_length = optimal_length
+        self.split = split
 
     # Computed once per task; not fields, so equality, hashing and to_dict
     # ignore them.
@@ -130,13 +165,15 @@ def _memo(fn: Callable[[object], T]) -> Callable[[object], T]:
     return cached
 
 
-@dataclass(frozen=True)
-class EnvState:
-    task: Task
-    t: int
-    room: int
-    explored: frozenset[int]
-    found: bool
+class EnvState(_Record):
+    _fields = __slots__ = ("task", "t", "room", "explored", "found")
+
+    def __init__(self, task: Task, t: int, room: int, explored: frozenset[int], found: bool) -> None:
+        self.task = task
+        self.t = t
+        self.room = room
+        self.explored = explored
+        self.found = found
 
     @property
     def moved(self) -> bool:
@@ -264,11 +301,11 @@ def _noisy(greedy: Callable[[EnvState], str], state: EnvState, rng: random.Rando
     return greedy(state)
 
 
-def base_actor(state: EnvState, rng: random.Random, eta: float = EnvConfig.eta) -> str:
+def base_actor(state: EnvState, rng: random.Random, eta: float = ETA) -> str:
     return _noisy(_greedy_base, state, rng, eta)
 
 
-def strong_actor(state: EnvState, rng: random.Random, eta: float = EnvConfig.eta_strong) -> str:
+def strong_actor(state: EnvState, rng: random.Random, eta: float = ETA_STRONG) -> str:
     return _noisy(_greedy_strong, state, rng, eta)
 
 
@@ -283,8 +320,7 @@ def action_distribution(
     return dist
 
 
-@dataclass(frozen=True)
-class TaskSet:
+class TaskSet(NamedTuple):
     train: tuple[Task, ...]
     val: tuple[Task, ...]
     test: tuple[Task, ...]
@@ -413,7 +449,7 @@ def _walk(root: EnvState, eta: float, cap: float = float("inf"),
     return rows, p
 
 
-def success_probability(eta: float = EnvConfig.eta) -> Callable[[EnvState], float]:
+def success_probability(eta: float = ETA) -> Callable[[EnvState], float]:
     """p*(s) of :func:`_walk`, the base actor's success probability from
     state s, memoized by state key.  A state not yet known fills the memo
     with its whole task, from one walk from a fresh :func:`initial_state`,
@@ -433,8 +469,8 @@ def success_probability(eta: float = EnvConfig.eta) -> Callable[[EnvState], floa
 
 def exact_models(
     tasks: Iterable[Task],
-    eta: float = EnvConfig.eta,
-    eta_strong: float = EnvConfig.eta_strong,
+    eta: float = ETA,
+    eta_strong: float = ETA_STRONG,
     cap: int = 200_000,
 ) -> tuple[TransitionModel, SuccessModel]:
     """Exact transition and success models for the base/strong actor pair.

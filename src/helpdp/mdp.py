@@ -13,15 +13,16 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _enc
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, TypeVar
+from types import MappingProxyType
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 NOHELP = "nohelp"
 T = TypeVar("T")
 
 _HELP_RE = re.compile(r"^help([1-9]\d*)$")
+_INT_KEY_RE = re.compile(r"0|-?[1-9][0-9]*")  # an integer as str(int) writes it: no "+", leading zero or space
 
 _OUTCOME_SUCCESS = "outcome=success"
 _OUTCOME_FAILURE = "outcome=failure"
@@ -253,8 +254,30 @@ class CountTable:
         return table
 
 
-@dataclass(frozen=True)
-class TransitionModel:
+class Checked:
+    """The first base of a record that checks its fields when it is built,
+    before the ``NamedTuple`` that holds them: ``__new__`` runs the record's
+    ``__post_init__`` on the new tuple, and ``_make``, and so ``_replace``,
+    builds through ``__new__``, so no way of making one skips the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
+class _TransitionModel(NamedTuple):
+    probs: dict[tuple[str, str], dict[str, float]]
+    support: frozenset[str]
+
+
+class TransitionModel(Checked, _TransitionModel):
     """Per (state, action) categorical next-state distribution.
 
     Rows exist only for observed (or analytically constructed) pairs;
@@ -262,8 +285,7 @@ class TransitionModel:
     construction.
     """
 
-    probs: dict[tuple[str, str], dict[str, float]]
-    support: frozenset[str]
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         for (s, a), row in self.probs.items():
@@ -302,8 +324,13 @@ def normalize(table: CountTable) -> TransitionModel:
     return TransitionModel(probs=probs, support=frozenset(support))
 
 
-@dataclass(frozen=True)
-class SuccessModel:
+class _SuccessModel(NamedTuple):
+    p: dict[tuple[str, str], float]
+    n: Mapping[tuple[str, str], int] = MappingProxyType({})
+    provenance: str = "empirical"
+
+
+class SuccessModel(Checked, _SuccessModel):
     """Per (state, action-branch) probability of eventual task success.
 
     Every ``p`` is a number in [0, 1] and every ``n`` an integer; an
@@ -311,9 +338,7 @@ class SuccessModel:
     answers 1 or 0 for those from the key alone.
     """
 
-    p: dict[tuple[str, str], float]
-    n: dict[tuple[str, str], int] = field(default_factory=dict)
-    provenance: str = "empirical"
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.provenance not in ("empirical", "exact"):
@@ -400,8 +425,7 @@ class EnvError(ValueError):
     """Raised on a bad environment config or task."""
 
 
-@dataclass(frozen=True)
-class EnvConfig:
+class _EnvConfig(NamedTuple):
     room_count: int = 10
     max_steps: int = 6
     hint_sizes: tuple[tuple[int, float], ...] = ((4, 0.4), (5, 0.6))
@@ -411,6 +435,13 @@ class EnvConfig:
     n_train: int = 1000
     n_val: int = 40
     n_test: int = 40
+
+
+class EnvConfig(Checked, _EnvConfig):
+    """The environment's settings.  Its defaults are in ``_field_defaults``:
+    ``EnvConfig.eta``, say, is the field's accessor, not its default."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         # here and in from_dict every message starts with the field it refuses
@@ -431,15 +462,19 @@ class EnvConfig:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "EnvConfig":
-        names = [f.name for f in fields(cls)]
+        names = list(cls._fields)
         unknown = sorted(set(rec) - set(names))
         if unknown:
             raise EnvError(f"{unknown[0]} is unknown; the fields are {names}")
         kwargs = dict(rec)
         if "hint_sizes" in kwargs:
             sizes = rec["hint_sizes"]
-            try:
-                kwargs["hint_sizes"] = tuple(sorted((int(s), float(w)) for s, w in sizes.items()))
-            except (AttributeError, TypeError, ValueError):
-                raise EnvError(f"hint_sizes must be an object of size: weight, got {sizes!r}") from None
+            if not isinstance(sizes, dict):
+                raise EnvError(f"hint_sizes must be an object of size: weight, got {sizes!r}")
+            for size, weight in sizes.items():
+                if not (isinstance(size, str) and _INT_KEY_RE.fullmatch(size)):
+                    raise EnvError(f"hint_sizes must be keyed by sizes written as integers, such as \"4\", got {size!r}")
+                if not is_number(weight):
+                    raise EnvError(f"hint_sizes must be an object of number weights, got {weight!r} for size {size}")
+            kwargs["hint_sizes"] = tuple(sorted((int(s), float(w)) for s, w in sizes.items()))
         return cls(**kwargs)

@@ -32,11 +32,10 @@ import hashlib
 import io
 import os
 import random
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
 
-from .env import EnvConfig, EnvState, Task, base_actor, env_step, episode_start
+from .env import ETA, EnvState, Task, base_actor, env_step, episode_start
 from .mdp import (
     COUNT_FIELDS,
     NOHELP,
@@ -103,7 +102,7 @@ def run_episode(
     decide: Decider,
     interventions: Sequence[Actor],
     seed: int,
-    eta: float = EnvConfig.eta,
+    eta: float = ETA,
 ) -> Episode:
     """Roll one episode; the decider picks a branch at every step from the
     step's state key, which is computed once and also recorded.  A help
@@ -301,7 +300,7 @@ def collect_phase1(
     master_seed: int,
     schedule: Sequence[tuple[float, ...]] | None = None,
     n_seeds: int = 3,
-    eta: float = EnvConfig.eta,
+    eta: float = ETA,
 ) -> RolloutLog:
     """One episode per task x schedule entry x seed, everything recorded and
     played in this process.  The episode-level reference for
@@ -319,7 +318,7 @@ def write_phase1(
     master_seed: int,
     schedule: Sequence[tuple[float, ...]] | None = None,
     n_seeds: int = 3,
-    eta: float = EnvConfig.eta,
+    eta: float = ETA,
 ) -> int:
     """Play ``collect_phase1``'s episodes and write them to ``path`` after
     ``header``, byte-equal to ``collect_phase1(...).save(path, header)``;
@@ -573,8 +572,7 @@ def split_seen_unseen(starts: dict[str, str], sol: Solution) -> tuple[list[str],
     return seen_ids, unseen_ids
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     sr: float
     spl: float
     length: float
@@ -617,7 +615,7 @@ def evaluate(
     interventions: Sequence[Actor],
     master_seed: int,
     n_seeds: int = 1,
-    eta: float = EnvConfig.eta,
+    eta: float = ETA,
     expected: tuple[float, ...] | None = None,
     seed_salt: str = "eval",
 ) -> tuple[Metrics, list[tuple]]:
@@ -650,8 +648,7 @@ def evaluate(
     return metrics(rows, n_help, expected), rows
 
 
-@dataclass(frozen=True)
-class SelfRegulationReport:
+class SelfRegulationReport(NamedTuple):
     threshold: float
     accuracy: float
     precision: float

@@ -24,13 +24,12 @@ does not solve runs without either library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .mdp import (DataError, SuccessModel, TransitionModel, _dump, action_order, are_actions, are_numbers, check_table,
-                  is_whole, read_json)
+from .mdp import (Checked, DataError, SuccessModel, TransitionModel, _dump, action_order, are_actions, are_numbers,
+                  check_table, is_whole, read_json)
 
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
@@ -47,8 +46,12 @@ class BudgetInfeasibleError(PlannerError):
     the certificate: E[U] at the upper bound and the budget it exceeds."""
 
 
-@dataclass(frozen=True)
-class RewardConfig:
+class _RewardConfig(NamedTuple):
+    r: tuple[float, ...]
+    gamma: float = 1.0
+
+
+class RewardConfig(Checked, _RewardConfig):
     """Per-help costs.
 
     ``r`` holds one nonnegative cost per intervention type.  Nothing is
@@ -57,8 +60,7 @@ class RewardConfig:
     that spell the discount out keep working.
     """
 
-    r: tuple[float, ...]
-    gamma: float = 1.0
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if not self.r:
@@ -73,8 +75,7 @@ class RewardConfig:
         return len(self.r)
 
 
-@dataclass(frozen=True)
-class ModelRows:
+class ModelRows(NamedTuple):
     """A model in the solver's layout, in plain Python lists: the input that
     ``solver._compile`` turns into arrays.
 
@@ -99,8 +100,7 @@ class ModelRows:
     observed: int
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Converged usage/success/policy tables plus the value function."""
 
     usage: dict[str, tuple[float, ...]]
@@ -155,8 +155,7 @@ def decomposition_residual(sol: Solution) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     r: float
     solution: Solution  # its expected_usage is the E[U] at r
     trace: tuple[tuple[float, float], ...]  # probed (r, E[U]) pairs
@@ -195,7 +194,7 @@ def reward_search(
     trace: list[tuple[float, float]] = []
 
     def probe(r: float) -> tuple[solver._Core, float]:
-        core = solver._fixed_point(comp, replace(cfg, r=(r,)))
+        core = solver._fixed_point(comp, cfg._replace(r=(r,)))
         if not core[4]:
             raise PlannerError(f"probe at r={r:.6g} did not converge in {core[3]} sweeps")
         acc = 0.0  # added in start order, as expected_usage does, so E[U] is bit-equal
@@ -206,7 +205,7 @@ def reward_search(
         return core, eu
 
     def result(r: float, core: solver._Core, eu: float) -> SearchResult:
-        sol = replace(solver._to_solution(comp, replace(cfg, r=(r,)), core), expected_usage=(eu,))
+        sol = solver._to_solution(comp, cfg._replace(r=(r,)), core)._replace(expected_usage=(eu,))
         return SearchResult(r=r, solution=sol, trace=tuple(trace))
 
     core_hi, eu_hi = probe(r_hi)

@@ -7,7 +7,6 @@ use it, so the file of a collect is the file of its episodes' log.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -26,8 +25,7 @@ class Step(NamedTuple):
     env_action: str = ""
 
 
-@dataclass(frozen=True)
-class Episode:
+class Episode(NamedTuple):
     task_id: str
     seed: int
     steps: tuple[Step, ...]

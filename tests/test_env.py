@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -82,7 +81,9 @@ class TestGenerateTasks:
         ("room_count", 1), ("room_count", 4.0), ("max_steps", True), ("n_train", 0), ("n_val", -1),
         ("n_test", "4"), ("move_prob", 1.5), ("eta", "x"), ("eta_strong", float("nan")),
         ("eta", False), ("hint_sizes", [1, 2]), ("hint_sizes", {"x": 1}), ("hint_sizes", {"2": 0}),
-        ("n_trian", 3),
+        ("hint_sizes", {"2": "0.5"}), ("hint_sizes", {"2": 0.5, "3": True}), ("hint_sizes", {"2": None}),
+        ("hint_sizes", {"2": 0.5, "03": 0.5}), ("hint_sizes", {"+2": 1}), ("hint_sizes", {" 2": 1}),
+        ("hint_sizes", {"2.0": 1}), ("hint_sizes", {"-0": 1}), ("n_trian", 3),
     ])
     def test_config_refuses_a_bad_field_by_name(self, field, value):
         """Each field is checked for its type and range, and an unknown one is
@@ -93,6 +94,19 @@ class TestGenerateTasks:
 
     def test_config_defaults_pass(self):
         assert EnvConfig.from_dict({}) == EnvConfig()
+        assert (env.ETA, env.ETA_STRONG) == (EnvConfig().eta, EnvConfig().eta_strong) == (0.35, 0.05)
+
+    def test_config_reads_canonical_sizes_and_number_weights(self):
+        cfg = EnvConfig.from_dict({"room_count": 12, "hint_sizes": {"10": 1, "2": 0.5}})
+        assert cfg.hint_sizes == ((2, 0.5), (10, 1.0))
+        assert all(type(w) is float for _, w in cfg.hint_sizes)
+        with pytest.raises(EnvError, match="^hint_sizes must fit 12 rooms, got hint size -1"):
+            EnvConfig.from_dict({"room_count": 12, "hint_sizes": {"-1": 1}})
+
+    def test_replace_runs_the_config_checks(self):
+        assert EnvConfig()._replace(room_count=12).room_count == 12
+        with pytest.raises(EnvError, match="^room_count must be an integer >= 2"):
+            EnvConfig()._replace(room_count=1)
 
     def test_taskset_roundtrip(self, tmp_path):
         ts = generate_tasks(SMALL, 9)
@@ -435,6 +449,19 @@ def test_cached_key_parts_leave_task_identity_alone():
     assert a.first_move == 2 and make_task().first_move is None
 
 
+def test_task_replace_builds_a_new_task_without_memos():
+    task = make_task(task_id="a")
+    assert task.key_prefix == "task=a|hint=1"
+    renamed = task._replace(task_id="b")
+    assert renamed.key_prefix == "task=b|hint=1" and renamed != task and task._replace() == task
+    assert vars(renamed) == {"key_prefix": "task=b|hint=1"}
+    assert repr(task) == ("Task(task_id='a', room_count=2, object_location=1, hint=(1,), move_schedule=(), "
+                          "max_steps=3, optimal_length=2, split='train')")
+    assert task != tuple(getattr(task, name) for name in Task._fields) and initial_state(task) != task
+    with pytest.raises(TypeError):
+        task._replace(rooms=3)
+
+
 class TestMemo:
     """env_step, the state key, the legal actions and the greedy actions are
     kept on each state object; the memo must change no answer and skip no
@@ -464,7 +491,7 @@ class TestMemo:
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
         warm = env_step(initial_state(task), goto(1))
         warm.key(), legal_actions(warm), env._greedy_base(warm), env_step(warm, EXPLORE)
-        cold = dataclasses.replace(warm)
+        cold = warm._replace()
         assert cold == warm and hash(cold) == hash(warm)
         assert cold.key() == warm.key()
 
@@ -480,7 +507,7 @@ class TestMemo:
         assert success.p == p
         # the enumeration leaves nothing on the tasks it walked
         kept = {name for t in tasks[4:] for name in vars(t)}
-        assert kept <= {f.name for f in dataclasses.fields(Task)} | {"key_prefix", "first_move"}
+        assert kept <= set(Task._fields) | {"key_prefix", "first_move"}
 
 
 @pytest.mark.parametrize("eta", [0.35, 0.0, 1.0])
@@ -547,7 +574,7 @@ def _uncached_exact(tasks, eta, eta_strong):
     """exact_models' rows and p(s, a), with every state copied before it is
     read, so no memoized key, action or successor is ever read back."""
     def fresh(state):
-        return dataclasses.replace(state)
+        return state._replace()
 
     probs = {}
     stack = [fresh(initial_state(t)) for t in tasks]

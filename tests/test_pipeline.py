@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -362,7 +361,7 @@ class TestHelperConstruction:
         model, succ = getattr(fixtures, name)(*args)
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         rng = random.Random(1)
-        partial = dataclasses.replace(sol, policy={s: a for s, a in sol.policy.items() if rng.random() < 0.7})
+        partial = sol._replace(policy={s: a for s, a in sol.policy.items() if rng.random() < 0.7})
         starts = [*model.nonterminal_states(), fixtures.T_SUCC, "off-model"]
         for case in (sol, partial):
             for start in starts:
@@ -380,10 +379,10 @@ class TestHelperConstruction:
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         assert _trajectory_table(sol, model, ["s0"]) == sol.policy
-        stale = dataclasses.replace(sol, policy={"s0": sol.policy["s0"]})
+        stale = sol._replace(policy={"s0": sol.policy["s0"]})
         assert _trajectory_table(stale, model, ["s0"]) == {}
         assert _trajectory_table(stale, model, ["s1"]) == {}
-        off_actions = dataclasses.replace(sol, policy={**sol.policy, "s1": "help2"})
+        off_actions = sol._replace(policy={**sol.policy, "s1": "help2"})
         assert _trajectory_table(off_actions, model, ["s0"]) == {}
 
         raw = fixtures.mdp_b()[0]
@@ -403,7 +402,7 @@ class TestHelperConstruction:
     def test_unconverged_solution_rejected(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        bad = dataclasses.replace(sol, converged=False)
+        bad = sol._replace(converged=False)
         with pytest.raises(PipelineError, match="unconverged"):
             build_helper(bad, ["s0"], model, "all_states")
 

@@ -1,7 +1,7 @@
 import hashlib
 import json
+import pickle
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +174,7 @@ class TestRewardSearchOnCompiledModel:
         comp = solver._compile(model, cfg.n_help)
         choice = np.ones(len(comp.states), dtype=int)
         S, M = solver._exact_eval(comp, cfg, choice)
-        again = solver._exact_eval(comp, replace(cfg, r=(0.7,)), choice.copy())
+        again = solver._exact_eval(comp, cfg._replace(r=(0.7,)), choice.copy())
         assert again[0] is S and again[1] is M  # r does not enter (S, M)
         for arr in (S, M):
             with pytest.raises(ValueError):
@@ -194,10 +194,10 @@ class TestRewardSearchOnCompiledModel:
             res = reward_search(model, 0.5 * top, (0.0, 2.0), starts, base)
             assert len(res.trace) >= 2
             for r, eu in res.trace:
-                want = sum(expected_usage(solve(model, succ, replace(base, r=(r,))), starts))
+                want = sum(expected_usage(solve(model, succ, base._replace(r=(r,))), starts))
                 assert eu.hex() == want.hex()
-            sol = solve(model, succ, replace(base, r=(res.r,)))
-            sol = replace(sol, expected_usage=expected_usage(sol, starts))
+            sol = solve(model, succ, base._replace(r=(res.r,)))
+            sol = sol._replace(expected_usage=expected_usage(sol, starts))
             assert res.solution == sol
             assert planner.solution_to_dict(sol)["variant"] == variant
             assert json.dumps(planner.solution_to_dict(res.solution), sort_keys=True) == json.dumps(
@@ -383,7 +383,7 @@ class TestPlainPythonHelpers:
             assert decomposition_residual(sol) == pytest.approx(_numpy_residual(sol), abs=1e-15)
             # a value table off the decomposition gives the same residual too
             rng = random.Random(seed)
-            off = replace(sol, value={s: v + rng.uniform(-0.1, 0.1) for s, v in sol.value.items()})
+            off = sol._replace(value={s: v + rng.uniform(-0.1, 0.1) for s, v in sol.value.items()})
             assert decomposition_residual(off) == pytest.approx(_numpy_residual(off), abs=1e-15)
             assert decomposition_residual(off) > 1e-3
 
@@ -486,11 +486,24 @@ class TestErrors:
         with pytest.raises(PlannerError, match="gamma is fixed at 1.0"):
             RewardConfig(r=(0.3,), gamma=0.9)
 
+    def test_every_way_of_building_a_cost_checks_it(self):
+        """The keyword constructor, the positional one and ``_replace`` all
+        run the checks; equal costs are equal, hash alike and survive pickling."""
+        cfg = RewardConfig(r=(0.3,))
+        assert RewardConfig((0.3,), 1.0) == cfg and hash(RewardConfig((0.3,))) == hash(cfg)
+        assert cfg._replace(r=(0.5,)) == RewardConfig(r=(0.5,)) and cfg.n_help == 1
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        for build in (lambda: RewardConfig((-1.0,)), lambda: cfg._replace(r=(-1.0,))):
+            with pytest.raises(PlannerError, match="help costs must be >= 0"):
+                build()
+        with pytest.raises(PlannerError, match="at least one help cost"):
+            cfg._replace(r=())
+
 
 def test_solution_file_roundtrip(tmp_path):
     model, succ = fixtures.mdp_b()
     sol = solve(model, succ, cfg1(0.3))
-    sol = replace(sol, expected_usage=expected_usage(sol, ["s0"]))
+    sol = sol._replace(expected_usage=expected_usage(sol, ["s0"]))
     path = tmp_path / "solution.json"
     path.write_text(json.dumps(planner.solution_to_dict(sol)) + "\n")
     back = planner.load_solution(path)
