@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from . import planner
-from .mdp import NOHELP, EnvConfig, EnvError, _dump, is_number, is_whole
+from .mdp import NOHELP, EnvConfig, EnvError, _dump, dump_pieces, is_number, is_whole, write_lines
 from .mdp import estimate_success, normalize  # noqa: F401  (bench/worker.py traces them by these names)
 
 if TYPE_CHECKING:
@@ -145,8 +145,7 @@ class Run:
         doc["provenance"] = self.provenance
         self.out.mkdir(parents=True, exist_ok=True)
         p = self.path(name)
-        p.unlink(missing_ok=True)  # replace rather than truncate an earlier run's file
-        p.write_text(_dump(doc) + "\n", encoding="utf-8")
+        write_lines(p, dump_pieces(doc))  # replaces, never truncates, an earlier run's file
         return p
 
     def interventions(self) -> list:
@@ -174,14 +173,17 @@ class Run:
 
         return envmod.TaskSet.load(self.require("tasks.jsonl", "`gen`"))
 
-    def load_rows(self) -> planner.ModelRows:
-        """The solvable rows of ``counts.jsonl`` (``pipeline.solvable_rows``),
-        read while this process imports numpy and scipy, for ``solve`` and
-        ``search``; a large file is read by a forked worker meanwhile."""
+    def load_rows_and_starts(self) -> tuple[planner.ModelRows, list[str]]:
+        """The solvable rows of ``counts.jsonl`` (``pipeline.solvable_rows``)
+        and the train start keys, for ``solve`` and ``search``: both are read
+        while this process imports numpy and scipy, by a forked worker from
+        a large file on.  A bad ``counts.jsonl`` is reported before a
+        missing ``tasks.jsonl``."""
         from . import pipeline
 
         cp = self.require("counts.jsonl", "`fit`")
-        return pipeline.read_solvable_rows(cp, self.n_help, planner.import_solver)
+        return pipeline.read_solvable_rows(cp, self.n_help, planner.import_solver,
+                                           lambda: self.start_keys(self.load_tasks().train))
 
     def load_solution(self) -> planner.Solution:
         return planner.load_solution(self.require("solution.json", "`solve` or `search`"))
@@ -278,9 +280,9 @@ def solve(run: Run) -> None:
     """Solve the fixed-cost planning problem on the fitted model."""
     if run.reward is None:
         raise UsageError(f"solve needs planner.r: intervention {run.intervention!r} has 2 help types")
-    sol = planner.solve(run.load_rows(), None, run.reward)
+    rows, starts = run.load_rows_and_starts()
+    sol = planner.solve(rows, None, run.reward)
     _require_converged(sol)
-    starts = run.start_keys(run.load_tasks().train)
     sol = sol._replace(expected_usage=planner.expected_usage(sol, starts))
     run.write_json("solution.json", planner.solution_to_dict(sol))
     print(_summary(sol))
@@ -294,8 +296,7 @@ def search(run: Run) -> None:
                          f"has {run.n_help} help types; use `solve` with planner.r")
     if run.budget is None:
         raise UsageError("search needs planner.budget")
-    rows = run.load_rows()
-    starts = run.start_keys(run.load_tasks().train)
+    rows, starts = run.load_rows_and_starts()
     # reward_search sets r at every probe
     result = planner.reward_search(rows, float(run.budget), run.bounds, starts, run.reward)
     run.write_json("solution.json", planner.solution_to_dict(result.solution))
@@ -316,7 +317,7 @@ def annotate(run: Run) -> None:
     starts = rows = None
     if run.helper_mode == "trajectory_only":  # the only mode that walks the model from the train starts
         starts = run.start_keys(run.load_tasks().train)
-        # read here, not by load_rows, which imports numpy and scipy
+        # read here, not by load_rows_and_starts, which imports numpy and scipy
         rows = pipeline.solvable_rows(run.require("counts.jsonl", "`fit`"), run.n_help)
     table = pipeline.build_helper(sol, starts, rows, mode=run.helper_mode)
     run.write_json("helper.json", {"mode": run.helper_mode, "fallback": NOHELP, "table": table})

@@ -131,6 +131,32 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+DUMP_PIECE = 2048  # object entries per piece of dump_pieces
+
+
+def dump_pieces(doc: dict) -> Iterator[str]:
+    """``_dump(doc) + "\n"`` in pieces, for a ``doc`` with string keys: each
+    member is encoded on its own, and an object member of more than
+    ``DUMP_PIECE`` entries ``DUMP_PIECE`` entries at a time, in the sorted
+    key order of ``sort_keys``.  A writer of a multi-megabyte document, such
+    as a paper-scale ``solution.json``, so holds a few hundred KB of its
+    text at a time rather than the whole text and its copies."""
+    piece = DUMP_PIECE
+    yield "{"
+    for i, key in enumerate(sorted(doc)):
+        value = doc[key]
+        yield ("," if i else "") + _enc(key) + ":"
+        if type(value) is dict and len(value) > piece:
+            keys = sorted(value)
+            yield "{"
+            for j in range(0, len(keys), piece):
+                yield ("," if j else "") + _dump({k: value[k] for k in keys[j:j + piece]})[1:-1]
+            yield "}"
+        else:
+            yield _dump(value)
+    yield "}\n"
+
+
 # The row formatters (``count_line`` below, ``rollouts.episode_line``) give
 # ``_dump(record)`` of one record schema with no dict built and no keys
 # sorted.  Their keys are written in sorted order, strings go through

@@ -1,23 +1,33 @@
 """Independent verification engines: exhaustive policy enumeration, exact
 linear policy evaluation, a value-iteration reference solver, seeded
-Monte Carlo estimators, and the policy closure over a ``TransitionModel``
-that ``trajectory_only`` helpers are checked against.
+Monte Carlo estimators, the policy closure over a ``TransitionModel``
+that ``trajectory_only`` helpers are checked against, and the sweep
+reference.
 
 Kept deliberately separate from the planner: matrices are rebuilt densely
 from the model dictionaries and solved by partial-pivot elimination, so a
-planner bug cannot silently propagate into its own check.
+planner bug cannot silently propagate into its own check.  The sweep
+reference is the exception: it runs the solver's Jacobi sweeps, polish and
+tables on the solver's own compiled model, with S and M as separate arrays
+and a sparse product and a per-state loop for each, so that the solver's
+one-product sweep and whole-array tables can be checked against it bit for
+bit.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from . import planner
 from .mdp import NOHELP, TransitionModel, action_order, is_terminal, terminal_outcome
 from .planner import EPSILON, MAX_SWEEPS, TIE_TOL, PlannerError, RewardConfig, Solution
+
+if TYPE_CHECKING:
+    from .solver import _Compiled, _Core
 
 ENUMERATION_CAP = 12
 
@@ -278,3 +288,83 @@ def trajectory_table(sol: Solution, model: TransitionModel, starts: Sequence[str
         if ok:
             table.update((s, sol.policy[s]) for s in reached)
     return table
+
+
+def sweep_branch_values(comp: _Compiled, S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference sweep's branch values: S_br (shape (A, n)) and M_br
+    (shape (A, K, n)), one sparse product each; the help_i branch of M adds
+    the immediate unit of usage for intervention i."""
+    A, n, K = len(comp.actions), len(comp.states), comp.n_help
+    S_br = (comp.P @ S).reshape(A, n) + comp.succ
+    M_br = (comp.P @ M.T).reshape(A, n, K).transpose(0, 2, 1)
+    M_br[np.arange(1, K + 1), np.arange(K)] += 1.0
+    return S_br, M_br
+
+
+def sweep_select(cfg: RewardConfig, S_br: np.ndarray, M_br: np.ndarray) -> np.ndarray:
+    """The reference sweep's choice vector: help iff dS > r.dM as a
+    branch-value comparison; ties keep nohelp, then the lowest help index."""
+    r = np.asarray(cfg.r)
+    best = np.zeros(S_br.shape[1], dtype=int)
+    best_q = S_br[0] - r @ M_br[0]
+    for ai in range(1, len(S_br)):
+        q = S_br[ai] - r @ M_br[ai]
+        mask = q > best_q + planner.TIE_TOL
+        best[mask] = ai
+        best_q = np.where(mask, q, best_q)
+    return best
+
+
+def sweep_fixed_point(comp: _Compiled, cfg: RewardConfig) -> _Core:
+    """The reference for ``solver._fixed_point``: Jacobi sweeps over separate
+    S and M, then the exact polish, whose policies ``solver._exact_eval``
+    evaluates; returns (S, M, choice, iterations, converged).  The
+    constants are read from ``planner`` at call time, as the solver reads
+    them."""
+    from .solver import _exact_eval
+
+    n = len(comp.states)
+    idx = np.arange(n)
+    S = np.zeros(n)
+    M = np.zeros((cfg.n_help, n))
+    converged = False
+    for iterations in range(1, planner.MAX_SWEEPS + 1):
+        S_br, M_br = sweep_branch_values(comp, S, M)
+        choice = sweep_select(cfg, S_br, M_br)
+        new_S = S_br[choice, idx]
+        new_M = M_br[choice, :, idx].T
+        delta = max(float(np.max(np.abs(new_M - M), initial=0.0)),
+                    float(np.max(np.abs(new_S - S), initial=0.0)))
+        S, M = new_S, new_M
+        if delta < planner.EPSILON:
+            converged = True
+            break
+
+    if converged:
+        seen: set[bytes] = set()
+        for _ in range(100):
+            new_choice = sweep_select(cfg, *sweep_branch_values(comp, *_exact_eval(comp, cfg, choice)))
+            if np.array_equal(new_choice, choice) or new_choice.tobytes() in seen:
+                break
+            seen.add(new_choice.tobytes())
+            choice = new_choice
+    S, M = _exact_eval(comp, cfg, choice)
+    return S, M, choice, iterations, converged
+
+
+def sweep_tables(comp: _Compiled, cfg: RewardConfig, core: _Core) -> Solution:
+    """The reference for ``solver._to_solution``: the tables of one fixed
+    point built state by state, terminal states included."""
+    S, M, choice, iterations, converged = core
+    r = np.asarray(cfg.r)
+    usage = {s: tuple(float(M[i, j]) for i in range(cfg.n_help)) for s, j in comp.index.items()}
+    success = {s: float(S[j]) for s, j in comp.index.items()}
+    value = {s: float(S[j] - r @ M[:, j]) for s, j in comp.index.items()}
+    policy = {s: comp.actions[choice[j]] for s, j in comp.index.items()}
+    for s in comp.terminals:
+        win = 1.0 if terminal_outcome(s) == "success" else 0.0
+        usage[s] = tuple(0.0 for _ in range(cfg.n_help))
+        success[s] = win
+        value[s] = win
+    return Solution(usage=usage, success=success, policy=policy, value=value, r=tuple(cfg.r),
+                    iterations_run=iterations, converged=converged)

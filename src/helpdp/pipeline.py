@@ -24,7 +24,9 @@ An intervention is a callable ``(state, actor stream) -> env action``, such
 as ``env.strong_actor`` with its noise bound or the picker of ``mcts_pick``.
 
 Every worker process comes from ``fork_jobs``: ``collect``'s and ``eval``'s
-episode slices and the ``counts.jsonl`` read of ``solve`` and ``search``.
+episode slices and the reader of ``solve`` and ``search``, which takes the
+solver's rows from ``counts.jsonl`` and then the start keys from
+``tasks.jsonl`` (``read_solvable_rows``).
 """
 from __future__ import annotations
 
@@ -476,23 +478,31 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
 FORK_MIN_BYTES = 1_000_000
 
 
-def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable[[], object]) -> ModelRows:
-    """``solvable_rows(path, n_help)``, with ``meanwhile()`` also run in this
-    process.  From ``FORK_MIN_BYTES`` on, and with a second usable CPU, one
-    forked worker (``fork_jobs``) reads the file while this process runs
-    ``meanwhile``; the worker's exception is raised here with its type.
-    Otherwise the file is read first and ``meanwhile`` runs after it.
+def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable[[], object],
+                       then: Callable[[], T]) -> tuple[ModelRows, T]:
+    """``(solvable_rows(path, n_help), then())``, with ``meanwhile()`` also
+    run in this process.  From ``FORK_MIN_BYTES`` on, and with a second
+    usable CPU, one forked worker (``fork_jobs``) reads the file and then
+    runs ``then`` while this process runs ``meanwhile``; the worker's
+    exception is raised here with its type, so a bad file is reported
+    before anything ``then`` would refuse.  Otherwise the file is read, then
+    ``then`` and ``meanwhile`` run, in that order.
 
     The worker is forked, as ``write_phase1``'s are: a spawned one starts
     a new interpreter and imports the package again, about 0.2 s more, which
     is about what the paper-scale read takes.  The commands fork before they
     import numpy, so no thread runs then."""
-    read = partial(solvable_rows, path, n_help)
+    read = partial(_read_then, path, n_help, then=then)
     if _usable_cpus() < 2 or os.path.getsize(path) < FORK_MIN_BYTES:
-        rows = read()
+        out = read()
         meanwhile()
-        return rows
+        return out
     return fork_jobs([meanwhile, read])[1]
+
+
+def _read_then(path: str | os.PathLike, n_help: int, then: Callable[[], T]) -> tuple[ModelRows, T]:
+    rows = solvable_rows(path, n_help)
+    return rows, then()
 
 
 def load_helper(path: str | os.PathLike, n_help: int) -> Decider:

@@ -10,16 +10,19 @@ solutions satisfy the value decomposition to ~1e-12.  A solve that has not
 converged after ``MAX_SWEEPS`` sweeps is returned with ``converged`` False;
 such a probe of ``reward_search`` raises.
 
-Both run on arrays compiled from the model (see ``solver``).
-``reward_search`` compiles once per search and runs every probe on those
-arrays; string keys appear only in the ``Solution`` tables.  Either takes a
-``TransitionModel`` or a ``ModelRows``: the model already laid out in the
-solver's rows, which ``pipeline.solvable_rows`` reads straight from
-``counts.jsonl`` for the ``solve`` and ``search`` commands.  This module
-holds the types, the budget's definition and the solution files in plain
-Python, and imports ``solver`` (numpy and scipy) only when ``solve`` or
-``reward_search`` is called, or ``import_solver`` is, so every command that
-does not solve runs without either library.
+Both run on arrays compiled from the model (see ``solver``): each Jacobi
+sweep is one sparse product of the transitions with S and M side by side,
+and the ``Solution`` tables are built from whole arrays.  ``reward_search``
+compiles once per search and runs every probe on those arrays; string keys
+appear only in the ``Solution`` tables, built for the returned probe alone,
+and a probe's E[U] sums its starts' usage as ``expected_usage`` does, in
+start order.  Either takes a ``TransitionModel`` or a ``ModelRows``: the
+model already laid out in the solver's rows, which ``pipeline.solvable_rows``
+reads straight from ``counts.jsonl`` for the ``solve`` and ``search``
+commands.  This module holds the types, the budget's definition and the
+solution files in plain Python, and imports ``solver`` (numpy and scipy)
+only when ``solve`` or ``reward_search`` is called, or ``import_solver``
+is, so every command that does not solve runs without either library.
 """
 from __future__ import annotations
 
@@ -198,9 +201,9 @@ def reward_search(
         if not core[4]:
             raise PlannerError(f"probe at r={r:.6g} did not converge in {core[3]} sweeps")
         acc = 0.0  # added in start order, as expected_usage does, so E[U] is bit-equal
-        for j in cols:
-            acc += core[1][0, j]
-        eu = float(acc / len(starts))
+        for u in core[1][0].take(cols).tolist():
+            acc += u
+        eu = acc / len(starts)
         trace.append((r, eu))
         return core, eu
 
@@ -241,7 +244,7 @@ def solution_to_dict(sol: Solution) -> dict:
         "iterations": sol.iterations_run,
         "expected_usage": list(sol.expected_usage) if sol.expected_usage else None,
         "policy": sol.policy,
-        "usage": {s: list(u) for s, u in sol.usage.items()},
+        "usage": sol.usage,  # tuples, which JSON writes as arrays
         "success": sol.success,
         "value": sol.value,
     }

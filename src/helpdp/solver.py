@@ -12,11 +12,20 @@ under action a, and an (A, n) array of the mass that reaches terminal
 success.  One builder makes them from a ``planner.ModelRows``: the ``solve``
 and ``search`` commands read those rows straight from ``counts.jsonl``
 (``pipeline.solvable_rows``), and a ``TransitionModel`` is first laid out as
-rows by ``_rows``.  Branch values are (A, n) for S and (A, K, n) for M, so a
-policy is a choice vector indexing them directly.  The compiled model keeps the
-exact evaluation of each policy it has factorized, so a policy is
-factorized once however many probes reach it.  Tunable constants are read
-from ``planner`` at call time.
+rows by ``_rows``.
+
+A sweep keeps S and M side by side in one (n, 1 + K) array X, so one sparse
+product ``P @ X`` gives the branch values of every action, (A, n, 1 + K),
+and the rest of the sweep is a few whole-array operations per action: each
+state's chosen pair a * n + s indexes its row of the branch values, which
+becomes its row of the next X.  The arithmetic is that of a sweep over S
+and M apart (``oracle.sweep_fixed_point``, which the tests hold it to bit
+for bit): each branch value sums its row of ``P`` in CSR order and then
+adds its success mass or unit of usage, and each action's value is
+S_br - r @ M_br.  The solution tables are built from whole arrays too.
+The compiled model keeps the exact evaluation of each policy it has
+factorized, so a policy is factorized once however many probes reach it.
+Tunable constants are read from ``planner`` at call time.
 """
 from __future__ import annotations
 
@@ -39,6 +48,8 @@ class _Compiled:
     P: sparse.csr_matrix  # (A*n, n); row a*n + s: non-terminal -> non-terminal mass of s under a
     succ: np.ndarray  # (A, n); mass reaching terminal success
     terminals: list[str]  # sorted terminal keys of the support
+    pairs: np.ndarray  # (A, n); entry (a, s) is a * n + s, the row of P of the pair
+    base: np.ndarray  # (A, n, 1 + K); [succ | 1 in help a's own usage column, 0 elsewhere]
     # choice bytes -> read-only exact (S, M) of that policy; see _exact_eval
     evals: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -82,9 +93,14 @@ def _compile(model: TransitionModel | planner.ModelRows, n_help: int) -> _Compil
     shape = (len(actions), len(rows.states))
     # explicit zeros stay stored, so the sparsity pattern is the row support
     P = sparse.csr_matrix((rows.vals, (rows.rows, rows.cols)), shape=(shape[0] * shape[1], shape[1]))
+    succ = np.array(rows.succ, dtype=float).reshape(shape)
+    base = np.zeros(shape + (1 + n_help,))
+    base[:, :, 0] = succ
+    for a in range(1, shape[0]):
+        base[a, :, a] = 1.0
     comp = _Compiled(states=rows.states, index={s: i for i, s in enumerate(rows.states)}, actions=actions,
-                     n_help=n_help, P=P, succ=np.array(rows.succ, dtype=float).reshape(shape),
-                     terminals=rows.terminals)
+                     n_help=n_help, P=P, succ=succ, terminals=rows.terminals,
+                     pairs=np.arange(shape[0] * shape[1]).reshape(shape), base=base)
     _check_absorbing(comp, np.array(rows.exits, dtype=int).reshape(shape))
     return comp
 
@@ -121,31 +137,32 @@ def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
         raise planner.PlannerError(f"improper chain: trapping non-terminal states {alive[:5]}")
 
 
-def _branch_values(comp: _Compiled, S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _branch_values(comp: _Compiled, X: np.ndarray) -> np.ndarray:
     """One synchronous application of the piecewise recursions per branch.
 
-    Returns S_br (shape (A, n)) and M_br (shape (A, K, n)); the help_i
-    branch of M adds the immediate unit of usage for intervention i.
+    ``X`` is (n, 1 + K): S in column 0 and M^i in column i.  Returns Y,
+    shape (A, n, 1 + K), whose Y[a] is the same layout for branch a: one
+    sparse product ``P @ X`` gives every branch of S and M, and ``base``
+    adds S's success mass and the help_i branch's immediate unit of usage
+    for intervention i.  Its zeros change no bit: a CSR row sum starts at
+    +0.0, so it is never -0.0.
     """
-    A, n, K = len(comp.actions), len(comp.states), comp.n_help
-    S_br = (comp.P @ S).reshape(A, n) + comp.succ
-    M_br = (comp.P @ M.T).reshape(A, n, K).transpose(0, 2, 1)
-    M_br[np.arange(1, K + 1), np.arange(K)] += 1.0
-    return S_br, M_br
+    Y = (comp.P @ X).reshape(comp.base.shape)
+    Y += comp.base
+    return Y
 
 
-def _select_value_consistent(cfg: planner.RewardConfig, S_br: np.ndarray, M_br: np.ndarray) -> np.ndarray:
-    # help iff dS > r.dM, handled as a branch-value comparison so all sign
-    # cases of (dS, dM) resolve without division; ties (within rounding
-    # noise) keep nohelp, ties among helps keep the lowest index.
-    r = np.asarray(cfg.r)
-    best = np.zeros(S_br.shape[1], dtype=int)
-    best_q = S_br[0] - r @ M_br[0]
-    for ai in range(1, len(S_br)):
-        q = S_br[ai] - r @ M_br[ai]
-        mask = q > best_q + planner.TIE_TOL
-        best[mask] = ai
-        best_q = np.where(mask, q, best_q)
+def _select_value_consistent(comp: _Compiled, r: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Each state's chosen pair a * n + s (its row of ``P``) under the costs
+    ``r``: help iff dS > r.dM, handled as a branch-value comparison so all
+    sign cases of (dS, dM) resolve without division; ties (within rounding
+    noise) keep nohelp, ties among helps keep the lowest index."""
+    Q = Y[:, :, 0] - r @ Y[:, :, 1:].transpose(0, 2, 1)  # (A, n); Q[a] = S_br[a] - r @ M_br[a]
+    best, best_q = comp.pairs[0], Q[0]
+    for a in range(1, len(Q)):
+        mask = Q[a] > best_q + planner.TIE_TOL
+        best = np.where(mask, comp.pairs[a], best)
+        best_q = np.where(mask, Q[a], best_q)
     return best
 
 
@@ -190,9 +207,12 @@ def _polish(comp: _Compiled, cfg: planner.RewardConfig, choice: np.ndarray) -> n
     policy seen before also ends it).  The returned policy is, unless the
     100 rounds ran out, the last one evaluated, so the caller's own
     ``_exact_eval`` of it is a lookup."""
+    n = len(comp.states)
+    r = np.asarray(cfg.r)
     seen: set[bytes] = set()
     for _ in range(100):
-        new_choice = _select_value_consistent(cfg, *_branch_values(comp, *_exact_eval(comp, cfg, choice)))
+        S, M = _exact_eval(comp, cfg, choice)
+        new_choice = _select_value_consistent(comp, r, _branch_values(comp, np.column_stack((S, M.T)))) // n
         if np.array_equal(new_choice, choice):
             break
         key = new_choice.tobytes()
@@ -208,24 +228,24 @@ _Core = tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]
 
 
 def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig) -> _Core:
-    """Jacobi sweeps, then the exact polish."""
-    n = len(comp.states)
-    idx = np.arange(n)
-    S = np.zeros(n)
-    M = np.zeros((cfg.n_help, n))
+    """Jacobi sweeps, then the exact polish.  A sweep takes each state's
+    chosen row of the branch values as a whole: S and M of the next sweep
+    are one (n, 1 + K) array."""
+    A, n = comp.succ.shape
+    r = np.asarray(cfg.r)
+    X = np.zeros((n, 1 + cfg.n_help))
     converged = False
     for iterations in range(1, planner.MAX_SWEEPS + 1):
-        S_br, M_br = _branch_values(comp, S, M)
-        choice = _select_value_consistent(cfg, S_br, M_br)
-        new_S = S_br[choice, idx]
-        new_M = M_br[choice, :, idx].T
-        delta = max(float(np.max(np.abs(new_M - M), initial=0.0)),
-                    float(np.max(np.abs(new_S - S), initial=0.0)))
-        S, M = new_S, new_M
+        Y = _branch_values(comp, X)
+        pairs = _select_value_consistent(comp, r, Y)
+        new_X = Y.reshape(A * n, X.shape[1]).take(pairs, axis=0)
+        delta = float(np.max(np.abs(new_X - X), initial=0.0))
+        X = new_X
         if delta < planner.EPSILON:
             converged = True
             break
 
+    choice = pairs // n
     if converged:
         choice = _polish(comp, cfg, choice)
     S, M = _exact_eval(comp, cfg, choice)
@@ -235,14 +255,15 @@ def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig) -> _Core:
 def _to_solution(comp: _Compiled, cfg: planner.RewardConfig, core: _Core) -> planner.Solution:
     """String-keyed tables of one fixed point, terminal states included."""
     S, M, choice, iterations, converged = core
-    r = np.asarray(cfg.r)
-    usage = {s: tuple(float(M[i, j]) for i in range(cfg.n_help)) for s, j in comp.index.items()}
-    succ_tbl = {s: float(S[j]) for s, j in comp.index.items()}
-    value = {s: float(S[j] - r @ M[:, j]) for s, j in comp.index.items()}
-    policy = {s: comp.actions[choice[j]] for s, j in comp.index.items()}
+    states, actions = comp.states, comp.actions
+    usage = dict(zip(states, zip(*M.tolist())))
+    succ_tbl = dict(zip(states, S.tolist()))
+    # one dot product r @ M[:, j] per state: r @ M as a whole sums in another order
+    value = dict(zip(states, (S - (np.asarray(cfg.r) @ M.T[:, :, None])[:, 0]).tolist()))
+    policy = dict(zip(states, [actions[c] for c in choice.tolist()]))
     for s in comp.terminals:
         win = 1.0 if terminal_outcome(s) == "success" else 0.0
-        usage[s] = tuple(0.0 for _ in range(cfg.n_help))
+        usage[s] = (0.0,) * cfg.n_help
         succ_tbl[s] = win
         value[s] = win
     return planner.Solution(

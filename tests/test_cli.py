@@ -789,16 +789,28 @@ def test_import_loads_no_third_party_module():
     assert proc.stdout.strip() == "[]"
 
 
+def fresh_run(config: Path, out: Path, *commands: str, fork_read: bool = False) -> tuple[set[str], list[list[str]]]:
+    """The modules a fresh process holds after running ``commands`` in order
+    through ``cli.main``, and, for each fork it made, which of numpy and
+    scipy it held then.  With ``fork_read``, every counts.jsonl is read by
+    a forked worker (``pipeline`` is imported up front to set that)."""
+    setup = "from helpdp import pipeline; pipeline.FORK_MIN_BYTES = 0; pipeline._usable_cpus = lambda: 2"
+    code = ("import json, os, sys; from helpdp.cli import main; forks = []; fork = os.fork; "
+            "os.fork = lambda: forks.append(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})) "
+            "or fork(); exec(sys.argv[3]); "
+            "[main(['--config', sys.argv[1], '--out', sys.argv[2], c], standalone_mode=False) for c in sys.argv[4:]]; "
+            "print(json.dumps([sorted(sys.modules), forks]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(config), str(out), setup if fork_read else "", *commands],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules, forks = json.loads(proc.stdout.splitlines()[-1])
+    return set(modules), forks
+
+
 def modules_after(config: Path, out: Path, *commands: str) -> set[str]:
     """The modules a fresh process holds after running ``commands`` in order
     through ``cli.main``."""
-    code = ("import sys; from helpdp.cli import main; "
-            "[main(['--config', sys.argv[1], '--out', sys.argv[2], c], standalone_mode=False) "
-            "for c in sys.argv[3:]]; print(' '.join(sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code, str(config), str(out), *commands],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return fresh_run(config, out, *commands)[0]
 
 
 def numeric_libraries_after(config: Path, out: Path, *commands: str) -> list[str]:
@@ -828,18 +840,26 @@ def test_each_command_loads_only_the_helpdp_modules_it_calls(tmp_path):
     process compiles and runs no helpdp source it does not use; the config
     check needs no env, since EnvConfig lives in mdp.  The records are named
     tuples and slotted classes, so no command but `solve` and `search`, whose
-    scipy loads them, loads ``dataclasses`` or the ``inspect`` it imports."""
+    scipy loads them, loads ``dataclasses`` or the ``inspect`` it imports.
+    `solve` and `search`, made to fork their counts.jsonl reader, fork it
+    once and before numpy or scipy loads, as ``fork_jobs`` requires (no
+    thread runs yet); no command forks once either has loaded."""
     assert env.EnvConfig is mdp.EnvConfig and env.EnvError is mdp.EnvError
     slow = {"dataclasses", "inspect"}
 
-    def loaded_after(*commands: str) -> tuple[set[str], set[str]]:
-        modules = modules_after(REFERENCE_CONFIG, tmp_path / "out", *commands)
-        return {m.removeprefix("helpdp.") for m in modules if m.startswith("helpdp.")}, modules & slow
+    def loaded_after(*commands: str, fork_read: bool = False) -> tuple[set[str], set[str], list]:
+        modules, forks = fresh_run(REFERENCE_CONFIG, tmp_path / "out", *commands, fork_read=fork_read)
+        assert all(held == [] for held in forks), (commands, forks)
+        return {m.removeprefix("helpdp.") for m in modules if m.startswith("helpdp.")}, modules & slow, forks
 
-    assert loaded_after() == ({"cli", "mdp", "planner"}, set())
+    assert loaded_after() == ({"cli", "mdp", "planner"}, set(), [])
     for command, modules in COMMAND_MODULES.items():
-        want = ({"cli", "mdp", "planner"} | modules, slow if command in ("solve", "search") else set())
-        assert loaded_after(command) == want, command
+        solving = command in ("solve", "search")
+        helpdp_modules, slow_modules, forks = loaded_after(command, fork_read=solving)
+        assert (helpdp_modules, slow_modules) == ({"cli", "mdp", "planner"} | modules,
+                                                  slow if solving else set()), command
+        if solving:
+            assert forks == [[]], command  # the one reader, forked with neither library loaded
 
 
 @pytest.mark.parametrize("intervention", ["strong", "mcts"])
@@ -1280,6 +1300,31 @@ def test_solvable_rows_compile_to_the_reference_arrays(fitted, tmp_path, case, n
         assert any(a == "help2" for _, a in raw.probs)
 
 
+def test_search_and_solve_on_fitted_rows_match_the_sweep_reference(fitted, monkeypatch):
+    """reward_search on the reference chain's rows, and a K = 2 solve on the
+    "both" run's rows, give the same trace and solution bytes with the
+    solver's sweep and tables as with oracle.py's reference ones."""
+    from helpdp import planner, solver
+    from helpdp.mdp import _dump
+
+    ref_rows, both_rows = pipeline.solvable_rows(fitted["reference"], 1), pipeline.solvable_rows(fitted["both"], 2)
+    tasks = TaskSet.load(fitted["reference"].with_name("tasks.jsonl"))
+    starts = [initial_state(t).key() for t in tasks.train]
+    cfg1, cfg2 = planner.RewardConfig(r=(0.5,)), planner.RewardConfig(r=(0.3, 0.1))
+
+    def run() -> tuple:
+        res = planner.reward_search(ref_rows, 1.0, (0.0, 5.0), starts, cfg1)
+        return ([(r.hex(), eu.hex()) for r, eu in res.trace], res.r.hex(),
+                _dump(planner.solution_to_dict(res.solution)), _dump(planner.solution_to_dict(planner.solve(
+                    both_rows, None, cfg2))))
+
+    got = run()
+    monkeypatch.setattr(solver, "_fixed_point", oracle.sweep_fixed_point)
+    monkeypatch.setattr(solver, "_to_solution", oracle.sweep_tables)
+    assert run() == got
+    assert len(got[0]) > 2
+
+
 def _broken_counts(tmp_path: Path, case: str) -> tuple[Path, Path]:
     """A small run's config after gen, collect and fit, and its counts.jsonl
     broken as ``case`` says."""
@@ -1378,24 +1423,58 @@ class TestForkedSearch:
 
     @pytest.mark.parametrize("command", ["search", "solve"])
     def test_forked_read_writes_the_inline_bytes(self, tmp_path, monkeypatch, forks, command):
+        """The forked worker also takes the start keys from tasks.jsonl, so
+        this process never opens it; read inline, it does, and the bytes
+        written are the same."""
         cfg = write_config(tmp_path, "fs")
         for cmd in ("gen", "collect", "fit"):
             run_cmd(cfg, cmd)
         out = tmp_path / "fs"
         names = ("solution.json", "search.json") if command == "search" else ("solution.json",)
+        loads = []
+        load = TaskSet.load.__func__
+        monkeypatch.setattr(TaskSet, "load", classmethod(lambda cls, path: loads.append(path) or load(cls, path)))
         forked_output = run_cmd(cfg, command)
         assert forks == [(out / "counts.jsonl", 1)]
+        assert loads == []  # the worker read tasks.jsonl, in its own memory
         forked = {name: (out / name).read_bytes() for name in names}
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         assert run_cmd(cfg, command) == forked_output
         assert len(forks) == 1  # the inline read forked nothing
+        assert loads == [out / "tasks.jsonl"]
         assert {name: (out / name).read_bytes() for name in names} == forked
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+    @pytest.mark.parametrize("command", ["search", "solve"])
+    def test_a_bad_counts_file_is_reported_before_a_missing_tasks_file(self, tmp_path, monkeypatch, capsys,
+                                                                        restore_gc, command, cpus):
+        """The reader takes the start keys after the counts, in the worker or
+        inline: with tasks.jsonl missing, a malformed counts.jsonl still
+        exits 1 naming its record, and good counts exit 2 naming tasks.jsonl."""
+        bad_cfg, bad = _broken_counts(tmp_path, "count=0")
+        good_cfg = write_config(tmp_path, "good")
+        for cmd in ("gen", "collect", "fit"):
+            run_cmd(good_cfg, cmd)
+        good = tmp_path / "good" / "counts.jsonl"
+        for counts in (bad, good):
+            counts.with_name("tasks.jsonl").unlink()
+        forks = _force_read(monkeypatch, cpus)
+        for cfg, code, message in ((bad_cfg, 1, f"error: {bad}: record ("),
+                                   (good_cfg, 2, f"usage error: {good.with_name('tasks.jsonl')} missing; run `gen`")):
+            monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
+            with pytest.raises(SystemExit) as exc:
+                cli()
+            assert exc.value.code == code
+            assert capsys.readouterr().err.startswith(message)
+            assert not (cfg.parent / cfg.stem / "solution.json").exists()
+        assert forks == ([(bad, 1), (good, 1)] if cpus == 2 else [])
+        assert_no_child_left()
 
     def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, forks):
         _, path = _broken_counts(tmp_path, "terminal-source")
         ran = []
         with pytest.raises(DataError, match=re.escape("terminal source state: 'room=0|outcome=success'")):
-            pipeline.read_solvable_rows(path, 1, lambda: ran.append(True))
+            pipeline.read_solvable_rows(path, 1, lambda: ran.append(True), list)
         assert forks == [(path, 1)] and ran == [True]
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])

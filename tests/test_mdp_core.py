@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpdp import fixtures, pipeline
+from helpdp import fixtures, mdp, pipeline
 from helpdp.env import EnvConfig, TaskSet, generate_tasks, strong_actor
 from helpdp.mdp import (
     NOHELP,
@@ -19,6 +19,7 @@ from helpdp.mdp import (
     SuccessModel,
     canonical_action,
     count_line,
+    dump_pieces,
     estimate_success,
     help_action,
     help_index,
@@ -256,6 +257,20 @@ class TestJsonWriting:
         with pytest.raises(ValueError, match="Circular reference"):
             _dump({"x": loop})
         assert _dump(rec) == '{"a":{"b":[1]}}'
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 2048])
+    def test_dump_pieces_join_to_the_dump(self, monkeypatch, piece):
+        """Pieces of a document whose object members are cut ``piece``
+        entries at a time: in sorted key order whatever the insertion order,
+        including the empty object and members that are not objects."""
+        monkeypatch.setattr(mdp, "DUMP_PIECE", piece)
+        rng = random.Random(piece)
+        table = {f"s{i:02d}|outcome={'x→'[i % 2]}": [rng.random(), i] for i in rng.sample(range(40), 40)}
+        doc = {"table": table, "b": 1.5, "a": {}, "z": self.RECORDS[0], "ö": {"2": None, "10": (1,)}}
+        for rec in (doc, *self.RECORDS, {}):
+            assert "".join(dump_pieces(rec)) == _dump(rec) + "\n"
+        longest = max(map(len, dump_pieces(doc)))
+        assert longest < len(_dump(table)) if piece < len(table) else longest == len(_dump(table))
 
     def test_rewrite_replaces_the_file(self, tmp_path):
         path = tmp_path / "a.jsonl"

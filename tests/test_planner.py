@@ -317,6 +317,58 @@ def test_multi_help_solutions_are_golden(n_help, seed, variant):
     assert hashlib.sha256(doc.encode()).hexdigest() == MULTI_HELP_GOLDEN[(n_help, seed, variant)]
 
 
+def _sweep_cases():
+    """(id, model, costs): cyclic random models at K = 1, 2 and 3, the
+    corridor with its nohelp self-loop, and exact ties between nohelp and
+    help (mdp_a at r = 0.7) and between two identical helps."""
+    cases = [("tie-nohelp-help", fixtures.mdp_a()[0], (0.7,)),
+             ("tie-help1-help2", _with_clone_help2(fixtures.mdp_b()[0], "help1"), (0.3, 0.3))]
+    cases += [(f"corridor-r{r}", fixtures.corridor_mdp()[0], (r,)) for r in (0.0, 0.05, 0.3, 1.0)]
+    costs = {1: [(0.0,), (0.1,), (0.3,), (2.0,)], 2: [(0.0, 0.0), MULTI_HELP_COSTS[2], (0.5, 0.5)],
+             3: [(0.0, 0.0, 0.0), MULTI_HELP_COSTS[3], (0.5, 0.5, 0.5)]}
+    for k, rs in costs.items():
+        for seed in range(3):
+            model, _ = fixtures.random_mdp(seed, 7, n_help=k)
+            cases += [(f"random-K{k}-seed{seed}-r{list(r)}", model, r) for r in rs]
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+def assert_same_core(got, want) -> None:
+    """Two (S, M, choice, iterations, converged) are equal bit for bit."""
+    for a, b in zip(got[:3], want[:3]):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    assert got[3:] == want[3:]
+
+
+class TestSweepMatchesTheReference:
+    """The solver's sweep (one sparse product per sweep over [S | M]), its
+    polish and its whole-array tables equal oracle.py's reference, which
+    keeps S and M apart and builds the tables state by state."""
+
+    @pytest.mark.parametrize("model,r", [c[1:] for c in SWEEP_CASES], ids=[c[0] for c in SWEEP_CASES])
+    def test_fixed_point_and_tables_are_bit_equal(self, model, r):
+        cfg = RewardConfig(r=r)
+        comp, ref_comp = solver._compile(model, cfg.n_help), solver._compile(model, cfg.n_help)
+        core, ref = solver._fixed_point(comp, cfg), oracle.sweep_fixed_point(ref_comp, cfg)
+        assert core[4]
+        assert_same_core(core, ref)
+        got = json.dumps(planner.solution_to_dict(solver._to_solution(comp, cfg, core)), sort_keys=True)
+        assert got == json.dumps(planner.solution_to_dict(oracle.sweep_tables(ref_comp, cfg, ref)), sort_keys=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_unconverged_sweeps_are_bit_equal(self, monkeypatch, k):
+        # the cap stops both mid-way, so the choice is the last sweep's, unpolished
+        monkeypatch.setattr(planner, "MAX_SWEEPS", 2)
+        model, _ = fixtures.random_mdp(1, 7, n_help=k)
+        cfg = RewardConfig(r=(0.1,) * k)
+        core = solver._fixed_point(solver._compile(model, k), cfg)
+        assert core[3:] == (2, False)
+        assert_same_core(core, oracle.sweep_fixed_point(solver._compile(model, k), cfg))
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("r", [0.0, 0.1, 0.3, 0.5, 0.8, 1.2])
     def test_fixtures_residual(self, r):
