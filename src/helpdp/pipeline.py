@@ -25,8 +25,9 @@ as ``env.strong_actor`` with its noise bound or the picker of ``mcts_pick``.
 
 Every worker process comes from ``fork_jobs``: ``collect``'s and ``eval``'s
 episode slices and the reader of ``solve`` and ``search``, which takes the
-solver's rows from ``counts.jsonl`` and then the start keys from
-``tasks.jsonl`` (``read_solvable_rows``).
+solver's rows from ``counts.jsonl``, laid out and checked for properness by
+``planner.model_rows``, and then the start keys from ``tasks.jsonl``
+(``read_solvable_rows``).
 """
 from __future__ import annotations
 
@@ -56,13 +57,11 @@ from .mdp import (
     read_json,
     read_jsonl,
     record_error,
-    terminal_outcome,
     write_lines,
 )
-from .planner import HELPER_MODES, ModelRows, Solution
+from .planner import HELPER_MODES, UNKNOWN_FAILURE, ModelRows, Solution, model_rows
 from .rollouts import Episode, RolloutLog, Step, episode_line
 
-UNKNOWN_FAILURE = "unknown|outcome=failure"
 T = TypeVar("T")
 
 
@@ -378,10 +377,10 @@ def restrict_to_solvable(model: TransitionModel, n_help: int) -> TransitionModel
 
 
 def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
-    """``restrict_to_solvable(normalize(CountTable.load(path)), n_help)`` laid
-    out as the solver's rows, read in one pass over ``counts.jsonl`` with no
-    CountTable or TransitionModel built; ``solver._compile`` makes the same
-    arrays of either.
+    """``counts.jsonl`` as the solver's rows (``planner.model_rows``), read in
+    one pass with no CountTable or TransitionModel built: the states, the
+    restriction and the probabilities of
+    ``restrict_to_solvable(normalize(CountTable.load(path)), n_help)``.
 
     Each record is refused as ``CountTable.load`` refuses it, with its
     message naming the path and the record: a count that is not a positive
@@ -389,16 +388,15 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
     state, an unknown action.  States and actions are checked where they
     first appear, so an unhashable one is refused as a malformed record.
     Duplicate records add up.  An empty file raises "no data", as
-    ``normalize`` does, and one with no state carrying every action row of
-    0..``n_help`` raises ``restrict_to_solvable``'s PipelineError.  Each probability is a count over its row's total, and
-    successors off the solvable states go to ``UNKNOWN_FAILURE``, as in
-    ``restrict_to_solvable``; rows of help types past ``n_help`` add only
-    their terminal successors to ``terminals``, as they add them to that
-    model's support.  Each row's successors are taken in sorted order, as
-    ``CountTable.items`` gives them, so the records may come in any order.
+    ``normalize`` does.  Each count row is divided by its total in place,
+    as ``normalize`` divides it; ``model_rows`` then refuses a file with no
+    state carrying every action row of 0..``n_help``, and one whose
+    restricted model is improper.  ``model_rows`` takes each row's
+    successors in sorted order, as ``CountTable.items`` gives them, so the
+    records may come in any order.
     """
     names: dict[str, str] = {}  # one object per state key, however many records repeat it
-    table: dict[tuple[str, str], dict[str, int]] = {}  # (state, action) -> next -> count
+    table: dict[tuple[str, str], dict[str, float]] = {}  # (state, action) -> next -> count, then probability
     for rec in read_jsonl(path, "state"):
         try:
             s, a, s2, c = rec["state"], rec["action"], rec["next"], rec["count"]
@@ -418,55 +416,11 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
             raise record_error(path, rec, COUNT_FIELDS, exc) from None
     if not table:
         raise DataError("no data")
-
-    actions = {a: ai for ai, a in enumerate(action_order(n_help))}
-    coverage: dict[str, int] = {}
-    for s, a in table:
-        if a in actions:
-            coverage[s] = coverage.get(s, 0) + 1
-    states = sorted(s for s, k in coverage.items() if k == len(actions))
-    if not states:
-        raise PipelineError("no state has full action coverage")
-    index = {s: i for i, s in enumerate(states)}
-    outcome = {s: o for s in names if (o := terminal_outcome(s)) is not None}
-    n = len(states)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    succ = [0.0] * (len(actions) * n)
-    exits = [0] * (len(actions) * n)
-    terminals: set[str] = set()
-    for (s, a), row in table.items():
-        i = index.get(s)
-        if i is None:
-            continue
-        ai = actions.get(a)
-        at = None if ai is None else ai * n + i  # None: a help type past n_help
+    for row in table.values():
         total = sum(row.values())
-        remapped = False
-        for s2 in sorted(row):
-            j = index.get(s2)
-            if j is not None:
-                if at is not None:
-                    rows.append(at)
-                    cols.append(j)
-                    vals.append(row[s2] / total)
-                continue
-            o = outcome.get(s2)
-            if o is None:
-                remapped = True
-                continue
-            terminals.add(s2)
-            if at is not None:
-                exits[at] += 1
-                if o == "success":
-                    succ[at] += row[s2] / total
-        if remapped:
-            terminals.add(UNKNOWN_FAILURE)
-            if at is not None and UNKNOWN_FAILURE not in row:
-                exits[at] += 1
-    return ModelRows(states=states, terminals=sorted(terminals), n_help=n_help, rows=rows, cols=cols,
-                     vals=vals, succ=succ, exits=exits, observed=len(names) - len(outcome))
+        for s2, c in row.items():
+            row[s2] = c / total
+    return model_rows(table, n_help)
 
 
 # solvable_rows reads about 25 MB of counts.jsonl a second, and a forked

@@ -16,28 +16,32 @@ and the ``Solution`` tables are built from whole arrays.  ``reward_search``
 compiles once per search and runs every probe on those arrays; string keys
 appear only in the ``Solution`` tables, built for the returned probe alone,
 and a probe's E[U] sums its starts' usage as ``expected_usage`` does, in
-start order.  Either takes a ``TransitionModel`` or a ``ModelRows``: the
-model already laid out in the solver's rows, which ``pipeline.solvable_rows``
-reads straight from ``counts.jsonl`` for the ``solve`` and ``search``
-commands.  This module holds the types, the budget's definition and the
-solution files in plain Python, and imports ``solver`` (numpy and scipy)
-only when ``solve`` or ``reward_search`` is called, or ``import_solver``
-is, so every command that does not solve runs without either library.
+start order.  Either takes a ``TransitionModel`` or a ``ModelRows``, the
+model laid out in the solver's rows.  ``model_rows`` builds every
+``ModelRows``: from a ``TransitionModel``'s rows once none is missing, and
+from ``counts.jsonl``'s for the ``solve`` and ``search`` commands
+(``pipeline.solvable_rows``); it keeps the states with every action row and
+refuses an improper model.  This module holds the types, the row layout,
+the budget's definition and the solution files in plain Python, and imports
+``solver`` (numpy and scipy) only when ``solve`` or ``reward_search`` is
+called, or ``import_solver`` is, so every command that does not solve runs
+without either library.
 """
 from __future__ import annotations
 
 import math
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .mdp import (Checked, DataError, SuccessModel, TransitionModel, _dump, action_order, are_actions, are_numbers,
-                  check_table, is_whole, read_json)
+                  check_table, is_whole, read_json, terminal_outcome)
 
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
 MAX_SWEEPS = 10_000  # a fixed point still moving after this many sweeps is unconverged
 HELPER_MODES = ("all_states", "trajectory_only")  # how `annotate` distills a solution (pipeline.build_helper)
+UNKNOWN_FAILURE = "unknown|outcome=failure"  # model_rows' target for a successor off the kept states
 
 
 class PlannerError(ValueError):
@@ -80,16 +84,14 @@ class RewardConfig(Checked, _RewardConfig):
 
 class ModelRows(NamedTuple):
     """A model in the solver's layout, in plain Python lists: the input that
-    ``solver._compile`` turns into arrays.
+    ``solver._compile`` turns into arrays.  ``model_rows`` builds it.
 
     ``states`` are the sorted non-terminal states and ``terminals`` the sorted
     terminal keys of the support.  Over the A = K + 1 actions of
-    ``action_order(n_help)``, pair (a, s) is entry a * n + s of ``succ`` (its
-    mass reaching terminal success) and ``exits`` (its distinct terminal
-    successors), and row a * n + s of the coordinate lists ``rows``, ``cols``
-    and ``vals``, which hold its mass on each non-terminal successor.
-    ``observed`` counts the non-terminal states the model was cut from: a
-    fitted model's states before ``restrict_to_solvable`` kept ``states``.
+    ``action_order(n_help)``, pair (a, s) is entry a * n + s of ``succ``, its
+    mass reaching terminal success, and row a * n + s of the coordinate lists
+    ``rows``, ``cols`` and ``vals``, which hold its mass on each non-terminal
+    successor.
     """
 
     states: list[str]
@@ -99,8 +101,94 @@ class ModelRows(NamedTuple):
     cols: list[int]
     vals: list[float]
     succ: list[float]
-    exits: list[int]
-    observed: int
+
+
+def model_rows(probs: Mapping[tuple[str, str], Mapping[str, float]], n_help: int) -> ModelRows:
+    """The solver's layout of ``probs``, rows of (state, action) -> next
+    state -> probability, whose probabilities are taken as they are.
+
+    It keeps the states that have a row for every action of
+    ``action_order(n_help)``; a successor that is neither kept nor terminal
+    goes to ``UNKNOWN_FAILURE``, so the kept states form a complete chain.
+    Rows of help types past ``n_help`` keep and drop no state and add only
+    their terminal successors to ``terminals``.  Each row's successors are
+    taken in sorted order.  Raises PlannerError when no state is kept, and
+    when the model is improper: some policy would have a recurrent class
+    with no terminal, where undiscounted S and M are undefined and the
+    policy's evaluation system is singular.
+    """
+    actions = {a: ai for ai, a in enumerate(action_order(n_help))}
+    coverage: dict[str, int] = {}
+    for s, a in probs:
+        if a in actions:
+            coverage[s] = coverage.get(s, 0) + 1
+    states = sorted(s for s, k in coverage.items() if k == len(actions))
+    if not states:
+        raise PlannerError("no state has full action coverage")
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    succ = [0.0] * (len(actions) * n)
+    leaves = [False] * (len(actions) * n)  # pair a * n + s has a terminal successor
+    preds: list[list[int]] = [[] for _ in states]  # entry j: the pairs a * n + s with an edge s -a-> j
+    outcome: dict[str, str] = {}  # terminal_outcome of each successor off the kept states
+    for (s, a), row in probs.items():
+        i = index.get(s)
+        if i is None:
+            continue
+        ai = actions.get(a)
+        at = None if ai is None else ai * n + i  # None: a help type past n_help
+        for s2 in sorted(row):
+            j = index.get(s2)
+            if j is not None:
+                if at is not None:
+                    rows.append(at)
+                    cols.append(j)
+                    vals.append(row[s2])
+                    preds[j].append(at)
+                continue
+            o = outcome.get(s2)
+            if o is None:
+                o = outcome[s2] = terminal_outcome(s2) or "remapped"
+            if at is not None:
+                leaves[at] = True
+                if o == "success":
+                    succ[at] += row[s2]
+    terminals = sorted({UNKNOWN_FAILURE if o == "remapped" else s2 for s2, o in outcome.items()})
+    _refuse_improper(states, leaves, preds)
+    return ModelRows(states=states, terminals=terminals, n_help=n_help, rows=rows, cols=cols, vals=vals,
+                     succ=succ)
+
+
+def _refuse_improper(states: list[str], leaves: list[bool], preds: list[list[int]]) -> None:
+    """Raise PlannerError if some nonempty set B of the non-terminal states
+    is trapping: every s in B has an action whose whole successor support
+    stays inside B.
+
+    One worklist pass over the edges finds the largest such B.  ``leaves``
+    marks the pairs a * n + s with a successor outside the live set
+    (terminals always are); it is updated in place as states leave the set,
+    which a state does once every action's pair is marked.
+    """
+    n = len(states)
+    keeps = [0] * n  # each state's unmarked pairs
+    for pair, out in enumerate(leaves):
+        if not out:
+            keeps[pair % n] += 1
+    work = [i for i, k in enumerate(keeps) if k == 0]
+    while work:
+        for pair in preds[work.pop()]:
+            if not leaves[pair]:
+                leaves[pair] = True
+                i = pair % n
+                keeps[i] -= 1
+                if keeps[i] == 0:
+                    work.append(i)
+    alive = [s for s, k in zip(states, keeps) if k]
+    if alive:
+        raise PlannerError(f"improper chain: trapping non-terminal states {alive[:5]}")
 
 
 class Solution(NamedTuple):
@@ -131,8 +219,22 @@ def solve(model: TransitionModel | ModelRows, success: SuccessModel | None, cfg:
     ``env.exact_models`` returns."""
     from . import solver
 
-    comp = solver._compile(model, cfg.n_help)
+    comp = solver._compile(_laid_out(model, cfg.n_help), cfg.n_help)
     return solver._to_solution(comp, cfg, solver._fixed_point(comp, cfg))
+
+
+def _laid_out(model: TransitionModel | ModelRows, n_help: int) -> ModelRows:
+    """``model`` as the solver's rows.  A TransitionModel must have every
+    action row of every non-terminal state of its support, so that
+    ``model_rows`` keeps all of them."""
+    if isinstance(model, ModelRows):
+        return model
+    states = model.nonterminal_states()
+    for a in action_order(n_help):
+        for s in states:
+            if model.row(s, a) is None:
+                raise PlannerError(f"missing action row ({s!r}, {a!r})")
+    return model_rows(model.probs, n_help)
 
 
 def expected_usage(sol: Solution, starts: Sequence[str]) -> tuple[float, ...]:
@@ -191,7 +293,7 @@ def reward_search(
         raise PlannerError("no start states")
     from . import solver
 
-    comp = solver._compile(model, cfg.n_help)
+    comp = solver._compile(_laid_out(model, cfg.n_help), cfg.n_help)
     # terminal and off-model starts add zero usage but stay in the mean
     cols = [comp.index[s] for s in starts if s in comp.index]
     trace: list[tuple[float, float]] = []
@@ -259,8 +361,9 @@ def load_solution(path: str | Path) -> Solution:
 def _solution_from_dict(doc: dict) -> Solution:
     """The inverse of ``solution_to_dict``.  ``r`` must be a non-empty list
     of numbers, whose length is K, ``converged`` a boolean, ``iterations``
-    an integer, and each table must map state keys to values of its shape;
-    every check runs over a whole table at once."""
+    an integer, ``expected_usage`` null (or absent) or a list of K numbers,
+    and each table must map state keys to values of its shape; every check
+    runs over a whole table at once."""
     r = doc["r"]
     if type(r) is not list or not r or not are_numbers(r):
         raise DataError(f"r must be a non-empty list of numbers, got {_dump(r)[:80]}")
@@ -269,6 +372,9 @@ def _solution_from_dict(doc: dict) -> Solution:
     if not is_whole(doc["iterations"]):
         raise DataError(f"iterations must be an integer, got {_dump(doc['iterations'])[:80]}")
     k = len(r)
+    eu = doc.get("expected_usage")
+    if eu is not None and not (type(eu) is list and len(eu) == k and are_numbers(eu)):
+        raise DataError(f"expected_usage must be null or a list of {k} numbers, got {_dump(eu)[:80]}")
     policy = check_table("policy", doc["policy"], f"actions of {action_order(k)}", lambda acts: are_actions(acts, k))
     usage = check_table("usage", doc["usage"], f"lists of {k} numbers", lambda us: (
         set(map(type, us)) <= {list} and set(map(len, us)) <= {k} and are_numbers(list(chain.from_iterable(us)))))
@@ -280,5 +386,5 @@ def _solution_from_dict(doc: dict) -> Solution:
         r=tuple(r),
         iterations_run=doc["iterations"],
         converged=doc["converged"],
-        expected_usage=tuple(doc["expected_usage"]) if doc.get("expected_usage") else None,
+        expected_usage=None if eu is None else tuple(eu),
     )

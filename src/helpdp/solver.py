@@ -9,10 +9,9 @@ The model is compiled once into action-indexed arrays over the A = K + 1
 actions (nohelp, help1..helpK) and the n non-terminal states: one sparse
 (A*n, n) matrix whose row a*n + s holds the non-terminal successors of s
 under action a, and an (A, n) array of the mass that reaches terminal
-success.  One builder makes them from a ``planner.ModelRows``: the ``solve``
-and ``search`` commands read those rows straight from ``counts.jsonl``
-(``pipeline.solvable_rows``), and a ``TransitionModel`` is first laid out as
-rows by ``_rows``.
+success.  They are made from a ``planner.ModelRows``, which
+``planner.model_rows`` has laid out and checked for properness, so this
+module only computes.
 
 A sweep keeps S and M side by side in one (n, 1 + K) array X, so one sparse
 product ``P @ X`` gives the branch values of every action, (A, n, 1 + K),
@@ -36,7 +35,7 @@ from scipy import sparse
 from scipy.sparse import linalg
 
 from . import planner
-from .mdp import TransitionModel, action_order, terminal_outcome
+from .mdp import action_order, terminal_outcome
 
 
 @dataclass
@@ -54,87 +53,21 @@ class _Compiled:
     evals: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _rows(model: TransitionModel, n_help: int) -> planner.ModelRows:
-    """``model`` in the solver's layout; every state needs every action row."""
-    states = model.nonterminal_states()
-    index = {s: i for i, s in enumerate(states)}
-    actions = action_order(n_help)
-    n = len(states)
-    rows, cols, vals = [], [], []
-    succ = [0.0] * (len(actions) * n)
-    exits = [0] * (len(actions) * n)
-    for ai, a in enumerate(actions):
-        for s in states:
-            row = model.row(s, a)
-            if row is None:
-                raise planner.PlannerError(f"missing action row ({s!r}, {a!r})")
-            at = ai * n + index[s]
-            for s2, p in row.items():
-                outcome = terminal_outcome(s2)
-                if outcome is not None:
-                    exits[at] += 1
-                    if outcome == "success":
-                        succ[at] += p
-                else:
-                    rows.append(at)
-                    cols.append(index[s2])
-                    vals.append(p)
-    terminals = sorted(s for s in model.support if terminal_outcome(s) is not None)
-    return planner.ModelRows(states=states, terminals=terminals, n_help=n_help, rows=rows, cols=cols,
-                             vals=vals, succ=succ, exits=exits, observed=n)
-
-
-def _compile(model: TransitionModel | planner.ModelRows, n_help: int) -> _Compiled:
-    """The arrays of a model, given as rows or laid out as rows first."""
-    rows = model if isinstance(model, planner.ModelRows) else _rows(model, n_help)
+def _compile(rows: planner.ModelRows, n_help: int) -> _Compiled:
+    """The arrays of a model laid out as rows."""
     if rows.n_help != n_help:
         raise planner.PlannerError(f"model rows are laid out for K={rows.n_help}, not K={n_help}")
     actions = action_order(n_help)
     shape = (len(actions), len(rows.states))
-    # explicit zeros stay stored, so the sparsity pattern is the row support
     P = sparse.csr_matrix((rows.vals, (rows.rows, rows.cols)), shape=(shape[0] * shape[1], shape[1]))
     succ = np.array(rows.succ, dtype=float).reshape(shape)
     base = np.zeros(shape + (1 + n_help,))
     base[:, :, 0] = succ
     for a in range(1, shape[0]):
         base[a, :, a] = 1.0
-    comp = _Compiled(states=rows.states, index={s: i for i, s in enumerate(rows.states)}, actions=actions,
+    return _Compiled(states=rows.states, index={s: i for i, s in enumerate(rows.states)}, actions=actions,
                      n_help=n_help, P=P, succ=succ, terminals=rows.terminals,
                      pairs=np.arange(shape[0] * shape[1]).reshape(shape), base=base)
-    _check_absorbing(comp, np.array(rows.exits, dtype=int).reshape(shape))
-    return comp
-
-
-def _check_absorbing(comp: _Compiled, exits: np.ndarray) -> None:
-    """Reject a model on which some policy admits a terminal-free recurrent
-    class: undiscounted S and M are undefined there, and the policy's
-    evaluation system is singular.
-
-    A nonempty set B of non-terminal states is trapping iff every s in B has
-    some action whose whole successor support stays inside B.  One worklist
-    pass over the edges finds the largest such B: ``out`` counts the
-    successors of each (action, state) outside the live set (terminals
-    always are); a state leaves once no action has ``out == 0``.
-    """
-    n = len(comp.states)
-    # column j lists the pairs a * n + s with an edge s -a-> j
-    into = comp.P.tocsc()
-    preds, bounds = into.indices.tolist(), into.indptr.tolist()
-    out = exits.ravel().tolist()
-    keeps = np.count_nonzero(exits == 0, axis=0).tolist()  # actions with out == 0
-    work = [i for i, k in enumerate(keeps) if k == 0]
-    while work:
-        j = work.pop()
-        for pair in preds[bounds[j]:bounds[j + 1]]:
-            out[pair] += 1
-            if out[pair] == 1:
-                i = pair % n
-                keeps[i] -= 1
-                if keeps[i] == 0:
-                    work.append(i)
-    alive = [s for s, k in zip(comp.states, keeps) if k]
-    if alive:
-        raise planner.PlannerError(f"improper chain: trapping non-terminal states {alive[:5]}")
 
 
 def _branch_values(comp: _Compiled, X: np.ndarray) -> np.ndarray:

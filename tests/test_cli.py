@@ -709,6 +709,10 @@ ACTIONS = "actions of ['nohelp', 'help1']"
     ("annotate", "solution.json", _put("value", {"a": None}), "DataError: value must map state keys to numbers)"),
     ("annotate", "solution.json", _put("converged", "no"), 'DataError: converged must be true or false, got "no")'),
     ("annotate", "solution.json", _put("iterations", "x"), 'DataError: iterations must be an integer, got "x")'),
+    ("annotate", "solution.json", _put("expected_usage", "abc"),
+     'DataError: expected_usage must be null or a list of 1 numbers, got "abc")'),
+    ("annotate", "solution.json", _put("expected_usage", [1, 2]),
+     "DataError: expected_usage must be null or a list of 1 numbers, got [1,2])"),
     ("eval", "helper.json", _put("table", [["s", "help1"]]), f"DataError: table must map state keys to {ACTIONS})"),
     ("eval", "helper.json", _put("table", {"s": "help2"}), f"DataError: table must map state keys to {ACTIONS})"),
     ("eval", "helper.json", _put("fallback", "help"),
@@ -718,7 +722,8 @@ ACTIONS = "actions of ['nohelp', 'help1']"
 ], ids=["annotate-solution-truncated", "annotate-solution-no-policy", "eval-solution-truncated",
         "eval-solution-no-policy", "eval-helper-truncated", "eval-helper-no-table", "solution-r-empty",
         "solution-policy-a-list", "solution-policy-not-actions", "solution-usage-not-lists", "solution-success-text",
-        "solution-value-null", "solution-converged-a-string", "solution-iterations-a-string", "helper-table-a-list",
+        "solution-value-null", "solution-converged-a-string", "solution-iterations-a-string",
+        "solution-expected-usage-a-string", "solution-expected-usage-too-long", "helper-table-a-list",
         "helper-table-not-actions", "helper-fallback-not-an-action", "helper-mode-unknown"])
 def test_a_corrupt_solution_or_helper_exits_1_naming_its_file(tmp_path, monkeypatch, capsys, restore_gc,
                                                                command, name, edit, cause):
@@ -1270,6 +1275,45 @@ def _counts_input(fitted: dict[str, Path], case: str, tmp_path: Path) -> Path:
     return path
 
 
+def assert_rows_are_the_dense_arrays(rows, model: mdp.TransitionModel, n_help: int) -> None:
+    """``rows`` hold what oracle.py's dense arrays of ``model`` hold, every
+    float equal: the states, the terminal keys of the support, each entry
+    of every action's transition matrix and its success mass."""
+    import numpy as np
+
+    actions = mdp.action_order(n_help)
+    states, _, P, succ = oracle._dense_arrays(model, actions)
+    n = len(states)
+    assert (rows.states, rows.n_help) == (states, n_help)
+    assert rows.terminals == sorted(s for s in model.support if mdp.is_terminal(s))
+    assert len(set(zip(rows.rows, rows.cols))) == len(rows.rows) == len(rows.vals)  # no entry twice
+    dense = np.zeros((len(actions) * n, n))
+    dense[rows.rows, rows.cols] = rows.vals
+    for ai, a in enumerate(actions):
+        assert dense[ai * n:(ai + 1) * n].tolist() == P[a].tolist()
+        assert rows.succ[ai * n:(ai + 1) * n] == succ[a].tolist()
+
+
+def _reference_exact_model() -> tuple:
+    run = Run(str(REFERENCE_CONFIG), None, None)
+    tasks = generate_tasks(run.env, run.seed)
+    return env.exact_models(tasks.train, eta=run.env.eta, eta_strong=run.env.eta_strong)
+
+
+@pytest.mark.parametrize("build,n_help", [
+    (fixtures.mdp_a, 1), (fixtures.mdp_b, 1), (fixtures.corridor_mdp, 1),
+    (lambda: fixtures.random_mdp(3, 30, n_help=1), 1), (lambda: fixtures.random_mdp(4, 30, n_help=2), 2),
+    (lambda: fixtures.random_mdp(5, 30, n_help=3), 3), (_reference_exact_model, 1),
+], ids=["mdp_a", "mdp_b", "corridor_mdp", "random-K1", "random-K2", "random-K3", "reference-exact"])
+def test_model_rows_are_the_dense_reference_arrays(build, n_help):
+    """planner.model_rows lays out a complete model, entry for entry, as
+    oracle.py's independent dense arrays do."""
+    from helpdp import planner
+
+    model, _ = build()
+    assert_rows_are_the_dense_arrays(planner.model_rows(model.probs, n_help), model, n_help)
+
+
 @pytest.mark.parametrize("case,n_help", [
     ("reference", 1), ("both", 2), ("both", 1), ("truncated", 1), ("reordered", 1),
 ])
@@ -1278,22 +1322,23 @@ def test_solvable_rows_compile_to_the_reference_arrays(fitted, tmp_path, case, n
     restrict_to_solvable chain compile to equal arrays.  At K = 1 the help2
     rows of a "both" log neither keep nor drop a state, but their terminal
     successors stay in the support."""
-    from helpdp import solver
+    from helpdp import planner, solver
 
     path = _counts_input(fitted, case, tmp_path)
     raw = normalize(CountTable.load(path))
     model = restrict_to_solvable(raw, n_help)
     rows = pipeline.solvable_rows(path, n_help)
-    got, want = solver._compile(rows, n_help), solver._compile(model, n_help)
+    reference = planner.model_rows(model.probs, n_help)
+    got, want = solver._compile(rows, n_help), solver._compile(reference, n_help)
     assert got.states == want.states
     for name in ("indptr", "indices", "data"):
         assert getattr(got.P, name).tolist() == getattr(want.P, name).tolist()
     assert got.succ.tolist() == want.succ.tolist()
     assert got.terminals == want.terminals
-    reference = solver._rows(model, n_help)
-    assert (rows.succ, rows.exits) == (reference.succ, reference.exits)
-    assert rows.observed == len(raw.nonterminal_states())
-    assert len(rows.states) < rows.observed
+    assert rows.succ == reference.succ
+    assert_rows_are_the_dense_arrays(reference, model, n_help)
+    assert_rows_are_the_dense_arrays(rows, model, n_help)
+    assert len(rows.states) < len(raw.nonterminal_states())
     if case == "truncated":
         assert pipeline.UNKNOWN_FAILURE in rows.terminals
     if case == "both" and n_help == 1:
@@ -1325,13 +1370,13 @@ def test_search_and_solve_on_fitted_rows_match_the_sweep_reference(fitted, monke
     assert len(got[0]) > 2
 
 
-def _broken_counts(tmp_path: Path, case: str) -> tuple[Path, Path]:
+def _broken_counts(tmp_path: Path, case: str, out: str = "badc") -> tuple[Path, Path]:
     """A small run's config after gen, collect and fit, and its counts.jsonl
     broken as ``case`` says."""
-    cfg = write_config(tmp_path, "badc")
+    cfg = write_config(tmp_path, out)
     for cmd in ("gen", "collect", "fit"):
         run_cmd(cfg, cmd)
-    path = tmp_path / "badc" / "counts.jsonl"
+    path = tmp_path / out / "counts.jsonl"
     header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     records = [json.loads(line) for line in lines]
     if case == "terminal-source":
@@ -1346,6 +1391,8 @@ def _broken_counts(tmp_path: Path, case: str) -> tuple[Path, Path]:
         del records[0]["state"]
     elif case == "header-only":
         records = []
+    elif case == "improper":  # every row of "trap" loops back to it, so no policy leaves it
+        records += [{"state": "trap", "action": a, "next": "trap", "count": 1} for a in ("nohelp", "help1")]
     else:  # "no-coverage": no help1 row anywhere
         records = [r for r in records if r["action"] != "help1"]
     path.write_text(header + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -1385,6 +1432,33 @@ def test_search_refuses_malformed_counts_like_the_reference(tmp_path, monkeypatc
     assert forks == ([(path, 1)] if cpus == 2 else [])
     assert not (tmp_path / "badc" / "solution.json").exists()
     assert not (tmp_path / "badc" / "search.json").exists()
+
+
+IMPROPER = "error: improper chain: trapping non-terminal states ['trap']\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+@pytest.mark.parametrize("command", ["search", "solve"])
+def test_an_improper_counts_file_is_refused_by_the_reader(tmp_path, monkeypatch, capsys, restore_gc, command, cpus):
+    """A state that no action leaves makes the model improper; the reader
+    refuses it, before anything is compiled, and the command exits 1 naming
+    the state and writes nothing."""
+    from helpdp import solver
+
+    cfg, path = _broken_counts(tmp_path, "improper")
+    forks = _force_read(monkeypatch, cpus)
+
+    def refuse(*args):
+        raise AssertionError("compiled an improper model")
+
+    monkeypatch.setattr(solver, "_compile", refuse)
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == IMPROPER
+    assert forks == ([(path, 1)] if cpus == 2 else [])
+    assert not (tmp_path / "badc" / "solution.json").exists()
 
 
 @pytest.mark.parametrize("name,command,overrides,field,value,why", [
@@ -1450,16 +1524,18 @@ class TestForkedSearch:
                                                                         restore_gc, command, cpus):
         """The reader takes the start keys after the counts, in the worker or
         inline: with tasks.jsonl missing, a malformed counts.jsonl still
-        exits 1 naming its record, and good counts exit 2 naming tasks.jsonl."""
+        exits 1 naming its record, an improper one exits 1 naming its
+        trapping state, and good counts exit 2 naming tasks.jsonl."""
         bad_cfg, bad = _broken_counts(tmp_path, "count=0")
+        improper_cfg, improper = _broken_counts(tmp_path, "improper", out="improper")
         good_cfg = write_config(tmp_path, "good")
         for cmd in ("gen", "collect", "fit"):
             run_cmd(good_cfg, cmd)
         good = tmp_path / "good" / "counts.jsonl"
-        for counts in (bad, good):
+        for counts in (bad, improper, good):
             counts.with_name("tasks.jsonl").unlink()
         forks = _force_read(monkeypatch, cpus)
-        for cfg, code, message in ((bad_cfg, 1, f"error: {bad}: record ("),
+        for cfg, code, message in ((bad_cfg, 1, f"error: {bad}: record ("), (improper_cfg, 1, IMPROPER),
                                    (good_cfg, 2, f"usage error: {good.with_name('tasks.jsonl')} missing; run `gen`")):
             monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
             with pytest.raises(SystemExit) as exc:
@@ -1467,7 +1543,7 @@ class TestForkedSearch:
             assert exc.value.code == code
             assert capsys.readouterr().err.startswith(message)
             assert not (cfg.parent / cfg.stem / "solution.json").exists()
-        assert forks == ([(bad, 1), (good, 1)] if cpus == 2 else [])
+        assert forks == ([(bad, 1), (improper, 1), (good, 1)] if cpus == 2 else [])
         assert_no_child_left()
 
     def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, forks):

@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from helpdp import env, fixtures, oracle, pipeline, solver
+from helpdp import env, fixtures, oracle, pipeline
 from helpdp.env import EnvConfig, generate_tasks, initial_state
 from helpdp.mdp import NOHELP, DataError, estimate_success, normalize
 from helpdp.pipeline import (
@@ -27,7 +27,7 @@ from helpdp.pipeline import (
     split_seen_unseen,
 )
 from helpdp.fixtures import truncate_counts
-from helpdp.planner import RewardConfig, expected_usage, solve
+from helpdp.planner import RewardConfig, expected_usage, model_rows, solve
 from helpdp.rollouts import Episode, RolloutLog, Step
 from conftest import always_branch, assert_no_child_left, rollout_log, spy_forks
 
@@ -328,7 +328,7 @@ class TestModelPreparation:
 
 def _trajectory_table(sol, model, starts):
     """build_helper's rows walk over ``model`` laid out as the solver's rows."""
-    return build_helper(sol, starts, solver._rows(model, 1), "trajectory_only")
+    return build_helper(sol, starts, model_rows(model.probs, 1), "trajectory_only")
 
 
 def _chain_log(n=4):
@@ -348,7 +348,7 @@ class TestHelperConstruction:
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         a = build_helper(sol, ["s0"], model, "all_states")
-        t = build_helper(sol, ["s0"], solver._rows(model, 1), "trajectory_only")
+        t = build_helper(sol, ["s0"], model_rows(model.probs, 1), "trajectory_only")
         assert a == t == oracle.trajectory_table(sol, model, ["s0"])
 
     @pytest.mark.parametrize("name,args", [

@@ -26,6 +26,11 @@ def cfg1(r, **kw):
     return RewardConfig(r=(r,), **{**G1, **kw})
 
 
+def compiled(model: TransitionModel, n_help: int):
+    """The solver's arrays of ``model``."""
+    return solver._compile(planner.model_rows(model.probs, n_help), n_help)
+
+
 class TestSingleInterventionFixedPoint:
     def test_one_state_help_regime(self):
         model, succ = fixtures.mdp_a()
@@ -171,7 +176,7 @@ class TestRewardSearchOnCompiledModel:
     def test_evaluation_is_cached_read_only(self):
         model, _ = fixtures.random_mdp(0, 6)
         cfg = cfg1(0.1)
-        comp = solver._compile(model, cfg.n_help)
+        comp = compiled(model, cfg.n_help)
         choice = np.ones(len(comp.states), dtype=int)
         S, M = solver._exact_eval(comp, cfg, choice)
         again = solver._exact_eval(comp, cfg._replace(r=(0.7,)), choice.copy())
@@ -351,7 +356,7 @@ class TestSweepMatchesTheReference:
     @pytest.mark.parametrize("model,r", [c[1:] for c in SWEEP_CASES], ids=[c[0] for c in SWEEP_CASES])
     def test_fixed_point_and_tables_are_bit_equal(self, model, r):
         cfg = RewardConfig(r=r)
-        comp, ref_comp = solver._compile(model, cfg.n_help), solver._compile(model, cfg.n_help)
+        comp, ref_comp = compiled(model, cfg.n_help), compiled(model, cfg.n_help)
         core, ref = solver._fixed_point(comp, cfg), oracle.sweep_fixed_point(ref_comp, cfg)
         assert core[4]
         assert_same_core(core, ref)
@@ -364,9 +369,9 @@ class TestSweepMatchesTheReference:
         monkeypatch.setattr(planner, "MAX_SWEEPS", 2)
         model, _ = fixtures.random_mdp(1, 7, n_help=k)
         cfg = RewardConfig(r=(0.1,) * k)
-        core = solver._fixed_point(solver._compile(model, k), cfg)
+        core = solver._fixed_point(compiled(model, k), cfg)
         assert core[3:] == (2, False)
-        assert_same_core(core, oracle.sweep_fixed_point(solver._compile(model, k), cfg))
+        assert_same_core(core, oracle.sweep_fixed_point(compiled(model, k), cfg))
 
 
 class TestDecomposition:
@@ -498,6 +503,22 @@ class TestErrors:
         model = TransitionModel(probs=probs, support=frozenset({"s0", fixtures.T_SUCC}))
         with pytest.raises(PlannerError, match="s0"):
             solve(model, None, cfg1(0.5))
+
+    def test_a_missing_row_is_refused_not_restricted_away(self):
+        # model_rows alone would keep s0 and s2 and send s0's nohelp mass on s1 to UNKNOWN_FAILURE
+        probs = {
+            ("s0", NOHELP): {"s1": 0.5, "s2": 0.5},
+            ("s0", "help1"): {fixtures.T_SUCC: 1.0},
+            ("s1", NOHELP): {fixtures.T_SUCC: 0.5, fixtures.T_FAIL: 0.5},
+            ("s2", NOHELP): {fixtures.T_FAIL: 1.0},
+            ("s2", "help1"): {fixtures.T_SUCC: 0.5, "s0": 0.5},
+        }
+        model = TransitionModel(probs=probs, support=frozenset({"s0", "s1", "s2", fixtures.T_SUCC, fixtures.T_FAIL}))
+        assert planner.model_rows(probs, 1).states == ["s0", "s2"]
+        with pytest.raises(PlannerError, match=r"^missing action row \('s1', 'help1'\)$"):
+            solve(model, None, cfg1(0.5))
+        with pytest.raises(PlannerError, match=r"^missing action row \('s1', 'help1'\)$"):
+            reward_search(model, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
 
     def test_improper_chain_at_gamma_one(self):
         probs = {
