@@ -8,15 +8,22 @@ true room.  Dynamics are deterministic given the executed command, so all
 stochasticity lives in the actors, which keeps exact model extraction a
 matter of marginalizing actor noise.
 
+``Task`` and ``EnvState`` are slotted records that compute what derives from
+their fields once per object.  A state's constructor builds its outcome,
+legal actions and key string; its greedy actions and the successors
+``env_step`` steps to are kept in slots on first use, and every episode of
+a task starts from the one state ``episode_start`` keeps on the task, so
+the episodes of a task walk one shared state graph.  ``_step`` is the one
+transition rule; ``_walk`` steps with it directly and keeps nothing.
+
 ``EnvConfig`` and ``EnvError`` are defined in ``mdp``, so the CLI checks a
 run config without importing this module; both are importable from here.
 """
 from __future__ import annotations
 
-import functools
 import random
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .mdp import (NOHELP, EnvConfig, EnvError, SuccessModel, TransitionModel, help_action, is_whole, read_jsonl,
                   write_jsonl)
@@ -25,7 +32,6 @@ EXPLORE = "explore"
 SPLITS = ("train", "val", "test")
 ETA = EnvConfig._field_defaults["eta"]  # the base actor's default noise
 ETA_STRONG = EnvConfig._field_defaults["eta_strong"]  # the strong actor's default noise
-T = TypeVar("T")
 
 
 class EnumerationTooLarge(EnvError):
@@ -37,13 +43,12 @@ def goto(room: int) -> str:
 
 
 class _Record:
-    """A record whose fields are ``__slots__``, cheap to build and to read in
-    the episode loop, beside a ``__dict__`` that holds the memos of
-    ``_memo`` and ``functools.cached_property``.  Equality, hashing, ``repr``
-    and ``_replace`` go by ``_fields`` alone, so a memo changes none of them.
-    A record is not changed once built."""
+    """A record of ``__slots__``: its fields, then values computed from them
+    once per object, in the constructor or on first use.  Equality, hashing,
+    ``repr`` and ``_replace`` go by ``_fields`` alone, so the computed slots
+    change none of them.  A record's fields are not changed once built."""
 
-    __slots__ = ("__dict__",)
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
@@ -61,13 +66,20 @@ class _Record:
         return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
 
     def _replace(self, **changes):
-        """A new record, without memos, with ``changes`` to its fields."""
+        """A new record with ``changes`` to its fields; the slots filled on
+        first use start empty on it."""
         return type(self)(**{name: changes.pop(name, getattr(self, name)) for name in self._fields}, **changes)
 
 
 class Task(_Record):
-    _fields = __slots__ = ("task_id", "room_count", "object_location", "hint", "move_schedule", "max_steps",
-                           "optimal_length", "split")
+    """A task.  Beside its fields it keeps ``key_prefix``, the constant
+    leading segments of every state key of the task, ``first_move``, the
+    step at which the object first moves (None if it never does), and
+    ``start``, the start state that :func:`episode_start` fills."""
+
+    _fields = ("task_id", "room_count", "object_location", "hint", "move_schedule", "max_steps", "optimal_length",
+               "split")
+    __slots__ = _fields + ("key_prefix", "first_move", "start")
 
     def __init__(self, task_id: str, room_count: int, object_location: int, hint: tuple[int, ...],
                  move_schedule: tuple[tuple[int, int], ...], max_steps: int, optimal_length: int,
@@ -80,18 +92,9 @@ class Task(_Record):
         self.max_steps = max_steps
         self.optimal_length = optimal_length
         self.split = split
-
-    # Computed once per task; not fields, so equality, hashing and to_dict
-    # ignore them.
-    @functools.cached_property
-    def key_prefix(self) -> str:
-        """The constant leading segments of every state key of this task."""
-        return f"task={self.task_id}|hint=" + ",".join(str(r) for r in self.hint)
-
-    @functools.cached_property
-    def first_move(self) -> int | None:
-        """Step at which the object first moves, None if it never does."""
-        return min((when for when, _ in self.move_schedule), default=None)
+        self.key_prefix = f"task={task_id}|hint=" + ",".join(map(str, hint))
+        self.first_move = min((when for when, _ in move_schedule), default=None)
+        self.start: EnvState | None = None
 
     def object_room(self, t: int) -> int:
         return _object_room(self.object_location, self.move_schedule, t)
@@ -147,26 +150,16 @@ class Task(_Record):
         )
 
 
-def _memo(fn: Callable[[object], T]) -> Callable[[object], T]:
-    """``fn`` computed once per object it is called with and kept on that
-    object, out of its fields, so equality, hashing and ``to_dict`` ignore it
-    (as they ignore ``Task.key_prefix``).  The dynamics are deterministic, so
-    a state's answer never changes; ``fn`` never returns None, which marks a
-    miss."""
-    slot = f"memo:{fn.__name__}"  # no attribute has this name
-
-    @functools.wraps(fn)
-    def cached(obj):
-        value = obj.__dict__.get(slot)
-        if value is None:
-            value = obj.__dict__[slot] = fn(obj)
-        return value
-
-    return cached
-
-
 class EnvState(_Record):
-    _fields = __slots__ = ("task", "t", "room", "explored", "found")
+    """A state.  Its constructor computes its ``outcome`` (None while the
+    episode runs), its ``legal_actions`` and its key string, the one place
+    each is built.  ``base_move`` and ``strong_move``, the greedy actions,
+    and ``successors``, the states stepped from it so far by action, are
+    filled on first use; the dynamics are deterministic, so none of them
+    ever changes."""
+
+    _fields = ("task", "t", "room", "explored", "found")
+    __slots__ = _fields + ("outcome", "legal_actions", "_key", "base_move", "strong_move", "successors")
 
     def __init__(self, task: Task, t: int, room: int, explored: frozenset[int], found: bool) -> None:
         self.task = task
@@ -174,6 +167,26 @@ class EnvState(_Record):
         self.room = room
         self.explored = explored
         self.found = found
+        if found:
+            outcome = "success"
+        elif t >= task.max_steps:
+            outcome = "failure"
+        else:
+            outcome = None
+        self.outcome = outcome
+        legal = [EXPLORE]
+        if room > 0:
+            legal.append(goto(room - 1))
+        if room + 1 < task.room_count:
+            legal.append(goto(room + 1))
+        self.legal_actions = tuple(legal)
+        self._key = (
+            f"{task.key_prefix}|t={t}|room={room}|explored={','.join(map(str, sorted(explored)))}"
+            f"|moved={int(self.moved)}" + (f"|outcome={outcome}" if outcome is not None else "")
+        )
+        self.base_move: str | None = None
+        self.strong_move: str | None = None
+        self.successors: dict[str, EnvState] | None = None
 
     @property
     def moved(self) -> bool:
@@ -181,25 +194,11 @@ class EnvState(_Record):
         return first is not None and first <= self.t
 
     @property
-    def outcome(self) -> str | None:
-        if self.found:
-            return "success"
-        if self.t >= self.task.max_steps:
-            return "failure"
-        return None
-
-    @property
     def terminal(self) -> bool:
         return self.outcome is not None
 
-    @_memo
     def key(self) -> str:
-        outcome = self.outcome
-        return (
-            f"{self.task.key_prefix}|t={self.t}|room={self.room}"
-            f"|explored={','.join(map(str, sorted(self.explored)))}"
-            f"|moved={int(self.moved)}" + (f"|outcome={outcome}" if outcome is not None else "")
-        )
+        return self._key
 
 
 def _object_room(location: int, move_schedule: Sequence[tuple[int, int]], t: int) -> int:
@@ -215,37 +214,25 @@ def initial_state(task: Task) -> EnvState:
     return EnvState(task=task, t=0, room=0, explored=frozenset(), found=False)
 
 
-@_memo
 def episode_start(task: Task) -> EnvState:
-    """The start object kept on ``task``, so every episode of the task walks,
-    and grows, one memoized state graph.  The task and its start then refer
-    to each other, a cycle that a process with the cyclic collector off
-    never frees; code that needs only the start key takes
-    :func:`initial_state`, which leaves nothing on the task."""
-    return initial_state(task)
-
-
-@_memo
-def legal_actions(state: EnvState) -> tuple[str, ...]:
-    acts = [EXPLORE]
-    if state.room > 0:
-        acts.append(goto(state.room - 1))
-    if state.room + 1 < state.task.room_count:
-        acts.append(goto(state.room + 1))
-    return tuple(acts)
-
-
-@_memo
-def _successors(state: EnvState) -> dict[str, EnvState]:
-    """The successors of ``state`` stepped so far, by action."""
-    return {}
+    """The start state kept on ``task``, so every episode of the task walks,
+    and grows, one state graph.  The task and its start then refer to each
+    other, a cycle that a process with the cyclic collector off never
+    frees; code that needs only the start key takes :func:`initial_state`,
+    which leaves nothing on the task."""
+    start = task.start
+    if start is None:
+        start = task.start = initial_state(task)
+    return start
 
 
 def env_step(state: EnvState, action: str) -> EnvState:
-    """Deterministic transition, memoized per state object.  A memo hit is
-    a pair that already passed both checks of :func:`_step`, so repeating
-    it skips none."""
-    successors = _successors(state)
+    """Deterministic transition, kept in ``state.successors``.  A kept pair
+    already passed both checks of :func:`_step`, so repeating it skips
+    none."""
+    successors = state.successors
+    if successors is None:
+        successors = state.successors = {}
     nxt = successors.get(action)
     if nxt is None:
         nxt = successors[action] = _step(state, action)
@@ -253,10 +240,10 @@ def env_step(state: EnvState, action: str) -> EnvState:
 
 
 def _step(state: EnvState, action: str) -> EnvState:
-    """Deterministic transition to a new, unmemoized successor object."""
-    if state.terminal:
+    """Deterministic transition to a new successor object, kept nowhere."""
+    if state.outcome is not None:
         raise EnvError("cannot step a terminal state")
-    if action not in legal_actions(state):
+    if action not in state.legal_actions:
         raise EnvError(f"illegal action {action!r} in room {state.room}")
     room = state.room
     explored = state.explored
@@ -266,54 +253,58 @@ def _step(state: EnvState, action: str) -> EnvState:
         explored = explored | {room}
     else:
         room = int(action.split(":", 1)[1])
-    return EnvState(task=state.task, t=state.t + 1, room=room, explored=explored, found=found)
+    return EnvState(state.task, state.t + 1, room, explored, found)
 
 
-@_memo
 def _greedy_base(state: EnvState) -> str:
     """Move toward (then explore) the nearest unexplored hint room.
 
     Falls back to unexplored rooms once the hint is exhausted, then to
-    re-exploring in place; ties break on the lower room index.
+    re-exploring in place; ties break on the lower room index.  Kept in
+    ``state.base_move``.
     """
-    candidates = [r for r in state.task.hint if r not in state.explored]
-    if not candidates:
-        candidates = [r for r in range(state.task.room_count) if r not in state.explored]
-    if not candidates:
-        return EXPLORE
-    target = min(candidates, key=lambda r: (abs(r - state.room), r))
-    if target == state.room:
-        return EXPLORE
-    return goto(state.room + (1 if target > state.room else -1))
+    move = state.base_move
+    if move is None:
+        room, explored = state.room, state.explored
+        candidates = [r for r in state.task.hint if r not in explored]
+        if not candidates:
+            candidates = [r for r in range(state.task.room_count) if r not in explored]
+        target = min(candidates, key=lambda r: (abs(r - room), r)) if candidates else room
+        move = state.base_move = EXPLORE if target == room else goto(room + (1 if target > room else -1))
+    return move
 
 
-@_memo
 def _greedy_strong(state: EnvState) -> str:
-    target = state.task.object_room(state.t)
-    if target == state.room:
-        return EXPLORE
-    return goto(state.room + (1 if target > state.room else -1))
-
-
-def _noisy(greedy: Callable[[EnvState], str], state: EnvState, rng: random.Random, eta: float) -> str:
-    if eta > 0 and rng.random() < eta:
-        return rng.choice(legal_actions(state))
-    return greedy(state)
+    """Move toward (then explore) the object's current room.  Kept in
+    ``state.strong_move``."""
+    move = state.strong_move
+    if move is None:
+        room, target = state.room, state.task.object_room(state.t)
+        move = state.strong_move = EXPLORE if target == room else goto(room + (1 if target > room else -1))
+    return move
 
 
 def base_actor(state: EnvState, rng: random.Random, eta: float = ETA) -> str:
-    return _noisy(_greedy_base, state, rng, eta)
+    """Noisy-greedy: with probability ``eta`` a uniform legal action, else
+    :func:`_greedy_base`.  Draws ``rng.random()`` only when ``eta > 0``,
+    and ``rng.choice`` only on the noisy branch."""
+    if eta > 0 and rng.random() < eta:
+        return rng.choice(state.legal_actions)
+    return state.base_move or _greedy_base(state)
 
 
 def strong_actor(state: EnvState, rng: random.Random, eta: float = ETA_STRONG) -> str:
-    return _noisy(_greedy_strong, state, rng, eta)
+    """:func:`base_actor`'s draws around :func:`_greedy_strong`."""
+    if eta > 0 and rng.random() < eta:
+        return rng.choice(state.legal_actions)
+    return state.strong_move or _greedy_strong(state)
 
 
 def action_distribution(
     greedy: Callable[[EnvState], str], state: EnvState, eta: float
 ) -> dict[str, float]:
     """Exact action law of a noisy-greedy actor."""
-    legal = legal_actions(state)
+    legal = state.legal_actions
     dist = {a: eta / len(legal) for a in legal}
     g = greedy(state)
     dist[g] = dist.get(g, 0.0) + (1.0 - eta)
@@ -439,7 +430,7 @@ def _walk(root: EnvState, eta: float, cap: float = float("inf"),
             if state.terminal:
                 p[key] = 1.0 if state.found else 0.0  # success is finding the object
                 continue
-            children = [_step(state, action) for action in legal_actions(state)]
+            children = [_step(state, action) for action in state.legal_actions]
             kids = [child.key() for child in children]
             nxt.update(zip(kids, children))
             rows[key] = (state, kids)

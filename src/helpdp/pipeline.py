@@ -6,7 +6,11 @@ child streams of the episode seed, so two behaviors that pick the same
 branches produce byte-identical rollouts regardless of how many decision
 draws each consumes.
 
-Phase-1 collection has two entry points over one slice player.
+One ``run_episode`` plays the episodes of collection, evaluation and the
+baselines, on the state graph ``env.episode_start`` keeps on each task.
+
+Phase-1 collection has two entry points over one slice player, which
+builds each schedule entry's decider and seed label once.
 ``write_phase1`` (the ``collect`` command) plays slices of the tasks in
 forked workers and writes ``phase1.jsonl`` from the finished lines each
 slice sends back, so no episode crosses a process boundary;
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import os
 import random
 from functools import partial
@@ -105,24 +110,25 @@ def run_episode(
     seed: int,
     eta: float = ETA,
 ) -> Episode:
-    """Roll one episode; the decider picks a branch at every step from the
-    step's state key, which is computed once and also recorded.  A help
-    branch's action comes from its intervention, a nohelp branch's from the
-    base actor."""
+    """Roll one episode on the task's state graph (``env.episode_start``);
+    the decider picks a branch at every step from the step's state key,
+    which is also recorded.  A help branch's action comes from its
+    intervention, a nohelp branch's from the base actor."""
     rng_decide = random.Random(derive_seed(seed, "decide"))
     rng_act = random.Random(derive_seed(seed, "act"))
+    actors = {help_action(i): actor for i, actor in enumerate(interventions, start=1)}
     state = episode_start(task)
     steps: list[Step] = []
-    while not state.terminal:
+    while state.outcome is None:
         key = state.key()
         branch = decide(key, rng_decide)
         if branch == NOHELP:
             env_action = base_actor(state, rng_act, eta)
         else:
-            idx = help_index(branch)
-            if idx > len(interventions):
-                raise PipelineError(f"unknown intervention index {idx}")
-            env_action = interventions[idx - 1](state, rng_act)
+            actor = actors.get(branch)
+            if actor is None:
+                raise PipelineError(f"unknown intervention index {help_index(branch)}")
+            env_action = actor(state, rng_act)
         steps.append(Step(key, branch, env_action))
         state = env_step(state, env_action)
     return Episode(
@@ -130,7 +136,7 @@ def run_episode(
         seed=seed,
         steps=tuple(steps),
         final_state=state.key(),
-        outcome=state.outcome or "failure",
+        outcome=state.outcome,
         length=len(steps),
     )
 
@@ -143,18 +149,19 @@ def always(branch: str) -> Decider:
 
 
 def baseline_random(p: Sequence[float]) -> Decider:
-    """Fire intervention i with probability p_i each step, at most one."""
+    """Fire intervention i with probability p_i each step, at most one: the
+    first i whose running sum p_1 + ... + p_i exceeds a uniform draw."""
     p = tuple(p)
     if any(x < 0 for x in p) or sum(p) > 1.0 + 1e-12:
         raise PipelineError(f"bad intervention probabilities {p}")
+    sums = list(itertools.accumulate(p, initial=0.0))[1:]  # 0.0 + p_1 + ... + p_i, summed as one draw's loop would
+    arms = [(acc, help_action(i)) for i, acc in enumerate(sums, start=1)]
 
     def decide(key: str, rng: random.Random) -> str:
         u = rng.random()
-        acc = 0.0
-        for i, pi in enumerate(p, start=1):
-            acc += pi
+        for acc, branch in arms:
             if u < acc:
-                return help_action(i)
+                return branch
         return NOHELP
 
     return decide
@@ -191,8 +198,8 @@ def _usable_cpus() -> int:
 
 def _task_slices(n_tasks: int, n_episodes: int) -> list[tuple[int, int]]:
     """Contiguous slices of the tasks, one per worker: one worker per usable
-    CPU, with at least ``EPISODES_PER_WORKER`` episodes each."""
-    workers = max(1, min(_usable_cpus(), n_episodes // EPISODES_PER_WORKER))
+    CPU, with at least ``EPISODES_PER_WORKER`` episodes and one task each."""
+    workers = max(1, min(_usable_cpus(), n_episodes // EPISODES_PER_WORKER, n_tasks))
     return [(n_tasks * i // workers, n_tasks * (i + 1) // workers) for i in range(workers)]
 
 
@@ -287,11 +294,11 @@ def _play_phase1(tasks: Sequence[Task], interventions: Sequence[Actor], master_s
                  schedule: Sequence[tuple[float, ...]], n_seeds: int, eta: float) -> Iterator[Episode]:
     """The phase-1 episodes of ``tasks`` in order: one per task x schedule
     entry x seed, each drawing only from its own seed."""
+    arms = [(baseline_random(probs), str(probs)) for probs in schedule]  # the decider and seed label of each entry
     for task in tasks:
-        for probs in schedule:
-            decide = baseline_random(probs)
+        for decide, label in arms:
             for rep in range(n_seeds):
-                seed = derive_seed(master_seed, "phase1", task.task_id, probs, rep)
+                seed = derive_seed(master_seed, "phase1", task.task_id, label, rep)
                 yield run_episode(task, decide, interventions, seed, eta=eta)
 
 
@@ -326,7 +333,8 @@ def write_phase1(
     returns the number of episodes.
 
     The tasks are cut into one contiguous slice per worker, with one worker
-    per usable CPU and at least ``EPISODES_PER_WORKER`` episodes each.  This
+    per usable CPU and at least ``EPISODES_PER_WORKER`` episodes and one
+    task each (``_task_slices``).  This
     process plays the first slice while forked processes play the others
     (``fork_jobs``).  Each slice comes back as its finished lines
     (``episode_line``) in one string, so no episode crosses a process

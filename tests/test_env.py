@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from helpdp.env import (
     generate_tasks,
     goto,
     initial_state,
-    legal_actions,
     shortest_success_length,
     strong_actor,
     success_probability,
@@ -183,12 +183,26 @@ class TestEnvStep:
     def test_episode_builds_each_state_key_once(self, monkeypatch):
         # the decider and the recorded step share one key per step; the
         # final state adds one more
-        calls = []
-        key = EnvState.key
+        calls, built = [], []
+        key, init = EnvState.key, EnvState.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
         monkeypatch.setattr(EnvState, "key", lambda self: calls.append(self) or key(self))
+        monkeypatch.setattr(EnvState, "__init__", counted_init)
         task = generate_tasks(SMALL, 5).train[0]
         ep = pipeline.run_episode(task, table_decider({}), [strong_actor], 3)
         assert len(calls) == ep.length + 1
+        # every state of the episode is one object, built once, whose key is
+        # the one string its constructor built
+        assert len({id(state) for state in built}) == len(built) == ep.length + 1
+        assert [state.key() for state in built] == ep.states
+        assert all(state.key() is state.key() for state in built)
+        # a replay walks the same objects and builds none
+        assert pipeline.run_episode(task, table_decider({}), [strong_actor], 3) == ep
+        assert len(built) == ep.length + 1
 
 
 class TestActors:
@@ -208,7 +222,7 @@ class TestActors:
         task = make_task(rooms=3, obj=2, hint=(2,), steps=6, opt=3)
         state = env_step(initial_state(task), goto(1))
         dist = action_distribution(lambda s: EXPLORE, state, eta=1.0)
-        legal = legal_actions(state)
+        legal = state.legal_actions
         assert set(dist) == set(legal)
         for a in legal:
             assert dist[a] == pytest.approx(1 / len(legal))
@@ -258,6 +272,64 @@ class TestActors:
         b = base_actor(state, random.Random(42), eta=0.35)
         assert a == b
 
+    def test_actors_make_the_draws_and_moves_of_the_reference(self):
+        """base_actor and strong_actor, which read the state's slots, take the
+        draws of the reference noisy-greedy rule and return its actions, on
+        every state of a few walked tasks, before and after their greedy
+        slots are filled."""
+        tasks = [make_task(rooms=4, obj=3, hint=(1, 3), schedule=((2, 0),), steps=5, opt=4, task_id="mv"),
+                 *generate_tasks(SMALL, 6).train[:2]]
+        pairs = ((base_actor, _reference_greedy_base), (strong_actor, _reference_greedy_strong))
+        for task in tasks:
+            for state in _reachable_states(env.episode_start(task)):
+                assert state.legal_actions == _reference_legal(state)
+                assert state.base_move is None and state.strong_move is None
+                for _ in range(2):
+                    for actor, greedy in pairs:
+                        for eta in (0.0, 0.05, 0.35, 1.0):
+                            for seed in range(4):
+                                rng, ref = random.Random(seed), random.Random(seed)
+                                assert actor(state, rng, eta) == _reference_noisy(greedy, state, ref, eta)
+                                assert rng.getstate() == ref.getstate()
+                assert (state.base_move, state.strong_move) == (_reference_greedy_base(state),
+                                                                _reference_greedy_strong(state))
+
+
+def _reference_legal(state):
+    legal = [EXPLORE]
+    if state.room > 0:
+        legal.append(goto(state.room - 1))
+    if state.room + 1 < state.task.room_count:
+        legal.append(goto(state.room + 1))
+    return tuple(legal)
+
+
+def _reference_greedy_base(state):
+    candidates = [r for r in state.task.hint if r not in state.explored]
+    if not candidates:
+        candidates = [r for r in range(state.task.room_count) if r not in state.explored]
+    if not candidates:
+        return EXPLORE
+    target = min(candidates, key=lambda r: (abs(r - state.room), r))
+    if target == state.room:
+        return EXPLORE
+    return goto(state.room + (1 if target > state.room else -1))
+
+
+def _reference_greedy_strong(state):
+    target = state.task.object_room(state.t)
+    if target == state.room:
+        return EXPLORE
+    return goto(state.room + (1 if target > state.room else -1))
+
+
+def _reference_noisy(greedy, state, rng, eta):
+    """A noisy-greedy actor from the state's fields alone: a uniform legal
+    action with probability ``eta``, else ``greedy(state)``."""
+    if eta > 0 and rng.random() < eta:
+        return rng.choice(_reference_legal(state))
+    return greedy(state)
+
 
 def _proposals(state, seed, k=5):
     rng = random.Random(seed)
@@ -299,7 +371,7 @@ class TestMcts:
         # with probability (((L - h)/L)^k - ((L - h - g)/L)^k) / g
         task = make_task(rooms=3, obj=2, hint=(2,), steps=6, opt=3)
         state = env_step(initial_state(task), goto(1))
-        legal = legal_actions(state)
+        legal = state.legal_actions
         n, k = len(legal), pipeline.PROPOSALS
         assert n == 3
         q = dict(zip(legal, qs))
@@ -410,13 +482,15 @@ def _reference_key(state) -> str:
     return "|".join(parts)
 
 
-def _reachable_states(task):
-    states, stack = [], [initial_state(task)]
+def _reachable_states(start):
+    """Every state reachable from ``start`` by env_step, which keeps each on
+    the graph of ``start``."""
+    states, stack = [], [start]
     while stack:
         state = stack.pop()
         states.append(state)
         if not state.terminal:
-            stack.extend(env_step(state, a) for a in legal_actions(state))
+            stack.extend(env_step(state, a) for a in state.legal_actions)
     return states
 
 
@@ -430,7 +504,7 @@ def test_state_keys_match_reference_on_every_exact_model_state():
     moved_seen = set()
     for task in tasks:
         model, _ = exact_models([task])
-        states = _reachable_states(task)
+        states = _reachable_states(initial_state(task))
         for state in states:
             assert state.key() == _reference_key(state)
             assert state.moved == any(when <= state.t for when, _ in task.move_schedule)
@@ -443,7 +517,8 @@ def test_state_keys_match_reference_on_every_exact_model_state():
 def test_cached_key_parts_leave_task_identity_alone():
     a = make_task(schedule=((2, 0),), task_id="same")
     b = make_task(schedule=((2, 0),), task_id="same")
-    a.key_prefix, a.first_move  # populate the caches of one of two equal tasks
+    env_step(env.episode_start(a), goto(1))  # give one of two equal tasks a start graph
+    assert a.start is not None and b.start is None
     assert a == b and hash(a) == hash(b)
     assert a.to_dict() == b.to_dict()
     assert a.first_move == 2 and make_task().first_move is None
@@ -452,9 +527,15 @@ def test_cached_key_parts_leave_task_identity_alone():
 def test_task_replace_builds_a_new_task_without_memos():
     task = make_task(task_id="a")
     assert task.key_prefix == "task=a|hint=1"
+    env_step(env.episode_start(task), goto(1))
     renamed = task._replace(task_id="b")
     assert renamed.key_prefix == "task=b|hint=1" and renamed != task and task._replace() == task
-    assert vars(renamed) == {"key_prefix": "task=b|hint=1"}
+    assert (task.first_move, task._replace(move_schedule=((2, 0),)).first_move) == (None, 2)
+    # no start graph is carried over, and there is no attribute beside the slots
+    assert renamed.start is None and task._replace().start is None and task.start is not None
+    assert not hasattr(renamed, "__dict__") and not hasattr(initial_state(renamed), "__dict__")
+    with pytest.raises(AttributeError):
+        renamed.memo = 1
     assert repr(task) == ("Task(task_id='a', room_count=2, object_location=1, hint=(1,), move_schedule=(), "
                           "max_steps=3, optimal_length=2, split='train')")
     assert task != tuple(getattr(task, name) for name in Task._fields) and initial_state(task) != task
@@ -463,17 +544,20 @@ def test_task_replace_builds_a_new_task_without_memos():
 
 
 class TestMemo:
-    """env_step, the state key, the legal actions and the greedy actions are
-    kept on each state object; the memo must change no answer and skip no
-    check."""
+    """env_step's successors, the state key, the legal actions and the greedy
+    actions are kept in each state's slots; keeping them must change no
+    answer and skip no check."""
 
     def test_repeated_step_returns_the_same_successor(self):
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
         s0 = env.episode_start(task)
-        assert env.episode_start(task) is s0 and s0 == initial_state(task)
+        assert env.episode_start(task) is s0 and task.start is s0 and s0 == initial_state(task)
+        assert s0.successors is None
         nxt = env_step(s0, goto(1))
         assert env_step(s0, goto(1)) is nxt
-        assert env_step(s0, EXPLORE) is not nxt
+        explored = env_step(s0, EXPLORE)
+        assert explored is not nxt and s0.successors == {goto(1): nxt, EXPLORE: explored}
+        assert s0.successors[EXPLORE] is explored
         assert nxt == EnvState(task=task, t=1, room=1, explored=frozenset(), found=False)
 
     def test_stepped_state_still_refuses_illegal_and_terminal_steps(self):
@@ -490,7 +574,7 @@ class TestMemo:
     def test_memo_leaves_state_identity_alone(self):
         task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
         warm = env_step(initial_state(task), goto(1))
-        warm.key(), legal_actions(warm), env._greedy_base(warm), env_step(warm, EXPLORE)
+        warm.key(), warm.legal_actions, env._greedy_base(warm), env_step(warm, EXPLORE)
         cold = warm._replace()
         assert cold == warm and hash(cold) == hash(warm)
         assert cold.key() == warm.key()
@@ -501,13 +585,15 @@ class TestMemo:
         for task in tasks[:4]:  # grow the episode graphs of half the tasks
             for seed in range(20):
                 pipeline.run_episode(task, pipeline.baseline_random((0.5,)), iv, seed)
+        grown = [len(_graph(t.start)) for t in tasks[:4]]
         model, success = exact_models(tasks, eta=0.3, eta_strong=0.1)
         probs, p = _uncached_exact(tasks, eta=0.3, eta_strong=0.1)
         assert model.probs == probs
         assert success.p == p
-        # the enumeration leaves nothing on the tasks it walked
-        kept = {name for t in tasks[4:] for name in vars(t)}
-        assert kept <= set(Task._fields) | {"key_prefix", "first_move"}
+        # the enumeration leaves no start graph on the tasks it walked, and
+        # grows none of the episode graphs
+        assert all(t.start is None for t in tasks[4:])
+        assert [len(_graph(t.start)) for t in tasks[:4]] == grown
 
 
 @pytest.mark.parametrize("eta", [0.35, 0.0, 1.0])
@@ -529,7 +615,7 @@ def test_success_probability_is_the_exact_models_value(eta):
         seen.add(key)
         assert p_star(state) == success.get(key, NOHELP), key
         if not state.terminal:
-            stack.extend(env_step(state, a) for a in legal_actions(state))
+            stack.extend(env_step(state, a) for a in state.legal_actions)
     assert seen == model.support
 
 
@@ -547,14 +633,42 @@ def test_exact_models_walk_tasks_deeper_than_the_recursion_limit():
         assert success.get(start.key(), NOHELP) == p_star(start)
 
 
+@pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
+def test_warm_and_cold_rollouts_are_identical(kind):
+    """Episodes played on tasks whose graphs earlier episodes grew equal,
+    field for field, the episodes played on fresh copies of the tasks, for
+    every arm of the phase-1 schedule."""
+    from helpdp.cli import _mcts_q
+
+    def interventions():
+        strong = partial(strong_actor, eta=SMALL.eta_strong)
+        mcts = pipeline.mcts_pick(_mcts_q(success_probability(SMALL.eta), 5))
+        return {"strong": [strong], "mcts": [mcts], "both": [strong, mcts]}[kind]
+
+    tasks = generate_tasks(SMALL, 8).train[:6]
+    warm_ivs, cold_ivs = interventions(), interventions()
+    steps = 0
+    for task in tasks:
+        for probs in pipeline.phase1_schedule(len(warm_ivs)):
+            decide = pipeline.baseline_random(probs)
+            for rep in range(3):
+                seed = pipeline.derive_seed(11, "phase1", task.task_id, probs, rep)
+                warm = pipeline.run_episode(task, decide, warm_ivs, seed, eta=SMALL.eta)
+                cold = pipeline.run_episode(task._replace(), decide, cold_ivs, seed, eta=SMALL.eta)
+                assert tuple(warm) == tuple(cold)
+                steps += warm.length + 1
+    # the warm episodes walked states earlier episodes built
+    assert sum(len(_graph(task.start)) for task in tasks) < steps
+
+
 def test_success_probability_adds_no_successor_to_the_episode_graph():
     task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
     s0 = env.episode_start(task)
     nxt = env_step(s0, goto(1))
     p_star = success_probability(0.35)
     p_star(nxt), p_star(s0)
-    assert env._successors(s0) == {goto(1): nxt}
-    assert env._successors(nxt) == {}
+    assert s0.successors == {goto(1): nxt}
+    assert nxt.successors is None
 
 
 def test_success_probability_of_a_state_no_walk_from_the_start_reaches():
@@ -570,9 +684,22 @@ def test_success_probability_of_a_state_no_walk_from_the_start_reaches():
     assert success_probability(0.35)(odd) == reference(odd)
 
 
+def _graph(start):
+    """The states of an episode graph: ``start`` and every state kept in the
+    ``successors`` of a state reached from it."""
+    seen, stack = {id(start): start}, [start]
+    while stack:
+        for nxt in (stack.pop().successors or {}).values():
+            if id(nxt) not in seen:
+                seen[id(nxt)] = nxt
+                stack.append(nxt)
+    return list(seen.values())
+
+
 def _uncached_exact(tasks, eta, eta_strong):
     """exact_models' rows and p(s, a), with every state copied before it is
-    read, so no memoized key, action or successor is ever read back."""
+    read, so no greedy action or successor kept on a state is ever read
+    back."""
     def fresh(state):
         return state._replace()
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import time
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpdp import env, fixtures, oracle, pipeline
 from helpdp.env import EnvConfig, generate_tasks, initial_state
@@ -53,6 +56,40 @@ class TestSchedule:
             phase1_schedule(3)
 
 
+class _Draw:
+    """A decision stream whose every draw is ``u``."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def _running_sum_branch(p, u):
+    """The branch of draw ``u``: help i for the first running sum p_1 + ... +
+    p_i above ``u``, nohelp past them all."""
+    acc = 0.0
+    for i, pi in enumerate(p, start=1):
+        acc += pi
+        if u < acc:
+            return f"help{i}"
+    return NOHELP
+
+
+PROBS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(lambda xs: [x / max(1.0, sum(xs)) for x in xs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROBS, st.data())
+def test_baseline_random_picks_the_running_sum_branch(p, data):
+    """For any valid p and any draw, on and beside each running sum too."""
+    near = [u for acc in itertools.accumulate(p) for u in (acc, math.nextafter(acc, 0.0), math.nextafter(acc, 2.0))]
+    u = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                            st.sampled_from([u for u in near if 0.0 <= u < 1.0] or [0.0])))
+    assert baseline_random(p)("state", _Draw(u)) == _running_sum_branch(p, u)
+
+
 class TestCollect:
     def test_byte_identical_logs(self, tmp_path):
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -68,6 +105,10 @@ class TestCollect:
     def test_unit_probability_always_helps(self):
         log = collect_phase1(list(TASKS.train), STRONG, 3, schedule=[(1.0,)], n_seeds=2)
         assert all(step.action == "help1" for ep in log for step in ep.steps)
+
+    def test_an_unknown_help_branch_is_refused(self):
+        with pytest.raises(PipelineError, match="unknown intervention index 2"):
+            collect_phase1(list(TASKS.train[:1]), STRONG, 11, schedule=[(0.0, 1.0)], n_seeds=1)
 
     def test_empty_taskset(self):
         with pytest.raises(PipelineError, match="empty"):
@@ -152,14 +193,33 @@ class TestForkedCollect:
         assert forked.read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
     def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, slices):
-        # two tasks for three workers leave this process's slice empty, so
-        # the error can only come from a forked worker; nothing is written
+        # two tasks make two workers, and only the forked worker's task
+        # fails, so the error can only come from it; nothing is written
+        failing = TASKS.train[1].task_id
+
+        def actor(state, rng):
+            if state.task.task_id == failing:
+                raise PipelineError(f"no help in task {failing}")
+            return STRONG[0](state, rng)
+
         path = tmp_path / "phase1.jsonl"
-        with pytest.raises(PipelineError, match="unknown intervention index 2"):
-            pipeline.write_phase1(path, self.HEADER, list(TASKS.train[:2]), STRONG, 11, schedule=[(0.0, 1.0)],
+        with pytest.raises(PipelineError, match=f"no help in task {failing}"):
+            pipeline.write_phase1(path, self.HEADER, list(TASKS.train[:2]), [actor], 11, schedule=[(1.0,)],
                                   n_seeds=2)
-        assert slices == [(0, 1), (1, 2)]
+        assert slices == [(1, 2)]
         assert not path.exists()
+
+    @pytest.mark.parametrize("cpus, n_tasks, n_episodes, slices", [
+        (8, 3, 10_000, [(0, 1), (1, 2), (2, 3)]),
+        (2, 1, 10_000, [(0, 1)]),
+        (2, 1000, 10_000, [(0, 500), (500, 1000)]),
+        (8, 1000, 1_500, [(0, 333), (333, 666), (666, 1000)]),
+    ])
+    def test_every_worker_gets_a_task(self, monkeypatch, cpus, n_tasks, n_episodes, slices):
+        # one worker per usable CPU, and at most one per task and per
+        # EPISODES_PER_WORKER episodes
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        assert pipeline._task_slices(n_tasks, n_episodes) == slices
 
     @pytest.mark.parametrize("kind", ["strong", "mcts", "both"])
     def test_forked_eval_equals_serial_eval(self, monkeypatch, slices, kind):
