@@ -4,18 +4,27 @@ construction, evaluation metrics, and the self-regulation evaluation.
 Episodes draw decision randomness and actor randomness from separate
 child streams of the episode seed, so two behaviors that pick the same
 branches produce byte-identical rollouts regardless of how many decision
-draws each consumes.
+draws each consumes.  So the decision stream is seeded only for a decider
+that can draw: ``always``, ``load_helper``'s decider and a law of
+``baseline_random`` that puts all of [0, 1) on one branch never draw, are
+marked ``draws = False`` (``_drawless``) and are handed None.
 
-One ``run_episode`` plays the episodes of collection, evaluation and the
-baselines, on the state graph ``env.episode_start`` keeps on each task.
+One episode loop (``_play``) plays the episodes of collection, evaluation,
+the baselines and ``selfreg``, on the state graph ``env.episode_start``
+keeps on each task, and returns the episode's ``(state key, branch, env
+action)`` triples and final state; ``run_episode`` makes an ``Episode`` of
+them.
 
 Phase-1 collection has two entry points over one slice player, which
-builds each schedule entry's decider and seed label once.
+builds each schedule entry's decider and seed label once, and hashes the
+seed label prefix of each (task, entry) once (``seeds_under``).
 ``write_phase1`` (the ``collect`` command) plays slices of the tasks in
-forked workers and writes ``phase1.jsonl`` from the finished lines each
-slice sends back, so no episode crosses a process boundary;
-``collect_phase1`` plays the same episodes in this process and returns them
-as a ``RolloutLog``, the episode-level reference for the tests.
+forked workers.  Each formats its lines (``episode_line``) straight from
+the triples, with no ``Step`` or ``Episode`` built, and sends them back as
+one string; ``write_phase1`` writes ``phase1.jsonl`` from those strings,
+so no episode crosses a process boundary.  ``collect_phase1`` plays the same
+episodes in this process and returns them as a ``RolloutLog``, the
+episode-level reference for the tests.
 
 Evaluation keeps only what its metrics read: each episode of ``evaluate``
 becomes one outcome row ``(task_id, won, spl_term, length, calls)``, and
@@ -76,11 +85,29 @@ class PipelineError(ValueError):
 
 def derive_seed(master: int, *parts) -> int:
     """Stable 63-bit child seed: the hash of the label path ``master/part/...``."""
-    digest = hashlib.sha256("/".join(map(str, (master,) + parts)).encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return _seed_of(hashlib.sha256("/".join(map(str, (master,) + parts)).encode()))
 
 
-Decider = Callable[[str, random.Random], str]  # (state key, decision stream) -> branch
+def seeds_under(master: int, *parts) -> Callable[[object], int]:
+    """``lambda last: derive_seed(master, *parts, last)``, with the label
+    prefix ``master/part/.../`` hashed once and its hash state copied per
+    call."""
+    prefix = hashlib.sha256("/".join(map(str, (master,) + parts + ("",))).encode())
+
+    def seed(last) -> int:
+        h = prefix.copy()
+        h.update(str(last).encode())
+        return _seed_of(h)
+
+    return seed
+
+
+def _seed_of(h) -> int:
+    return int.from_bytes(h.digest()[:8], "big") >> 1
+
+
+Decider = Callable[[str, "random.Random | None"], str]  # (state key, decision stream) -> branch
+Steps = list[tuple[str, str, str]]  # an episode's (state key, branch, env action) triples
 Actor = Callable[[EnvState, random.Random], str]  # (state, actor stream) -> env action
 
 PROPOSALS = 5  # base-actor proposals per MCTS pick
@@ -114,11 +141,23 @@ def run_episode(
     the decider picks a branch at every step from the step's state key,
     which is also recorded.  A help branch's action comes from its
     intervention, a nohelp branch's from the base actor."""
-    rng_decide = random.Random(derive_seed(seed, "decide"))
+    steps, end = _play(task, decide, _actors(interventions), seed, eta)
+    return _episode(task, seed, steps, end)
+
+
+def _actors(interventions: Sequence[Actor]) -> dict[str, Actor]:
+    return {help_action(i): actor for i, actor in enumerate(interventions, start=1)}
+
+
+def _play(task: Task, decide: Decider, actors: dict[str, Actor], seed: int, eta: float) -> tuple[Steps, EnvState]:
+    """The episode loop: the steps of the episode of ``seed`` and its final
+    state.  The actor stream is seeded from ``seed/act``; the decision
+    stream, from ``seed/decide``, is seeded only for a decider that can
+    draw, and a decider marked ``draws = False`` is handed None."""
+    rng_decide = random.Random(derive_seed(seed, "decide")) if getattr(decide, "draws", True) else None
     rng_act = random.Random(derive_seed(seed, "act"))
-    actors = {help_action(i): actor for i, actor in enumerate(interventions, start=1)}
     state = episode_start(task)
-    steps: list[Step] = []
+    steps: Steps = []
     while state.outcome is None:
         key = state.key()
         branch = decide(key, rng_decide)
@@ -129,33 +168,40 @@ def run_episode(
             if actor is None:
                 raise PipelineError(f"unknown intervention index {help_index(branch)}")
             env_action = actor(state, rng_act)
-        steps.append(Step(key, branch, env_action))
+        steps.append((key, branch, env_action))
         state = env_step(state, env_action)
-    return Episode(
-        task_id=task.task_id,
-        seed=seed,
-        steps=tuple(steps),
-        final_state=state.key(),
-        outcome=state.outcome,
-        length=len(steps),
-    )
+    return steps, state
+
+
+def _episode(task: Task, seed: int, steps: Steps, end: EnvState) -> Episode:
+    return Episode(task.task_id, seed, tuple(map(Step._make, steps)), end.key(), end.outcome, len(steps))
+
+
+def _drawless(decide: Decider) -> Decider:
+    """``decide``, marked as a decider that never uses its decision stream."""
+    decide.draws = False
+    return decide
 
 
 def always(branch: str) -> Decider:
-    def decide(key: str, rng: random.Random) -> str:
-        return branch
-
-    return decide
+    return _drawless(lambda key, rng: branch)
 
 
 def baseline_random(p: Sequence[float]) -> Decider:
     """Fire intervention i with probability p_i each step, at most one: the
-    first i whose running sum p_1 + ... + p_i exceeds a uniform draw."""
+    first i whose running sum p_1 + ... + p_i exceeds a uniform draw.  A law
+    whose first positive running sum is at least 1, or that has none, takes
+    one branch for every draw in [0, 1), and is ``always`` that branch."""
     p = tuple(p)
     if any(x < 0 for x in p) or sum(p) > 1.0 + 1e-12:
         raise PipelineError(f"bad intervention probabilities {p}")
     sums = list(itertools.accumulate(p, initial=0.0))[1:]  # 0.0 + p_1 + ... + p_i, summed as one draw's loop would
     arms = [(acc, help_action(i)) for i, acc in enumerate(sums, start=1)]
+    first = next((arm for arm in arms if arm[0] > 0.0), None)
+    if first is None:
+        return always(NOHELP)
+    if first[0] >= 1.0:
+        return always(first[1])
 
     def decide(key: str, rng: random.Random) -> str:
         u = rng.random()
@@ -291,15 +337,20 @@ def _checked_schedule(tasks: Sequence[Task], interventions: Sequence[Actor],
 
 
 def _play_phase1(tasks: Sequence[Task], interventions: Sequence[Actor], master_seed: int,
-                 schedule: Sequence[tuple[float, ...]], n_seeds: int, eta: float) -> Iterator[Episode]:
-    """The phase-1 episodes of ``tasks`` in order: one per task x schedule
-    entry x seed, each drawing only from its own seed."""
+                 schedule: Sequence[tuple[float, ...]], n_seeds: int,
+                 eta: float) -> Iterator[tuple[Task, int, Steps, EnvState]]:
+    """The phase-1 episodes of ``tasks`` in order, one per task x schedule
+    entry x seed, as ``(task, seed, steps, final state)``; each draws only
+    from its own seed, ``derive_seed(master_seed, "phase1", task_id,
+    label, rep)``, whose prefix is hashed once per task and entry."""
     arms = [(baseline_random(probs), str(probs)) for probs in schedule]  # the decider and seed label of each entry
+    actors = _actors(interventions)
     for task in tasks:
         for decide, label in arms:
+            seed_of = seeds_under(master_seed, "phase1", task.task_id, label)
             for rep in range(n_seeds):
-                seed = derive_seed(master_seed, "phase1", task.task_id, label, rep)
-                yield run_episode(task, decide, interventions, seed, eta=eta)
+                seed = seed_of(rep)
+                yield (task, seed, *_play(task, decide, actors, seed, eta))
 
 
 def collect_phase1(
@@ -315,7 +366,7 @@ def collect_phase1(
     ``write_phase1``: ``collect_phase1(...).save(path, header)`` writes the
     file that ``write_phase1(path, header, ...)`` writes."""
     schedule = _checked_schedule(tasks, interventions, schedule)
-    return RolloutLog(_play_phase1(tasks, interventions, master_seed, schedule, n_seeds, eta))
+    return RolloutLog([_episode(*ep) for ep in _play_phase1(tasks, interventions, master_seed, schedule, n_seeds, eta)])
 
 
 def write_phase1(
@@ -346,8 +397,9 @@ def write_phase1(
     n_episodes = len(tasks) * len(schedule) * n_seeds
 
     def text(lo: int, hi: int) -> str:
-        return "".join([episode_line(ep) + "\n"
-                        for ep in _play_phase1(tasks[lo:hi], interventions, master_seed, schedule, n_seeds, eta)])
+        return "".join([episode_line((task.task_id, seed, steps, end.key(), end.outcome, len(steps))) + "\n"
+                        for task, seed, steps, end in _play_phase1(tasks[lo:hi], interventions, master_seed,
+                                                                   schedule, n_seeds, eta)])
 
     texts = fork_jobs([partial(text, lo, hi) for lo, hi in _task_slices(len(tasks), n_episodes)])
     write_lines(path, texts, header)
@@ -483,7 +535,7 @@ def load_helper(path: str | os.PathLike, n_help: int) -> Decider:
         if doc["mode"] not in HELPER_MODES:
             raise DataError(f"mode must be one of {list(HELPER_MODES)}, got {_dump(doc['mode'])[:80]}")
         fallback = doc["fallback"]
-        return lambda key, rng: table.get(key, fallback)
+        return _drawless(lambda key, rng: table.get(key, fallback))
 
     return read_json(path, parse)
 

@@ -1,8 +1,9 @@
 """Recorded episode logs shared by collection, estimation, and evaluation.
 
 ``episode_line`` is the one encoder of a ``phase1.jsonl`` record: both
-``RolloutLog.save`` and the collect workers of ``pipeline.write_phase1``
-use it, so the file of a collect is the file of its episodes' log.
+``RolloutLog.save`` and the collect workers of ``pipeline.write_phase1``,
+which hand it the played fields with no Episode built, use it, so the file
+of a collect is the file of its episodes' log.
 ``fit_log`` reads a saved log in one pass.
 """
 from __future__ import annotations
@@ -49,23 +50,24 @@ class Episode(NamedTuple):
         return tuple(counts)
 
 
-def episode_line(ep: Episode) -> str:
+def episode_line(ep: Sequence) -> str:
     """One ``phase1.jsonl`` record: ``mdp._dump`` of the episode's dict, whose
     ``steps`` are ``[state, branch, env_action]`` lists, written field by
-    field as the row formatters of ``mdp`` write theirs.  An episode whose
-    seed or length is not an exact ``int``, or whose strings are not all
-    strings, falls back to ``_dump``."""
-    seed, length = ep.seed, ep.length
+    field as the row formatters of ``mdp`` write theirs.  ``ep`` is an
+    Episode or the plain tuple of its fields, whose steps may be plain
+    ``(state, branch, env_action)`` tuples.  An episode whose seed or length
+    is not an exact ``int``, or whose strings are not all strings, falls
+    back to ``_dump``."""
+    task_id, seed, steps, final_state, outcome, length = ep
     if type(seed) is int and type(length) is int:
         try:
-            steps = ",".join([f"[{_enc(s)},{_enc(a)},{_enc(e)}]" for s, a, e in ep.steps])
-            return (f'{{"final_state":{_enc(ep.final_state)},"length":{length},"outcome":{_enc(ep.outcome)},'
-                    f'"seed":{seed},"steps":[{steps}],"task_id":{_enc(ep.task_id)}}}')
+            body = ",".join([f"[{_enc(s)},{_enc(a)},{_enc(e)}]" for s, a, e in steps])
+            return (f'{{"final_state":{_enc(final_state)},"length":{length},"outcome":{_enc(outcome)},'
+                    f'"seed":{seed},"steps":[{body}],"task_id":{_enc(task_id)}}}')
         except TypeError:
             pass
-    return _dump({"task_id": ep.task_id, "seed": ep.seed,
-                  "steps": [[s.state, s.action, s.env_action] for s in ep.steps],
-                  "final_state": ep.final_state, "outcome": ep.outcome, "length": ep.length})
+    return _dump({"task_id": task_id, "seed": seed, "steps": [list(step) for step in steps],
+                  "final_state": final_state, "outcome": outcome, "length": length})
 
 
 class RolloutLog:

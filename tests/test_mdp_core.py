@@ -303,6 +303,8 @@ class TestJsonWriting:
         want = _dump({"task_id": task_id, "seed": seed, "steps": [list(s) for s in steps],
                       "final_state": final, "outcome": outcome, "length": length})
         assert episode_line(ep) == want
+        # collect's form: the fields in a plain tuple, the steps plain triples
+        assert episode_line((task_id, seed, list(steps), final, outcome, length)) == want
 
 
 class TestStep:

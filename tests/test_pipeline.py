@@ -77,17 +77,59 @@ def _running_sum_branch(p, u):
     return NOHELP
 
 
+class _Refusing:
+    """A decision stream that raises on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the decision stream was used (.{name})")
+
+
 PROBS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(lambda xs: [x / max(1.0, sum(xs)) for x in xs])
+# laws that take one branch for every draw in [0, 1): all zeros, or zeros up
+# to a first positive running sum of at least 1 and zeros after it
+ONE_BRANCH = st.integers(1, 4).flatmap(lambda k: st.one_of(
+    st.just([0.0] * k),
+    st.tuples(st.integers(0, k - 1), st.sampled_from([1.0, 1.0 + 1e-12, math.nextafter(1.0, 2.0)])).map(
+        lambda at: [0.0] * at[0] + [at[1]] + [0.0] * (k - 1 - at[0]))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(PROBS, st.data())
+@given(st.one_of(PROBS, ONE_BRANCH), st.data())
 def test_baseline_random_picks_the_running_sum_branch(p, data):
     """For any valid p and any draw, on and beside each running sum too."""
     near = [u for acc in itertools.accumulate(p) for u in (acc, math.nextafter(acc, 0.0), math.nextafter(acc, 2.0))]
     u = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
                             st.sampled_from([u for u in near if 0.0 <= u < 1.0] or [0.0])))
     assert baseline_random(p)("state", _Draw(u)) == _running_sum_branch(p, u)
+
+
+class TestDrawlessDeciders:
+    """``always``, ``load_helper``'s decider and the one-branch laws of
+    ``baseline_random`` never use their decision stream, so ``run_episode``
+    seeds none for them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ONE_BRANCH)
+    def test_a_one_branch_law_never_draws(self, p):
+        assert baseline_random(p)("state", _Refusing()) == _running_sum_branch(p, 0.0)
+
+    def test_always_and_the_helper_never_draw(self, tmp_path):
+        for branch in (NOHELP, "help1", "help2"):
+            assert pipeline.always(branch)("state", _Refusing()) == branch
+        decide = load_helper(_write_helper(tmp_path / "helper.json", {"a": "help2", "b": NOHELP}, "help1"), 2)
+        assert [decide(key, _Refusing()) for key in ("a", "b", "zz")] == ["help2", NOHELP, "help1"]
+
+    def test_only_a_drawing_decider_gets_a_decision_stream(self, tmp_path, monkeypatch):
+        labels = []
+        real = pipeline.derive_seed
+        monkeypatch.setattr(pipeline, "derive_seed", lambda seed, *parts: labels.append(parts) or real(seed, *parts))
+        helper = load_helper(_write_helper(tmp_path / "helper.json", {}, "help1"), 1)
+        for decide, want in [(baseline_random((0.0,)), [("act",)]), (baseline_random((1.0,)), [("act",)]),
+                             (pipeline.always("help1"), [("act",)]), (helper, [("act",)]),
+                             (baseline_random((0.5,)), [("decide",), ("act",)])]:
+            labels.clear()
+            run_episode(TASKS.train[0], decide, STRONG, 5)
+            assert labels == want
 
 
 class TestCollect:
@@ -191,6 +233,39 @@ class TestForkedCollect:
         assert n == len(serial)
         serial.save(tmp_path / "serial.jsonl", header=self.HEADER)
         assert forked.read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_one_branch_arms_write_the_log_of_their_episodes(self, tmp_path, monkeypatch, cpus):
+        # (0.0, 0.0), (1.0, 0.0) and (0.0, 1.0) take one branch and seed no
+        # decision stream; the lines come from the play, with no Episode built
+        monkeypatch.setattr(pipeline, "EPISODES_PER_WORKER", 1)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        schedule = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.1)]
+        ivs = self.interventions("both")
+        path = tmp_path / "phase1.jsonl"
+        pipeline.write_phase1(path, self.HEADER, list(TASKS.train), ivs, 11, schedule=schedule, n_seeds=2,
+                              eta=CFG.eta)
+        log = collect_phase1(list(TASKS.train), ivs, 11, schedule=schedule, n_seeds=2, eta=CFG.eta)
+        log.save(tmp_path / "serial.jsonl", header=self.HEADER)
+        assert path.read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+        for i, ep in enumerate(log):  # per task, the schedule entries in order, two seeds each
+            arm = i // 2 % len(schedule)
+            if arm < 3:
+                assert {step.action for step in ep.steps} == {(NOHELP, "help1", "help2")[arm]}
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_helper_plays_as_if_it_drew(self, tmp_path, monkeypatch, cpus):
+        """The decision stream a helper's decider skips changes no row."""
+        monkeypatch.setattr(pipeline, "EPISODES_PER_WORKER", 1)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        ivs = self.interventions("both")
+        states = sorted({s for ep in collect_phase1(list(TASKS.train), ivs, 3, n_seeds=1) for s in ep.states[:-1]})
+        table = {s: ("help1", "help2", NOHELP)[i % 3] for i, s in enumerate(states)}
+        helper = load_helper(_write_helper(tmp_path / "helper.json", table, "help2"), 2)
+        drawing = lambda key, rng: helper(key, rng)  # unmarked, so it is handed a seeded stream
+        got = evaluate(helper, list(TASKS.train), ivs, 11, n_seeds=2, eta=CFG.eta)
+        assert got == evaluate(drawing, list(TASKS.train), ivs, 11, n_seeds=2, eta=CFG.eta)
+        assert all(u > 0 for u in got[0].usage) and sum(row[4] == (0, 0) for row in got[1]) < len(got[1])
 
     def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, slices):
         # two tasks make two workers, and only the forked worker's task
@@ -623,6 +698,16 @@ def test_derive_seed_stable_and_distinct():
     assert a == derive_seed(1, "x", 2)
     assert a != derive_seed(1, "x", 3)
     assert 0 <= a < 2**63
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(), st.text(), st.one_of(st.text(), st.lists(st.floats(0.0, 1.0), max_size=4).map(tuple)),
+       st.lists(st.one_of(st.integers(0, 10**6), st.text()), min_size=1, max_size=4))
+def test_seeds_under_a_prefix_are_derived_seeds(master, task_id, label, reps):
+    # collect hashes each (task, schedule entry) prefix once and copies it
+    # per rep, so no call may change the seed of a later one
+    seed_of = pipeline.seeds_under(master, "phase1", task_id, label)
+    assert [seed_of(rep) for rep in reps] == [derive_seed(master, "phase1", task_id, label, rep) for rep in reps]
 
 
 def test_derive_seed_keeps_its_recorded_values():
