@@ -448,15 +448,15 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
     state, an unknown action.  States and actions are checked where they
     first appear, so an unhashable one is refused as a malformed record.
     Duplicate records add up.  An empty file raises "no data", as
-    ``normalize`` does.  Each count row is divided by its total in place,
-    as ``normalize`` divides it; ``model_rows`` then refuses a file with no
-    state carrying every action row of 0..``n_help``, and one whose
-    restricted model is improper.  ``model_rows`` takes each row's
-    successors in sorted order, as ``CountTable.items`` gives them, so the
-    records may come in any order.
+    ``normalize`` does.  ``model_rows`` then divides the count rows of the
+    states it keeps by their totals, as ``normalize`` divides them, and
+    refuses a file with no state carrying every action row of
+    0..``n_help``, and one whose restricted model is improper.
+    ``model_rows`` takes each row's successors in sorted order, as
+    ``CountTable.items`` gives them, so the records may come in any order.
     """
     names: dict[str, str] = {}  # one object per state key, however many records repeat it
-    table: dict[tuple[str, str], dict[str, float]] = {}  # (state, action) -> next -> count, then probability
+    table: dict[tuple[str, str], dict[str, int]] = {}  # (state, action) -> next -> count
     for rec in read_jsonl(path, "state"):
         try:
             s, a, s2, c = rec["state"], rec["action"], rec["next"], rec["count"]
@@ -476,11 +476,7 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
             raise record_error(path, rec, COUNT_FIELDS, exc) from None
     if not table:
         raise DataError("no data")
-    for row in table.values():
-        total = sum(row.values())
-        for s2, c in row.items():
-            row[s2] = c / total
-    return model_rows(table, n_help)
+    return model_rows(table, n_help, counts=True)
 
 
 # solvable_rows reads about 25 MB of counts.jsonl a second, and a forked

@@ -103,9 +103,12 @@ class ModelRows(NamedTuple):
     succ: list[float]
 
 
-def model_rows(probs: Mapping[tuple[str, str], Mapping[str, float]], n_help: int) -> ModelRows:
+def model_rows(probs: Mapping[tuple[str, str], dict[str, float]], n_help: int, counts: bool = False) -> ModelRows:
     """The solver's layout of ``probs``, rows of (state, action) -> next
-    state -> probability, whose probabilities are taken as they are.
+    state -> probability, whose probabilities are taken as they are.  With
+    ``counts`` the rows hold counts instead, and each row it lays out, and
+    no other, is divided in place by its total, as ``mdp.normalize``
+    divides it.
 
     It keeps the states that have a row for every action of
     ``action_order(n_help)``; a successor that is neither kept nor terminal
@@ -140,6 +143,10 @@ def model_rows(probs: Mapping[tuple[str, str], Mapping[str, float]], n_help: int
             continue
         ai = actions.get(a)
         at = None if ai is None else ai * n + i  # None: a help type past n_help
+        if counts and at is not None:
+            total = sum(row.values())
+            for s2, c in row.items():
+                row[s2] = c / total
         for s2 in sorted(row):
             j = index.get(s2)
             if j is not None:

@@ -24,6 +24,10 @@ adds its success mass or unit of usage, and each action's value is
 S_br - r @ M_br.  The solution tables are built from whole arrays too.
 The compiled model keeps the exact evaluation of each policy it has
 factorized, so a policy is factorized once however many probes reach it.
+An entry is keyed by the policy in one byte per state and holds one
+read-only (1 + K, n) array, S in row 0 and M^i in row i, allocated before
+the policy's factor so that the freed factor's memory can go back to the
+system (``_exact_eval``).
 Tunable constants are read from ``planner`` at call time.
 """
 from __future__ import annotations
@@ -49,7 +53,7 @@ class _Compiled:
     terminals: list[str]  # sorted terminal keys of the support
     pairs: np.ndarray  # (A, n); entry (a, s) is a * n + s, the row of P of the pair
     base: np.ndarray  # (A, n, 1 + K); [succ | 1 in help a's own usage column, 0 elsewhere]
-    # choice bytes -> read-only exact (S, M) of that policy; see _exact_eval
+    # policy key -> read-only exact (S, M) of that policy, views of one (1 + K, n) array; see _exact_eval
     evals: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
@@ -108,15 +112,21 @@ def _exact_eval(
     policy is factorized once per compiled model: a repeat (a probe
     of ``reward_search`` that lands on a policy seen before, or the final
     evaluation of the policy ``_polish`` has just evaluated) returns the
-    stored arrays, which are read-only so that no caller can alter them.
+    stored arrays.  An entry is keyed by ``choice`` in the narrowest
+    unsigned integer that holds K, one byte per state for K < 256, and holds
+    one read-only (1 + K, n) array, S in row 0 and M^i in row i, of which S
+    and M are views, so that no caller can alter them.  The array is
+    allocated before the policy's matrix and its factor, and ``lu.solve``'s
+    results are copied into it: an entry made after the factor would sit
+    above the factor's freed memory and keep the allocator from returning
+    it, about 1 MB per paper-scale policy.
     """
-    n = len(comp.states)
-    if n == 0:
-        return np.zeros(0), np.zeros((cfg.n_help, 0))
-    key = choice.tobytes()
+    key = choice.astype(np.min_scalar_type(cfg.n_help)).tobytes()
     hit = comp.evals.get(key)
     if hit is not None:
         return hit
+    n = len(comp.states)
+    entry = np.empty((1 + cfg.n_help, n))  # before the factor (see the docstring)
     idx = np.arange(n)
     P_pi = comp.P[choice * n + idx]  # each state's chosen-action row
     A = (sparse.identity(n, format="csc") - P_pi).tocsc()
@@ -124,14 +134,12 @@ def _exact_eval(
         lu = linalg.splu(A)
     except RuntimeError as exc:  # singular factor
         raise planner.PlannerError(f"singular policy-evaluation system: {exc}") from exc
-    S = lu.solve(comp.succ[choice, idx])
-    M = np.zeros((cfg.n_help, n))
-    for i in range(cfg.n_help):
-        ind = (choice == i + 1).astype(float)
-        M[i] = lu.solve(ind)
-    S.flags.writeable = M.flags.writeable = False
-    comp.evals[key] = S, M
-    return S, M
+    entry[0] = lu.solve(comp.succ[choice, idx])
+    for i in range(1, 1 + cfg.n_help):
+        entry[i] = lu.solve((choice == i).astype(float))
+    entry.flags.writeable = False
+    comp.evals[key] = hit = entry[0], entry[1:]
+    return hit
 
 
 def _polish(comp: _Compiled, cfg: planner.RewardConfig, choice: np.ndarray) -> np.ndarray:

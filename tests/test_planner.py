@@ -297,6 +297,79 @@ class TestMultiIntervention:
             assert sol.value[s] == pytest.approx(enum.best_value[s], abs=1e-9)
 
 
+# (model, K): a random model at K = 1 and K = 2, and mdp_b with help2 a clone of help1
+EVAL_CACHE_MODELS = {
+    "random-K1": lambda: (fixtures.random_mdp(0, 6)[0], 1),
+    "random-K2": lambda: (fixtures.random_mdp(1, 6, n_help=2)[0], 2),
+    "clone-K2": lambda: (_with_clone_help2(fixtures.mdp_b()[0], "help1"), 2),
+}
+
+
+def _policies(n: int, n_help: int) -> list[np.ndarray]:
+    """Every constant policy, then seeded mixed ones, then each of them again."""
+    rng = np.random.default_rng(n_help)
+    distinct = [np.full(n, a) for a in range(1 + n_help)] + [rng.integers(0, 1 + n_help, n) for _ in range(4)]
+    return distinct + [c.copy() for c in distinct[::-1]]
+
+
+class TestExactEvalCache:
+    """solver._exact_eval factorizes each distinct policy once and keeps its
+    (S, M) as read-only views of one (1 + K, n) array."""
+
+    @pytest.fixture(params=sorted(EVAL_CACHE_MODELS))
+    def case(self, request):
+        model, n_help = EVAL_CACHE_MODELS[request.param]()
+        return model, RewardConfig(r=(0.1,) * n_help)
+
+    def test_each_distinct_policy_is_factorized_once(self, case, monkeypatch):
+        model, cfg = case
+        comp = compiled(model, cfg.n_help)
+        policies = _policies(len(comp.states), cfg.n_help)
+        calls = []
+        splu = solver.linalg.splu
+        monkeypatch.setattr(solver.linalg, "splu", lambda A: calls.append(A) or splu(A))
+        for choice in policies:
+            solver._exact_eval(comp, cfg, choice)
+        distinct = {choice.tobytes() for choice in policies}
+        assert len(calls) == len(comp.evals) == len(distinct) < len(policies)
+
+    def test_entry_is_read_only_views_of_one_array(self, case):
+        model, cfg = case
+        comp = compiled(model, cfg.n_help)
+        n = len(comp.states)
+        for choice in _policies(n, cfg.n_help):
+            S, M = solver._exact_eval(comp, cfg, choice)
+            X = S.base
+            assert X is M.base and X.shape == (1 + cfg.n_help, n) and not X.flags.writeable
+            assert S.shape == (n,) and M.shape == (cfg.n_help, n)
+            assert np.shares_memory(S, X[0]) and np.shares_memory(M, X[1:]) and not np.shares_memory(S, M)
+            for arr in (S, M):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+    def test_entries_equal_an_evaluation_on_a_fresh_compile(self, case):
+        model, cfg = case
+        comp = compiled(model, cfg.n_help)
+        for choice in _policies(len(comp.states), cfg.n_help):
+            S, M = solver._exact_eval(comp, cfg, choice)
+            S1, M1 = solver._exact_eval(compiled(model, cfg.n_help), cfg, choice)
+            assert S.tobytes() == S1.tobytes() and M.tobytes() == M1.tobytes()
+
+    @pytest.mark.parametrize("name", ["random-K2", "clone-K2"])
+    def test_help1_and_help2_get_separate_entries(self, name):
+        model, n_help = EVAL_CACHE_MODELS[name]()
+        cfg = RewardConfig(r=(0.1,) * n_help)
+        comp = compiled(model, n_help)
+        one = np.ones(len(comp.states), dtype=int)
+        two = one.copy()
+        two[0] = 2  # state 0 calls help2 where the other policy calls help1
+        S1, M1 = solver._exact_eval(comp, cfg, one)
+        S2, M2 = solver._exact_eval(comp, cfg, two)
+        assert len(comp.evals) == 2
+        assert M1[1, 0] == 0.0 and M2[1, 0] >= 1.0  # help2's own usage counts its call
+        assert solver._exact_eval(comp, cfg, two.copy())[1] is M2 and solver._exact_eval(comp, cfg, one)[1] is M1
+
+
 # sha256 of the canonical solution_to_dict JSON; later helps are cheaper, so
 # the policies use help2 and help3 and every K >= 2 selection path runs
 MULTI_HELP_GOLDEN = {
