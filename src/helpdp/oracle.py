@@ -1,5 +1,6 @@
 """Independent verification engines: exhaustive policy enumeration, exact
-linear policy evaluation, a value-iteration reference solver, seeded
+linear policy evaluation, a value-iteration reference solver, a
+plain-Python backward pass over a finite-horizon model's rows, seeded
 Monte Carlo estimators, the policy closure over a ``TransitionModel``
 that ``trajectory_only`` helpers are checked against, and the sweep
 reference.
@@ -24,12 +25,13 @@ import numpy as np
 
 from . import planner
 from .mdp import NOHELP, TransitionModel, action_order, is_terminal, terminal_outcome
-from .planner import EPSILON, MAX_SWEEPS, TIE_TOL, PlannerError, RewardConfig, Solution
+from .planner import EPSILON, TIE_TOL, ModelRows, PlannerError, RewardConfig, Solution
 
 if TYPE_CHECKING:
     from .solver import _Compiled, _Core
 
 ENUMERATION_CAP = 12
+VALUE_SWEEPS = 10_000  # value_iteration's sweeps at most, before its exact policy iteration
 
 
 class OracleError(ValueError):
@@ -130,7 +132,7 @@ def value_iteration(
         return choice, Q[choice, idx]
 
     V = np.zeros(n)
-    for _ in range(MAX_SWEEPS):
+    for _ in range(VALUE_SWEEPS):
         choice, new_V = greedy(V)
         delta = float(np.max(np.abs(new_V - V), initial=0.0))
         V = new_V
@@ -156,6 +158,73 @@ def value_iteration(
         if outcome is not None:
             values[s] = 1.0 if outcome == "success" else 0.0
     return values, policy
+
+
+def postorder(succs: Sequence[Sequence[int]]) -> list[int] | None:
+    """The nodes 0..n-1, each after all its successors (``succs[i]`` lists
+    node i's), by a depth-first search from each node in turn; None if the
+    search meets a cycle."""
+    mark = [0] * len(succs)  # 0 unseen, 1 on the search path, 2 done
+    order: list[int] = []
+    for root in range(len(succs)):
+        if mark[root]:
+            continue
+        mark[root] = 1
+        path = [(root, iter(succs[root]))]
+        while path:
+            i, rest = path[-1]
+            for j in rest:
+                if mark[j] == 1:
+                    return None
+                if mark[j] == 0:
+                    mark[j] = 1
+                    path.append((j, iter(succs[j])))
+                    break
+            else:
+                path.pop()
+                mark[i] = 2
+                order.append(i)
+    return order
+
+
+def backward_pass(rows: ModelRows, cfg: RewardConfig) -> tuple[list[float], list[list[float]], list[int]]:
+    """The fixed point of a finite-horizon model in one pass over its rows,
+    in plain Python: S, M (one list per help type) and the chosen action
+    index of each of ``rows.states``.
+
+    Each state is solved after all its successors (``postorder``), so its
+    branch values are final: S_a sums mass times S over its row plus its
+    success mass, and M_a^i sums mass times M^i plus 1 if a is help_i.  The
+    actions are taken nohelp first, and one replaces the best so far iff its
+    S_a - r.M_a exceeds the best's by more than ``TIE_TOL``, as
+    ``solver._select_value_consistent`` does: ties keep nohelp, then the
+    lowest help index.
+    """
+    n, K = len(rows.states), rows.n_help
+    if cfg.n_help != K:
+        raise OracleError(f"rows are laid out for K={K}, not K={cfg.n_help}")
+    out: list[list[tuple[int, float]]] = [[] for _ in range((1 + K) * n)]  # pair a * n + s -> its row
+    for at, j, p in zip(rows.rows, rows.cols, rows.vals):
+        out[at].append((j, p))
+    order = postorder([[j for a in range(1 + K) for j, _ in out[a * n + i]] for i in range(n)])
+    if order is None:
+        raise OracleError("the rows hold a cycle")
+    S = [0.0] * n
+    M = [[0.0] * n for _ in range(K)]
+    choice = [0] * n
+    for i in order:
+        best = None
+        for a in range(1 + K):
+            row = out[a * n + i]
+            s_a = sum(p * S[j] for j, p in row) + rows.succ[a * n + i]
+            m_a = [sum(p * M[k][j] for j, p in row) + (a == k + 1) for k in range(K)]
+            q = s_a - sum(r * m for r, m in zip(cfg.r, m_a))
+            if best is None or q > best[0] + TIE_TOL:
+                best = q, a, s_a, m_a
+        _, choice[i], S[i], m_a = best
+        for k in range(K):
+            M[k][i] = m_a[k]
+    return S, M, choice
 
 
 @dataclass(frozen=True)
@@ -318,17 +387,15 @@ def sweep_select(cfg: RewardConfig, S_br: np.ndarray, M_br: np.ndarray) -> np.nd
 def sweep_fixed_point(comp: _Compiled, cfg: RewardConfig) -> _Core:
     """The reference for ``solver._fixed_point``: Jacobi sweeps over separate
     S and M, then the exact polish, whose policies ``solver._exact_eval``
-    evaluates; returns (S, M, choice, iterations, converged).  The
-    constants are read from ``planner`` at call time, as the solver reads
-    them."""
+    evaluates; returns (S, M, choice, iterations).  The tolerance is read
+    from ``planner`` at call time, as the solver reads it."""
     from .solver import _exact_eval
 
     n = len(comp.states)
     idx = np.arange(n)
     S = np.zeros(n)
     M = np.zeros((cfg.n_help, n))
-    converged = False
-    for iterations in range(1, planner.MAX_SWEEPS + 1):
+    for iterations in itertools.count(1):
         S_br, M_br = sweep_branch_values(comp, S, M)
         choice = sweep_select(cfg, S_br, M_br)
         new_S = S_br[choice, idx]
@@ -337,25 +404,23 @@ def sweep_fixed_point(comp: _Compiled, cfg: RewardConfig) -> _Core:
                     float(np.max(np.abs(new_S - S), initial=0.0)))
         S, M = new_S, new_M
         if delta < planner.EPSILON:
-            converged = True
             break
 
-    if converged:
-        seen: set[bytes] = set()
-        for _ in range(100):
-            new_choice = sweep_select(cfg, *sweep_branch_values(comp, *_exact_eval(comp, cfg, choice)))
-            if np.array_equal(new_choice, choice) or new_choice.tobytes() in seen:
-                break
-            seen.add(new_choice.tobytes())
-            choice = new_choice
+    seen: set[bytes] = set()
+    for _ in range(100):
+        new_choice = sweep_select(cfg, *sweep_branch_values(comp, *_exact_eval(comp, cfg, choice)))
+        if np.array_equal(new_choice, choice) or new_choice.tobytes() in seen:
+            break
+        seen.add(new_choice.tobytes())
+        choice = new_choice
     S, M = _exact_eval(comp, cfg, choice)
-    return S, M, choice, iterations, converged
+    return S, M, choice, iterations
 
 
 def sweep_tables(comp: _Compiled, cfg: RewardConfig, core: _Core) -> Solution:
     """The reference for ``solver._to_solution``: the tables of one fixed
     point built state by state, terminal states included."""
-    S, M, choice, iterations, converged = core
+    S, M, choice, iterations = core
     r = np.asarray(cfg.r)
     usage = {s: tuple(float(M[i, j]) for i in range(cfg.n_help)) for s, j in comp.index.items()}
     success = {s: float(S[j]) for s, j in comp.index.items()}
@@ -367,4 +432,4 @@ def sweep_tables(comp: _Compiled, cfg: RewardConfig, core: _Core) -> Solution:
         success[s] = win
         value[s] = win
     return Solution(usage=usage, success=success, policy=policy, value=value, r=tuple(cfg.r),
-                    iterations_run=iterations, converged=converged)
+                    iterations_run=iterations, converged=True)

@@ -38,7 +38,7 @@ as ``env.strong_actor`` with its noise bound or the picker of ``mcts_pick``.
 
 Every worker process comes from ``fork_jobs``: ``collect``'s and ``eval``'s
 episode slices and the reader of ``solve`` and ``search``, which takes the
-solver's rows from ``counts.jsonl``, laid out and checked for properness by
+solver's rows from ``counts.jsonl``, laid out and checked for cycles by
 ``planner.model_rows``, and then the start keys from ``tasks.jsonl``
 (``read_solvable_rows``).
 """
@@ -451,7 +451,8 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
     ``normalize`` does.  ``model_rows`` then divides the count rows of the
     states it keeps by their totals, as ``normalize`` divides them, and
     refuses a file with no state carrying every action row of
-    0..``n_help``, and one whose restricted model is improper.
+    0..``n_help``, and one whose kept states' successor edges hold a cycle,
+    since the planner takes finite-horizon models only.
     ``model_rows`` takes each row's successors in sorted order, as
     ``CountTable.items`` gives them, so the records may come in any order.
     """

@@ -1,14 +1,17 @@
 """Offline DP core: usage/policy fixed-point iteration, the V = S - r.M
 decomposition, and binary reward search against a usage budget.
 
+The planner takes finite-horizon models only: the edges between the
+non-terminal states form no cycle, as every env state key carries its step
+``t`` and every step advances it.  ``model_rows`` refuses a cyclic model.
+
 The fixed point is computed in two stages: synchronous (Jacobi) sweeps of
 the usage/policy recursion until the max-norm change drops below
 ``EPSILON``, then an exact polish that evaluates the stabilized policy by a
 sparse linear solve and re-derives the policy from the exact values until
-it stops changing.  The polish removes the iteration tail, so converged
-solutions satisfy the value decomposition to ~1e-12.  A solve that has not
-converged after ``MAX_SWEEPS`` sweeps is returned with ``converged`` False;
-such a probe of ``reward_search`` raises.
+it stops changing.  On an acyclic model the sweeps settle within the
+longest path's length plus two, and the polish removes the rounding tail,
+so solutions satisfy the value decomposition to ~1e-12.
 
 Both run on arrays compiled from the model (see ``solver``): each Jacobi
 sweep is one sparse product of the transitions with S and M side by side,
@@ -21,7 +24,7 @@ model laid out in the solver's rows.  ``model_rows`` builds every
 ``ModelRows``: from a ``TransitionModel``'s rows once none is missing, and
 from ``counts.jsonl``'s for the ``solve`` and ``search`` commands
 (``pipeline.solvable_rows``); it keeps the states with every action row and
-refuses an improper model.  This module holds the types, the row layout,
+refuses a cyclic model.  This module holds the types, the row layout,
 the budget's definition and the solution files in plain Python, and imports
 ``solver`` (numpy and scipy) only when ``solve`` or ``reward_search`` is
 called, or ``import_solver`` is, so every command that does not solve runs
@@ -39,7 +42,6 @@ from .mdp import (Checked, DataError, SuccessModel, TransitionModel, _dump, acti
 
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
-MAX_SWEEPS = 10_000  # a fixed point still moving after this many sweeps is unconverged
 HELPER_MODES = ("all_states", "trajectory_only")  # how `annotate` distills a solution (pipeline.build_helper)
 UNKNOWN_FAILURE = "unknown|outcome=failure"  # model_rows' target for a successor off the kept states
 
@@ -116,9 +118,7 @@ def model_rows(probs: Mapping[tuple[str, str], dict[str, float]], n_help: int, c
     Rows of help types past ``n_help`` keep and drop no state and add only
     their terminal successors to ``terminals``.  Each row's successors are
     taken in sorted order.  Raises PlannerError when no state is kept, and
-    when the model is improper: some policy would have a recurrent class
-    with no terminal, where undiscounted S and M are undefined and the
-    policy's evaluation system is singular.
+    when the kept states' successor edges hold a cycle (``_refuse_cyclic``).
     """
     actions = {a: ai for ai, a in enumerate(action_order(n_help))}
     coverage: dict[str, int] = {}
@@ -134,8 +134,8 @@ def model_rows(probs: Mapping[tuple[str, str], dict[str, float]], n_help: int, c
     cols: list[int] = []
     vals: list[float] = []
     succ = [0.0] * (len(actions) * n)
-    leaves = [False] * (len(actions) * n)  # pair a * n + s has a terminal successor
-    preds: list[list[int]] = [[] for _ in states]  # entry j: the pairs a * n + s with an edge s -a-> j
+    preds: list[list[int]] = [[] for _ in states]  # entry j: the state i of each edge i -a-> j
+    out = [0] * n  # each state's edges to kept states
     outcome: dict[str, str] = {}  # terminal_outcome of each successor off the kept states
     for (s, a), row in probs.items():
         i = index.get(s)
@@ -154,52 +154,44 @@ def model_rows(probs: Mapping[tuple[str, str], dict[str, float]], n_help: int, c
                     rows.append(at)
                     cols.append(j)
                     vals.append(row[s2])
-                    preds[j].append(at)
+                    preds[j].append(i)
+                    out[i] += 1
                 continue
             o = outcome.get(s2)
             if o is None:
                 o = outcome[s2] = terminal_outcome(s2) or "remapped"
-            if at is not None:
-                leaves[at] = True
-                if o == "success":
-                    succ[at] += row[s2]
+            if at is not None and o == "success":
+                succ[at] += row[s2]
     terminals = sorted({UNKNOWN_FAILURE if o == "remapped" else s2 for s2, o in outcome.items()})
-    _refuse_improper(states, leaves, preds)
+    _refuse_cyclic(states, preds, out)
     return ModelRows(states=states, terminals=terminals, n_help=n_help, rows=rows, cols=cols, vals=vals,
                      succ=succ)
 
 
-def _refuse_improper(states: list[str], leaves: list[bool], preds: list[list[int]]) -> None:
-    """Raise PlannerError if some nonempty set B of the non-terminal states
-    is trapping: every s in B has an action whose whole successor support
-    stays inside B.
+def _refuse_cyclic(states: list[str], preds: list[list[int]], out: list[int]) -> None:
+    """Raise PlannerError unless the edges between the kept states are
+    acyclic.  ``out`` counts each state's edges and ``preds`` lists their
+    sources by target; ``out`` is consumed.
 
-    One worklist pass over the edges finds the largest such B.  ``leaves``
-    marks the pairs a * n + s with a successor outside the live set
-    (terminals always are); it is updated in place as states leave the set,
-    which a state does once every action's pair is marked.
+    A state is peeled once all its successors have been, so the states whose
+    successors are all terminal go first; a state that is never peeled lies
+    on or reaches a cycle.
     """
-    n = len(states)
-    keeps = [0] * n  # each state's unmarked pairs
-    for pair, out in enumerate(leaves):
-        if not out:
-            keeps[pair % n] += 1
-    work = [i for i, k in enumerate(keeps) if k == 0]
-    while work:
-        for pair in preds[work.pop()]:
-            if not leaves[pair]:
-                leaves[pair] = True
-                i = pair % n
-                keeps[i] -= 1
-                if keeps[i] == 0:
-                    work.append(i)
-    alive = [s for s, k in zip(states, keeps) if k]
-    if alive:
-        raise PlannerError(f"improper chain: trapping non-terminal states {alive[:5]}")
+    peeled = [i for i, k in enumerate(out) if k == 0]
+    for j in peeled:  # grows while it is read: each peeled state's sources may follow
+        for i in preds[j]:
+            out[i] -= 1
+            if out[i] == 0:
+                peeled.append(i)
+    if len(peeled) < len(states):
+        stuck = [s for s, k in zip(states, out) if k]
+        raise PlannerError(f"cyclic model: states on or reaching a cycle {stuck[:5]}")
 
 
 class Solution(NamedTuple):
-    """Converged usage/success/policy tables plus the value function."""
+    """Usage/success/policy tables plus the value function.  Every solve
+    converges; ``converged`` stays because ``solution.json`` carries it, and
+    ``pipeline.build_helper`` refuses a file that says false."""
 
     usage: dict[str, tuple[float, ...]]
     success: dict[str, float]
@@ -286,8 +278,7 @@ def reward_search(
     E[U](r) is a nonincreasing step function, so exact attainment of the
     budget is generally impossible; the result is the smallest probed
     feasible r, i.e. the maximal-usage feasible policy among probes, with
-    the full probe trace attached.  A probe that does not converge raises
-    PlannerError, since its E[U] cannot steer the bisection.
+    the full probe trace attached.
     """
     r_lo, r_hi = bounds
     if r_lo < 0 or r_hi <= r_lo:
@@ -307,8 +298,6 @@ def reward_search(
 
     def probe(r: float) -> tuple[solver._Core, float]:
         core = solver._fixed_point(comp, cfg._replace(r=(r,)))
-        if not core[4]:
-            raise PlannerError(f"probe at r={r:.6g} did not converge in {core[3]} sweeps")
         acc = 0.0  # added in start order, as expected_usage does, so E[U] is bit-equal
         for u in core[1][0].take(cols).tolist():
             acc += u
@@ -370,7 +359,8 @@ def _solution_from_dict(doc: dict) -> Solution:
     of numbers, whose length is K, ``converged`` a boolean, ``iterations``
     an integer, ``expected_usage`` null (or absent) or a list of K numbers,
     and each table must map state keys to values of its shape; every check
-    runs over a whole table at once."""
+    runs over a whole table at once.  ``usage``, ``success`` and ``value``
+    must have the same keys, and ``policy`` no key outside them."""
     r = doc["r"]
     if type(r) is not list or not r or not are_numbers(r):
         raise DataError(f"r must be a non-empty list of numbers, got {_dump(r)[:80]}")
@@ -385,11 +375,19 @@ def _solution_from_dict(doc: dict) -> Solution:
     policy = check_table("policy", doc["policy"], f"actions of {action_order(k)}", lambda acts: are_actions(acts, k))
     usage = check_table("usage", doc["usage"], f"lists of {k} numbers", lambda us: (
         set(map(type, us)) <= {list} and set(map(len, us)) <= {k} and are_numbers(list(chain.from_iterable(us)))))
+    success = check_table("success", doc["success"], "numbers", are_numbers)
+    value = check_table("value", doc["value"], "numbers", are_numbers)
+    for name, table in (("success", success), ("value", value)):
+        if table.keys() != usage.keys():
+            raise DataError(f"{name} must have the keys of usage, got {_dump(min(table.keys() ^ usage.keys()))}")
+    extra = policy.keys() - usage.keys()
+    if extra:
+        raise DataError(f"policy must have no key outside usage, got {_dump(min(extra))}")
     return Solution(
         usage={s: tuple(u) for s, u in usage.items()},
-        success=check_table("success", doc["success"], "numbers", are_numbers),
+        success=success,
         policy=policy,
-        value=check_table("value", doc["value"], "numbers", are_numbers),
+        value=value,
         r=tuple(r),
         iterations_run=doc["iterations"],
         converged=doc["converged"],

@@ -10,8 +10,10 @@ actions (nohelp, help1..helpK) and the n non-terminal states: one sparse
 (A*n, n) matrix whose row a*n + s holds the non-terminal successors of s
 under action a, and an (A, n) array of the mass that reaches terminal
 success.  They are made from a ``planner.ModelRows``, which
-``planner.model_rows`` has laid out and checked for properness, so this
-module only computes.
+``planner.model_rows`` has laid out and checked for cycles, so this module
+only computes: on an acyclic model the sweeps settle within the longest
+path's length plus two, every policy's evaluation system is nonsingular,
+and every fixed point is polished.
 
 A sweep keeps S and M side by side in one (n, 1 + K) array X, so one sparse
 product ``P @ X`` gives the branch values of every action, (A, n, 1 + K),
@@ -33,6 +35,7 @@ Tunable constants are read from ``planner`` at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 from scipy import sparse
@@ -130,10 +133,7 @@ def _exact_eval(
     idx = np.arange(n)
     P_pi = comp.P[choice * n + idx]  # each state's chosen-action row
     A = (sparse.identity(n, format="csc") - P_pi).tocsc()
-    try:
-        lu = linalg.splu(A)
-    except RuntimeError as exc:  # singular factor
-        raise planner.PlannerError(f"singular policy-evaluation system: {exc}") from exc
+    lu = linalg.splu(A)  # nonsingular: on an acyclic model A is unit triangular up to the state order
     entry[0] = lu.solve(comp.succ[choice, idx])
     for i in range(1, 1 + cfg.n_help):
         entry[i] = lu.solve((choice == i).astype(float))
@@ -164,8 +164,8 @@ def _polish(comp: _Compiled, cfg: planner.RewardConfig, choice: np.ndarray) -> n
     return choice
 
 
-# (S, M, choice, iterations, converged) of one fixed point, over comp.states
-_Core = tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]
+# (S, M, choice, iterations) of one fixed point, over comp.states
+_Core = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig) -> _Core:
@@ -175,27 +175,23 @@ def _fixed_point(comp: _Compiled, cfg: planner.RewardConfig) -> _Core:
     A, n = comp.succ.shape
     r = np.asarray(cfg.r)
     X = np.zeros((n, 1 + cfg.n_help))
-    converged = False
-    for iterations in range(1, planner.MAX_SWEEPS + 1):
+    for iterations in count(1):
         Y = _branch_values(comp, X)
         pairs = _select_value_consistent(comp, r, Y)
         new_X = Y.reshape(A * n, X.shape[1]).take(pairs, axis=0)
         delta = float(np.max(np.abs(new_X - X), initial=0.0))
         X = new_X
         if delta < planner.EPSILON:
-            converged = True
             break
 
-    choice = pairs // n
-    if converged:
-        choice = _polish(comp, cfg, choice)
+    choice = _polish(comp, cfg, pairs // n)
     S, M = _exact_eval(comp, cfg, choice)
-    return S, M, choice, iterations, converged
+    return S, M, choice, iterations
 
 
 def _to_solution(comp: _Compiled, cfg: planner.RewardConfig, core: _Core) -> planner.Solution:
     """String-keyed tables of one fixed point, terminal states included."""
-    S, M, choice, iterations, converged = core
+    S, M, choice, iterations = core
     states, actions = comp.states, comp.actions
     usage = dict(zip(states, zip(*M.tolist())))
     succ_tbl = dict(zip(states, S.tolist()))
@@ -214,5 +210,5 @@ def _to_solution(comp: _Compiled, cfg: planner.RewardConfig, core: _Core) -> pla
         value=value,
         r=tuple(cfg.r),
         iterations_run=iterations,
-        converged=converged,
+        converged=True,
     )

@@ -159,17 +159,12 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "infeasible" in proc.stderr.lower()
 
-    def test_unconverged_solution_is_not_written(self, tmp_path):
-        cfg = write_config(tmp_path, "u")
-        for cmd in ("gen", "collect", "fit"):
-            run_cmd(cfg, cmd)
-        # the sweep cap is the planner's constant, so the child lowers it
-        capped = "from helpdp import cli, planner; planner.MAX_SWEEPS = 1; cli.cli()"
+    def test_a_cyclic_model_exits_1_and_writes_nothing(self, tmp_path):
+        cfg, _ = _broken_counts(tmp_path, "loop", out="u")
         for cmd in ("solve", "search"):
-            proc = subprocess.run([sys.executable, "-c", capped, "--config", str(cfg), cmd],
-                                  capture_output=True, text=True)
+            proc = self._run("--config", str(cfg), cmd)
             assert proc.returncode == 1
-            assert "did not converge" in proc.stderr
+            assert proc.stderr == CYCLIC["loop"]
             assert not (tmp_path / "u" / "solution.json").exists()
             assert not (tmp_path / "u" / "search.json").exists()
 
@@ -690,6 +685,28 @@ def _put(key: str, value):
     return edit
 
 
+def _put_entry(table: str, state: str, value):
+    def edit(path: Path) -> None:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[table][state] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return edit
+
+
+def _forget(*tables: str):
+    """Drops the first state of ``usage`` in sorted order, the first train
+    task's start, from each of ``tables``."""
+    def edit(path: Path) -> None:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        first = min(doc["usage"])
+        for table in tables:
+            del doc[table][first]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return edit
+
+
 ACTIONS = "actions of ['nohelp', 'help1']"
 
 
@@ -713,6 +730,16 @@ ACTIONS = "actions of ['nohelp', 'help1']"
      'DataError: expected_usage must be null or a list of 1 numbers, got "abc")'),
     ("annotate", "solution.json", _put("expected_usage", [1, 2]),
      "DataError: expected_usage must be null or a list of 1 numbers, got [1,2])"),
+    ("annotate", "solution.json", _forget("usage", "success"),
+     'DataError: value must have the keys of usage, got "task=train0000|hint='),
+    ("eval", "solution.json", _forget("usage", "success"),
+     'DataError: value must have the keys of usage, got "task=train0000|hint='),
+    ("annotate", "solution.json", _forget("value"),
+     'DataError: value must have the keys of usage, got "task=train0000|hint='),
+    ("annotate", "solution.json", _put_entry("success", "zz", 1.0),
+     'DataError: success must have the keys of usage, got "zz")'),
+    ("eval", "solution.json", _put_entry("policy", "zz", "help1"),
+     'DataError: policy must have no key outside usage, got "zz")'),
     ("eval", "helper.json", _put("table", [["s", "help1"]]), f"DataError: table must map state keys to {ACTIONS})"),
     ("eval", "helper.json", _put("table", {"s": "help2"}), f"DataError: table must map state keys to {ACTIONS})"),
     ("eval", "helper.json", _put("fallback", "help"),
@@ -723,14 +750,21 @@ ACTIONS = "actions of ['nohelp', 'help1']"
         "eval-solution-no-policy", "eval-helper-truncated", "eval-helper-no-table", "solution-r-empty",
         "solution-policy-a-list", "solution-policy-not-actions", "solution-usage-not-lists", "solution-success-text",
         "solution-value-null", "solution-converged-a-string", "solution-iterations-a-string",
-        "solution-expected-usage-a-string", "solution-expected-usage-too-long", "helper-table-a-list",
+        "solution-expected-usage-a-string", "solution-expected-usage-too-long",
+        "solution-start-without-usage-or-success", "eval-solution-start-without-usage-or-success",
+        "solution-value-without-a-state",
+        "solution-success-with-an-extra-state", "eval-solution-policy-with-an-extra-state", "helper-table-a-list",
         "helper-table-not-actions", "helper-fallback-not-an-action", "helper-mode-unknown"])
 def test_a_corrupt_solution_or_helper_exits_1_naming_its_file(tmp_path, monkeypatch, capsys, restore_gc,
                                                                command, name, edit, cause):
     """A solution.json or helper.json that is not JSON, lacks a key, or has a
     table or flag of the wrong shape is named with the cause, as the JSONL
     loaders name theirs, and the command writes nothing; a truthy string as
-    `converged` would pass build_helper's refusal of an unconverged one."""
+    `converged` would pass build_helper's refusal of an unconverged one.  A
+    solution whose usage, success and value cover different states, or whose
+    policy covers a state they lack, is named with the first such state: with
+    a start's usage and success gone, eval used to count it as seen with
+    zero usage."""
     cfg = write_config(tmp_path, "cs")
     run_chain(cfg, ("gen", "collect", "fit", "search", "annotate"))
     path = tmp_path / "cs" / name
@@ -1301,10 +1335,10 @@ def _reference_exact_model() -> tuple:
 
 
 @pytest.mark.parametrize("build,n_help", [
-    (fixtures.mdp_a, 1), (fixtures.mdp_b, 1), (fixtures.corridor_mdp, 1),
-    (lambda: fixtures.random_mdp(3, 30, n_help=1), 1), (lambda: fixtures.random_mdp(4, 30, n_help=2), 2),
-    (lambda: fixtures.random_mdp(5, 30, n_help=3), 3), (_reference_exact_model, 1),
-], ids=["mdp_a", "mdp_b", "corridor_mdp", "random-K1", "random-K2", "random-K3", "reference-exact"])
+    (fixtures.mdp_a, 1), (fixtures.mdp_b, 1), (fixtures.corridor_ladder, 1),
+    (lambda: fixtures.layered_mdp(3, 30, n_help=1), 1), (lambda: fixtures.layered_mdp(4, 30, n_help=2), 2),
+    (lambda: fixtures.layered_mdp(5, 30, n_help=3), 3), (_reference_exact_model, 1),
+], ids=["mdp_a", "mdp_b", "corridor_ladder", "layered-K1", "layered-K2", "layered-K3", "reference-exact"])
 def test_model_rows_are_the_dense_reference_arrays(build, n_help):
     """planner.model_rows lays out a complete model, entry for entry, as
     oracle.py's independent dense arrays do."""
@@ -1370,6 +1404,31 @@ def test_search_and_solve_on_fitted_rows_match_the_sweep_reference(fitted, monke
     assert len(got[0]) > 2
 
 
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("source", ["layered-K1", "layered-K2", "reference", "both"])
+def test_the_backward_pass_picks_the_solver_s_policy_and_values(fitted, source, r):
+    """oracle.backward_pass, one plain-Python pass that solves each state
+    after its successors, picks planner.solve's policy and gives its S and
+    M to 1e-12: on layered models and on the fitted rows of the reference
+    chain (K = 1) and of a "both" run (K = 2)."""
+    from helpdp import planner
+
+    if source.startswith("layered"):
+        k = int(source[-1])
+        cases = [planner.model_rows(fixtures.layered_mdp(seed, 12, n_help=k)[0].probs, k) for seed in range(4)]
+    else:
+        cases = [pipeline.solvable_rows(fitted[source], 1 if source == "reference" else 2)]
+    for rows in cases:
+        cfg = planner.RewardConfig(r=(r,) + (r / 2,) * (rows.n_help - 1))  # help2, where there is one, is cheaper
+        sol = planner.solve(rows, None, cfg)
+        S, M, choice = oracle.backward_pass(rows, cfg)
+        actions = mdp.action_order(rows.n_help)
+        assert [actions[c] for c in choice] == [sol.policy[s] for s in rows.states]
+        assert max(abs(x - sol.success[s]) for s, x in zip(rows.states, S)) <= 1e-12
+        for i in range(rows.n_help):
+            assert max(abs(x - sol.usage[s][i]) for s, x in zip(rows.states, M[i])) <= 1e-12
+
+
 def _broken_counts(tmp_path: Path, case: str, out: str = "badc") -> tuple[Path, Path]:
     """A small run's config after gen, collect and fit, and its counts.jsonl
     broken as ``case`` says."""
@@ -1391,8 +1450,12 @@ def _broken_counts(tmp_path: Path, case: str, out: str = "badc") -> tuple[Path, 
         del records[0]["state"]
     elif case == "header-only":
         records = []
-    elif case == "improper":  # every row of "trap" loops back to it, so no policy leaves it
+    elif case == "trap":  # every row of "trap" loops back to it, so no policy leaves it
         records += [{"state": "trap", "action": a, "next": "trap", "count": 1} for a in ("nohelp", "help1")]
+    elif case == "loop":  # "loop-a" and "loop-b" lead to each other or fail: a proper model, but a cycle
+        records += [{"state": f"loop-{s}", "action": a, "next": s2, "count": 1}
+                    for s, other in (("a", "b"), ("b", "a")) for a in ("nohelp", "help1")
+                    for s2 in (f"loop-{other}", "room=0|outcome=failure")]
     else:  # "no-coverage": no help1 row anywhere
         records = [r for r in records if r["action"] != "help1"]
     path.write_text(header + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -1434,29 +1497,33 @@ def test_search_refuses_malformed_counts_like_the_reference(tmp_path, monkeypatc
     assert not (tmp_path / "badc" / "search.json").exists()
 
 
-IMPROPER = "error: improper chain: trapping non-terminal states ['trap']\n"
+CYCLIC = {"trap": "error: cyclic model: states on or reaching a cycle ['trap']\n",
+          "loop": "error: cyclic model: states on or reaching a cycle ['loop-a', 'loop-b']\n"}
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
 @pytest.mark.parametrize("command", ["search", "solve"])
-def test_an_improper_counts_file_is_refused_by_the_reader(tmp_path, monkeypatch, capsys, restore_gc, command, cpus):
-    """A state that no action leaves makes the model improper; the reader
-    refuses it, before anything is compiled, and the command exits 1 naming
-    the state and writes nothing."""
+@pytest.mark.parametrize("case", ["trap", "loop"])
+def test_a_cyclic_counts_file_is_refused_by_the_reader(tmp_path, monkeypatch, capsys, restore_gc, case, command,
+                                                       cpus):
+    """A cycle among the kept states, a state that no action leaves or two
+    that lead to each other beside a terminal, is refused by the reader,
+    before anything is compiled, and the command exits 1 naming the states
+    and writes nothing."""
     from helpdp import solver
 
-    cfg, path = _broken_counts(tmp_path, "improper")
+    cfg, path = _broken_counts(tmp_path, case)
     forks = _force_read(monkeypatch, cpus)
 
     def refuse(*args):
-        raise AssertionError("compiled an improper model")
+        raise AssertionError("compiled a cyclic model")
 
     monkeypatch.setattr(solver, "_compile", refuse)
     monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
     with pytest.raises(SystemExit) as exc:
         cli()
     assert exc.value.code == 1
-    assert capsys.readouterr().err == IMPROPER
+    assert capsys.readouterr().err == CYCLIC[case]
     assert forks == ([(path, 1)] if cpus == 2 else [])
     assert not (tmp_path / "badc" / "solution.json").exists()
 
@@ -1524,18 +1591,18 @@ class TestForkedSearch:
                                                                         restore_gc, command, cpus):
         """The reader takes the start keys after the counts, in the worker or
         inline: with tasks.jsonl missing, a malformed counts.jsonl still
-        exits 1 naming its record, an improper one exits 1 naming its
-        trapping state, and good counts exit 2 naming tasks.jsonl."""
+        exits 1 naming its record, a cyclic one exits 1 naming the state
+        on the cycle, and good counts exit 2 naming tasks.jsonl."""
         bad_cfg, bad = _broken_counts(tmp_path, "count=0")
-        improper_cfg, improper = _broken_counts(tmp_path, "improper", out="improper")
+        cyclic_cfg, cyclic = _broken_counts(tmp_path, "trap", out="cyclic")
         good_cfg = write_config(tmp_path, "good")
         for cmd in ("gen", "collect", "fit"):
             run_cmd(good_cfg, cmd)
         good = tmp_path / "good" / "counts.jsonl"
-        for counts in (bad, improper, good):
+        for counts in (bad, cyclic, good):
             counts.with_name("tasks.jsonl").unlink()
         forks = _force_read(monkeypatch, cpus)
-        for cfg, code, message in ((bad_cfg, 1, f"error: {bad}: record ("), (improper_cfg, 1, IMPROPER),
+        for cfg, code, message in ((bad_cfg, 1, f"error: {bad}: record ("), (cyclic_cfg, 1, CYCLIC["trap"]),
                                    (good_cfg, 2, f"usage error: {good.with_name('tasks.jsonl')} missing; run `gen`")):
             monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
             with pytest.raises(SystemExit) as exc:
@@ -1543,7 +1610,7 @@ class TestForkedSearch:
             assert exc.value.code == code
             assert capsys.readouterr().err.startswith(message)
             assert not (cfg.parent / cfg.stem / "solution.json").exists()
-        assert forks == ([(bad, 1), (improper, 1), (good, 1)] if cpus == 2 else [])
+        assert forks == ([(bad, 1), (cyclic, 1), (good, 1)] if cpus == 2 else [])
         assert_no_child_left()
 
     def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, forks):

@@ -7,12 +7,14 @@ from helpdp import fixtures, planner
 from helpdp.mdp import NOHELP
 from helpdp.oracle import (
     OracleError,
+    backward_pass,
     brute_force_optimal,
     check_against_planner,
     exact_policy_eval,
     monte_carlo_estimate,
+    postorder,
 )
-from helpdp.planner import RewardConfig
+from helpdp.planner import ModelRows, RewardConfig, model_rows
 from conftest import rollout_model, policy_decider
 
 
@@ -69,6 +71,36 @@ class TestExactPolicyEval:
             exact_policy_eval(model, {"s0": NOHELP}, cfg1(0.3))
 
 
+class TestBackwardPass:
+    def test_postorder_puts_successors_first_and_meets_cycles(self):
+        assert postorder([[1, 2], [2], []]) == [2, 1, 0]
+        assert postorder([[], [0], [0, 1]]) == [0, 1, 2]
+        assert postorder([]) == []
+        for cyclic in ([[0]], [[1], [2], [0]], [[], [2], [1]], [[1], [], [2]]):
+            assert postorder(cyclic) is None
+
+    def test_chain_by_hand(self):
+        # mdp_b at r = 0.3: s1 helps (0.8 - 0.3 > 0.1), and s0 does not (0.5 + 0.5 * 0.5 - 0.3 < 0.5)
+        model, _ = fixtures.mdp_b()
+        rows = model_rows(model.probs, 1)
+        S, M, choice = backward_pass(rows, cfg1(0.3))
+        assert rows.states == ["s0", "s1"] and choice == [0, 1]
+        assert S == pytest.approx([0.8, 0.8], abs=1e-15) and M == [[1.0, 1.0]]
+
+    def test_exact_tie_keeps_nohelp(self):
+        model, _ = fixtures.mdp_a()
+        assert backward_pass(model_rows(model.probs, 1), cfg1(0.7))[2] == [0]
+
+    def test_cyclic_rows_and_the_wrong_k_are_refused(self):
+        loop = ModelRows(states=["a"], terminals=[], n_help=1, rows=[0, 1], cols=[0, 0], vals=[1.0, 1.0],
+                         succ=[0.0, 0.0])
+        with pytest.raises(OracleError, match="cycle"):
+            backward_pass(loop, cfg1(0.1))
+        model, _ = fixtures.mdp_a()
+        with pytest.raises(OracleError, match="K=1, not K=2"):
+            backward_pass(model_rows(model.probs, 1), RewardConfig(r=(0.1, 0.1)))
+
+
 class TestMonteCarlo:
     def test_deterministic_behavior_zero_se(self):
         est = monte_carlo_estimate(lambda rng: (True, (2.0,)), n=50, seed=1)
@@ -111,7 +143,7 @@ class TestPlannerConsistency:
     def test_random_mdps_match_enumeration(self):
         for seed in range(10):
             rng = random.Random(seed)
-            model, succ = fixtures.random_mdp(seed, rng.randint(2, 8))
+            model, succ = fixtures.layered_mdp(seed, rng.randint(2, 8))
             cfg = cfg1(rng.uniform(0.05, 1.0))
             sol = planner.solve(model, succ, cfg)
             report = brute_force_optimal(model, cfg, model.nonterminal_states())
@@ -130,7 +162,7 @@ class TestPlannerConsistency:
 
     def test_policy_eval_reproduces_planner_tables(self):
         for seed in range(5):
-            model, succ = fixtures.random_mdp(seed + 30, 6)
+            model, succ = fixtures.layered_mdp(seed + 30, 6)
             cfg = cfg1(0.25)
             sol = planner.solve(model, succ, cfg)
             ev = exact_policy_eval(model, sol.policy, cfg)

@@ -487,7 +487,7 @@ class TestHelperConstruction:
         assert a == t == oracle.trajectory_table(sol, model, ["s0"])
 
     @pytest.mark.parametrize("name,args", [
-        ("mdp_a", ()), ("mdp_b", ()), ("corridor_mdp", ()), ("random_mdp", (3, 10, 1, (1, 2))),
+        ("mdp_a", ()), ("mdp_b", ()), ("corridor_ladder", ()), ("layered_mdp", (3, 10, 1, 4, (1, 2))),
     ])
     def test_rows_walk_matches_the_closure_on_every_start(self, name, args):
         """The rows walk keeps what the oracle closure over the same model
@@ -618,11 +618,11 @@ class TestExpectedUsageHelpers:
 
 class TestThresholdBaselines:
     def test_corridor_toggling_loses_to_planner(self):
-        model, succ = fixtures.corridor_mdp()
+        model, succ = fixtures.corridor_ladder()
         cfg = RewardConfig(r=(0.3,), gamma=1.0)
         # help wherever the difficulty score 1 - p(s, nohelp) clears 0.8
         policy = {s: "help1" if 1.0 - succ.get(s, NOHELP) > 0.8 else NOHELP for s in model.nonterminal_states()}
-        assert policy == {"s0": "help1", "s1": "help1", "s2": NOHELP}
+        assert policy == {s: NOHELP if s.startswith("s2") else "help1" for s in model.nonterminal_states()}
         thr = oracle.exact_policy_eval(model, policy, cfg)
         sol = solve(model, succ, cfg)
         assert thr.usage["s0"][0] >= sol.usage["s0"][0]

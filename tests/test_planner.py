@@ -5,9 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpdp import fixtures, oracle, planner, solver
-from helpdp.mdp import NOHELP, TransitionModel
+from helpdp.mdp import NOHELP, TransitionModel, action_order
 from helpdp.planner import (
     BudgetInfeasibleError,
     PlannerError,
@@ -56,7 +58,7 @@ class TestSingleInterventionFixedPoint:
 
     def test_zero_cost_helps_wherever_gain(self):
         for seed in range(5):
-            model, succ = fixtures.random_mdp(seed, 5)
+            model, succ = fixtures.layered_mdp(seed, 5)
             sol = solve(model, succ, cfg1(0.0))
             enum = oracle.brute_force_optimal(model, cfg1(0.0), model.nonterminal_states())
             for s in model.nonterminal_states():
@@ -174,7 +176,7 @@ class TestRewardSearchOnCompiledModel:
         assert len(calls) == 1
 
     def test_evaluation_is_cached_read_only(self):
-        model, _ = fixtures.random_mdp(0, 6)
+        model, _ = fixtures.layered_mdp(0, 6)
         cfg = cfg1(0.1)
         comp = compiled(model, cfg.n_help)
         choice = np.ones(len(comp.states), dtype=int)
@@ -189,7 +191,7 @@ class TestRewardSearchOnCompiledModel:
     def test_matches_independent_solves(self, variant):
         cases = [(fixtures.mdp_b(), ["s0", "s1", "s0"])]
         for seed in range(4):
-            model, succ = fixtures.random_mdp(seed, 6)
+            model, succ = fixtures.layered_mdp(seed, 6)
             states = model.nonterminal_states()
             # repeated and terminal starts count like any other start
             cases.append(((model, succ), [states[3], states[0], fixtures.T_SUCC, states[3]]))
@@ -237,20 +239,24 @@ class TestRewardSearchOnCompiledModel:
             with pytest.raises(PlannerError, match="budget must be finite"):
                 reward_search(model, budget, (0.0, 2.0), ["s0"], cfg1(0.0))
 
-    def test_unconverged_probe_raises(self, monkeypatch):
-        # a probe still moving at the sweep cap has no E[U] to steer the bisection by
-        monkeypatch.setattr(planner, "MAX_SWEEPS", 2)
+    def test_a_cyclic_model_is_refused_before_any_probe(self, monkeypatch):
+        # random_mdp's rows may reach any state: here every state lies on or reaches a cycle
+        def refuse(*args):
+            raise AssertionError("compiled a cyclic model")
+
+        monkeypatch.setattr(solver, "_compile", refuse)
         model, _ = fixtures.random_mdp(1, 6)
-        with pytest.raises(PlannerError, match=r"^probe at r=2 did not converge in 2 sweeps$"):
+        with pytest.raises(PlannerError, match=r"^cyclic model: states on or reaching a cycle "
+                                               r"\['s00', 's01', 's02', 's03', 's04'\]$"):
             reward_search(model, 1.0, (0.0, 2.0), model.nonterminal_states()[:3], cfg1(0.0))
 
-    def test_improper_chain_at_gamma_one_raises(self):
+    def test_a_self_loop_is_refused(self):
         probs = {
             ("s0", NOHELP): {"s0": 1.0},
             ("s0", "help1"): {"s0": 1.0},
         }
         model = TransitionModel(probs=probs, support=frozenset({"s0"}))
-        with pytest.raises(PlannerError, match=r"improper chain: trapping non-terminal states \['s0'\]"):
+        with pytest.raises(PlannerError, match=r"^cyclic model: states on or reaching a cycle \['s0'\]$"):
             reward_search(model, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
 
 
@@ -297,10 +303,10 @@ class TestMultiIntervention:
             assert sol.value[s] == pytest.approx(enum.best_value[s], abs=1e-9)
 
 
-# (model, K): a random model at K = 1 and K = 2, and mdp_b with help2 a clone of help1
+# (model, K): a layered model at K = 1 and K = 2, and mdp_b with help2 a clone of help1
 EVAL_CACHE_MODELS = {
-    "random-K1": lambda: (fixtures.random_mdp(0, 6)[0], 1),
-    "random-K2": lambda: (fixtures.random_mdp(1, 6, n_help=2)[0], 2),
+    "layered-K1": lambda: (fixtures.layered_mdp(0, 6)[0], 1),
+    "layered-K2": lambda: (fixtures.layered_mdp(1, 6, n_help=2)[0], 2),
     "clone-K2": lambda: (_with_clone_help2(fixtures.mdp_b()[0], "help1"), 2),
 }
 
@@ -355,7 +361,7 @@ class TestExactEvalCache:
             S1, M1 = solver._exact_eval(compiled(model, cfg.n_help), cfg, choice)
             assert S.tobytes() == S1.tobytes() and M.tobytes() == M1.tobytes()
 
-    @pytest.mark.parametrize("name", ["random-K2", "clone-K2"])
+    @pytest.mark.parametrize("name", ["layered-K2", "clone-K2"])
     def test_help1_and_help2_get_separate_entries(self, name):
         model, n_help = EVAL_CACHE_MODELS[name]()
         cfg = RewardConfig(r=(0.1,) * n_help)
@@ -370,44 +376,45 @@ class TestExactEvalCache:
         assert solver._exact_eval(comp, cfg, two.copy())[1] is M2 and solver._exact_eval(comp, cfg, one)[1] is M1
 
 
-# sha256 of the canonical solution_to_dict JSON; later helps are cheaper, so
-# the policies use help2 and help3 and every K >= 2 selection path runs
+# sha256 of the canonical solution_to_dict JSON of layered_mdp's solutions; later
+# helps are cheaper, so the policies use help2 and help3 and every K >= 2 selection path runs
 MULTI_HELP_GOLDEN = {
-    (2, 0, "value_consistent"): "8d010e3d394cd2a601c43bcfc08e8c9d0e342cfaef5286bb1c3524d14d713a53",
-    (2, 1, "value_consistent"): "3a73e6a3559bb6bee4237d1b6feeb8f07b609d77c4e26e4cebc2d74130f7cf4f",
-    (2, 2, "value_consistent"): "ff6b7ff156ef87752d1c9f7f939cd056c9021fb7247d054d78caff458c3e13d7",
-    (2, 3, "value_consistent"): "e6087e9d75b364e8eca9c5ae8adde0b7cf4065bf20f97be3f3309cade8d8e8e9",
-    (3, 0, "value_consistent"): "e2fe265dbe4cf1ec0d3176b6ea3aea86de7cb4069745cf69ec77f4934251c84f",
-    (3, 1, "value_consistent"): "47896725b11f6913df001ecbe1f09a3c386b1169ef91ae91ed5ac2df3d7c83c2",
-    (3, 2, "value_consistent"): "2c42b6e39c14790a783b829dcb3e53091e0b653ad7164fc0e15e7893266a59a0",
-    (3, 3, "value_consistent"): "75134c03115a2c8904aa2db5bb48759fda2f1fdc64aebe94bdda7f188fbead5b",
+    (2, 0, "value_consistent"): "739749cc08da7437b634dbf011f382f7a420b8406a9dee342bc767f8f16de276",
+    (2, 1, "value_consistent"): "5d0dd244b5f2a9632cf43b5a6d9e00e96420446acb5d6bd3aa5bb4cb89c6ab79",
+    (2, 2, "value_consistent"): "b696d0cb42355d2ef09ddd1cc99cc7310f53af03362ed4ad5d9b5d2f5c8aab93",
+    (2, 3, "value_consistent"): "ade06462d4415af6819ea0f763a8db63ec6be236c0d3dd585826c02c62dbcef6",
+    (3, 0, "value_consistent"): "8ad51e00af2da148fb294f0d49b2e4ee728cff969a0c108f92135655e06e5bf4",
+    (3, 1, "value_consistent"): "aa9b6aa8ddcc68dc7364d39e1a9cdb1ffd7b0eedf202bbe0be3263303a5531c1",
+    (3, 2, "value_consistent"): "87d0803b8072ba35cf0b1292124ad5e32c6a7cf637df2260f5f642174e753107",
+    (3, 3, "value_consistent"): "0ba6b15718f86349b050bba925b062fd46ef0d8d0ed9cdc18fea7029a2199fd5",
 }
 MULTI_HELP_COSTS = {2: (0.2, 0.05), 3: (0.2, 0.1, 0.05)}
 
 
 @pytest.mark.parametrize("n_help,seed,variant", sorted(MULTI_HELP_GOLDEN))
 def test_multi_help_solutions_are_golden(n_help, seed, variant):
-    model, succ = fixtures.random_mdp(seed, 6, n_help=n_help)
+    model, succ = fixtures.layered_mdp(seed, 6, n_help=n_help)
     cfg = RewardConfig(r=MULTI_HELP_COSTS[n_help], gamma=1.0)
     sol = solve(model, succ, cfg)
-    assert sol.converged
+    assert sol.converged and f"help{n_help}" in sol.policy.values()
     doc = json.dumps(planner.solution_to_dict(sol), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == MULTI_HELP_GOLDEN[(n_help, seed, variant)]
 
 
 def _sweep_cases():
-    """(id, model, costs): cyclic random models at K = 1, 2 and 3, the
-    corridor with its nohelp self-loop, and exact ties between nohelp and
-    help (mdp_a at r = 0.7) and between two identical helps."""
+    """(id, model, costs): layered random models at K = 1, 2 and 3, the
+    unrolled corridor, whose nohelp branch keeps s1 on s1 to the horizon,
+    and exact ties between nohelp and help (mdp_a at r = 0.7) and between
+    two identical helps."""
     cases = [("tie-nohelp-help", fixtures.mdp_a()[0], (0.7,)),
              ("tie-help1-help2", _with_clone_help2(fixtures.mdp_b()[0], "help1"), (0.3, 0.3))]
-    cases += [(f"corridor-r{r}", fixtures.corridor_mdp()[0], (r,)) for r in (0.0, 0.05, 0.3, 1.0)]
+    cases += [(f"corridor-r{r}", fixtures.corridor_ladder()[0], (r,)) for r in (0.0, 0.05, 0.3, 1.0)]
     costs = {1: [(0.0,), (0.1,), (0.3,), (2.0,)], 2: [(0.0, 0.0), MULTI_HELP_COSTS[2], (0.5, 0.5)],
              3: [(0.0, 0.0, 0.0), MULTI_HELP_COSTS[3], (0.5, 0.5, 0.5)]}
     for k, rs in costs.items():
         for seed in range(3):
-            model, _ = fixtures.random_mdp(seed, 7, n_help=k)
-            cases += [(f"random-K{k}-seed{seed}-r{list(r)}", model, r) for r in rs]
+            model, _ = fixtures.layered_mdp(seed, 7, n_help=k)
+            cases += [(f"layered-K{k}-seed{seed}-r{list(r)}", model, r) for r in rs]
     return cases
 
 
@@ -415,10 +422,23 @@ SWEEP_CASES = _sweep_cases()
 
 
 def assert_same_core(got, want) -> None:
-    """Two (S, M, choice, iterations, converged) are equal bit for bit."""
+    """Two (S, M, choice, iterations) are equal bit for bit."""
     for a, b in zip(got[:3], want[:3]):
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-    assert got[3:] == want[3:]
+    assert got[3] == want[3]
+
+
+def longest_path(model: TransitionModel, n_help: int) -> int:
+    """Edges on the longest path between the non-terminal states of ``model``."""
+    rows = planner.model_rows(model.probs, n_help)
+    n = len(rows.states)
+    succs = [set() for _ in range(n)]
+    for at, j in zip(rows.rows, rows.cols):
+        succs[at % n].add(j)
+    height = [0] * n
+    for i in oracle.postorder(succs):
+        height[i] = max((1 + height[j] for j in succs[i]), default=0)
+    return max(height)
 
 
 class TestSweepMatchesTheReference:
@@ -431,26 +451,21 @@ class TestSweepMatchesTheReference:
         cfg = RewardConfig(r=r)
         comp, ref_comp = compiled(model, cfg.n_help), compiled(model, cfg.n_help)
         core, ref = solver._fixed_point(comp, cfg), oracle.sweep_fixed_point(ref_comp, cfg)
-        assert core[4]
         assert_same_core(core, ref)
         got = json.dumps(planner.solution_to_dict(solver._to_solution(comp, cfg, core)), sort_keys=True)
         assert got == json.dumps(planner.solution_to_dict(oracle.sweep_tables(ref_comp, cfg, ref)), sort_keys=True)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_unconverged_sweeps_are_bit_equal(self, monkeypatch, k):
-        # the cap stops both mid-way, so the choice is the last sweep's, unpolished
-        monkeypatch.setattr(planner, "MAX_SWEEPS", 2)
-        model, _ = fixtures.random_mdp(1, 7, n_help=k)
-        cfg = RewardConfig(r=(0.1,) * k)
-        core = solver._fixed_point(compiled(model, k), cfg)
-        assert core[3:] == (2, False)
-        assert_same_core(core, oracle.sweep_fixed_point(compiled(model, k), cfg))
+    @pytest.mark.parametrize("model,r", [c[1:] for c in SWEEP_CASES], ids=[c[0] for c in SWEEP_CASES])
+    def test_sweeps_settle_within_the_longest_path_plus_two(self, model, r):
+        # a state h edges above the terminals is final after h + 1 sweeps, and one more sweep moves nothing
+        cfg = RewardConfig(r=r)
+        assert solver._fixed_point(compiled(model, cfg.n_help), cfg)[3] <= longest_path(model, cfg.n_help) + 2
 
 
 class TestDecomposition:
     @pytest.mark.parametrize("r", [0.0, 0.1, 0.3, 0.5, 0.8, 1.2])
     def test_fixtures_residual(self, r):
-        for fx in (fixtures.mdp_a, fixtures.mdp_b, fixtures.corridor_mdp):
+        for fx in (fixtures.mdp_a, fixtures.mdp_b, fixtures.corridor_ladder):
             model, succ = fx()
             sol = solve(model, succ, cfg1(r))
             assert decomposition_residual(sol) < 1e-9
@@ -500,7 +515,7 @@ class TestPlainPythonHelpers:
     @pytest.mark.parametrize("n_help", [1, 2])
     def test_expected_usage_of_a_solve_is_bit_equal(self, n_help):
         for seed in range(4):
-            model, succ = fixtures.random_mdp(seed, 8, n_help=n_help)
+            model, succ = fixtures.layered_mdp(seed, 8, n_help=n_help)
             sol = solve(model, succ, RewardConfig(r=(0.2,) * n_help))
             starts = model.nonterminal_states() * 3 + [fixtures.T_SUCC, "off-model"]
             assert expected_usage(sol, starts) == _numpy_expected_usage(sol, starts)
@@ -508,7 +523,7 @@ class TestPlainPythonHelpers:
     @pytest.mark.parametrize("n_help", [1, 2, 3])
     def test_residual_agrees_with_the_array_formula(self, n_help):
         for seed in range(6):
-            model, succ = fixtures.random_mdp(seed, 10, n_help=n_help)
+            model, succ = fixtures.layered_mdp(seed, 10, n_help=n_help)
             sol = solve(model, succ, RewardConfig(r=tuple(0.1 * (i + 1) for i in range(n_help))))
             assert decomposition_residual(sol) == pytest.approx(_numpy_residual(sol), abs=1e-15)
             # a value table off the decomposition gives the same residual too
@@ -545,7 +560,7 @@ class TestProperties:
     def test_equivalence_with_value_iteration(self):
         for seed in range(20):
             rng = random.Random(seed)
-            model, succ = fixtures.random_mdp(seed, rng.randint(3, 12))
+            model, succ = fixtures.layered_mdp(seed, rng.randint(3, 12))
             cfg = cfg1(rng.uniform(0.05, 0.9))
             sol = solve(model, succ, cfg)
             values, policy = value_iteration(model, cfg)
@@ -554,7 +569,7 @@ class TestProperties:
 
     def test_usage_monotone_in_cost(self):
         for seed in range(5):
-            model, succ = fixtures.random_mdp(seed + 50, 6)
+            model, succ = fixtures.layered_mdp(seed + 50, 6)
             start = model.nonterminal_states()[0]
             prev = float("inf")
             for r in np.linspace(0.0, 2.0, 50):
@@ -564,10 +579,10 @@ class TestProperties:
                 prev = eu
 
     def test_convergence_flags(self):
-        model, succ = fixtures.random_mdp(7, 20)
+        model, succ = fixtures.layered_mdp(7, 20, layers=6)
         sol = solve(model, succ, cfg1(0.3))
         assert sol.converged
-        assert sol.iterations_run <= planner.MAX_SWEEPS
+        assert sol.iterations_run <= longest_path(model, 1) + 2 <= 7
 
 
 class TestErrors:
@@ -584,7 +599,7 @@ class TestErrors:
             ("s0", "help1"): {fixtures.T_SUCC: 1.0},
             ("s1", NOHELP): {fixtures.T_SUCC: 0.5, fixtures.T_FAIL: 0.5},
             ("s2", NOHELP): {fixtures.T_FAIL: 1.0},
-            ("s2", "help1"): {fixtures.T_SUCC: 0.5, "s0": 0.5},
+            ("s2", "help1"): {fixtures.T_SUCC: 0.5, fixtures.T_FAIL: 0.5},
         }
         model = TransitionModel(probs=probs, support=frozenset({"s0", "s1", "s2", fixtures.T_SUCC, fixtures.T_FAIL}))
         assert planner.model_rows(probs, 1).states == ["s0", "s2"]
@@ -593,23 +608,29 @@ class TestErrors:
         with pytest.raises(PlannerError, match=r"^missing action row \('s1', 'help1'\)$"):
             reward_search(model, 1.0, (0.0, 2.0), ["s0"], cfg1(0.0))
 
-    def test_improper_chain_at_gamma_one(self):
+    def test_a_self_loop_is_refused(self):
         probs = {
             ("s0", NOHELP): {"s0": 1.0},
             ("s0", "help1"): {"s0": 1.0},
         }
         model = TransitionModel(probs=probs, support=frozenset({"s0"}))
-        with pytest.raises(PlannerError, match="improper chain"):
+        with pytest.raises(PlannerError, match=r"^cyclic model: states on or reaching a cycle \['s0'\]$"):
             solve(model, None, cfg1(0.5))
 
-    def test_trap_found_behind_removable_states(self):
-        # s2, then s1, then s0 leave the candidate set only one after another;
-        # s3 <-> s4 under nohelp is a terminal-free class whatever help does
+    def test_a_proper_cycle_is_refused_with_the_states_that_reach_it(self):
+        # every row of the corridor has terminal mass, yet s1 -> s2 -> s1 is a cycle and s0 reaches it
+        model, succ = fixtures.corridor_mdp()
+        with pytest.raises(PlannerError, match=r"^cyclic model: states on or reaching a cycle \['s0', 's1', 's2'\]$"):
+            solve(model, succ, cfg1(0.5))
+
+    def test_cycle_found_behind_peeled_states(self):
+        # s2, then s1, then s0 are peeled only one after another; s3 <-> s4
+        # is a cycle under nohelp, though help leaves it at once
         probs = {
             ("s0", NOHELP): {"s1": 1.0},
             ("s0", "help1"): {"s1": 0.5, fixtures.T_SUCC: 0.5},
             ("s1", NOHELP): {"s2": 1.0},
-            ("s1", "help1"): {"s0": 0.5, fixtures.T_FAIL: 0.5},
+            ("s1", "help1"): {"s2": 0.5, fixtures.T_FAIL: 0.5},
             ("s2", NOHELP): {fixtures.T_SUCC: 1.0},
             ("s2", "help1"): {fixtures.T_SUCC: 1.0},
         }
@@ -623,7 +644,7 @@ class TestErrors:
             ("s4", "help1"): {"s0": 1.0},
         })
         model = TransitionModel(probs=probs, support=support | {"s3", "s4"})
-        with pytest.raises(PlannerError, match=r"trapping non-terminal states \['s3', 's4'\]$"):
+        with pytest.raises(PlannerError, match=r"^cyclic model: states on or reaching a cycle \['s3', 's4'\]$"):
             solve(model, None, cfg1(0.5))
 
     def test_gamma_other_than_one_is_refused(self):
@@ -644,6 +665,62 @@ class TestErrors:
                 build()
         with pytest.raises(PlannerError, match="at least one help cost"):
             cfg._replace(r=())
+
+
+@st.composite
+def row_sets(draw) -> dict:
+    """Rows of up to 8 states over nohelp, help1 and help2, each with
+    terminal mass.  A row may be missing, so its state is not kept, and its
+    up to three other successors are earlier or later states, the state
+    itself, or a state with no rows."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 8)))]
+    successors = st.lists(st.sampled_from([*states, "unlogged"]), max_size=3, unique=True)
+    probs = {}
+    for s in states:
+        for a in (NOHELP, "help1", "help2"):
+            if draw(st.integers(0, 5)):
+                row = dict.fromkeys(draw(successors), 1.0)
+                row[draw(st.sampled_from([fixtures.T_SUCC, fixtures.T_FAIL]))] = 1.0
+                probs[(s, a)] = {s2: w / len(row) for s2, w in row.items()}
+    return probs
+
+
+def _reached(succs: list[list[int]], i: int) -> set[int]:
+    """The nodes one or more edges from node i."""
+    seen, todo = set(), list(succs[i])
+    while todo:
+        j = todo.pop()
+        if j not in seen:
+            seen.add(j)
+            todo.extend(succs[j])
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sets(), st.sampled_from([1, 2]))
+def test_model_rows_refuses_exactly_the_cyclic_models(probs, n_help):
+    """model_rows raises iff a depth-first search over the kept states'
+    edges meets a cycle, and names the first five states that lie on or
+    reach one, whatever the order of the rows."""
+    actions = action_order(n_help)
+    kept = sorted({s for s, _ in probs if all((s, a) in probs for a in actions)})
+    index = {s: i for i, s in enumerate(kept)}
+    succs = [[index[s2] for a in actions for s2 in probs[s, a] if s2 in index] for s in kept]
+    reached = [_reached(succs, i) for i in range(len(kept))]
+    stuck = [s for i, s in enumerate(kept) if any(j in reached[j] for j in reached[i] | {i})]
+    assert (oracle.postorder(succs) is None) == bool(stuck)
+    messages = set()
+    for order in (probs, dict(reversed(probs.items()))):
+        if not kept:
+            with pytest.raises(PlannerError, match="^no state has full action coverage$"):
+                planner.model_rows(order, n_help)
+        elif stuck:
+            with pytest.raises(PlannerError) as exc:
+                planner.model_rows(order, n_help)
+            messages.add(str(exc.value))
+        else:
+            assert planner.model_rows(order, n_help).states == kept
+    assert messages == ({f"cyclic model: states on or reaching a cycle {stuck[:5]}"} if kept and stuck else set())
 
 
 def test_solution_file_roundtrip(tmp_path):
