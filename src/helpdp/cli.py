@@ -61,8 +61,7 @@ KEYS = {
     "planner": ({}, "must be an object", lambda got: isinstance(got, dict)),
     "intervention": ("strong", f"must be one of {list(HELP_TYPES)}",
                      lambda got: isinstance(got, str) and got in HELP_TYPES),
-    "helper_mode": ("all_states", f"must be one of {list(planner.HELPER_MODES)}",
-                    lambda got: got in planner.HELPER_MODES),
+    "helper_mode": _fixed("all_states"),  # annotate writes one helper; the key stays so configs that set it load
     "eval_seeds": _SEEDS,
     "baseline_probs": ([0.0, 0.3, 1.0], "must be a list of numbers in [0, 1]",
                        lambda got: isinstance(got, list) and all(is_number(p) and 0 <= p <= 1 for p in got)),
@@ -113,7 +112,7 @@ class Run:
         self.seed, self.intervention = top["seed"], top["intervention"]
         self.n_help = HELP_TYPES[self.intervention]  # K comes from `intervention` alone
         self.phase1_seeds, self.eval_seeds = top["phase1_seeds"], top["eval_seeds"]
-        self.baseline_probs, self.helper_mode = top["baseline_probs"], top["helper_mode"]
+        self.baseline_probs = top["baseline_probs"]
         try:
             self.env = EnvConfig.from_dict(top["env"])
         except EnvError as exc:
@@ -190,7 +189,7 @@ class Run:
 
     def start_keys(self, tasks) -> list[str]:
         """Start state keys of ``tasks`` in order; every command that averages
-        usage or walks the policy takes its starts from here."""
+        usage takes its starts from here."""
         from . import env as envmod
 
         return [envmod.initial_state(t).key() for t in tasks]
@@ -304,15 +303,9 @@ def annotate(run: Run) -> None:
     """Distill the solved policy into a helper lookup table."""
     from . import pipeline
 
-    sol = run.load_solution()
-    starts = rows = None
-    if run.helper_mode == "trajectory_only":  # the only mode that walks the model from the train starts
-        starts = run.start_keys(run.load_tasks().train)
-        # read here, not by load_rows_and_starts, which imports numpy and scipy
-        rows = pipeline.solvable_rows(run.require("counts.jsonl", "`fit`"), run.n_help)
-    table = pipeline.build_helper(sol, starts, rows, mode=run.helper_mode)
-    run.write_json("helper.json", {"mode": run.helper_mode, "fallback": NOHELP, "table": table})
-    print(f"helper mode={run.helper_mode} states={len(table)}")
+    table = pipeline.build_helper(run.load_solution())
+    run.write_json("helper.json", {"mode": "all_states", "fallback": NOHELP, "table": table})
+    print(f"helper mode=all_states states={len(table)}")
 
 
 @command

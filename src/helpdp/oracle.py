@@ -1,9 +1,10 @@
 """Independent verification engines: exhaustive policy enumeration, exact
-linear policy evaluation, a value-iteration reference solver, a
-plain-Python backward pass over a finite-horizon model's rows, seeded
-Monte Carlo estimators, the policy closure over a ``TransitionModel``
-that ``trajectory_only`` helpers are checked against, and the sweep
-reference.
+linear policy evaluation, the exact truth of a deployed helper table from
+one walk per task, a value-iteration reference solver, a plain-Python
+backward pass over a finite-horizon model's rows, seeded Monte Carlo
+estimators, the policy closure over a ``TransitionModel`` (the states a
+helper keeps when it follows the policy from the train starts, the
+comparator of acceptance test 9), and the sweep reference.
 
 Kept deliberately separate from the planner: matrices are rebuilt densely
 from the model dictionaries and solved by partial-pivot elimination, so a
@@ -23,8 +24,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import planner
-from .mdp import NOHELP, TransitionModel, action_order, is_terminal, terminal_outcome
+from . import env, planner
+from .mdp import NOHELP, TransitionModel, action_order, help_action, is_terminal, terminal_outcome
 from .planner import EPSILON, TIE_TOL, ModelRows, PlannerError, RewardConfig, Solution
 
 if TYPE_CHECKING:
@@ -104,6 +105,34 @@ def exact_policy_eval(
             usage[s] = tuple(0.0 for _ in range(cfg.n_help))
             value[s] = win
     return PolicyEvaluation(success=success, usage=usage, value=value)
+
+
+def walk_truth(tasks: Sequence[env.Task], table: dict[str, str], eta: float,
+               eta_strong: float) -> tuple[float, float]:
+    """The exact mean success rate and help calls over ``tasks`` of the K = 1
+    helper ``table`` (state key -> branch), deployed as ``eval`` deploys it:
+    help1 plays the strong actor's law at ``eta_strong``, and nohelp, on the
+    table or off it, the base actor's at ``eta``.  One ``env._walk`` per task
+    gives its states in t order; a backward pass then takes each state after
+    its successors, so no model is built."""
+    laws = {NOHELP: (env._greedy_base, eta), help_action(1): (env._greedy_strong, eta_strong)}
+    total_sr = total_u = 0.0
+    for task in tasks:
+        start = env.initial_state(task)
+        rows, p_star = env._walk(start, eta)
+        sr = {key: p for key, p in p_star.items() if key not in rows}  # a terminal's 1 or 0
+        u = dict.fromkeys(sr, 0.0)
+        for key, (state, kids) in reversed(rows.items()):
+            branch = table.get(key, NOHELP)
+            if branch not in laws:
+                raise OracleError(f"branch {branch!r} of {key!r} is not one of {list(laws)}")
+            greedy, noise = laws[branch]
+            dist = env.action_distribution(greedy, state, noise).values()
+            sr[key] = sum(p * sr[k] for p, k in zip(dist, kids))
+            u[key] = (branch != NOHELP) + sum(p * u[k] for p, k in zip(dist, kids))
+        total_sr += sr[start.key()]
+        total_u += u[start.key()]
+    return total_sr / len(tasks), total_u / len(tasks)
 
 
 def value_iteration(
@@ -348,7 +377,7 @@ def pi_star_closure(sol: Solution, model: TransitionModel, start: str) -> tuple[
 
 
 def trajectory_table(sol: Solution, model: TransitionModel, starts: Sequence[str]) -> dict[str, str]:
-    """The ``trajectory_only`` helper table by closure over ``model``: the
+    """The table of a helper kept to the policy's closure over ``model``: the
     policy on every state reached from a start whose closure stays in the
     model's support."""
     table: dict[str, str] = {}

@@ -50,7 +50,7 @@ import itertools
 import os
 import random
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .env import ETA, EnvState, Task, base_actor, env_step, episode_start
 from .mdp import (
@@ -73,7 +73,7 @@ from .mdp import (
     record_error,
     write_lines,
 )
-from .planner import HELPER_MODES, UNKNOWN_FAILURE, ModelRows, Solution, model_rows
+from .planner import UNKNOWN_FAILURE, ModelRows, Solution, model_rows
 from .rollouts import Episode, RolloutLog, Step, episode_line
 
 T = TypeVar("T")
@@ -441,6 +441,8 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
     one pass with no CountTable or TransitionModel built: the states, the
     restriction and the probabilities of
     ``restrict_to_solvable(normalize(CountTable.load(path)), n_help)``.
+    ``solve`` and ``search``, the only commands that read ``counts.jsonl``,
+    call it through ``read_solvable_rows``.
 
     Each record is refused as ``CountTable.load`` refuses it, with its
     message naming the path and the record: a count that is not a positive
@@ -480,12 +482,12 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
     return model_rows(table, n_help, counts=True)
 
 
-# solvable_rows reads about 25 MB of counts.jsonl a second, and a forked
-# reader adds about 10 ms: importing pickle (4 ms), forking and reaping the
-# worker (3 ms) and sending the rows back (1.5 ms per MB of file).  The bound
-# was set when a multiprocessing pool added about 35 ms, so it is if anything
-# high; it stays, so a file of configs/reference.json's size (136 KB) is read
-# inline.
+# solvable_rows reads about 25 MB of counts.jsonl a second, for `solve` and
+# `search` alone, which read it here.  A forked reader adds about 10 ms:
+# importing pickle (4 ms), forking and reaping the worker (3 ms) and sending
+# the rows back (1.5 ms per MB of file).  The bound was set when a
+# multiprocessing pool added about 35 ms, so it is if anything high; it
+# stays, so a file of configs/reference.json's size (136 KB) is read inline.
 FORK_MIN_BYTES = 1_000_000
 
 
@@ -521,62 +523,29 @@ def load_helper(path: str | os.PathLike, n_help: int) -> Decider:
     for a run with ``n_help`` help types: the branch of ``table`` for a
     state key, ``fallback`` off it.  ``table`` must map state keys to
     actions of ``action_order(n_help)``, ``fallback`` must be one of them and
-    ``mode`` one of ``HELPER_MODES``; any other file raises DataError naming
-    the path."""
+    ``mode`` must be ``"all_states"``, the one helper ``annotate`` writes (a
+    ``trajectory_only`` helper of an older run is refused); any other file
+    raises DataError naming the path."""
     actions = action_order(n_help)
 
     def parse(doc: dict) -> Decider:
         table = check_table("table", doc["table"], f"actions of {actions}", lambda acts: are_actions(acts, n_help))
         if not are_actions([doc["fallback"]], n_help):
             raise DataError(f"fallback must be one of {actions}, got {_dump(doc['fallback'])[:80]}")
-        if doc["mode"] not in HELPER_MODES:
-            raise DataError(f"mode must be one of {list(HELPER_MODES)}, got {_dump(doc['mode'])[:80]}")
+        if doc["mode"] != "all_states":
+            raise DataError(f"mode must be \"all_states\", got {_dump(doc['mode'])[:80]}")
         fallback = doc["fallback"]
         return _drawless(lambda key, rng: table.get(key, fallback))
 
     return read_json(path, parse)
 
 
-def build_helper(
-    sol: Solution,
-    starts: Iterable[str] | None,
-    rows: ModelRows | None,
-    mode: str = "all_states",
-) -> dict[str, str]:
-    """Lookup table (state key -> branch) of the solved policy; only
-    ``trajectory_only`` walks the model from the start keys, so
-    ``all_states`` accepts None for both.
-
-    ``trajectory_only`` keeps the policy on every state that following it
-    reaches from each start over ``rows`` (``solvable_rows``'s restricted
-    model): a state's successors are the non-terminal columns of its row
-    under the chosen action.  A start that is not a row state adds nothing,
-    nor does one whose walk reaches a state with no policy entry among the
-    rows' actions."""
+def build_helper(sol: Solution) -> dict[str, str]:
+    """Lookup table (state key -> branch) of the solved policy: the policy on
+    every state the solution covers; an unconverged solution is refused."""
     if not sol.converged:
         raise PipelineError("refusing to distill an unconverged solution")
-    if mode not in HELPER_MODES:
-        raise PipelineError(f"unknown helper mode {mode!r}")
-    if mode == "all_states":
-        return dict(sol.policy)
-    states, n = rows.states, len(rows.states)
-    actions = {a: ai for ai, a in enumerate(action_order(rows.n_help))}
-    chosen = [actions.get(sol.policy.get(s)) for s in states]  # None: no entry among the actions
-    nexts: list[list[int]] = [[] for _ in states]  # non-terminal successors under the chosen action
-    for at, j in zip(rows.rows, rows.cols):
-        if chosen[at % n] == at // n:
-            nexts[at % n].append(j)
-    index = {s: i for i, s in enumerate(states)}
-    table: dict[str, str] = {}
-    for i in [index[s] for s in starts if s in index]:  # a start off the rows adds nothing
-        seen, stack = {i}, [i]
-        while stack and chosen[stack[-1]] is not None:
-            fresh = set(nexts[stack.pop()]) - seen
-            seen |= fresh
-            stack.extend(fresh)
-        if not stack:  # the walk met no state off the policy
-            table.update((states[i], sol.policy[states[i]]) for i in seen)
-    return table
+    return dict(sol.policy)
 
 
 def split_seen_unseen(starts: dict[str, str], sol: Solution) -> tuple[list[str], list[str]]:

@@ -42,7 +42,6 @@ from .mdp import (Checked, DataError, SuccessModel, TransitionModel, _dump, acti
 
 TIE_TOL = 1e-12  # branch values closer than this count as a tie (nohelp wins)
 EPSILON = 1e-8  # the sweeps stop once no S or M entry changes by this much
-HELPER_MODES = ("all_states", "trajectory_only")  # how `annotate` distills a solution (pipeline.build_helper)
 UNKNOWN_FAILURE = "unknown|outcome=failure"  # model_rows' target for a successor off the kept states
 
 

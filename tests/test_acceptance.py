@@ -151,7 +151,7 @@ def test_05_budget_calibration():
         sol = planner.solve(model, succ, cfg1(r))
         eu = planner.expected_usage(sol, starts)[0]
         s_pred = sum(sol.success[s] for s in starts) / len(starts)
-        helper = table_decider(pipeline.build_helper(sol, None, None, "all_states"))
+        helper = table_decider(pipeline.build_helper(sol))
 
         def ep_fn(rng):
             task = ts.train[rng.randrange(len(ts.train))]
@@ -270,8 +270,8 @@ def test_09_robustness_direction():
         starts = {i: env.initial_state(t).key() for i, t in tasks.items()}
         unseen = [i for i in sorted(starts) if not oracle.pi_star_closure(sol, raw, starts[i])[1]]
         assert unseen, "truncation produced no unseen tasks"
-        helper_a = table_decider(pipeline.build_helper(sol, None, None, "all_states"))
-        # distilled over the raw model, which the CLI never does: by the oracle closure
+        helper_a = table_decider(pipeline.build_helper(sol))
+        # the comparator: the policy kept to its closure over the raw model, by the oracle
         helper_t = table_decider(oracle.trajectory_table(sol, raw, starts.values()))
         subset = [tasks[i] for i in unseen]
         eu = planner.expected_usage(sol, [starts[i] for i in unseen])[0]

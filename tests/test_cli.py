@@ -61,7 +61,8 @@ def refusal(key: str) -> str:
     """The words of the usage error that refuses the config key ``key``."""
     if key in ("eval_seed", "planner.varient"):
         return f"{key} is unknown"
-    return f"{key} is fixed at null" if key == "schedule" else f"{key} must be"
+    fixed = {"schedule": "null", "helper_mode": '"all_states"'}
+    return f"{key} is fixed at {fixed[key]}" if key in fixed else f"{key} must be"
 
 
 def run_cmd(config: Path, *args) -> str:
@@ -216,7 +217,7 @@ class TestExitCodes:
         ("eval", {"eval_seeds": "x"}, "eval_seeds"),
         ("eval", {"eval_seeds": 0}, "eval_seeds"),
         ("collect", {"phase1_seeds": "x"}, "phase1_seeds"),
-        ("annotate", {"helper_mode": "foo"}, "helper_mode"),
+        ("annotate", {"helper_mode": "trajectory_only"}, "helper_mode"),
         ("gen", {"seed": "x"}, "seed"),
         ("collect", {"seed": 1.5}, "seed"),
         ("eval", {"seed": True}, "seed"),
@@ -387,19 +388,6 @@ class TestExitCodes:
         assert f"{command} needs env.{key} >= 1" in capsys.readouterr().err
         assert [p.name for p in (tmp_path / "e").iterdir()] == ["tasks.jsonl"]
 
-    def test_trajectory_annotate_without_tasks_is_usage_error(self, tmp_path):
-        """A trajectory_only annotate walks from the train starts of
-        tasks.jsonl; the rollout log is not needed."""
-        cfg = write_config(tmp_path, "l", helper_mode="trajectory_only")
-        for cmd in ("gen", "collect", "fit", "search"):
-            run_cmd(cfg, cmd)
-        (tmp_path / "l" / "phase1.jsonl").unlink()
-        run_cmd(cfg, "annotate")
-        (tmp_path / "l" / "tasks.jsonl").unlink()
-        proc = self._run("--config", str(cfg), "annotate")
-        assert proc.returncode == 2
-        assert "tasks.jsonl missing" in proc.stderr and "`gen`" in proc.stderr
-
 
 class TestDeploy:
     def test_all_states_deploy_skips_fit_artifacts(self, tmp_path):
@@ -412,21 +400,6 @@ class TestDeploy:
         run_cmd(cfg, "annotate")
         run_cmd(cfg, "eval")
         assert {name: (out / name).read_bytes() for name in before} == before
-
-    def test_trajectory_only_chain(self, tmp_path):
-        cfg = write_config(tmp_path, "n", helper_mode="trajectory_only")
-        outputs = run_chain(cfg)
-        assert "helper mode=trajectory_only" in outputs[4]
-        out = tmp_path / "n"
-        helper = json.loads((out / "helper.json").read_text())
-        policy = json.loads((out / "solution.json").read_text())["policy"]
-        assert helper["mode"] == "trajectory_only"
-        assert helper["table"] and helper["table"].items() <= policy.items()
-        model = restrict_to_solvable(normalize(CountTable.load(out / "counts.jsonl")), 1)
-        starts = [initial_state(t).key() for t in TaskSet.load(out / "tasks.jsonl").train]
-        assert helper["table"] == oracle.trajectory_table(load_solution(out / "solution.json"), model, starts)
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["all"]["episodes"] == CONFIG["env"]["n_train"] * CONFIG["eval_seeds"]
 
     def test_eval_splits_one_deployment_by_seen_and_unseen(self, tmp_path):
         """With a truncated model some starts are unseen; the seen and unseen
@@ -516,15 +489,15 @@ def test_model_commands_write_each_artifact_once(tmp_path, monkeypatch):
     assert read_back == []
 
 
-def test_trajectory_annotate_opens_only_its_inputs(tmp_path, monkeypatch):
-    """A trajectory_only annotate walks the fitted transitions from the train
-    starts of tasks.jsonl and never opens the rollout log."""
-    cfg = write_config(tmp_path, "sm", helper_mode="trajectory_only")
+def test_annotate_opens_only_the_solution(tmp_path, monkeypatch):
+    """annotate reads solution.json, writes helper.json and opens nothing
+    else: neither tasks.jsonl, counts.jsonl nor the rollout log."""
+    cfg = write_config(tmp_path, "sm")
     out = tmp_path / "sm"
     for cmd in ("gen", "collect", "fit", "search"):
         run_cmd(cfg, cmd)
-    assert {name for _, name, _ in command_opens(monkeypatch, cfg, out, ("annotate",))} == {
-        "solution.json", "tasks.jsonl", "counts.jsonl", "helper.json"}
+    assert command_opens(monkeypatch, cfg, out, ("annotate",)) == [
+        ("annotate", "solution.json", False), ("annotate", "helper.json", True)]
 
 
 def test_rewritten_json_artifact_replaces_the_file(tmp_path):
@@ -744,8 +717,9 @@ ACTIONS = "actions of ['nohelp', 'help1']"
     ("eval", "helper.json", _put("table", {"s": "help2"}), f"DataError: table must map state keys to {ACTIONS})"),
     ("eval", "helper.json", _put("fallback", "help"),
      "DataError: fallback must be one of ['nohelp', 'help1'], got \"help\")"),
-    ("eval", "helper.json", _put("mode", "x"),
-     "DataError: mode must be one of ['all_states', 'trajectory_only'], got \"x\")"),
+    ("eval", "helper.json", _put("mode", "x"), 'DataError: mode must be "all_states", got "x")'),
+    ("eval", "helper.json", _put("mode", "trajectory_only"),
+     'DataError: mode must be "all_states", got "trajectory_only")'),
 ], ids=["annotate-solution-truncated", "annotate-solution-no-policy", "eval-solution-truncated",
         "eval-solution-no-policy", "eval-helper-truncated", "eval-helper-no-table", "solution-r-empty",
         "solution-policy-a-list", "solution-policy-not-actions", "solution-usage-not-lists", "solution-success-text",
@@ -754,7 +728,8 @@ ACTIONS = "actions of ['nohelp', 'help1']"
         "solution-start-without-usage-or-success", "eval-solution-start-without-usage-or-success",
         "solution-value-without-a-state",
         "solution-success-with-an-extra-state", "eval-solution-policy-with-an-extra-state", "helper-table-a-list",
-        "helper-table-not-actions", "helper-fallback-not-an-action", "helper-mode-unknown"])
+        "helper-table-not-actions", "helper-fallback-not-an-action", "helper-mode-unknown",
+        "helper-mode-trajectory-only"])
 def test_a_corrupt_solution_or_helper_exits_1_naming_its_file(tmp_path, monkeypatch, capsys, restore_gc,
                                                                command, name, edit, cause):
     """A solution.json or helper.json that is not JSON, lacks a key, or has a
@@ -904,8 +879,7 @@ def test_each_command_loads_only_the_helpdp_modules_it_calls(tmp_path):
 @pytest.mark.parametrize("intervention", ["strong", "mcts"])
 def test_only_the_solving_commands_load_numpy_and_scipy(tmp_path, intervention):
     """Only `search` and `solve` do array work; every other command, the
-    MCTS scorer's exact enumeration and a trajectory_only annotate's walk
-    over counts.jsonl included, runs without numpy or scipy."""
+    MCTS scorer's exact enumeration included, runs without numpy or scipy."""
     config = json.loads(REFERENCE_CONFIG.read_text())
     config["intervention"] = intervention
     path = tmp_path / "config.json"
@@ -915,9 +889,6 @@ def test_only_the_solving_commands_load_numpy_and_scipy(tmp_path, intervention):
     assert numeric_libraries_after(path, out, "search") == ["numpy", "scipy"]
     assert numeric_libraries_after(path, out, "annotate", "eval", "baseline", "selfreg") == []
     assert numeric_libraries_after(path, out, "solve") == ["numpy", "scipy"]
-    config["helper_mode"] = "trajectory_only"
-    path.write_text(json.dumps(config))
-    assert numeric_libraries_after(path, out, "annotate") == []
 
 
 def test_reference_collect_stays_serial(tmp_path):
@@ -1065,22 +1036,6 @@ def test_reference_deploy_artifacts_are_golden(tmp_path, monkeypatch):
     }
 
 
-def test_reference_trajectory_helper_is_golden(tmp_path, monkeypatch):
-    """A trajectory_only annotate on configs/reference.json keeps the policy
-    on the closure of each train start: 142 recorded entries."""
-    config = json.loads(REFERENCE_CONFIG.read_text())
-    config["helper_mode"] = "trajectory_only"
-    path = tmp_path / "trajectory.json"
-    path.write_text(json.dumps(config))
-    monkeypatch.chdir(tmp_path)
-    for cmd in ("gen", "collect", "fit", "search", "annotate"):
-        main(["--config", str(path), "--out", "out", cmd], standalone_mode=False)
-    blob = (tmp_path / "out" / "helper.json").read_bytes()
-    assert len(json.loads(blob)["table"]) == 142
-    assert hashlib.sha256(blob).hexdigest() == (
-        "67293cd0ab68de84c36e3c651aae73943b53d38a05253db36a6a3f275815f46b")
-
-
 def test_reference_selfreg_is_golden(tmp_path, monkeypatch):
     """selfreg on configs/reference.json scores every state its val/test
     rollouts reach by the exact p* of those tasks (a state off their walks
@@ -1115,7 +1070,7 @@ def test_selfreg_score_is_the_exact_models_nohelp_value(tmp_path, monkeypatch):
 
 def test_no_command_builds_a_string_keyed_model(tmp_path, monkeypatch):
     """Every command reads its model through the planner's rows or the
-    per-task walk: a trajectory_only chain, baseline and selfreg run with
+    per-task walk: the chain, baseline and selfreg run with
     CountTable.load, normalize, restrict_to_solvable, exact_models and both
     model classes refused."""
     from helpdp import cli as climod
@@ -1130,9 +1085,9 @@ def test_no_command_builds_a_string_keyed_model(tmp_path, monkeypatch):
     monkeypatch.setattr(env, "exact_models", refuse)
     monkeypatch.setattr(mdp.TransitionModel, "__post_init__", refuse)
     monkeypatch.setattr(mdp.SuccessModel, "__post_init__", refuse)
-    cfg = write_config(tmp_path, "sk", helper_mode="trajectory_only")
+    cfg = write_config(tmp_path, "sk")
     outputs = run_chain(cfg, (*COMMANDS, "baseline", "selfreg"))
-    assert "helper mode=trajectory_only" in outputs[4]
+    assert "helper mode=all_states" in outputs[4]
     assert json.loads((tmp_path / "sk" / "helper.json").read_text())["table"]
 
 
@@ -1526,32 +1481,6 @@ def test_a_cyclic_counts_file_is_refused_by_the_reader(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == CYCLIC[case]
     assert forks == ([(path, 1)] if cpus == 2 else [])
     assert not (tmp_path / "badc" / "solution.json").exists()
-
-
-@pytest.mark.parametrize("name,command,overrides,field,value,why", [
-    ("counts.jsonl", "annotate", {"helper_mode": "trajectory_only"}, "count", 1.5,
-     "count must be a positive integer, got 1.5"),
-    ("counts.jsonl", "annotate", {"helper_mode": "trajectory_only"}, "state", 7, "state must be a string, got 7"),
-], ids=["counts-count", "counts-state"])
-def test_load_errors_name_the_file_and_the_record(tmp_path, monkeypatch, capsys, restore_gc,
-                                                 name, command, overrides, field, value, why):
-    """pipeline.solvable_rows (annotate, trajectory_only) refuses a bad
-    record with the path and the record's state and action in the message."""
-    cfg = write_config(tmp_path, "badr", **overrides)
-    for cmd in ("gen", "collect", "fit", "search"):
-        run_cmd(cfg, cmd)
-    path = tmp_path / "badr" / name
-    header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    rec = json.loads(first)
-    rec[field] = value
-    path.write_text(header + json.dumps(rec) + "\n" + "".join(rest), encoding="utf-8")
-    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
-    with pytest.raises(SystemExit) as exc:
-        cli()
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and why in err
-    assert repr(rec["state"]) in err and repr(rec["action"]) in err
 
 
 class TestForkedSearch:

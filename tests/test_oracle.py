@@ -1,9 +1,12 @@
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpdp import fixtures, planner
+from helpdp import env, fixtures, planner
+from helpdp.cli import Run, main
 from helpdp.mdp import NOHELP
 from helpdp.oracle import (
     OracleError,
@@ -13,6 +16,7 @@ from helpdp.oracle import (
     exact_policy_eval,
     monte_carlo_estimate,
     postorder,
+    walk_truth,
 )
 from helpdp.planner import ModelRows, RewardConfig, model_rows
 from conftest import rollout_model, policy_decider
@@ -69,6 +73,41 @@ class TestExactPolicyEval:
         model, _ = fixtures.mdp_b()
         with pytest.raises(OracleError, match="s1"):
             exact_policy_eval(model, {"s0": NOHELP}, cfg1(0.3))
+
+
+class TestWalkTruth:
+    REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+
+    def test_matches_policy_evaluation_on_the_exact_model(self, tmp_path):
+        """The walk's truth of a deployed table, nohelp off it, is the exact
+        policy evaluation on env.exact_models of the reference chain's train
+        tasks, to 1e-12, for the chain's helper, an empty table and help on
+        every state."""
+        out = tmp_path / "out"
+        for cmd in ("gen", "collect", "fit", "search", "annotate"):
+            main(["--config", str(self.REFERENCE_CONFIG), "--out", str(out), cmd], standalone_mode=False)
+        run = Run(str(self.REFERENCE_CONFIG), None, str(out))
+        tasks = run.load_tasks().train
+        helper = json.loads((out / "helper.json").read_text())["table"]
+        model, _ = env.exact_models(tasks, eta=run.env.eta, eta_strong=run.env.eta_strong)
+        states = model.nonterminal_states()
+        starts = run.start_keys(tasks)
+        truths = []
+        for table in (helper, {}, {s: "help1" for s in states}):
+            sr, u = walk_truth(tasks, table, run.env.eta, run.env.eta_strong)
+            ev = exact_policy_eval(model, {s: table.get(s, NOHELP) for s in states}, cfg1(0.0))
+            assert abs(sr - sum(ev.success[s] for s in starts) / len(starts)) <= 1e-12
+            assert abs(u - sum(ev.usage[s][0] for s in starts) / len(starts)) <= 1e-12
+            truths.append((sr, u))
+        assert 0 < len(helper) < len(states)
+        (sr_h, u_h), (sr_0, u_0), (sr_1, u_1) = truths
+        assert u_0 == 0.0 and sr_0 < sr_h < sr_1 and 0.0 < u_h < u_1
+
+    def test_refuses_a_branch_of_a_second_help_type(self):
+        [task] = env.generate_tasks(env.EnvConfig(n_train=1, n_val=0, n_test=0), 3).train
+        key = env.initial_state(task).key()
+        with pytest.raises(OracleError, match="branch 'help2'"):
+            walk_truth([task], {key: "help2"}, 0.3, 0.05)
 
 
 class TestBackwardPass:

@@ -30,9 +30,9 @@ from helpdp.pipeline import (
     split_seen_unseen,
 )
 from helpdp.fixtures import truncate_counts
-from helpdp.planner import RewardConfig, expected_usage, model_rows, solve
+from helpdp.planner import RewardConfig, expected_usage, solve
 from helpdp.rollouts import Episode, RolloutLog, Step
-from conftest import always_branch, assert_no_child_left, rollout_log, spy_forks
+from conftest import assert_no_child_left, spy_forks
 
 CFG = EnvConfig(
     room_count=4, max_steps=5, hint_sizes=((2, 1.0),), move_prob=0.5,
@@ -461,85 +461,26 @@ class TestModelPreparation:
         assert len(k2) < len(k1)
 
 
-def _trajectory_table(sol, model, starts):
-    """build_helper's rows walk over ``model`` laid out as the solver's rows."""
-    return build_helper(sol, starts, model_rows(model.probs, 1), "trajectory_only")
-
-
-def _chain_log(n=4):
-    # fabricated rollouts over the two-state chain fixture, starting at s0
-    model, _ = fixtures.mdp_b()
-    return rollout_log(model, always_branch(NOHELP), "s0", n, seed=2)
-
-
 class TestHelperConstruction:
     def test_all_states_covers_every_solved_state(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        helper = build_helper(sol, ["s0"], model, "all_states")
+        helper = build_helper(sol)
         assert set(helper) == set(model.nonterminal_states())
 
     def test_degenerate_chain_modes_agree(self):
+        """On the chain, whose every state the start reaches, the helper is
+        the policy's closure from the start."""
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        a = build_helper(sol, ["s0"], model, "all_states")
-        t = build_helper(sol, ["s0"], model_rows(model.probs, 1), "trajectory_only")
-        assert a == t == oracle.trajectory_table(sol, model, ["s0"])
-
-    @pytest.mark.parametrize("name,args", [
-        ("mdp_a", ()), ("mdp_b", ()), ("corridor_ladder", ()), ("layered_mdp", (3, 10, 1, 4, (1, 2))),
-    ])
-    def test_rows_walk_matches_the_closure_on_every_start(self, name, args):
-        """The rows walk keeps what the oracle closure over the same model
-        keeps, from each start and from all of them, also for a solution with
-        some policy entries removed, where a walk into one drops its start."""
-        model, succ = getattr(fixtures, name)(*args)
-        sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        rng = random.Random(1)
-        partial = sol._replace(policy={s: a for s, a in sol.policy.items() if rng.random() < 0.7})
-        starts = [*model.nonterminal_states(), fixtures.T_SUCC, "off-model"]
-        for case in (sol, partial):
-            for start in starts:
-                assert _trajectory_table(case, model, [start]) == oracle.trajectory_table(case, model, [start]), start
-            assert _trajectory_table(case, model, starts) == oracle.trajectory_table(case, model, starts)
-        assert _trajectory_table(sol, model, starts) == sol.policy
-
-    def test_trajectory_only_drops_offending_tasks(self):
-        """A start whose walk reaches a state with no policy entry adds
-        nothing.  On the rows of a restricted model that takes a solution
-        that does not match the rows; on a raw model, which only the oracle
-        closure walks, it is a successor the restriction remapped."""
-        from helpdp.mdp import TransitionModel
-
-        model, succ = fixtures.mdp_b()
-        sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        assert _trajectory_table(sol, model, ["s0"]) == sol.policy
-        stale = sol._replace(policy={"s0": sol.policy["s0"]})
-        assert _trajectory_table(stale, model, ["s0"]) == {}
-        assert _trajectory_table(stale, model, ["s1"]) == {}
-        off_actions = sol._replace(policy={**sol.policy, "s1": "help2"})
-        assert _trajectory_table(off_actions, model, ["s0"]) == {}
-
-        raw = fixtures.mdp_b()[0]
-        # s1's help row was never observed in this raw model
-        probs = {k: dict(v) for k, v in raw.probs.items() if k != ("s1", "help1")}
-        raw2 = TransitionModel(probs=probs, support=raw.support)
-        solvable = restrict_to_solvable(raw2, 1)
-        succ = estimate_success(_chain_log(20))
-        sol = solve(solvable, succ, RewardConfig(r=(0.3,), gamma=1.0))
-        assert "s1" not in sol.policy
-        assert oracle.trajectory_table(sol, raw2, ["s0"]) == {}
-        # on the restricted rows s1 is the failure terminal, so s0's walk stays in
-        assert _trajectory_table(sol, solvable, ["s0"]) == sol.policy == oracle.trajectory_table(sol, solvable, ["s0"])
-        full = build_helper(sol, ["s0"], None, "all_states")
-        assert set(full) == set(sol.policy)
+        assert build_helper(sol) == oracle.trajectory_table(sol, model, ["s0"]) == sol.policy
 
     def test_unconverged_solution_rejected(self):
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         bad = sol._replace(converged=False)
         with pytest.raises(PipelineError, match="unconverged"):
-            build_helper(bad, ["s0"], model, "all_states")
+            build_helper(bad)
 
     def test_fallback_used_off_table(self, tmp_path):
         rng = random.Random(0)
@@ -601,11 +542,10 @@ class TestSeenUnseenSplit:
         assert split == (closed, [tid for tid in sorted(starts) if tid not in closed])
         assert split[1], "truncation produced no unseen start"
         assert "terminal" in split[0]
-        # the rows walk keeps the policy on the closure of exactly the seen starts
-        table = _trajectory_table(sol, model, starts.values())
-        assert table == oracle.trajectory_table(sol, model, starts.values())
+        # the closure of every start is that of exactly the seen starts, and the helper holds it
+        closure = oracle.trajectory_table(sol, model, starts.values())
         seen_only = oracle.trajectory_table(sol, model, [starts[tid] for tid in closed])
-        assert table == seen_only and table.items() <= sol.policy.items()
+        assert closure == seen_only and closure.items() <= build_helper(sol).items() == sol.policy.items()
 
 
 class TestExpectedUsageHelpers:
