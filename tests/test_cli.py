@@ -1036,6 +1036,23 @@ def test_reference_deploy_artifacts_are_golden(tmp_path, monkeypatch):
     }
 
 
+def test_reference_trajectory_helper_is_golden(tmp_path, monkeypatch):
+    """The trajectory table on configs/reference.json, the policy kept to the
+    closure of each train start over the fitted model, the comparator the
+    robustness acceptance test deploys: 142 recorded entries.  The hash is
+    that of the table a trajectory_only annotate wrote."""
+    monkeypatch.chdir(tmp_path)
+    for cmd in ("gen", "collect", "fit", "search"):
+        main(["--config", str(REFERENCE_CONFIG), "--out", "out", cmd], standalone_mode=False)
+    out = tmp_path / "out"
+    model = restrict_to_solvable(normalize(CountTable.load(out / "counts.jsonl")), 1)
+    starts = [initial_state(t).key() for t in TaskSet.load(out / "tasks.jsonl").train]
+    table = oracle.trajectory_table(load_solution(out / "solution.json"), model, starts)
+    assert len(table) == 142
+    assert hashlib.sha256(json.dumps(table, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == (
+        "2a52112c7309c573be869c7e9c1f25668ad53314e868cb208d16cdd617a45e4b")
+
+
 def test_reference_selfreg_is_golden(tmp_path, monkeypatch):
     """selfreg on configs/reference.json scores every state its val/test
     rollouts reach by the exact p* of those tasks (a state off their walks
@@ -1481,6 +1498,34 @@ def test_a_cyclic_counts_file_is_refused_by_the_reader(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == CYCLIC[case]
     assert forks == ([(path, 1)] if cpus == 2 else [])
     assert not (tmp_path / "badc" / "solution.json").exists()
+
+
+@pytest.mark.parametrize("name,command,field,value,why", [
+    ("counts.jsonl", "solve", "count", 1.5, "count must be a positive integer, got 1.5"),
+    ("counts.jsonl", "solve", "state", 7, "state must be a string, got 7"),
+    ("counts.jsonl", "solve", "next", 7, "next must be a string, got 7"),
+    ("counts.jsonl", "solve", "action", "help", "unknown action 'help'"),
+], ids=["counts-count", "counts-state", "counts-next", "counts-action"])
+def test_load_errors_name_the_file_and_the_record(tmp_path, monkeypatch, capsys, restore_gc,
+                                                 name, command, field, value, why):
+    """pipeline.solvable_rows (solve) refuses a bad record with the path and
+    the record's state and action in the message, and writes no solution."""
+    cfg = write_config(tmp_path, "badr")
+    for cmd in ("gen", "collect", "fit"):
+        run_cmd(cfg, cmd)
+    path = tmp_path / "badr" / name
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(first)
+    rec[field] = value
+    path.write_text(header + json.dumps(rec) + "\n" + "".join(rest), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["helpdp", "--config", str(cfg), command])
+    with pytest.raises(SystemExit) as exc:
+        cli()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and why in err
+    assert repr(rec["state"]) in err and repr(rec["action"]) in err
+    assert not (tmp_path / "badr" / "solution.json").exists()
 
 
 class TestForkedSearch:

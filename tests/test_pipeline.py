@@ -32,7 +32,7 @@ from helpdp.pipeline import (
 from helpdp.fixtures import truncate_counts
 from helpdp.planner import RewardConfig, expected_usage, solve
 from helpdp.rollouts import Episode, RolloutLog, Step
-from conftest import assert_no_child_left, spy_forks
+from conftest import always_branch, assert_no_child_left, rollout_log, spy_forks
 
 CFG = EnvConfig(
     room_count=4, max_steps=5, hint_sizes=((2, 1.0),), move_prob=0.5,
@@ -461,6 +461,12 @@ class TestModelPreparation:
         assert len(k2) < len(k1)
 
 
+def _chain_log(n=4):
+    # fabricated rollouts over the two-state chain fixture, starting at s0
+    model, _ = fixtures.mdp_b()
+    return rollout_log(model, always_branch(NOHELP), "s0", n, seed=2)
+
+
 class TestHelperConstruction:
     def test_all_states_covers_every_solved_state(self):
         model, succ = fixtures.mdp_b()
@@ -474,6 +480,54 @@ class TestHelperConstruction:
         model, succ = fixtures.mdp_b()
         sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
         assert build_helper(sol) == oracle.trajectory_table(sol, model, ["s0"]) == sol.policy
+
+    @pytest.mark.parametrize("name,args", [
+        ("mdp_a", ()), ("mdp_b", ()), ("corridor_ladder", ()), ("layered_mdp", (3, 10, 1, 4, (1, 2))),
+    ])
+    def test_helper_holds_the_closure_of_every_start(self, name, args):
+        """The helper holds the policy on the oracle closure of each start,
+        and on that of all of them, which from every state is the policy; the
+        closure of a policy with some entries removed keeps only entries it
+        still has."""
+        model, succ = getattr(fixtures, name)(*args)
+        sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
+        helper = build_helper(sol)
+        starts = [*model.nonterminal_states(), fixtures.T_SUCC, "off-model"]
+        for start in starts:
+            assert oracle.trajectory_table(sol, model, [start]).items() <= helper.items(), start
+        assert oracle.trajectory_table(sol, model, starts) == helper == sol.policy
+        rng = random.Random(1)
+        partial = sol._replace(policy={s: a for s, a in sol.policy.items() if rng.random() < 0.7})
+        assert oracle.trajectory_table(partial, model, starts).items() <= partial.policy.items() <= helper.items()
+
+    def test_trajectory_only_drops_offending_tasks(self):
+        """The trajectory table, the comparator that keeps the policy to the
+        closure of the starts, drops a start whose walk reaches a state with
+        no policy entry or a row the model lacks; the helper holds the whole
+        policy all the same."""
+        from helpdp.mdp import TransitionModel
+
+        model, succ = fixtures.mdp_b()
+        sol = solve(model, succ, RewardConfig(r=(0.3,), gamma=1.0))
+        assert oracle.trajectory_table(sol, model, ["s0"]) == sol.policy
+        stale = sol._replace(policy={"s0": sol.policy["s0"]})
+        assert oracle.trajectory_table(stale, model, ["s0"]) == {}
+        assert oracle.trajectory_table(stale, model, ["s1"]) == {}
+        off_actions = sol._replace(policy={**sol.policy, "s1": "help2"})
+        assert oracle.trajectory_table(off_actions, model, ["s0"]) == {}
+
+        raw = fixtures.mdp_b()[0]
+        # s1's help row was never observed in this raw model
+        probs = {k: dict(v) for k, v in raw.probs.items() if k != ("s1", "help1")}
+        raw2 = TransitionModel(probs=probs, support=raw.support)
+        solvable = restrict_to_solvable(raw2, 1)
+        succ = estimate_success(_chain_log(20))
+        sol = solve(solvable, succ, RewardConfig(r=(0.3,), gamma=1.0))
+        assert "s1" not in sol.policy
+        assert oracle.trajectory_table(sol, raw2, ["s0"]) == {}
+        # in the restricted model s1 is the failure terminal, so s0's walk stays in
+        assert oracle.trajectory_table(sol, solvable, ["s0"]) == sol.policy
+        assert build_helper(sol) == sol.policy
 
     def test_unconverged_solution_rejected(self):
         model, succ = fixtures.mdp_b()
