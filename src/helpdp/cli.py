@@ -174,15 +174,14 @@ class Run:
 
     def load_rows_and_starts(self) -> tuple[planner.ModelRows, list[str]]:
         """The solvable rows of ``counts.jsonl`` (``pipeline.solvable_rows``)
-        and the train start keys, for ``solve`` and ``search``: both are read
-        while this process imports numpy and scipy, by a forked worker from
-        a large file on.  A bad ``counts.jsonl`` is reported before a
-        missing ``tasks.jsonl``."""
+        and the train start keys, for ``solve`` and ``search``: from a large
+        file on, a forked worker reads both while this process imports numpy
+        and scipy.  A bad ``counts.jsonl`` is reported before a missing
+        ``tasks.jsonl``."""
         from . import pipeline
 
         cp = self.require("counts.jsonl", "`fit`")
-        return pipeline.read_solvable_rows(cp, self.n_help, planner.import_solver,
-                                           lambda: self.start_keys(self.load_tasks().train))
+        return pipeline.read_solvable_rows(cp, self.n_help, lambda: self.start_keys(self.load_tasks().train))
 
     def load_solution(self) -> planner.Solution:
         return planner.load_solution(self.require("solution.json", "`solve` or `search`"))

@@ -34,10 +34,6 @@ ETA = EnvConfig._field_defaults["eta"]  # the base actor's default noise
 ETA_STRONG = EnvConfig._field_defaults["eta_strong"]  # the strong actor's default noise
 
 
-class EnumerationTooLarge(EnvError):
-    pass
-
-
 def goto(room: int) -> str:
     return f"goto:{room}"
 
@@ -403,8 +399,7 @@ def generate_tasks(config: EnvConfig, seed: int) -> TaskSet:
     )
 
 
-def _walk(root: EnvState, eta: float, cap: float = float("inf"),
-          reached: int = 0) -> tuple[dict[str, tuple[EnvState, list[str]]], dict[str, float]]:
+def _walk(root: EnvState, eta: float) -> tuple[dict[str, tuple[EnvState, list[str]]], dict[str, float]]:
     """Every state reachable from ``root``, walked layer by layer in t with
     the unmemoized :func:`_step`, so nothing lands on any task or episode
     graph and no recursion limits the depth.
@@ -415,16 +410,12 @@ def _walk(root: EnvState, eta: float, cap: float = float("inf"),
     actor with noise ``eta`` succeeds from s, 1 or 0 at a terminal state,
     else the sum of prob * p*(s') over ``action_distribution(_greedy_base,
     s, eta)``, filled by t descending.  The sum takes every legal action,
-    zero-probability ones too, so it is exact for any ``eta``.  Once
-    ``reached`` (the states of earlier walks) plus this walk's states pass
-    ``cap``, it raises EnumerationTooLarge before it walks further."""
+    zero-probability ones too, so it is exact for any ``eta``.  The walk has
+    no bound on its size: its callers choose their tasks."""
     rows: dict[str, tuple[EnvState, list[str]]] = {}
     p: dict[str, float] = {}
     layer = {root.key(): root}
     while layer:
-        reached += len(layer)
-        if reached > cap:
-            raise EnumerationTooLarge(f"enumeration too large (> {cap} states)")
         nxt: dict[str, EnvState] = {}
         for key, state in layer.items():
             if state.terminal:
@@ -444,15 +435,16 @@ def success_probability(eta: float = ETA) -> Callable[[EnvState], float]:
     """p*(s) of :func:`_walk`, the base actor's success probability from
     state s, memoized by state key.  A state not yet known fills the memo
     with its whole task, from one walk from a fresh :func:`initial_state`,
-    so the states passed in keep no successor."""
+    so the states passed in keep no successor.  ``s`` must be reachable
+    from its task's start, as every state of an episode is: the walk
+    expands every legal action, so it holds each such key, and any other
+    state raises KeyError."""
     memo: dict[str, float] = {}
 
     def p_star(state: EnvState) -> float:
         key = state.key()
         if key not in memo:
             memo.update(_walk(initial_state(state.task), eta)[1])
-        if key not in memo:  # a state no walk from the start reaches
-            memo.update(_walk(state, eta)[1])
         return memo[key]
 
     return p_star
@@ -462,7 +454,6 @@ def exact_models(
     tasks: Iterable[Task],
     eta: float = ETA,
     eta_strong: float = ETA_STRONG,
-    cap: int = 200_000,
 ) -> tuple[TransitionModel, SuccessModel]:
     """Exact transition and success models for the base/strong actor pair.
 
@@ -470,12 +461,14 @@ def exact_models(
     :func:`_walk` per task; p(s, a) takes branch a for the first step and
     then p* (the base actor, nohelp).  Each walk starts from a fresh
     :func:`initial_state`, so the enumeration leaves nothing on the tasks.
+    It enumerates every state of every task, with no bound; no command
+    calls it, and the paper config's 1000 train tasks hold 63,542 states.
     """
     probs: dict[tuple[str, str], dict[str, float]] = {}
     p: dict[tuple[str, str], float] = {}
     support: set[str] = set()
     for task in tasks:
-        rows, p_star = _walk(initial_state(task), eta, cap, len(support))
+        rows, p_star = _walk(initial_state(task), eta)
         support.update(p_star)
         for key, (state, kids) in rows.items():
             for tag, greedy, noise in ((NOHELP, _greedy_base, eta), (help_action(1), _greedy_strong, eta_strong)):

@@ -252,12 +252,6 @@ class CountTable:
         key = (state, action, next_state)
         self._counts[key] = self._counts.get(key, 0) + count
 
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def get(self, state: str, action: str, next_state: str) -> int:
-        return self._counts.get((state, action, next_state), 0)
-
     def items(self) -> Iterator[tuple[tuple[str, str, str], int]]:
         return iter(sorted(self._counts.items()))
 
@@ -379,11 +373,6 @@ class SuccessModel(Checked, _SuccessModel):
             check_source(key[0])
             if empirical and self.n.get(key, 0) < 1:
                 raise DataError(f"empirical entry without samples: {key}")
-
-    def has(self, state: str, action: str) -> bool:
-        if is_terminal(state):
-            return True
-        return (state, action) in self.p
 
     def get(self, state: str, action: str) -> float:
         outcome = terminal_outcome(state)

@@ -73,7 +73,7 @@ from .mdp import (
     record_error,
     write_lines,
 )
-from .planner import UNKNOWN_FAILURE, ModelRows, Solution, model_rows
+from .planner import UNKNOWN_FAILURE, ModelRows, Solution, import_solver, model_rows
 from .rollouts import Episode, RolloutLog, Step, episode_line
 
 T = TypeVar("T")
@@ -483,23 +483,23 @@ def solvable_rows(path: str | os.PathLike, n_help: int) -> ModelRows:
 
 
 # solvable_rows reads about 25 MB of counts.jsonl a second, for `solve` and
-# `search` alone, which read it here.  A forked reader adds about 10 ms:
-# importing pickle (4 ms), forking and reaping the worker (3 ms) and sending
-# the rows back (1.5 ms per MB of file).  The bound was set when a
-# multiprocessing pool added about 35 ms, so it is if anything high; it
-# stays, so a file of configs/reference.json's size (136 KB) is read inline.
+# `search` alone, which read it here.  Forking gains nothing for a file of
+# configs/reference.json's size (136 KB): on a shared 2-CPU host, always
+# forking took a reference `search` from 0.452 s to 0.497 s in the median of
+# 40 alternating pairs (slower in 37), and in a rerun on a busier host from
+# 0.589 s to 0.603 s (slower in 21 of 40).  So a file below the bound is read
+# inline; the paper config's 6.4 MB file forks.
 FORK_MIN_BYTES = 1_000_000
 
 
-def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable[[], object],
-                       then: Callable[[], T]) -> tuple[ModelRows, T]:
-    """``(solvable_rows(path, n_help), then())``, with ``meanwhile()`` also
-    run in this process.  From ``FORK_MIN_BYTES`` on, and with a second
-    usable CPU, one forked worker (``fork_jobs``) reads the file and then
-    runs ``then`` while this process runs ``meanwhile``; the worker's
-    exception is raised here with its type, so a bad file is reported
-    before anything ``then`` would refuse.  Otherwise the file is read, then
-    ``then`` and ``meanwhile`` run, in that order.
+def read_solvable_rows(path: str | os.PathLike, n_help: int, then: Callable[[], T]) -> tuple[ModelRows, T]:
+    """``(solvable_rows(path, n_help), then())``.  From ``FORK_MIN_BYTES``
+    on, and with a second usable CPU, one forked worker (``fork_jobs``)
+    reads the file and then runs ``then`` while this process imports the
+    solver (``planner.import_solver``); the worker's exception is raised
+    here with its type, so a bad file is reported before anything ``then``
+    would refuse.  Otherwise this process reads the file and runs ``then``,
+    and the solver is imported by the first solve.
 
     The worker is forked, as ``write_phase1``'s are: a spawned one starts
     a new interpreter and imports the package again, about 0.2 s more, which
@@ -507,10 +507,8 @@ def read_solvable_rows(path: str | os.PathLike, n_help: int, meanwhile: Callable
     import numpy, so no thread runs then."""
     read = partial(_read_then, path, n_help, then=then)
     if _usable_cpus() < 2 or os.path.getsize(path) < FORK_MIN_BYTES:
-        out = read()
-        meanwhile()
-        return out
-    return fork_jobs([meanwhile, read])[1]
+        return read()
+    return fork_jobs([import_solver, read])[1]
 
 
 def _read_then(path: str | os.PathLike, n_help: int, then: Callable[[], T]) -> tuple[ModelRows, T]:

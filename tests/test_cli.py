@@ -1128,13 +1128,25 @@ def test_reference_mcts_rollouts_are_golden(tmp_path, monkeypatch, kind, plan, g
     every MCTS step of collect, eval and baseline; with intervention 'both' (two
     costs, solved) and 'mcts' (searched) on configs/reference.json those
     rollouts reproduce the recorded bytes.  The scorer's p* comes from
-    env.success_probability, so no command enumerates the exact model."""
-    from helpdp import env
-
+    env.success_probability, so no command enumerates the exact model.  Each
+    scorer walks only from a task's start, and walks each task once: every
+    state it is asked of lies on an episode begun at its task's start.  The
+    walks are logged to a file, so those of collect's forked workers count."""
     def enumerated(*args, **kwargs):
         raise AssertionError("a command enumerated the exact model")
 
+    log = tmp_path / "walks.tsv"  # one line per walk: its scorer's number and its root's key
+    scorers = []
+    walk, scorer = env._walk, env.success_probability
+
+    def walked(root, eta):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(scorers)}\t{root.key()}\n")
+        return walk(root, eta)
+
     monkeypatch.setattr(env, "exact_models", enumerated)
+    monkeypatch.setattr(env, "_walk", walked)
+    monkeypatch.setattr(env, "success_probability", lambda eta: scorers.append(eta) or scorer(eta))
     config = json.loads(REFERENCE_CONFIG.read_text())
     config["intervention"] = kind
     if kind == "both":
@@ -1143,6 +1155,17 @@ def test_reference_mcts_rollouts_are_golden(tmp_path, monkeypatch, kind, plan, g
     path.write_text(json.dumps(config))
     commands = ("gen", "collect", "fit", plan, "annotate", "eval", "baseline")
     assert _reference_digests(tmp_path, monkeypatch, commands, tuple(golden), path) == golden
+    tasks = TaskSet.load(tmp_path / "out" / "tasks.jsonl")
+    starts = {initial_state(task).key() for task in tasks.train + tasks.val + tasks.test}
+    walks: dict[int, list[str]] = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        number, key = line.split("\t")
+        walks.setdefault(int(number), []).append(key)
+    assert len(scorers) == 3  # collect's, eval's and baseline's
+    assert {1, 2} <= set(walks) <= {1, 2, 3}
+    for roots in walks.values():
+        assert set(roots) <= starts
+        assert len(set(roots)) == len(roots)
 
 
 @pytest.mark.parametrize("kind", ["strong", "both"])
@@ -1587,12 +1610,13 @@ class TestForkedSearch:
         assert forks == ([(bad, 1), (cyclic, 1), (good, 1)] if cpus == 2 else [])
         assert_no_child_left()
 
-    def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, forks):
+    def test_worker_error_reaches_the_caller_with_its_type(self, tmp_path, monkeypatch, forks):
         _, path = _broken_counts(tmp_path, "terminal-source")
         ran = []
+        monkeypatch.setattr(pipeline, "import_solver", lambda: ran.append(os.getpid()))
         with pytest.raises(DataError, match=re.escape("terminal source state: 'room=0|outcome=success'")):
-            pipeline.read_solvable_rows(path, 1, lambda: ran.append(True), list)
-        assert forks == [(path, 1)] and ran == [True]
+            pipeline.read_solvable_rows(path, 1, list)
+        assert forks == [(path, 1)] and ran == [os.getpid()]
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
     def test_search_and_solve_build_no_count_table_or_transition_model(self, tmp_path, monkeypatch, cpus):

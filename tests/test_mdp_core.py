@@ -41,15 +41,15 @@ class TestCountTable:
     def test_first_increment(self):
         table = CountTable()
         table.record("s0", NOHELP, T_SUCC)
-        assert table.get("s0", NOHELP, T_SUCC) == 1
-        assert table.total() == 1
+        assert dict(table.items()) == {("s0", NOHELP, T_SUCC): 1}
+        assert sum(c for _, c in table.items()) == 1
 
     def test_additivity(self):
         table = CountTable()
         for _ in range(3):
             table.record("s0", NOHELP, T_SUCC)
-        assert table.get("s0", NOHELP, T_SUCC) == 3
-        assert table.total() == 3
+        assert dict(table.items()) == {("s0", NOHELP, T_SUCC): 3}
+        assert sum(c for _, c in table.items()) == 3
 
     def test_terminal_source_rejected(self):
         table = CountTable()
