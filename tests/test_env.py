@@ -462,6 +462,23 @@ class TestExactModels:
             visited.update(ep.states)
         assert visited <= set(model.support)
 
+    def test_enumeration_has_no_cap(self):
+        """The task a 10-state cap once refused: exact_models takes no cap and
+        holds every state that any legal action reaches from the start."""
+        task = make_task(rooms=4, obj=2, hint=(1, 2), steps=6, opt=3)
+        reached, stack = set(), [initial_state(task)]
+        while stack:
+            state = stack.pop()
+            if state.key() in reached:
+                continue
+            reached.add(state.key())
+            if not state.terminal:
+                stack.extend(env._step(state, a) for a in action_distribution(env._greedy_base, state, 0.35))
+        model, success = exact_models([task], 0.35, 0.05)
+        assert len(reached) > 10
+        assert set(model.support) == reached
+        assert {key for key, _ in success.p} == {key for key in reached if terminal_outcome(key) is None}
+
 
 def _reference_key(state) -> str:
     """The state key spelled out from the state's fields, segment by segment."""
@@ -665,6 +682,21 @@ def test_success_probability_adds_no_successor_to_the_episode_graph():
     p_star(nxt), p_star(s0)
     assert s0.successors == {goto(1): nxt}
     assert nxt.successors is None
+
+
+def test_success_probability_of_a_state_no_walk_from_the_start_reaches():
+    """No walk runs from a state off every walk from its task's start: p* of
+    such a state is a KeyError, after the start's walk filled the memo."""
+    task = make_task(rooms=3, obj=2, hint=(2,), steps=5, opt=3)
+    odd = EnvState(task=task, t=1, room=0, explored=frozenset({2}), found=False)
+    walks = []
+    p_star = success_probability(0.35)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(env, "_walk", lambda root, eta, walk=env._walk: walks.append(root.key()) or walk(root, eta))
+        with pytest.raises(KeyError, match=re.escape(odd.key())):
+            p_star(odd)
+        assert 0.0 < p_star(initial_state(task)) < 1.0
+    assert walks == [initial_state(task).key()]
 
 
 def _graph(start):
